@@ -11,7 +11,6 @@ automaton).
 from .automata import (
     addition_automaton,
     addition_automaton_base,
-    addition_automaton_base2,
     addition_automaton_zeckendorf,
     all_ones_automaton,
     constant_recognizer,

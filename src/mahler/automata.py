@@ -19,7 +19,7 @@ from functools import lru_cache
 from .numeration import Base, NumerationKind, ZECKENDORF, canonical, format_word, value
 from .rings import INTEGERS, Ring
 from .wfa import (AutomatonError, DfaWithOutput, UnambiguousAutomaton,
-                  WeightedAutomaton, trim)
+                  WeightedAutomaton, _dfa_table, explore, reachable, trim)
 
 
 # ---------------------------------------------------------------------------
@@ -29,68 +29,35 @@ def _recognizer_core(digits: tuple, c: int, bound: int):
     """Reachable (p, q) pairs with both coordinates within the bound,
     trimmed to states that can still reach p = c.  Returns
     (pairs, transitions, accepting, initial) with partial transitions."""
-    start = (0, 0)
-    index = {start: 0}
-    order = [start]
-    trans = {}
-    cursor = 0
-    while cursor < len(order):
-        p, q = order[cursor]
-        src = cursor
-        cursor += 1
+    def successors(pq):
+        p, q = pq
         for d in digits:
             p2, q2 = p + q + d, p + d
             if abs(p2) <= bound and abs(q2) <= bound:
-                key = (p2, q2)
-                dst = index.get(key)
-                if dst is None:
-                    dst = len(order)
-                    index[key] = dst
-                    order.append(key)
-                trans[(src, d)] = dst
+                yield d, (p2, q2), None
+
+    order, trans = explore([(0, 0)], successors)
     accept = {i for i, (p, _q) in enumerate(order) if p == c}
     rev: dict = {}
-    for (src, _d), dst in trans.items():
+    for src, _d, dst in trans:
         rev.setdefault(dst, set()).add(src)
-    live = set(accept)
-    todo = list(accept)
-    while todo:
-        s = todo.pop()
-        for t in rev.get(s, ()):
-            if t not in live:
-                live.add(t)
-                todo.append(t)
+    live = reachable(accept, rev)
     keep = sorted(live | {0})
     remap = {old: new for new, old in enumerate(keep)}
     pairs = [order[i] for i in keep]
     core_trans = {(remap[s], d): remap[t]
-                  for (s, d), t in trans.items() if s in remap and t in remap}
+                  for s, d, t in trans if s in remap and t in remap}
     core_accept = {remap[i] for i in accept if i in remap}
     return pairs, core_trans, core_accept, remap[0]
 
 
-def _dfa_canonical_form(n_states, trans, accept, initial, digits):
+def _dfa_canonical_form(trans, accept, initial, digits):
     """BFS relabelling from the initial state; isomorphism-invariant."""
-    seen = {initial: 0}
-    order = [initial]
-    cursor = 0
-    rows = []
-    while cursor < len(order):
-        s = order[cursor]
-        cursor += 1
-        row = []
-        for d in digits:
-            t = trans.get((s, d))
-            if t is None:
-                row.append(None)
-            else:
-                if t not in seen:
-                    seen[t] = len(order)
-                    order.append(t)
-                row.append(seen[t])
-        rows.append(tuple(row))
-    acc = frozenset(seen[s] for s in accept if s in seen)
-    return (len(order), tuple(rows), acc)
+    order, arrows = explore(
+        [initial],
+        lambda s: ((d, trans[(s, d)], None) for d in digits if (s, d) in trans))
+    acc = frozenset(i for i, s in enumerate(order) if s in accept)
+    return (len(order), frozenset(arrows), acc)
 
 
 @lru_cache(maxsize=None)
@@ -98,8 +65,8 @@ def _recognizer_cached(digits: tuple, c: int):
     bound = 8 * (max(max(abs(d) for d in digits), abs(c)) + 1)
     parts = _recognizer_core(digits, c, bound)
     check = _recognizer_core(digits, c, 4 * bound)
-    form = _dfa_canonical_form(len(parts[0]), parts[1], parts[2], parts[3], digits)
-    form4 = _dfa_canonical_form(len(check[0]), check[1], check[2], check[3], digits)
+    form = _dfa_canonical_form(*parts[1:], digits)
+    form4 = _dfa_canonical_form(*check[1:], digits)
     if form != form4:
         raise AutomatonError(
             f"recognizer bound {bound} too small for digits {digits}, c={c}")
@@ -160,25 +127,13 @@ def defect_automaton() -> DfaWithOutput:
 
 def _determinize_nfa(arrows, initial_set, final_set, alphabet):
     """Classical subset construction; the empty set is an explicit state."""
-    start = frozenset(initial_set)
-    index = {start: 0}
-    order = [start]
-    trans = {}
-    cursor = 0
-    while cursor < len(order):
-        cur = order[cursor]
-        src = cursor
-        cursor += 1
+    def successors(subset):
         for d in alphabet:
-            nxt = frozenset(t for s in cur for t in arrows.get((s, d), ()))
-            dst = index.get(nxt)
-            if dst is None:
-                dst = len(order)
-                index[nxt] = dst
-                order.append(nxt)
-            trans[(src, d)] = dst
+            yield d, frozenset(t for s in subset for t in arrows.get((s, d), ())), None
+
+    order, trans = explore([frozenset(initial_set)], successors)
     accepting = tuple(bool(subset & final_set) for subset in order)
-    return order, trans, accepting
+    return order, _dfa_table(trans), accepting
 
 
 @lru_cache(maxsize=None)
@@ -220,22 +175,10 @@ def defect_automaton_constructed() -> DfaWithOutput:
                           if p == 0 and q == -b)
         dfas.append(_determinize_nfa(arrows, {initial * 2 + 0}, final, alphabet))
 
-    index = {(0, 0, 0): 0}
-    order = [(0, 0, 0)]
-    prod_trans = {}
-    cursor = 0
-    while cursor < len(order):
-        triple = order[cursor]
-        src = cursor
-        cursor += 1
-        for d in alphabet:
-            nxt = tuple(dfas[i][1][(triple[i], d)] for i in range(3))
-            dst = index.get(nxt)
-            if dst is None:
-                dst = len(order)
-                index[nxt] = dst
-                order.append(nxt)
-            prod_trans[(src, d)] = dst
+    order, prod_trans = explore(
+        [(0, 0, 0)],
+        lambda triple: ((d, tuple(dfas[i][1][(triple[i], d)] for i in range(3)), None)
+                        for d in alphabet))
     outputs = []
     for triple in order:
         hits = [b for i, b in enumerate((-1, 0, 1)) if dfas[i][2][triple[i]]]
@@ -246,7 +189,7 @@ def defect_automaton_constructed() -> DfaWithOutput:
         alphabet=alphabet,
         states=tuple(f"d{i}" for i in range(len(order))),
         initial=0,
-        transitions=prod_trans,
+        transitions=_dfa_table(prod_trans),
         outputs=tuple(outputs),
     )
 
@@ -257,31 +200,6 @@ def defect_automaton_constructed() -> DfaWithOutput:
 # value(w); words are read most significant digit first with u and v
 # left-padded to the length of w.
 
-def addition_automaton_base2() -> UnambiguousAutomaton:
-    """The fixed two-state base-2 carry machine."""
-    one = INTEGERS.one
-    trans = {
-        (0, (0, 0, 0), 0): one,
-        (0, (1, 0, 1), 0): one,
-        (0, (0, 1, 1), 0): one,
-        (0, (0, 0, 1), 1): one,
-        (1, (1, 0, 0), 1): one,
-        (1, (0, 1, 0), 1): one,
-        (1, (1, 1, 1), 1): one,
-        (1, (1, 1, 0), 0): one,
-    }
-    alphabet = tuple((a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
-    A = WeightedAutomaton(
-        ring=INTEGERS,
-        alphabet=alphabet,
-        states=("0", "1"),
-        initial=(one, INTEGERS.zero),
-        final=(one, INTEGERS.zero),
-        transitions=trans,
-    )
-    return UnambiguousAutomaton(A)
-
-
 @lru_cache(maxsize=None)
 def addition_automaton_base(q: int) -> UnambiguousAutomaton:
     """Carry machine for base q, derived rather than hard-coded.
@@ -289,8 +207,7 @@ def addition_automaton_base(q: int) -> UnambiguousAutomaton:
     The state is the value read so far of u + v - w; a value r other than
     0 or -1 can never come back to 0, since one more digit maps r to
     q*r + e with e between -(q-1) and 2(q-1), so only those two values are
-    kept.  State "1" stands for running value -1, so the q = 2 instance
-    coincides with the fixed two-state machine, table and names alike.
+    kept; state "0" stands for running value 0 and state "1" for -1.
     """
     if q < 2:
         raise AutomatonError(f"base must be >= 2, got {q}")
@@ -330,34 +247,17 @@ def addition_automaton_zeckendorf() -> UnambiguousAutomaton:
     """
     pairs, rtrans, raccept, rinit = _recognizer_cached((-1, 0, 1, 2), 0)
     one = INTEGERS.one
-    start = (rinit, 0, 0, 0)
-    index = {start: 0}
-    order = [start]
-    trans = {}
-    cursor = 0
-    while cursor < len(order):
-        r, l1, l2, l3 = order[cursor]
-        src = cursor
-        cursor += 1
-        for a in (0, 1):
-            if l1 == 1 and a == 1:
-                continue
-            for b in (0, 1):
-                if l2 == 1 and b == 1:
-                    continue
-                for c in (0, 1):
-                    if l3 == 1 and c == 1:
-                        continue
+
+    def successors(state):
+        r, l1, l2, l3 = state
+        for a in (0, 1) if l1 == 0 else (0,):
+            for b in (0, 1) if l2 == 0 else (0,):
+                for c in (0, 1) if l3 == 0 else (0,):
                     r2 = rtrans.get((r, a + b - c))
-                    if r2 is None:
-                        continue
-                    key = (r2, a, b, c)
-                    dst = index.get(key)
-                    if dst is None:
-                        dst = len(order)
-                        index[key] = dst
-                        order.append(key)
-                    trans[(src, (a, b, c), dst)] = one
+                    if r2 is not None:
+                        yield (a, b, c), (r2, a, b, c), one
+
+    order, trans = explore([(rinit, 0, 0, 0)], successors)
     alphabet = tuple((a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
     names = tuple(f"p{pairs[r][0]}q{pairs[r][1]}|{l1}{l2}{l3}"
                   for r, l1, l2, l3 in order)
@@ -378,8 +278,6 @@ def addition_automaton_zeckendorf() -> UnambiguousAutomaton:
 def addition_automaton(kind: NumerationKind) -> UnambiguousAutomaton:
     """Addition automaton for the given numeration."""
     if isinstance(kind, Base):
-        if kind.q == 2:
-            return addition_automaton_base2()
         return addition_automaton_base(kind.q)
     return addition_automaton_zeckendorf()
 
@@ -459,36 +357,19 @@ def _shift_once(A: WeightedAutomaton) -> WeightedAutomaton:
     for (s, lab, d), w in A.transitions.items():
         out_arrows.setdefault((s, lab), []).append((d, w))
 
-    start_states = [(rinit, s, 0) for s in range(len(A.states)) if A.initial[s]]
-    index = {t: i for i, t in enumerate(start_states)}
-    order = list(start_states)
-    trans: dict = {}
-    cursor = 0
-    while cursor < len(order):
-        r, s, x = order[cursor]
-        src = cursor
-        cursor += 1
+    def successors(state):
+        r, s, x = state
         for b in (0, 1):
-            for guess in (0, 1):
-                if x == 1 and guess == 1:
-                    continue
+            for guess in (0, 1) if x == 0 else (0,):
                 r2 = rtrans.get((r, b - guess))
-                if r2 is None:
-                    continue
-                for d, w in out_arrows.get((s, guess), ()):
-                    key = (r2, d, guess)
-                    dst = index.get(key)
-                    if dst is None:
-                        dst = len(order)
-                        index[key] = dst
-                        order.append(key)
-                    tkey = (src, b, dst)
-                    cur = trans.get(tkey)
-                    trans[tkey] = w if cur is None else cur + w
-    n = len(order)
-    initial = [ring.zero] * n
-    for i, t in enumerate(start_states):
-        initial[i] = A.initial[t[1]]
+                if r2 is not None:
+                    for d, w in out_arrows.get((s, guess), ()):
+                        yield b, (r2, d, guess), w
+
+    seeds = [(rinit, s, 0) for s in range(len(A.states)) if A.initial[s]]
+    order, trans = explore(seeds, successors)
+    initial = [A.initial[s] for _r, s, _x in seeds]
+    initial += [ring.zero] * (len(order) - len(seeds))
     final = []
     for r, s, _x in order:
         final.append(A.final[s] if r in raccept else ring.zero)

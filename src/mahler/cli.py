@@ -28,7 +28,7 @@ import sys
 
 from .automata import (
     addition_automaton,
-    addition_automaton_base2,
+    addition_automaton_base,
     addition_automaton_zeckendorf,
     all_ones_automaton,
     count_ones_automaton,
@@ -95,7 +95,7 @@ BUILTIN_WFA = {
 }
 
 _BUILTIN_FIXED = {
-    "addition-base2": lambda: addition_automaton_base2().automaton,
+    "addition-base2": lambda: addition_automaton_base(2).automaton,
     "addition-zeckendorf": lambda: addition_automaton_zeckendorf().automaton,
 }
 

@@ -49,6 +49,7 @@ from .wfa import (
     AutomatonError,
     WeightedAutomaton,
     eval_sequence,
+    explore,
     normalize,
     sequence_prefix,
     trim,
@@ -677,33 +678,11 @@ def build_automaton_z(P: MahlerEquation, f0=None, *,
     if not compatible_f0(P, f0, ring.zero):
         raise _incompatible(P, f0, ring.zero)
     ctx = _ZContext(P, _extra_i, _extra_j)
-    index = {}
-    order = []
-    todo = []
-
-    def visit(s):
-        i = index.get(s)
-        if i is None:
-            i = len(order)
-            index[s] = i
-            order.append(s)
-            todo.append(s)
-        return i
-
-    for s in ctx.seeds():
-        visit(s)
-    trans = {}
-    while todo:
-        s = todo.pop()
-        si = index[s]
-        for b, t, w in ctx.moves(s):
-            trans[(si, b, visit(t))] = w
+    seeds = ctx.seeds()
+    order, trans = explore(seeds, ctx.moves)
     zero = ring.zero
     one = ring.one
-    n = len(order)
-    initial = [zero] * n
-    for s in ctx.seeds():
-        initial[index[s]] = f0
+    initial = [f0] * len(seeds) + [zero] * (len(order) - len(seeds))
     final = [one if (s[0] == 0 and s[1] == 0) else zero for s in order]
     return trim(WeightedAutomaton(
         ring=ring,
@@ -773,95 +752,60 @@ def build_automaton_dumas(P: MahlerEquation, G: WeightedAutomaton = None,
     zero = ring.zero
     one = ring.one
 
-    main_index = {}
-    main_order = []
-    main_todo = []
-
-    def main_visit(s):
-        i = main_index.get(s)
-        if i is None:
-            i = len(main_order)
-            main_index[s] = i
-            main_order.append(s)
-            main_todo.append(s)
-        return i
-
-    for s in ctx.seeds():
-        main_visit(s)
-
-    # B_j parts first: their reroutes decide which extra grid states the
-    # main exploration must start from.
+    # One exploration over two kinds of state: ("s", grid state) and
+    # ("g", j, b, q, u), state b of B_j run in lockstep with defect state
+    # q and digit window u.  Arrows into the final state of B_j land on
+    # ("s", (0, j, q, u)) instead.  The copy's states are named g{j}n{t},
+    # t counting them in order of discovery.
     u0 = (0,) * ctx.g
     parts = []
+    seeds = [("s", s) for s in ctx.seeds()]
+    initial = [f0] * len(seeds)
     for j in range(ctx.ht + 1):
         Bj = normalize(shift_regular(G, j))
         fins = [t for t, w in enumerate(Bj.final) if w]
         if len(fins) != 1:
             raise AutomatonError("normalize did not produce a single final state")
-        fin = fins[0]
         out_by_state = {}
         for (src, b, dst), w in Bj.transitions.items():
             out_by_state.setdefault(src, []).append((b, dst, w))
-        p_index = {}
-        p_order = []
-        p_todo = []
-
-        def p_visit(ps):
-            i = p_index.get(ps)
-            if i is None:
-                i = len(p_order)
-                p_index[ps] = i
-                p_order.append(ps)
-                p_todo.append(ps)
-            return i
-
+        parts.append((fins[0], out_by_state))
         for sidx, w in enumerate(Bj.initial):
-            if w and sidx != fin:
-                p_visit((sidx, ctx.q_init, u0))
-        internal = []
-        jumps = []
-        while p_todo:
-            ps = p_todo.pop()
-            pi = p_index[ps]
-            bs, qs, u = ps
-            q2 = ctx.dtrans[(qs, u[0])]
-            for b, dst, w in out_by_state.get(bs, ()):
-                if b == 1 and u[-1] == 1:
-                    continue
-                u2 = u[1:] + (b,)
-                if dst == fin:
-                    jumps.append((pi, b, main_visit((0, j, q2, u2)), w))
-                else:
-                    internal.append((pi, b, p_visit((dst, q2, u2)), w))
-        init = {}
-        for ps in p_order:
-            w = Bj.initial[ps[0]]
-            if w and ps[1] == ctx.q_init and ps[2] == u0:
-                init[p_index[ps]] = init.get(p_index[ps], zero) + w
-        parts.append((p_order, internal, jumps, init))
+            if w and sidx != fins[0]:
+                seeds.append(("g", j, sidx, ctx.q_init, u0))
+                initial.append(w)
 
-    trans = {}
-    while main_todo:
-        s = main_todo.pop()
-        si = main_index[s]
-        for b, t, w in ctx.moves(s):
-            trans[(si, b, main_visit(t))] = w
+    def successors(state):
+        if state[0] == "s":
+            for b, t, w in ctx.moves(state[1]):
+                yield b, ("s", t), w
+            return
+        _tag, j, bs, qs, u = state
+        fin, out_by_state = parts[j]
+        q2 = ctx.dtrans[(qs, u[0])]
+        for b, dst, w in out_by_state.get(bs, ()):
+            if b == 1 and u[-1] == 1:
+                continue
+            u2 = u[1:] + (b,)
+            if dst == fin:
+                yield b, ("s", (0, j, q2, u2)), w
+            else:
+                yield b, ("g", j, dst, q2, u2), w
 
-    n_main = len(main_order)
-    names = [ctx.state_name(s) for s in main_order]
-    initial = [zero] * n_main
-    for s in ctx.seeds():
-        initial[main_index[s]] = f0
-    final = [one if (s[0] == 0 and s[1] == 0) else zero for s in main_order]
-    for j, (p_order, internal, jumps, init) in enumerate(parts):
-        offset = len(names)
-        names.extend(f"g{j}n{t}" for t in range(len(p_order)))
-        initial.extend(init.get(t, zero) for t in range(len(p_order)))
-        final.extend(zero for _ in p_order)
-        for pi, b, pt, w in internal:
-            trans[(offset + pi, b, offset + pt)] = w
-        for pi, b, mt, w in jumps:
-            trans[(offset + pi, b, mt)] = w
+    order, trans = explore(seeds, successors)
+    initial += [zero] * (len(order) - len(seeds))
+    names = []
+    final = []
+    part_size = [0] * len(parts)
+    for state in order:
+        if state[0] == "s":
+            names.append(ctx.state_name(state[1]))
+            final.append(one if state[1][:2] == (0, 0) else zero)
+        else:
+            j = state[1]
+            names.append(f"g{j}n{part_size[j]}")
+            part_size[j] += 1
+            final.append(zero)
     return trim(WeightedAutomaton(
         ring=ring,
         alphabet=(0, 1),

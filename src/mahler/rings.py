@@ -322,27 +322,5 @@ def parse_ring(spec: str) -> Ring:
     raise RingError(f"unknown ring spec {spec!r}")
 
 
-# Operation-style aliases; the operators above do the work.
-
-def ring_add(a: RingValue, b: RingValue) -> RingValue:
-    return a + b
-
-
-def ring_mul(a: RingValue, b: RingValue) -> RingValue:
-    return a * b
-
-
-def ring_neg(a: RingValue) -> RingValue:
-    return -a
-
-
-def ring_zero(ring: Ring) -> RingValue:
-    return ring.zero
-
-
-def ring_one(ring: Ring) -> RingValue:
-    return ring.one
-
-
 def ring_inverse(a: RingValue) -> RingValue:
     return a.inverse()

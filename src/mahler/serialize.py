@@ -75,6 +75,8 @@ def automaton_from_json(text: str) -> WeightedAutomaton:
     for key in ("ring", "alphabet", "states", "initial", "final", "transitions"):
         if key not in doc:
             raise AutomatonError(f"missing key {key!r}")
+    if not isinstance(doc["ring"], str):
+        raise AutomatonError("ring must be a string")
     ring = parse_ring(doc["ring"])
     states = doc["states"]
     if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
@@ -84,7 +86,14 @@ def automaton_from_json(text: str) -> WeightedAutomaton:
         if name in index:
             raise AutomatonError(f"duplicate state name {name!r}")
         index[name] = i
+    if not isinstance(doc["alphabet"], list):
+        raise AutomatonError("alphabet must be an array")
     alphabet = tuple(_decode_label(b) for b in doc["alphabet"])
+
+    def parse_weight(wtext, what):
+        if not isinstance(wtext, str):
+            raise AutomatonError(f"{what} weight {wtext!r} is not a string")
+        return ring.parse(wtext)
 
     def vector(mapping, what):
         if not isinstance(mapping, dict):
@@ -93,7 +102,7 @@ def automaton_from_json(text: str) -> WeightedAutomaton:
         for name, wtext in mapping.items():
             if name not in index:
                 raise AutomatonError(f"{what} names unknown state {name!r}")
-            vec[index[name]] = ring.parse(wtext)
+            vec[index[name]] = parse_weight(wtext, what)
         return tuple(vec)
 
     initial = vector(doc["initial"], "initial")
@@ -108,12 +117,13 @@ def automaton_from_json(text: str) -> WeightedAutomaton:
             src, label, wtext, dst = row["from"], row["label"], row["weight"], row["to"]
         except KeyError as e:
             raise AutomatonError(f"transition missing key {e.args[0]!r}") from None
-        if src not in index or dst not in index:
+        if not (isinstance(src, str) and isinstance(dst, str)
+                and src in index and dst in index):
             raise AutomatonError(f"transition endpoint unknown: {src!r} -> {dst!r}")
         key = (index[src], _decode_label(label), index[dst])
         if key in trans:
             raise AutomatonError(f"duplicate transition {src!r} -{label!r}-> {dst!r}")
-        trans[key] = ring.parse(wtext)
+        trans[key] = parse_weight(wtext, "transition")
     return WeightedAutomaton(
         ring=ring,
         alphabet=alphabet,

@@ -9,13 +9,19 @@ defect machines) are a separate, deliberately partial type: taking an
 undefined transition raises instead of drifting into an implicit dead
 state, because for those machines an undefined transition means the input
 is outside the domain the machine was built for.
+
+Every construction that builds a machine state by state (products,
+subset constructions, the equation compilers in equations.py, the
+recognizers and carry machines in automata.py) goes through explore(),
+which numbers the states reachable from a list of seeds breadth-first.
+Plain reachability without numbering (trimming) uses reachable().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, Union
 
 from .numeration import Base, NumerationKind, ZECKENDORF, as_digits, canonical, phi
 from .rings import INTEGERS, Ring, RingError, RingValue
@@ -29,6 +35,64 @@ class AutomatonError(ValueError):
 
 class MissingTransitionError(KeyError):
     """A partial deterministic machine was driven off its domain."""
+
+
+def explore(seeds: Iterable[Hashable],
+            successors: Callable[[Hashable], Iterable[tuple]]) -> tuple[list, dict]:
+    """Number the states reachable from the seeds, breadth-first.
+
+    ``successors(state)`` yields ``(label, target, weight)`` triples.
+    States are numbered in order of discovery, seeds first in their given
+    order.  Returns ``(order, trans)``: ``order[i]`` is state i, and
+    ``trans`` maps ``(src, label, dst)`` indices to the weight of that
+    arrow, repeated arrows summed with ``+``.  Unweighted machines pass
+    None as the weight.
+    """
+    index: dict = {}
+    order: list = []
+    for s in seeds:
+        if s not in index:
+            index[s] = len(order)
+            order.append(s)
+    trans: dict = {}
+    cursor = 0
+    while cursor < len(order):
+        for label, target, w in successors(order[cursor]):
+            dst = index.get(target)
+            if dst is None:
+                dst = index[target] = len(order)
+                order.append(target)
+            key = (cursor, label, dst)
+            cur = trans.get(key)
+            trans[key] = w if cur is None else cur + w
+        cursor += 1
+    return order, trans
+
+
+def reachable(seeds: Iterable[Hashable], adj: Mapping) -> set:
+    """The seeds and every state reachable from them; ``adj`` maps a
+    state to its successors (absent key: none)."""
+    seen = set(seeds)
+    todo = list(seen)
+    while todo:
+        for t in adj.get(todo.pop(), ()):
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+def _dfa_table(trans: dict) -> dict:
+    """explore()'s arrows of a deterministic machine as a (src, label) -> dst
+    table, in the same order.  Empties ``trans`` one arrow at a time, so
+    each old key is freed as its replacement is made and the peak memory
+    of a large determinization stays that of one table."""
+    table = {}
+    while trans:
+        (src, label, dst), _w = trans.popitem()
+        table[src, label] = dst
+    trans.clear()  # popitem() leaves the emptied table allocated
+    return dict(reversed(table.items()))
 
 
 def _label_key(label):
@@ -247,20 +311,8 @@ def trim(A: WeightedAutomaton) -> WeightedAutomaton:
     for (src, _label, dst) in A.transitions:
         fwd_adj.setdefault(src, set()).add(dst)
         bwd_adj.setdefault(dst, set()).add(src)
-
-    def closure(seed, adj):
-        seen = set(seed)
-        todo = list(seed)
-        while todo:
-            s = todo.pop()
-            for t in adj.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    todo.append(t)
-        return seen
-
-    fwd = closure({i for i in range(n) if A.initial[i]}, fwd_adj)
-    bwd = closure({i for i in range(n) if A.final[i]}, bwd_adj)
+    fwd = reachable((i for i in range(n) if A.initial[i]), fwd_adj)
+    bwd = reachable((i for i in range(n) if A.final[i]), bwd_adj)
     keep = sorted(fwd & bwd)
     if len(keep) == n:
         return A
@@ -490,48 +542,22 @@ def cauchy_product(A1: WeightedAutomaton, A2: WeightedAutomaton,
     for (src, lab, dst), w in A2.transitions.items():
         out2.setdefault((src, lab), []).append((dst, w))
 
-    index: dict = {}
-    order: list = []
+    seeds = [(qa, s1, s2)
+             for qa in range(len(AA.states)) if AA.initial[qa]
+             for s1, v1 in enumerate(A1.initial) if v1
+             for s2, v2 in enumerate(A2.initial) if v2]
 
-    def state_of(triple):
-        idx = index.get(triple)
-        if idx is None:
-            idx = len(order)
-            index[triple] = idx
-            order.append(triple)
-        return idx
-
-    initial_payloads: dict = {}
-    for qa in range(len(AA.states)):
-        if not AA.initial[qa]:
-            continue
-        for s1, v1 in enumerate(A1.initial):
-            if not v1:
-                continue
-            for s2, v2 in enumerate(A2.initial):
-                if not v2:
-                    continue
-                initial_payloads[state_of((qa, s1, s2))] = v1 * v2
-
-    trans: dict = {}
-    cursor = 0
-    while cursor < len(order):
-        qa, s1, s2 = order[cursor]
-        src = cursor
-        cursor += 1
+    def successors(triple):
+        qa, s1, s2 = triple
         for b1, b2, b3, qa2 in add_out.get(qa, ()):
             for d1, w1 in out1.get((s1, b1), ()):
                 for d2, w2 in out2.get((s2, b2), ()):
-                    dst = state_of((qa2, d1, d2))
-                    key = (src, b3, dst)
-                    cur = trans.get(key)
-                    w = w1 * w2
-                    trans[key] = w if cur is None else cur + w
+                    yield b3, (qa2, d1, d2), w1 * w2
 
+    order, trans = explore(seeds, successors)
     n = len(order)
-    initial = [ring.zero] * n
-    for idx, v in initial_payloads.items():
-        initial[idx] = v
+    initial = [A1.initial[s1] * A2.initial[s2] for _qa, s1, s2 in seeds]
+    initial += [ring.zero] * (n - len(seeds))
     final = []
     for qa, s1, s2 in order:
         if AA.final[qa]:
@@ -591,26 +617,12 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
                 o = ring._add(o, ring._mul(a, f))
         return RingValue(ring, o)
 
-    index = {start: 0}
-    order = [start]
-    trans = {}
-    cursor = 0
-    while cursor < len(order):
-        vec = order[cursor]
-        src = cursor
-        cursor += 1
-        for label in labels:
-            nxt = step_vec(vec, label)
-            dst = index.get(nxt)
-            if dst is None:
-                dst = len(order)
-                index[nxt] = dst
-                order.append(nxt)
-            trans[(src, label)] = dst
+    order, trans = explore(
+        [start], lambda vec: ((label, step_vec(vec, label), None) for label in labels))
     return DfaWithOutput(
         alphabet=tuple(labels),
         states=tuple(f"v{i}" for i in range(len(order))),
         initial=0,
-        transitions=trans,
+        transitions=_dfa_table(trans),
         outputs=tuple(out_of(v) for v in order),
     )

@@ -283,6 +283,16 @@ def test_missing_automaton_file(capsys):
     assert err.startswith("error: ")
 
 
+def test_eval_json_of_wrong_types(capsys, tmp_path):
+    doc = {"ring": "Z", "alphabet": [0, 1], "states": ["a"],
+           "initial": {"a": 1}, "final": {"a": "1"}, "transitions": []}
+    bad = tmp_path / "x.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", "-a", str(bad), "-n", "3")
+    assert code == 2
+    assert err == "error: initial weight 1 is not a string\n"
+
+
 def test_bad_ring_suffix(capsys):
     code, out, err = run(capsys, "eval", "-a", "builtin:fib-repr@Foo", "-n", "0")
     assert code == 2

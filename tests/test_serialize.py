@@ -157,6 +157,28 @@ class TestJsonValidation:
         with pytest.raises(AutomatonError, match="duplicate transition"):
             reimport(doc)
 
+    def test_wrong_json_types(self):
+        doc = doc_of()
+        doc["alphabet"] = 5
+        with pytest.raises(AutomatonError, match="alphabet must be an array"):
+            reimport(doc)
+        doc = doc_of()
+        doc["ring"] = 5
+        with pytest.raises(AutomatonError, match="ring must be a string"):
+            reimport(doc)
+        doc = doc_of()
+        doc["initial"] = {"a": 1}
+        with pytest.raises(AutomatonError, match="initial weight 1 is not a string"):
+            reimport(doc)
+        doc = doc_of()
+        doc["transitions"][0]["weight"] = [2]
+        with pytest.raises(AutomatonError, match=r"transition weight \[2\] is not a string"):
+            reimport(doc)
+        doc = doc_of()
+        doc["transitions"][0]["from"] = ["a"]
+        with pytest.raises(AutomatonError, match="transition endpoint unknown"):
+            reimport(doc)
+
     def test_bad_labels(self):
         doc = doc_of()
         doc["alphabet"] = ["x"]

@@ -24,10 +24,12 @@ from mahler.wfa import (
     count_accepted_paths,
     determinize,
     eval_sequence,
+    explore,
     forward_vector,
     is_unambiguous,
     matrix_rep,
     normalize,
+    reachable,
     same_structure,
     sequence_prefix,
     trim,
@@ -122,6 +124,37 @@ def test_sequence_prefix_matches_eval(kind):
         assert pref[n] == eval_sequence(A, kind, n)
     with pytest.raises(AutomatonError):
         sequence_prefix(A, kind, -1)
+
+
+def test_explore_numbers_seeds_first_then_breadth_first():
+    # a binary tree of words: "" -> "0", "1" -> "00", "01", "10", "11"
+    def successors(word):
+        if len(word) < 2:
+            for b in "01":
+                yield b, word + b, 1
+    order, trans = explore(["1", "", "1"], successors)
+    assert order == ["1", "", "10", "11", "0", "00", "01"]
+    assert trans == {(0, "0", 2): 1, (0, "1", 3): 1, (1, "0", 4): 1,
+                     (1, "1", 0): 1, (4, "0", 5): 1, (4, "1", 6): 1}
+
+
+def test_explore_sums_repeated_arrows():
+    two = INTEGERS.element(2)
+    arrows = {"a": [("x", "b", two), ("x", "b", INTEGERS.one), ("y", "b", two)],
+              "b": [("x", "b", two)]}
+    order, trans = explore(["a"], lambda s: arrows[s])
+    assert order == ["a", "b"]
+    assert trans == {(0, "x", 1): INTEGERS.element(3), (0, "y", 1): two,
+                     (1, "x", 1): two}
+    assert explore([], lambda s: arrows[s]) == ([], {})
+
+
+def test_reachable_closure():
+    adj = {0: {1}, 1: {2}, 2: {0}, 3: {0}, 4: set()}
+    assert reachable([1], adj) == {0, 1, 2}
+    assert reachable([3], adj) == {0, 1, 2, 3}
+    assert reachable([4, 5], adj) == {4, 5}
+    assert reachable([], adj) == set()
 
 
 def test_trim_drops_unreachable_and_dead():
