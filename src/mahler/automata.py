@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .numeration import Base, NumerationKind, ZECKENDORF, canonical, format_word, value
+from .numeration import Base, NumerationKind, _digits, format_word
 from .rings import INTEGERS, Ring
 from .wfa import (AutomatonError, DfaWithOutput, UnambiguousAutomaton,
                   WeightedAutomaton, _dfa_table, explore, reachable, trim)
@@ -310,7 +310,7 @@ def polynomial_automaton(coeffs, kind: NumerationKind, ring: Ring) -> WeightedAu
     for n, c in enumerate(cs):
         if n == 0 or not c:
             continue
-        w = canonical(n, kind).digits
+        w = _digits(n, kind)
         prev = 0
         for k in range(1, len(w) + 1):
             known = w[:k] in index

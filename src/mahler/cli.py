@@ -18,7 +18,7 @@ ring-parameterized builtins also take "builtin:<name>@<ring>", e.g.
 builtin:fib-repr@Q.  See BUILTIN_WFA / BUILTIN_DFA.  Exit codes: 0
 success or PASS, 1
 verification FAIL (or no relation found), 2 usage, parse, or
-precondition errors.
+precondition errors, an order -N above MAX_N, or running out of memory.
 """
 
 from __future__ import annotations
@@ -81,6 +81,17 @@ from .wfa import (
 
 class CliError(Exception):
     """Bad command-line level input; reported on stderr with exit code 2."""
+
+
+# Largest truncation order solve, verify, relation and growth accept.
+# Each holds several O(N) tables and walks N coefficients in pure Python,
+# so a larger order ends in a memory blow-up or hours of work.
+MAX_N = 10**6
+
+
+def _check_order(N: int, what: str = "-N") -> None:
+    if N > MAX_N:
+        raise CliError(f"{what} = {N} exceeds the ceiling {MAX_N}")
 
 
 # Ring-parameterized builtins take an optional ring; the rest ignore the
@@ -161,6 +172,7 @@ def _build_from_equation(P):
 
 
 def cmd_solve(args) -> int:
+    _check_order(args.N)
     P = _load_equation(args.file)
     if not is_isolating(P):
         raise CliError(
@@ -205,10 +217,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    P = _load_equation(args.file)
     N = args.N
     if N < 0:
         raise CliError(f"need N >= 0, got {N}")
+    _check_order(N)
+    P = _load_equation(args.file)
     if is_isolating(P):
         A = _load_wfa(args.automaton) if args.automaton else _build_from_equation(P)
         if A.ring != P.ring:
@@ -218,7 +231,9 @@ def cmd_verify(args) -> int:
         got = sequence_prefix(A, P.kind, N)
         for n in range(N + 1):
             if got[n] != oracle[n]:
-                print(f"FAIL at n = {n}: oracle {oracle[n]}, automaton {got[n]}")
+                word = format_word(canonical(n, P.kind).digits)
+                print(f"FAIL at n = {n} (word {word}): oracle {oracle[n]}, "
+                      f"automaton {got[n]}")
                 return 1
         print(f"PASS: automaton matches the recurrence oracle for all n <= {N}")
         return 0
@@ -241,6 +256,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_relation(args) -> int:
+    _check_order(args.N)
+    _check_order(4 * args.N if args.ncheck is None else args.ncheck,
+                 "--ncheck (default 4N)")
     A = _load_wfa(args.automaton)
     kind = _parse_numeration(args.numeration)
     eq = find_relation(A, kind, args.dmax, args.hmax, args.N, args.ncheck)
@@ -275,6 +293,7 @@ def cmd_defect(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    _check_order(args.N)
     rep = growth_analysis(args.N, args.kmax)
     print("f_0..f_5 = " + ", ".join(str(c) for c in rep.prefix))
     for k in sorted(rep.thresholds):
@@ -316,7 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="coefficient table of an isolating equation")
     p.add_argument("-f", "--file", required=True, help="equation file")
-    p.add_argument("-N", type=int, default=100, help="truncation order (default 100)")
+    p.add_argument("-N", type=int, default=100,
+                   help=f"truncation order (default 100, at most {MAX_N})")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("build", help="compile an equation file to an automaton")
@@ -336,7 +356,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check an automaton against the equation")
     p.add_argument("-f", "--file", required=True, help="equation file")
-    p.add_argument("-N", type=int, default=500, help="check n <= N (default 500)")
+    p.add_argument("-N", type=int, default=500,
+                   help=f"check n <= N (default 500, at most {MAX_N})")
     p.add_argument("--automaton", help="automaton JSON path or builtin:<name>; "
                                        "default: build from the equation")
     p.set_defaults(func=cmd_verify)
@@ -346,9 +367,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="automaton JSON path or builtin:<name>")
     p.add_argument("--dmax", type=int, required=True, help="largest Phi power")
     p.add_argument("--hmax", type=int, required=True, help="largest coefficient degree")
-    p.add_argument("-N", type=int, default=500, help="linear system rows (default 500)")
+    p.add_argument("-N", type=int, default=500,
+                   help=f"linear system rows (default 500, at most {MAX_N})")
     p.add_argument("--ncheck", type=int, default=None,
-                   help="re-verification order (default 4N)")
+                   help=f"re-verification order (default 4N, at most {MAX_N})")
     p.add_argument("--numeration", default="zeckendorf",
                    help="zeckendorf (default) or base-<q>")
     p.set_defaults(func=cmd_relation)
@@ -374,7 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_defect)
 
     p = sub.add_parser("growth", help="non-regular example growth thresholds")
-    p.add_argument("-N", type=int, default=10000, help="compute f_0..f_N")
+    p.add_argument("-N", type=int, default=10000,
+                   help=f"compute f_0..f_N (default 10000, at most {MAX_N})")
     p.add_argument("--kmax", type=int, default=3, help="largest exponent to test")
     p.set_defaults(func=cmd_growth)
 
@@ -399,6 +422,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -34,15 +34,14 @@ from .numeration import (
     NumerationError,
     NumerationKind,
     Zeckendorf,
+    _digits,
     as_digits,
-    canonical,
     floor_phi,
     format_word,
     has_adjacent_ones,
     pad,
     phi,
-    phi_preimage,
-    value,
+    preimages,
 )
 from .rings import Ring, RingError, RingValue, parse_ring
 from .wfa import (
@@ -249,7 +248,9 @@ def solve_series(P: MahlerEquation, N: int, f0=None, g=None) -> SeriesPrefix:
     Requires the isolating form.  Each f_n with n >= 1 collects
     alpha[i, j] * f_k over all i >= 1 and k with op^i(k) + j = n (all
     such k are < n, so the recurrence is well-founded), plus g_n.  An
-    explicit g prefix overrides the equation's polynomial part.
+    explicit g prefix overrides the equation's polynomial part.  The k
+    come from one preimages(kind, N, i) table per distinct i; the oracle
+    uses numeration code only, never an automaton.
     """
     if N < 0:
         raise EquationError(f"need N >= 0, got {N}")
@@ -263,31 +264,17 @@ def solve_series(P: MahlerEquation, N: int, f0=None, g=None) -> SeriesPrefix:
     if not compatible_f0(P, f0, g_at(0)):
         raise _incompatible(P, f0, g_at(0))
     out = [f0]
-    if isinstance(P.kind, Base):
-        q = P.kind.q
-        items = [(j, a, q ** i) for (i, j), a in sorted(P.alpha.items()) if i >= 1]
-        for n in range(1, N + 1):
-            acc = g_at(n)
-            for j, a, p in items:
-                m = n - j
-                if m < 0:
-                    continue
-                k, r = divmod(m, p)
-                if r == 0:
+    pre = {i: preimages(P.kind, N, i) for (i, _) in P.alpha if i >= 1}
+    items = [(j, a, pre[i]) for (i, j), a in sorted(P.alpha.items()) if i >= 1]
+    for n in range(1, N + 1):
+        acc = g_at(n)
+        for j, a, pre_i in items:
+            m = n - j
+            if m >= 0:
+                k = pre_i[m]
+                if k >= 0:
                     acc = acc + a * out[k]
-            out.append(acc)
-    else:
-        items = [(i, j, a) for (i, j), a in sorted(P.alpha.items()) if i >= 1]
-        for n in range(1, N + 1):
-            acc = g_at(n)
-            for i, j, a in items:
-                m = n - j
-                if m < 0:
-                    continue
-                k = phi_preimage(m, i)
-                if k is not None:
-                    acc = acc + a * out[k]
-            out.append(acc)
+        out.append(acc)
     return SeriesPrefix(ring, tuple(out))
 
 
@@ -309,28 +296,21 @@ def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
             raise EquationError("empty series prefix")
     N = len(seq) - 1
     g_at = _g_lookup(P, g, N)
-    items = sorted(P.alpha.items())
-    is_base = isinstance(P.kind, Base)
-    q = P.kind.q if is_base else None
+    pre = {i: preimages(P.kind, N, i) for (i, _) in P.alpha if i >= 1}
+    items = [(i, j, a, pre.get(i)) for (i, j), a in sorted(P.alpha.items())]
     out = []
     for n in range(N + 1):
         acc = -g_at(n)
-        for (i, j), a in items:
+        for i, j, a, pre_i in items:
             m = n - j
             if m < 0:
                 continue
             if i == 0:
                 acc = acc + a * seq[m]
                 continue
-            if is_base:
-                k, r = divmod(m, q ** i)
-                if r:
-                    continue
-            else:
-                k = phi_preimage(m, i)
-                if k is None:
-                    continue
-            acc = acc - a * seq[k]
+            k = pre_i[m]
+            if k >= 0:
+                acc = acc - a * seq[k]
         out.append(acc)
     return SeriesPrefix(ring, tuple(out))
 
@@ -564,7 +544,7 @@ def z_state_space(P: MahlerEquation) -> ZSpaceInfo:
     """Offsets run 0..h~ with h~ = floor((h+2)*phi) - 1; windows have
     length g = |canonical(h~)|."""
     ht = floor_phi(P.h + 2) - 1
-    g = len(canonical(ht).digits)
+    g = len(_digits(ht))
     d = max(P.d, 1)
     return ZSpaceInfo(
         h_tilde=ht,
@@ -591,13 +571,13 @@ class _ZContext:
         self.d = max(P.d, 1) + extra_i
         self.h = P.h
         self.ht = floor_phi(P.h + 2) - 1 + extra_j
-        self.g = len(canonical(self.ht).digits)
+        self.g = len(_digits(self.ht))
         dfa = defect_automaton()
         self.q_init = dfa.initial
         self.dtrans = dict(dfa.transitions)
         self.douts = dfa.outputs
         self.phi_tab = [phi(j) for j in range(self.ht + 1)]
-        self.pad_tab = [pad(canonical(j), self.g).digits for j in range(self.ht + 1)]
+        self.pad_tab = [pad(_digits(j), self.g).digits for j in range(self.ht + 1)]
 
     def delta_hat(self, j: int, qs: int, u: tuple) -> Optional[int]:
         """Defect output after running u - (j)_Z from qs; None when the
@@ -894,23 +874,14 @@ def find_relation(A: WeightedAutomaton, kind: NumerationKind, d_max: int,
     sp = [v.payload for v in s]
     zero = ring.zero.payload
     cols = [(i, j) for i in range(d_max + 1) for j in range(h_max + 1)]
-    is_base = isinstance(kind, Base)
-    q = kind.q if is_base else None
+    pre = [preimages(kind, N, i) for i in range(d_max + 1)]
     rows = []
     for n in range(N + 1):
         row = []
         for (i, j) in cols:
             m = n - j
-            if m < 0:
-                row.append(zero)
-            elif i == 0:
-                row.append(sp[m])
-            elif is_base:
-                k, r = divmod(m, q ** i)
-                row.append(sp[k] if r == 0 else zero)
-            else:
-                k = phi_preimage(m, i)
-                row.append(sp[k] if k is not None else zero)
+            k = pre[i][m] if m >= 0 else -1
+            row.append(sp[k] if k >= 0 else zero)
         rows.append(row)
     sfull = SeriesPrefix(ring, tuple(s))
     for v in _kernel_basis(ring, rows, len(cols)):
@@ -1057,12 +1028,19 @@ def growth_analysis(N: int, k_max: int) -> GrowthReport:
         raise EquationError(f"need N >= 1, got {N}")
     if k_max < 0:
         raise EquationError(f"need k_max >= 0, got {k_max}")
+    # lambda(n) drops the last Zeckendorf digit.  That digit is 0 exactly
+    # when n = phi(k) for some k, and then lambda(n) = k; otherwise
+    # n - 1 = phi(lambda(n)).
+    pre = preimages(ZECKENDORF, N, 1)
     f = [1]
     sums = [1]
     for n in range(1, N + 1):
-        w = canonical(n).digits
-        ln = value(w[:-1])
-        step = f[n - 1] + (f[ln] if w[-1] == 0 else 0)
+        ln = pre[n]
+        if ln >= 0:
+            step = f[n - 1] + f[ln]
+        else:
+            ln = pre[n - 1]
+            step = f[n - 1]
         if step != sums[ln]:
             raise EquationError(f"recurrence forms disagree at n = {n}")
         f.append(step)

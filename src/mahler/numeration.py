@@ -14,10 +14,20 @@ It is defined here by digit manipulation; the closed forms using the
 golden ratio are provided separately (``phi_via_floor``) so the two can
 be checked against each other, and are computed exactly with integer
 square roots, never with floats.
+
+Bulk paths do not call ``phi`` per index.  ``preimages(kind, N, i)`` is
+one O(N) table answering "which k has op^i(k) = m?" for every m <= N
+(op is n -> q n in base q and phi in Zeckendorf); the oracle, the
+residual and the relation search all look their preimages up there.
+The digit-level ``phi``, ``phi_iter`` and ``phi_preimage`` stay as the
+independent witnesses the table and the floor formulas are checked
+against.  The automaton prefix walk in wfa.py carries the value pair
+(value(w), value(w 0)) down the tree of canonical words instead.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import Iterable, Sequence, Union
@@ -133,27 +143,33 @@ def canonical(n: int, kind: NumerationKind = ZECKENDORF) -> DigitWord:
     """Canonical expansion of n >= 0; the single digit 0 for n = 0."""
     if not isinstance(n, int) or n < 0:
         raise NumerationError(f"canonical expansion needs n >= 0, got {n!r}")
-    alphabet = frozenset(word_alphabet(kind))
+    return DigitWord(_digits(n, kind), frozenset(word_alphabet(kind)))
+
+
+def _digits(n: int, kind: NumerationKind = ZECKENDORF) -> tuple[int, ...]:
+    """Digits of canonical(n, kind) for an int n >= 0, unchecked."""
     if n == 0:
-        return DigitWord((0,), alphabet)
+        return (0,)
     if isinstance(kind, Base):
         digits = []
         while n:
             n, d = divmod(n, kind.q)
             digits.append(d)
-        return DigitWord(tuple(reversed(digits)), alphabet)
-    k = 0
-    while fib(k + 1) <= n:
-        k += 1
+        return tuple(reversed(digits))
+    cache = _fib_cache
+    while cache[-1] <= n:
+        cache.append(cache[-1] + cache[-2])
+    # cache[top] is the largest Fibonacci number <= n; the greedy digits
+    # run from there down to F_0 = cache[2].
+    top = bisect_right(cache, n) - 1
     digits = []
-    rem = n
-    for i in range(k, -1, -1):
-        if fib(i) <= rem:
+    for f in cache[top:1:-1]:
+        if f <= n:
             digits.append(1)
-            rem -= fib(i)
+            n -= f
         else:
             digits.append(0)
-    return DigitWord(tuple(digits), alphabet)
+    return tuple(digits)
 
 
 def value(w: Digits, kind: NumerationKind = ZECKENDORF) -> int:
@@ -282,3 +298,34 @@ def phi_via_floor(n: int) -> int:
 def phi2_via_floor(n: int) -> int:
     """Closed form floor(phi^2*n + phi - 1) for the double shift."""
     return n + phi_via_floor(n)
+
+
+# Preimage tables.  op (n -> q n, or phi) is strictly increasing with
+# op(0) = 0, so each m has at most one preimage under op^i, and it is <= m.
+
+def preimages(kind: NumerationKind, N: int, i: int = 1) -> list[int]:
+    """pre[m] = the k with op^i(k) = m, or -1 when there is none; m = 0..N.
+
+    op is n -> q n in base q and the shift phi in Zeckendorf.  One O(N)
+    table stands in for a phi_preimage / divmod query per index.  Base q
+    strides through the multiples of q^i; Zeckendorf fills the i = 1
+    table forward from the exact phi_via_floor(k) while that is <= N and
+    composes it i times.
+    """
+    if N < 0 or i < 0:
+        raise NumerationError(f"preimages needs N >= 0 and i >= 0, got N = {N}, i = {i}")
+    if isinstance(kind, Base):
+        p = kind.q ** i
+        pre = [-1] * (N + 1)
+        pre[::p] = range(N // p + 1)
+        return pre
+    one = [-1] * (N + 1)
+    k = m = 0
+    while m <= N:
+        one[m] = k
+        k += 1
+        m = phi_via_floor(k)
+    pre = list(range(N + 1))
+    for _ in range(i):
+        pre = [one[m] if m >= 0 else -1 for m in pre]
+    return pre

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, Union
 
-from .numeration import Base, NumerationKind, ZECKENDORF, as_digits, canonical, phi
+from .numeration import Base, NumerationKind, as_digits, canonical
 from .rings import INTEGERS, Ring, RingError, RingValue
 
 Label = Union[int, tuple]
@@ -266,8 +266,11 @@ def eval_sequence(A: WeightedAutomaton, kind: NumerationKind, n: int) -> RingVal
 def sequence_prefix(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list:
     """[weight(canonical(n)) for n = 0..N], sharing work across prefixes.
 
-    Walks the tree of canonical words once instead of refolding each word
-    from scratch; agrees with eval_sequence entry by entry.
+    Walks the tree of canonical words once, depth first, instead of
+    refolding each word from scratch; agrees with eval_sequence entry by
+    entry.  In Zeckendorf each node w carries the pair (value(w),
+    value(w 0)): child w b has value(w 0) + b and value(w b 0) =
+    value(w 0) + value(w) + 2 b, so the walk never calls phi.
     """
     if N < 0:
         raise AutomatonError(f"need N >= 0, got {N}")
@@ -278,28 +281,24 @@ def sequence_prefix(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list:
     init = _initial_payload(A)
     if isinstance(kind, Base):
         q = kind.q
-        stack = [(_step_payload(A, init, b), b, b) for b in range(q - 1, 0, -1)]
+        stack = [(_step_payload(A, init, b), b) for b in range(min(q - 1, N), 0, -1)]
         while stack:
-            vec, val, _last = stack.pop()
-            if val > N:
-                continue
+            vec, val = stack.pop()
             out[val] = _gather_payload(A, vec)
             for b in range(q - 1, -1, -1):
                 child = q * val + b
                 if child <= N:
-                    stack.append((_step_payload(A, vec, b), child, b))
+                    stack.append((_step_payload(A, vec, b), child))
     else:
-        stack = [(_step_payload(A, init, 1), 1, 1)]
+        stack = [(_step_payload(A, init, 1), 1, 2, 1)]
         while stack:
-            vec, val, last = stack.pop()
-            if val > N:
-                continue
+            vec, val, shifted, last = stack.pop()
             out[val] = _gather_payload(A, vec)
-            shifted = phi(val)
             for b in ((0,) if last == 1 else (1, 0)):
                 child = shifted + b
                 if child <= N:
-                    stack.append((_step_payload(A, vec, b), child, b))
+                    stack.append((_step_payload(A, vec, b), child,
+                                  shifted + val + 2 * b, b))
     return out
 
 

@@ -1,12 +1,14 @@
 """CLI behavior through main(argv): outputs, exit codes, error paths."""
 
 import json
+import re
 
 import pytest
 
 from conftest import equation_text, ints
-from mahler.cli import main
-from mahler.numeration import ZECKENDORF
+from mahler import cli
+from mahler.cli import MAX_N, main
+from mahler.numeration import ZECKENDORF, canonical, format_word
 from mahler.serialize import automaton_from_json
 from mahler.wfa import sequence_prefix
 
@@ -184,8 +186,11 @@ def test_verify_corrupted_automaton_fails(eqfile, capsys, tmp_path):
     code, out, err = run(capsys, "verify", "-f", eqfile("fib_repr.eq"),
                          "-N", "50", "--automaton", str(bad))
     assert code == 1
-    assert out.startswith("FAIL at n = ")
-    assert "oracle" in out and "automaton" in out
+    found = re.fullmatch(r"FAIL at n = (\d+) \(word (\d+)\): oracle \S+, automaton \S+\n",
+                         out)
+    assert found is not None, out
+    n = int(found.group(1))
+    assert found.group(2) == format_word(canonical(n).digits)
 
 
 def test_verify_residual_mode(eqfile, capsys):
@@ -227,6 +232,50 @@ def test_verify_negative_order(eqfile, capsys):
                          "-N", "-3")
     assert code == 2
     assert err == "error: need N >= 0, got -3\n"
+
+
+REL = ["relation", "-a", "builtin:fib-repr@Q", "--dmax", "1", "--hmax", "1"]
+
+
+@pytest.mark.parametrize("argv, what, bad", [
+    (["solve", "-f", "fib_repr.eq", "-N", str(MAX_N + 1)], "-N", MAX_N + 1),
+    (["verify", "-f", "hyperbinary.eq", "-N", str(MAX_N + 1)], "-N", MAX_N + 1),
+    (REL + ["-N", str(MAX_N + 1)], "-N", MAX_N + 1),
+    (REL + ["-N", "10", "--ncheck", str(MAX_N + 1)], "--ncheck (default 4N)", MAX_N + 1),
+    (REL + ["-N", str(MAX_N // 4 + 1)], "--ncheck (default 4N)", 4 * (MAX_N // 4 + 1)),
+    (["growth", "-N", str(MAX_N + 1)], "-N", MAX_N + 1),
+])
+def test_order_ceiling(argv, what, bad, eqfile, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the ceiling must be checked before any work")
+    for name in ("solve_series", "sequence_prefix", "residual", "find_relation",
+                 "growth_analysis", "_build_from_equation", "_load_wfa"):
+        monkeypatch.setattr(cli, name, never)
+    argv = [eqfile(a) if a.endswith(".eq") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {what} = {bad} exceeds the ceiling {MAX_N}\n"
+
+
+def test_order_at_ceiling_is_accepted(capsys, monkeypatch):
+    seen = []
+    real = cli.growth_analysis
+    monkeypatch.setattr(cli, "growth_analysis",
+                        lambda N, k: seen.append(N) or real(10, k))
+    code, out, err = run(capsys, "growth", "-N", str(MAX_N))
+    assert code == 0
+    assert seen == [MAX_N]
+
+
+def test_memory_error_is_one_line(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "growth_analysis", exhausted)
+    code, out, err = run(capsys, "growth", "-N", "100")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from mahler.equations import (
     weight_z,
     z_state_space,
 )
-from mahler.numeration import ZECKENDORF, Base, NumerationError, canonical
+from mahler.numeration import ZECKENDORF, Base, NumerationError, canonical, value
 from mahler.rings import INTEGERS, RATIONALS, PrimeField, RingError
 from mahler.wfa import (
     WeightedAutomaton,
@@ -817,6 +817,18 @@ class TestGrowth:
         rep = growth_analysis(200, 3)
         assert rep.thresholds == {0: 0, 1: 3, 2: 32, 3: 176}
         assert growth_analysis(100, 3).thresholds[3] is None
+
+    def test_matches_digit_level_form(self):
+        # the recurrence read straight off canonical words: lambda(n) drops
+        # the last digit, and f_lambda(n) is added when that digit is 0
+        N = 5000
+        f = [1]
+        for n in range(1, N + 1):
+            w = canonical(n).digits
+            f.append(f[n - 1] + (f[value(w[:-1])] if w[-1] == 0 else 0))
+        rep = growth_analysis(N, 3)
+        assert list(rep.coefficients) == f
+        assert rep.thresholds == {0: 0, 1: 3, 2: 32, 3: 176}
 
     def test_coefficients_nondecreasing(self):
         f = growth_analysis(400, 0).coefficients

@@ -24,6 +24,7 @@ from mahler.numeration import (
     phi_iter,
     phi_preimage,
     phi_via_floor,
+    preimages,
     support,
     value,
     word_alphabet,
@@ -109,6 +110,40 @@ def test_phi_preimage():
     assert phi_preimage(2, 2) is None  # "10" is a single shift only
     with pytest.raises(NumerationError):
         phi_preimage(3, -1)
+
+
+@given(st.sampled_from([BASE2, BASE3, ZECKENDORF]), st.integers(0, 1500),
+       st.integers(0, 4))
+def test_preimages_match_pointwise_queries(kind, N, i):
+    pre = preimages(kind, N, i)
+    assert len(pre) == N + 1
+    for m in range(N + 1):
+        if isinstance(kind, Base):
+            k, r = divmod(m, kind.q ** i)
+            expected = k if r == 0 else -1
+        else:
+            k = phi_preimage(m, i)
+            expected = -1 if k is None else k
+        assert pre[m] == expected
+
+
+def test_preimages_validation():
+    assert preimages(ZECKENDORF, 0, 3) == [0]
+    with pytest.raises(NumerationError):
+        preimages(ZECKENDORF, -1, 1)
+    with pytest.raises(NumerationError):
+        preimages(BASE2, 5, -1)
+
+
+def test_canonical_around_fibonacci_numbers():
+    # F_k - 1, F_k and F_k + 1 are where the top digit and the digit
+    # count change; compare with plain greedy subtraction
+    for k in range(101):
+        for n in (fib(k) - 1, fib(k), fib(k) + 1):
+            w = canonical(n)
+            assert str(w) == oracles.zeckendorf_greedy(n)
+            assert value(w) == n
+            assert w.alphabet == frozenset((0, 1))
 
 
 def test_lam():

@@ -1,17 +1,20 @@
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import ints
+from conftest import ints, make_random_equation
 from mahler.automata import (
     addition_automaton,
     all_ones_automaton,
     count_ones_automaton,
     fibonacci_representation_automaton,
 )
+from mahler.equations import build_automaton_z
 from mahler.numeration import ZECKENDORF, Base, canonical
-from mahler.rings import INTEGERS, MixedRingError, PrimeField, RingError
+from mahler.rings import INTEGERS, RATIONALS, MixedRingError, PrimeField, RingError
 from mahler.wfa import (
     AutomatonError,
     DfaWithOutput,
@@ -124,6 +127,28 @@ def test_sequence_prefix_matches_eval(kind):
         assert pref[n] == eval_sequence(A, kind, n)
     with pytest.raises(AutomatonError):
         sequence_prefix(A, kind, -1)
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2**32), st.sampled_from([INTEGERS, RATIONALS, PrimeField(5)]))
+def test_zeckendorf_prefix_walk_matches_eval(seed, ring):
+    rng = random.Random(seed)
+    P = make_random_equation(rng, ring, ZECKENDORF, 2, 3, zero_f0=rng.random() < 0.3)
+    A = build_automaton_z(P)
+    N = 150
+    pref = sequence_prefix(A, ZECKENDORF, N)
+    assert pref == [eval_sequence(A, ZECKENDORF, n) for n in range(N + 1)]
+
+
+def test_base_prefix_walk_below_the_base():
+    # the roots 1..q-1 of the base-q walk are cut at N
+    A = WeightedAutomaton(
+        ring=INTEGERS, alphabet=(0, 1, 2, 3, 4), states=("s",),
+        initial=(INTEGERS.one,), final=(INTEGERS.one,),
+        transitions={(0, d, 0): d + 1 for d in range(5)})
+    for N in range(6):
+        assert sequence_prefix(A, Base(5), N) == \
+            [eval_sequence(A, Base(5), n) for n in range(N + 1)]
 
 
 def test_explore_numbers_seeds_first_then_breadth_first():
