@@ -19,7 +19,8 @@ from functools import lru_cache
 from .numeration import Base, NumerationKind, _digits, format_word
 from .rings import INTEGERS, Ring
 from .wfa import (AutomatonError, DfaWithOutput, UnambiguousAutomaton,
-                  WeightedAutomaton, _dfa_table, explore, reachable, trim)
+                  WeightedAutomaton, _dfa_table, explore, explore_automaton,
+                  reachable)
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +258,14 @@ def addition_automaton_zeckendorf() -> UnambiguousAutomaton:
                     if r2 is not None:
                         yield (a, b, c), (r2, a, b, c), one
 
-    order, trans = explore([(rinit, 0, 0, 0)], successors)
-    alphabet = tuple((a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
-    names = tuple(f"p{pairs[r][0]}q{pairs[r][1]}|{l1}{l2}{l3}"
-                  for r, l1, l2, l3 in order)
-    final = tuple(one if r in raccept else INTEGERS.zero
-                  for r, _l1, _l2, _l3 in order)
-    initial = tuple(one if i == 0 else INTEGERS.zero for i in range(len(order)))
-    A = WeightedAutomaton(
-        ring=INTEGERS,
-        alphabet=alphabet,
-        states=names,
-        initial=initial,
-        final=final,
-        transitions=trans,
-    )
-    return UnambiguousAutomaton(trim(A))
+    def name(state):
+        r, l1, l2, l3 = state
+        return f"p{pairs[r][0]}q{pairs[r][1]}|{l1}{l2}{l3}"
+
+    return UnambiguousAutomaton(explore_automaton(
+        INTEGERS, [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)],
+        {(rinit, 0, 0, 0): one}, successors,
+        lambda state: one if state[0] in raccept else INTEGERS.zero, name))
 
 
 def addition_automaton(kind: NumerationKind) -> UnambiguousAutomaton:
@@ -366,23 +359,14 @@ def _shift_once(A: WeightedAutomaton) -> WeightedAutomaton:
                     for d, w in out_arrows.get((s, guess), ()):
                         yield b, (r2, d, guess), w
 
-    seeds = [(rinit, s, 0) for s in range(len(A.states)) if A.initial[s]]
-    order, trans = explore(seeds, successors)
-    initial = [A.initial[s] for _r, s, _x in seeds]
-    initial += [ring.zero] * (len(order) - len(seeds))
-    final = []
-    for r, s, _x in order:
-        final.append(A.final[s] if r in raccept else ring.zero)
-    names = tuple(f"p{pairs[r][0]}q{pairs[r][1]}|{A.states[s]}|{x}"
-                  for r, s, x in order)
-    return trim(WeightedAutomaton(
-        ring=ring,
-        alphabet=(0, 1),
-        states=names,
-        initial=tuple(initial),
-        final=tuple(final),
-        transitions=trans,
-    ))
+    def name(state):
+        r, s, x = state
+        return f"p{pairs[r][0]}q{pairs[r][1]}|{A.states[s]}|{x}"
+
+    return explore_automaton(
+        ring, (0, 1), {(rinit, s, 0): v for s, v in enumerate(A.initial) if v},
+        successors,
+        lambda state: A.final[state[1]] if state[0] in raccept else ring.zero, name)
 
 
 # ---------------------------------------------------------------------------

@@ -94,20 +94,15 @@ def _check_order(N: int, what: str = "-N") -> None:
         raise CliError(f"{what} = {N} exceeds the ceiling {MAX_N}")
 
 
-# Ring-parameterized builtins take an optional ring; the rest ignore the
-# suffix and reject it below.
+# name -> (maker, takes a ring suffix); a ring-parameterized maker gets
+# the suffix's ring or None, a fixed one is called without arguments.
 BUILTIN_WFA = {
-    "thue-morse": lambda ring: count_ones_automaton(ring or PrimeField(2)),
-    "count-ones": lambda ring: count_ones_automaton(ring or INTEGERS),
-    "fib-repr": lambda ring: fibonacci_representation_automaton(ring or INTEGERS),
-    "all-ones": lambda ring: all_ones_automaton(ring or INTEGERS),
-    "addition-base2": None,
-    "addition-zeckendorf": None,
-}
-
-_BUILTIN_FIXED = {
-    "addition-base2": lambda: addition_automaton_base(2).automaton,
-    "addition-zeckendorf": lambda: addition_automaton_zeckendorf().automaton,
+    "thue-morse": (lambda ring: count_ones_automaton(ring or PrimeField(2)), True),
+    "count-ones": (lambda ring: count_ones_automaton(ring or INTEGERS), True),
+    "fib-repr": (lambda ring: fibonacci_representation_automaton(ring or INTEGERS), True),
+    "all-ones": (lambda ring: all_ones_automaton(ring or INTEGERS), True),
+    "addition-base2": (lambda: addition_automaton_base(2).automaton, False),
+    "addition-zeckendorf": (lambda: addition_automaton_zeckendorf().automaton, False),
 }
 
 BUILTIN_DFA = {
@@ -123,16 +118,16 @@ def _load_wfa(spec: str):
         if "@" in name:
             name, _, ring_spec = name.partition("@")
             ring = parse_ring(ring_spec)
-        if name in _BUILTIN_FIXED:
-            if ring is not None:
-                raise CliError(f"builtin {name!r} does not take a ring suffix")
-            return _BUILTIN_FIXED[name]()
-        maker = BUILTIN_WFA.get(name)
-        if maker is None:
+        if name not in BUILTIN_WFA:
             raise CliError(
                 f"unknown builtin automaton {name!r}; available: "
                 + ", ".join(sorted(BUILTIN_WFA)))
-        return maker(ring)
+        maker, takes_ring = BUILTIN_WFA[name]
+        if takes_ring:
+            return maker(ring)
+        if ring is not None:
+            raise CliError(f"builtin {name!r} does not take a ring suffix")
+        return maker()
     with open(spec, "r", encoding="utf-8") as fh:
         return automaton_from_json(fh.read())
 
@@ -222,11 +217,16 @@ def cmd_verify(args) -> int:
         raise CliError(f"need N >= 0, got {N}")
     _check_order(N)
     P = _load_equation(args.file)
-    if is_isolating(P):
-        A = _load_wfa(args.automaton) if args.automaton else _build_from_equation(P)
-        if A.ring != P.ring:
-            raise CliError(
-                f"automaton ring {A.ring.spec} differs from equation ring {P.ring.spec}")
+    isolating = is_isolating(P)
+    if not (isolating or args.automaton):
+        raise CliError(
+            "equation is not isolating, so there is no oracle to build from; "
+            "pass --automaton to check its sequence against the equation")
+    A = _load_wfa(args.automaton) if args.automaton else _build_from_equation(P)
+    if A.ring != P.ring:
+        raise CliError(
+            f"automaton ring {A.ring.spec} differs from equation ring {P.ring.spec}")
+    if isolating:
         oracle = solve_series(P, N)
         got = sequence_prefix(A, P.kind, N)
         for n in range(N + 1):
@@ -237,14 +237,6 @@ def cmd_verify(args) -> int:
                 return 1
         print(f"PASS: automaton matches the recurrence oracle for all n <= {N}")
         return 0
-    if not args.automaton:
-        raise CliError(
-            "equation is not isolating, so there is no oracle to build from; "
-            "pass --automaton to check its sequence against the equation")
-    A = _load_wfa(args.automaton)
-    if A.ring != P.ring:
-        raise CliError(
-            f"automaton ring {A.ring.spec} differs from equation ring {P.ring.spec}")
     seq = SeriesPrefix(P.ring, tuple(sequence_prefix(A, P.kind, N)))
     res = residual(P, seq)
     for n, v in enumerate(res):
@@ -294,6 +286,7 @@ def cmd_defect(args) -> int:
 
 def cmd_growth(args) -> int:
     _check_order(args.N)
+    _check_order(args.kmax, "--kmax")
     rep = growth_analysis(args.N, args.kmax)
     print("f_0..f_5 = " + ", ".join(str(c) for c in rep.prefix))
     for k in sorted(rep.thresholds):
@@ -398,7 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth", help="non-regular example growth thresholds")
     p.add_argument("-N", type=int, default=10000,
                    help=f"compute f_0..f_N (default 10000, at most {MAX_N})")
-    p.add_argument("--kmax", type=int, default=3, help="largest exponent to test")
+    p.add_argument("--kmax", type=int, default=3,
+                   help=f"largest exponent to test (default 3, at most {MAX_N})")
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("export", help="write an automaton as DOT or JSON")

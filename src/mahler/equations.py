@@ -48,10 +48,9 @@ from .wfa import (
     AutomatonError,
     WeightedAutomaton,
     eval_sequence,
-    explore,
+    explore_automaton,
     normalize,
     sequence_prefix,
-    trim,
     weight,
 )
 
@@ -217,11 +216,20 @@ def compatible_f0(P: MahlerEquation, f0=None, g0=None) -> bool:
     return lhs == rhs
 
 
-def _incompatible(P: MahlerEquation, f0: RingValue, g0: RingValue) -> EquationError:
+def _isolating_f0(P: MahlerEquation, f0, g0: RingValue) -> RingValue:
+    """The f0 to solve or build with (default P.f0), after checking that P
+    is isolating and that f0 satisfies the n = 0 identity with g_0 = g0."""
+    if not is_isolating(P):
+        raise EquationError(
+            "equation is not isolating (A_0 != 1); only isolating equations "
+            "determine their coefficients by recurrence")
+    f0 = P.f0 if f0 is None else P.ring.element(f0)
     lhs, rhs = _compat_sides(P, f0, g0)
-    return EquationError(
-        f"f0 = {f0} is not compatible: the n = 0 coefficient identity "
-        f"needs {lhs} = {rhs}")
+    if lhs != rhs:
+        raise EquationError(
+            f"f0 = {f0} is not compatible: the n = 0 coefficient identity "
+            f"needs {lhs} = {rhs}")
+    return f0
 
 
 def _g_lookup(P: MahlerEquation, g, N: int):
@@ -254,16 +262,8 @@ def solve_series(P: MahlerEquation, N: int, f0=None, g=None) -> SeriesPrefix:
     """
     if N < 0:
         raise EquationError(f"need N >= 0, got {N}")
-    if not is_isolating(P):
-        raise EquationError(
-            "equation is not isolating (A_0 != 1); only isolating equations "
-            "determine their coefficients by recurrence")
-    ring = P.ring
-    f0 = P.f0 if f0 is None else ring.element(f0)
     g_at = _g_lookup(P, g, N)
-    if not compatible_f0(P, f0, g_at(0)):
-        raise _incompatible(P, f0, g_at(0))
-    out = [f0]
+    out = [_isolating_f0(P, f0, g_at(0))]
     pre = {i: preimages(P.kind, N, i) for (i, _) in P.alpha if i >= 1}
     items = [(j, a, pre[i]) for (i, j), a in sorted(P.alpha.items()) if i >= 1]
     for n in range(1, N + 1):
@@ -275,7 +275,7 @@ def solve_series(P: MahlerEquation, N: int, f0=None, g=None) -> SeriesPrefix:
                 if k >= 0:
                     acc = acc + a * out[k]
         out.append(acc)
-    return SeriesPrefix(ring, tuple(out))
+    return SeriesPrefix(P.ring, tuple(out))
 
 
 def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
@@ -465,7 +465,9 @@ def build_automaton_q(P: MahlerEquation, f0=None, *,
     alpha[i+1, qj+b-k] into s_{0,k}.  I = f0 on the whole j = 0 column,
     F = 1 on s_{0,0}; the result is trimmed.  Leading zeros do not
     change weights: compatibility of f0 makes the initial vector stable
-    under reading 0.
+    under reading 0.  The whole grid is seeded in row order (initial
+    weight zero off the j = 0 column), so explore() numbers the states
+    i-major.
 
     _extra_i/_extra_j widen the grid beyond the cutoffs; the extra
     states never occur on a nonzero-weight path, so the evaluated
@@ -477,49 +479,32 @@ def build_automaton_q(P: MahlerEquation, f0=None, *,
         raise EquationError(
             "inhomogeneous equations are supported only over Zeckendorf "
             "numeration (build_automaton_dumas)")
-    if not is_isolating(P):
-        raise EquationError("equation is not isolating (A_0 != 1)")
     ring = P.ring
-    f0 = P.f0 if f0 is None else ring.element(f0)
-    if not compatible_f0(P, f0, ring.zero):
-        raise _incompatible(P, f0, ring.zero)
+    f0 = _isolating_f0(P, f0, ring.zero)
     q = P.kind.q
     d = max(P.d, 1) + _extra_i
-    h = P.h
-    ht = max(0, -(-h // (q - 1)) - 1) + _extra_j
-    width = ht + 1
-
-    def idx(i, j):
-        return i * width + j
-
+    ht = max(0, -(-P.h // (q - 1)) - 1) + _extra_j
     one = ring.one
     zero = ring.zero
-    trans = {}
-    for i in range(d):
-        for j in range(width):
-            src = idx(i, j)
-            for b in range(q):
-                m = q * j + b
-                if i + 1 <= d - 1 and m <= ht:
-                    trans[(src, b, idx(i + 1, m))] = one
-                for k in range(0, min(ht, m) + 1):
-                    a = P.alpha.get((i + 1, m - k))
-                    if a is not None:
-                        trans[(src, b, idx(0, k))] = a
-    n = d * width
-    initial = [zero] * n
-    for i in range(d):
-        initial[idx(i, 0)] = f0
-    final = [zero] * n
-    final[idx(0, 0)] = one
-    return trim(WeightedAutomaton(
-        ring=ring,
-        alphabet=tuple(range(q)),
-        states=tuple(f"s{i}_{j}" for i in range(d) for j in range(width)),
-        initial=tuple(initial),
-        final=tuple(final),
-        transitions=trans,
-    ))
+    alpha = P.alpha
+
+    def moves(state):
+        i, j = state
+        for b in range(q):
+            m = q * j + b
+            if i + 1 < d and m <= ht:
+                yield b, (i + 1, m), one
+            for k in range(min(ht, m) + 1):
+                a = alpha.get((i + 1, m - k))
+                if a is not None:
+                    yield b, (0, k), a
+
+    seeds = {(i, j): f0 if j == 0 else zero
+             for i in range(d) for j in range(ht + 1)}
+    return explore_automaton(
+        ring, range(q), seeds, moves,
+        lambda state: one if state == (0, 0) else zero,
+        lambda state: f"s{state[0]}_{state[1]}")
 
 
 # ---------------------------------------------------------------------------
@@ -651,27 +636,14 @@ def build_automaton_z(P: MahlerEquation, f0=None, *,
     if P.g_poly:
         raise EquationError(
             "inhomogeneous equations need build_automaton_dumas")
-    if not is_isolating(P):
-        raise EquationError("equation is not isolating (A_0 != 1)")
     ring = P.ring
-    f0 = P.f0 if f0 is None else ring.element(f0)
-    if not compatible_f0(P, f0, ring.zero):
-        raise _incompatible(P, f0, ring.zero)
+    f0 = _isolating_f0(P, f0, ring.zero)
     ctx = _ZContext(P, _extra_i, _extra_j)
-    seeds = ctx.seeds()
-    order, trans = explore(seeds, ctx.moves)
-    zero = ring.zero
     one = ring.one
-    initial = [f0] * len(seeds) + [zero] * (len(order) - len(seeds))
-    final = [one if (s[0] == 0 and s[1] == 0) else zero for s in order]
-    return trim(WeightedAutomaton(
-        ring=ring,
-        alphabet=(0, 1),
-        states=tuple(ctx.state_name(s) for s in order),
-        initial=tuple(initial),
-        final=tuple(final),
-        transitions=trans,
-    ))
+    zero = ring.zero
+    return explore_automaton(
+        ring, (0, 1), dict.fromkeys(ctx.seeds(), f0), ctx.moves,
+        lambda state: one if state[:2] == (0, 0) else zero, ctx.state_name)
 
 
 def weight_z(A: WeightedAutomaton, word) -> RingValue:
@@ -705,8 +677,6 @@ def build_automaton_dumas(P: MahlerEquation, G: WeightedAutomaton = None,
     """
     if not isinstance(P.kind, Zeckendorf):
         raise EquationError("build_automaton_dumas needs a Zeckendorf equation")
-    if not is_isolating(P):
-        raise EquationError("equation is not isolating (A_0 != 1)")
     ring = P.ring
     if G is None:
         if P.g_poly:
@@ -724,10 +694,7 @@ def build_automaton_dumas(P: MahlerEquation, G: WeightedAutomaton = None,
             raise EquationError("g automaton ring differs from the equation ring")
         if not set(G.alphabet) <= {0, 1}:
             raise EquationError("g automaton must read the digits {0, 1}")
-    g0 = eval_sequence(G, ZECKENDORF, 0)
-    f0 = P.f0 if f0 is None else ring.element(f0)
-    if not compatible_f0(P, f0, g0):
-        raise _incompatible(P, f0, g0)
+    f0 = _isolating_f0(P, f0, eval_sequence(G, ZECKENDORF, 0))
     ctx = _ZContext(P)
     zero = ring.zero
     one = ring.one
@@ -739,8 +706,7 @@ def build_automaton_dumas(P: MahlerEquation, G: WeightedAutomaton = None,
     # t counting them in order of discovery.
     u0 = (0,) * ctx.g
     parts = []
-    seeds = [("s", s) for s in ctx.seeds()]
-    initial = [f0] * len(seeds)
+    seeds = {("s", s): f0 for s in ctx.seeds()}
     for j in range(ctx.ht + 1):
         Bj = normalize(shift_regular(G, j))
         fins = [t for t, w in enumerate(Bj.final) if w]
@@ -752,8 +718,7 @@ def build_automaton_dumas(P: MahlerEquation, G: WeightedAutomaton = None,
         parts.append((fins[0], out_by_state))
         for sidx, w in enumerate(Bj.initial):
             if w and sidx != fins[0]:
-                seeds.append(("g", j, sidx, ctx.q_init, u0))
-                initial.append(w)
+                seeds["g", j, sidx, ctx.q_init, u0] = w
 
     def successors(state):
         if state[0] == "s":
@@ -772,28 +737,19 @@ def build_automaton_dumas(P: MahlerEquation, G: WeightedAutomaton = None,
             else:
                 yield b, ("g", j, dst, q2, u2), w
 
-    order, trans = explore(seeds, successors)
-    initial += [zero] * (len(order) - len(seeds))
-    names = []
-    final = []
     part_size = [0] * len(parts)
-    for state in order:
+
+    def name(state):
         if state[0] == "s":
-            names.append(ctx.state_name(state[1]))
-            final.append(one if state[1][:2] == (0, 0) else zero)
-        else:
-            j = state[1]
-            names.append(f"g{j}n{part_size[j]}")
-            part_size[j] += 1
-            final.append(zero)
-    return trim(WeightedAutomaton(
-        ring=ring,
-        alphabet=(0, 1),
-        states=tuple(names),
-        initial=tuple(initial),
-        final=tuple(final),
-        transitions=trans,
-    ))
+            return ctx.state_name(state[1])
+        j = state[1]
+        part_size[j] += 1
+        return f"g{j}n{part_size[j] - 1}"
+
+    return explore_automaton(
+        ring, (0, 1), seeds, successors,
+        lambda state: one if state[0] == "s" and state[1][:2] == (0, 0) else zero,
+        name)
 
 
 # ---------------------------------------------------------------------------
@@ -1045,19 +1001,15 @@ def growth_analysis(N: int, k_max: int) -> GrowthReport:
             raise EquationError(f"recurrence forms disagree at n = {n}")
         f.append(step)
         sums.append(sums[-1] + step)
-    thresholds = {}
-    for k in range(k_max + 1):
-        found = None
-        if k == 0:
-            for n in range(N + 1):
-                if f[n] >= 1:
-                    found = n
-                    break
-        else:
-            for n in range(1, N + 1):
-                if f[n] > n ** k:
-                    found = n
-                    break
-        thresholds[k] = found
+    # thresholds[0] scans from n = 0 with f_n >= 1.  For k >= 1 the
+    # thresholds never decrease (n^k <= n^(k+1) for n >= 1), so each search
+    # resumes where the one for k - 1 stopped, and once one fails every
+    # later one fails too: O(N + k_max) comparisons in all.
+    thresholds = {0: next((n for n in range(N + 1) if f[n] >= 1), None)}
+    n = 1
+    for k in range(1, k_max + 1):
+        while n <= N and f[n] <= n ** k:
+            n += 1
+        thresholds[k] = n if n <= N else None
     return GrowthReport(n_max=N, k_max=k_max, coefficients=tuple(f),
                         thresholds=thresholds)

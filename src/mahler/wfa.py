@@ -14,7 +14,10 @@ Every construction that builds a machine state by state (products,
 subset constructions, the equation compilers in equations.py, the
 recognizers and carry machines in automata.py) goes through explore(),
 which numbers the states reachable from a list of seeds breadth-first.
-Plain reachability without numbering (trimming) uses reachable().
+The weighted ones (the equation compilers, products, shifts and the
+Zeckendorf adder) take the explored states straight to a trimmed
+machine through explore_automaton().  Plain reachability without
+numbering (trimming) uses reachable().
 """
 
 from __future__ import annotations
@@ -174,17 +177,14 @@ class WeightedAutomaton:
             if w:
                 clean[(src, label, dst)] = w
         arrows = {}
-        rev = {}
         for (src, label, dst), w in clean.items():
             arrows.setdefault(label, []).append((src, dst, w.payload))
-            rev.setdefault(label, []).append((dst, src, w.payload))
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "final", final)
         object.__setattr__(self, "transitions", MappingProxyType(clean))
         object.__setattr__(self, "_arrows", arrows)
-        object.__setattr__(self, "_rev", rev)
 
     @property
     def n_states(self) -> int:
@@ -326,6 +326,30 @@ def trim(A: WeightedAutomaton) -> WeightedAutomaton:
                      for (s, b, d), w in A.transitions.items()
                      if s in remap and d in remap},
     )
+
+
+def explore_automaton(ring: Ring, alphabet, seeds: Mapping,
+                      successors: Callable[[Hashable], Iterable[tuple]],
+                      final: Callable[[Hashable], RingValue],
+                      name: Callable[[Hashable], str]) -> WeightedAutomaton:
+    """The trimmed weighted automaton on the states explore() finds.
+
+    ``seeds`` maps each seed state to its initial weight; every other
+    state gets zero.  ``successors`` is as for explore().  ``final(state)``
+    and ``name(state)`` are each called once per state, in numbering
+    order, so a ``name`` may count the states it has seen
+    (build_automaton_dumas numbers its g{j}n{t} copy states that way).
+    """
+    order, trans = explore(seeds, successors)
+    initial = list(seeds.values()) + [ring.zero] * (len(order) - len(seeds))
+    return trim(WeightedAutomaton(
+        ring=ring,
+        alphabet=tuple(alphabet),
+        states=tuple(name(s) for s in order),
+        initial=tuple(initial),
+        final=tuple(final(s) for s in order),
+        transitions=trans,
+    ))
 
 
 def normalize(A: WeightedAutomaton) -> WeightedAutomaton:
@@ -541,10 +565,10 @@ def cauchy_product(A1: WeightedAutomaton, A2: WeightedAutomaton,
     for (src, lab, dst), w in A2.transitions.items():
         out2.setdefault((src, lab), []).append((dst, w))
 
-    seeds = [(qa, s1, s2)
+    seeds = {(qa, s1, s2): v1 * v2
              for qa in range(len(AA.states)) if AA.initial[qa]
              for s1, v1 in enumerate(A1.initial) if v1
-             for s2, v2 in enumerate(A2.initial) if v2]
+             for s2, v2 in enumerate(A2.initial) if v2}
 
     def successors(triple):
         qa, s1, s2 = triple
@@ -553,27 +577,13 @@ def cauchy_product(A1: WeightedAutomaton, A2: WeightedAutomaton,
                 for d2, w2 in out2.get((s2, b2), ()):
                     yield b3, (qa2, d1, d2), w1 * w2
 
-    order, trans = explore(seeds, successors)
-    n = len(order)
-    initial = [A1.initial[s1] * A2.initial[s2] for _qa, s1, s2 in seeds]
-    initial += [ring.zero] * (n - len(seeds))
-    final = []
-    for qa, s1, s2 in order:
-        if AA.final[qa]:
-            final.append(A1.final[s1] * A2.final[s2])
-        else:
-            final.append(ring.zero)
-    names = tuple(f"{AA.states[qa]}|{A1.states[s1]}|{A2.states[s2]}"
-                  for qa, s1, s2 in order)
-    prod = WeightedAutomaton(
-        ring=ring,
-        alphabet=tuple(out_labels),
-        states=names,
-        initial=tuple(initial),
-        final=tuple(final),
-        transitions=trans,
-    )
-    return trim(prod)
+    def final(triple):
+        qa, s1, s2 = triple
+        return A1.final[s1] * A2.final[s2] if AA.final[qa] else ring.zero
+
+    return explore_automaton(
+        ring, out_labels, seeds, successors, final,
+        lambda t: f"{AA.states[t[0]]}|{A1.states[t[1]]}|{A2.states[t[2]]}")
 
 
 def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutput:
@@ -581,25 +591,27 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
 
     direction "direct": states are row vectors I * mu(w); the output of the
     state reached by w is weight(A, w).  direction "reverse": states are
-    column vectors mu(w) * F, so the output after w is weight(A, reverse(w)).
+    column vectors mu(w) * F, so the output after w is weight(A, reverse(w));
+    that is the direct construction on the transposed machine (I and F
+    swapped, arrows reversed).
     """
     if direction not in ("direct", "reverse"):
         raise AutomatonError(f"unknown direction {direction!r}")
     if A.ring.cardinality is None:
         raise RingError(
             f"determinization needs a finite ring, not {A.ring.spec}")
+    if direction == "reverse":
+        A = WeightedAutomaton(
+            ring=A.ring, alphabet=A.alphabet, states=A.states,
+            initial=A.final, final=A.initial,
+            transitions={(d, b, s): w for (s, b, d), w in A.transitions.items()})
     ring = A.ring
     n = len(A.states)
     zero = ring._zero.payload
     labels = sorted(A.alphabet, key=_label_key)
-    if direction == "direct":
-        start = tuple(v.payload for v in A.initial)
-        arrows = A._arrows
-        out_side = tuple(v.payload for v in A.final)
-    else:
-        start = tuple(v.payload for v in A.final)
-        arrows = A._rev
-        out_side = tuple(v.payload for v in A.initial)
+    start = tuple(v.payload for v in A.initial)
+    arrows = A._arrows
+    out_side = tuple(v.payload for v in A.final)
 
     def step_vec(vec, label):
         acc = [zero] * n

@@ -244,6 +244,7 @@ REL = ["relation", "-a", "builtin:fib-repr@Q", "--dmax", "1", "--hmax", "1"]
     (REL + ["-N", "10", "--ncheck", str(MAX_N + 1)], "--ncheck (default 4N)", MAX_N + 1),
     (REL + ["-N", str(MAX_N // 4 + 1)], "--ncheck (default 4N)", 4 * (MAX_N // 4 + 1)),
     (["growth", "-N", str(MAX_N + 1)], "-N", MAX_N + 1),
+    (["growth", "-N", "100", "--kmax", str(MAX_N + 1)], "--kmax", MAX_N + 1),
 ])
 def test_order_ceiling(argv, what, bad, eqfile, capsys, monkeypatch):
     def never(*args, **kwargs):

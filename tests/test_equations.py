@@ -412,6 +412,14 @@ class TestEquationFiles:
 # ---------------------------------------------------------------------------
 # base-q compilation
 
+# d = 2, h = 3, q = 2: the full 6-state grid of build_automaton_q
+TWO_LAYER = MahlerEquation(
+    ring=INTEGERS, kind=BASE2,
+    alpha={(0, 0): 1, (1, 0): 2, (1, 1): 3, (1, 2): 4, (1, 3): 5,
+           (2, 0): -1, (2, 1): 6, (2, 2): 7, (2, 3): 8},
+    f0=1)
+
+
 class TestBuildAutomatonQ:
     def test_hyperbinary_two_states(self):
         A = build_automaton_q(shipped("hyperbinary.eq"))
@@ -429,14 +437,9 @@ class TestBuildAutomatonQ:
             assert weight(A, (0, 0, 0) + w) == weight(A, w)
 
     def test_two_layer_grid_structure(self):
-        # d = 2, h = 3, q = 2 gives the full 6-state grid; every arrow
-        # is forced by the construction rule, so the whole table is
-        # asserted literally.
-        P = MahlerEquation(
-            ring=INTEGERS, kind=BASE2,
-            alpha={(0, 0): 1, (1, 0): 2, (1, 1): 3, (1, 2): 4, (1, 3): 5,
-                   (2, 0): -1, (2, 1): 6, (2, 2): 7, (2, 3): 8},
-            f0=1)
+        # every arrow of the full grid is forced by the construction rule,
+        # so the whole table is asserted literally
+        P = TWO_LAYER
         A = build_automaton_q(P)
         e = INTEGERS.element
         expected = WeightedAutomaton(
@@ -461,6 +464,13 @@ class TestBuildAutomatonQ:
             })
         assert same_structure(A, expected)
         assert list(sequence_prefix(A, BASE2, 500)) == list(solve_series(P, 500))
+
+    def test_grid_numbered_row_major(self):
+        # the whole grid is seeded in row order, so the numbering stays
+        # i-major; seeding only the j = 0 column would number breadth-first
+        # (s0_0, s1_0, s1_1, s0_1, ...)
+        assert build_automaton_q(TWO_LAYER).states == \
+            ("s0_0", "s0_1", "s0_2", "s1_0", "s1_1", "s1_2")
 
     def test_state_bound_on_randomized_instances(self):
         rng = random.Random(99)
@@ -829,6 +839,17 @@ class TestGrowth:
         rep = growth_analysis(N, 3)
         assert list(rep.coefficients) == f
         assert rep.thresholds == {0: 0, 1: 3, 2: 32, 3: 176}
+
+    def test_thresholds_match_plain_scan(self):
+        # the resumed search gives the same thresholds as scanning every
+        # k from scratch
+        rep = growth_analysis(3000, 40)
+        f = rep.coefficients
+        plain = {0: 0}
+        for k in range(1, 41):
+            plain[k] = next((n for n in range(1, 3001) if f[n] > n ** k), None)
+        assert rep.thresholds == plain
+        assert plain[40] is None and plain[3] is not None
 
     def test_coefficients_nondecreasing(self):
         f = growth_analysis(400, 0).coefficients

@@ -28,6 +28,7 @@ from mahler.wfa import (
     determinize,
     eval_sequence,
     explore,
+    explore_automaton,
     forward_vector,
     is_unambiguous,
     matrix_rep,
@@ -172,6 +173,35 @@ def test_explore_sums_repeated_arrows():
     assert trans == {(0, "x", 1): INTEGERS.element(3), (0, "y", 1): two,
                      (1, "x", 1): two}
     assert explore([], lambda s: arrows[s]) == ([], {})
+
+
+def test_explore_automaton_weights_names_and_trim():
+    # "a" and "b" are seeds; "c" is found from "a"; the dead end "x" is
+    # found from "b" but reaches no final state, so trim removes it
+    e = INTEGERS.element
+    arrows = {"a": [(0, "c", e(2)), (1, "b", e(1))],
+              "b": [(0, "a", e(3)), (1, "x", e(1))],
+              "c": [(1, "c", e(1))],
+              "x": [(0, "x", e(1))]}
+    named, finals = [], []
+
+    def name(state):
+        named.append(state)
+        return f"{state}{len(named)}"
+
+    def final(state):
+        finals.append(state)
+        return e(5) if state == "c" else e(0)
+
+    A = explore_automaton(INTEGERS, (0, 1), {"b": e(7), "a": e(0)},
+                          lambda s: arrows[s], final, name)
+    assert named == finals == ["b", "a", "x", "c"]
+    assert A.states == ("b1", "a2", "c4")
+    assert A.initial == (e(7), e(0), e(0))
+    assert A.final == (e(0), e(0), e(5))
+    assert dict(A.transitions) == {(0, 0, 1): e(3), (1, 1, 0): e(1),
+                                   (1, 0, 2): e(2), (2, 1, 2): e(1)}
+    assert weight(A, (0, 0, 1)) == e(7 * 3 * 2 * 5)
 
 
 def test_reachable_closure():
