@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .numeration import Base, NumerationKind, _digits, format_word
+from .numeration import Base, NumerationKind, _digits, format_word, word_alphabet
 from .rings import INTEGERS, Ring
 from .wfa import (AutomatonError, DfaWithOutput, UnambiguousAutomaton,
                   WeightedAutomaton, _dfa_table, explore, explore_automaton,
@@ -290,7 +290,6 @@ def polynomial_automaton(coeffs, kind: NumerationKind, ring: Ring) -> WeightedAu
     names = ["z"]
     trans = {(0, 0, 0): ring.one}
     finals = {0: cs[0] if cs else ring.zero}
-    alphabet = (0, 1) if not isinstance(kind, Base) else tuple(range(kind.q))
 
     def node(prefix):
         i = index.get(prefix)
@@ -317,7 +316,7 @@ def polynomial_automaton(coeffs, kind: NumerationKind, ring: Ring) -> WeightedAu
     initial = tuple(ring.one if i == 0 else ring.zero for i in range(n_states))
     return WeightedAutomaton(
         ring=ring,
-        alphabet=alphabet,
+        alphabet=word_alphabet(kind),
         states=tuple(names),
         initial=initial,
         final=final,

@@ -41,7 +41,6 @@ from .equations import (
     SeriesPrefix,
     build_automaton_dumas,
     build_automaton_q,
-    build_automaton_z,
     find_relation,
     format_equation,
     growth_analysis,
@@ -161,9 +160,7 @@ def _emit(text: str, path):
 def _build_from_equation(P):
     if isinstance(P.kind, Base):
         return build_automaton_q(P)
-    if P.g_poly:
-        return build_automaton_dumas(P)
-    return build_automaton_z(P)
+    return build_automaton_dumas(P)
 
 
 def cmd_solve(args) -> int:
@@ -251,6 +248,8 @@ def cmd_relation(args) -> int:
     _check_order(args.N)
     _check_order(4 * args.N if args.ncheck is None else args.ncheck,
                  "--ncheck (default 4N)")
+    _check_order((args.dmax + 1) * (args.hmax + 1) * (args.N + 1),
+                 "linear system size (dmax+1)(hmax+1)(N+1)")
     A = _load_wfa(args.automaton)
     kind = _parse_numeration(args.numeration)
     eq = find_relation(A, kind, args.dmax, args.hmax, args.N, args.ncheck)
@@ -358,8 +357,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("relation", help="search for an annihilating equation")
     p.add_argument("-a", "--automaton", required=True,
                    help="automaton JSON path or builtin:<name>")
-    p.add_argument("--dmax", type=int, required=True, help="largest Phi power")
-    p.add_argument("--hmax", type=int, required=True, help="largest coefficient degree")
+    p.add_argument("--dmax", type=int, required=True,
+                   help=f"largest Phi power ((dmax+1)(hmax+1)(N+1) at most {MAX_N})")
+    p.add_argument("--hmax", type=int, required=True,
+                   help=f"largest coefficient degree ((dmax+1)(hmax+1)(N+1) at most {MAX_N})")
     p.add_argument("-N", type=int, default=500,
                    help=f"linear system rows (default 500, at most {MAX_N})")
     p.add_argument("--ncheck", type=int, default=None,

@@ -555,7 +555,7 @@ class _ZContext:
         self.ring = P.ring
         self.d = max(P.d, 1) + extra_i
         self.h = P.h
-        self.ht = floor_phi(P.h + 2) - 1 + extra_j
+        self.ht = z_state_space(P).h_tilde + extra_j
         self.g = len(_digits(self.ht))
         dfa = defect_automaton()
         self.q_init = dfa.initial
@@ -577,32 +577,34 @@ class _ZContext:
                 return None
         return self.douts[s]
 
-    def seeds(self) -> list:
-        u0 = (0,) * self.g
-        return [(i, 0, self.q_init, u0) for i in range(self.d)]
-
-    def moves(self, state: tuple) -> list:
-        """Out-transitions (b, target, weight) of one grid state.
+    def advance(self, qs: int, u: tuple):
+        """(q2, nxt): the defect state once the oldest window digit u[0]
+        is consumed, and a map from each digit b that may be read next to
+        the window u[1:] + (b,).
 
         The guess b = 1 is cut when the window already ends in 1: no
         adjacent-ones-free word takes that edge, so cutting it keeps
         weights intact on the whole contract domain while keeping the
         explored grid small.
         """
+        nxt = {0: u[1:] + (0,)}
+        if u[-1] != 1:
+            nxt[1] = u[1:] + (1,)
+        return self.dtrans[(qs, u[0])], nxt
+
+    def moves(self, state: tuple) -> list:
+        """Out-transitions (b, target, weight) of one grid state."""
         i, j, qs, u = state
         dh = self.delta_hat(j, qs, u)
         if dh is None:
             return []
-        q2 = self.dtrans[(qs, u[0])]
+        q2, nxt = self.advance(qs, u)
         pj = self.phi_tab[j]
         one = self.ring.one
         alpha = self.P.alpha
         out = []
-        for b in (0, 1):
-            if b == 1 and u[-1] == 1:
-                continue
+        for b, u2 in nxt.items():
             ell = pj + dh + b
-            u2 = u[1:] + (b,)
             if i + 1 <= self.d - 1 and 0 <= ell <= self.ht:
                 out.append((b, (i + 1, ell, q2, u2), one))
             if ell >= 0:
@@ -617,15 +619,79 @@ class _ZContext:
         return f"s{i}_{j}_q{qs}_u{''.join(map(str, u))}"
 
 
+def _build_z(P: MahlerEquation, f0, G: Optional[WeightedAutomaton],
+             extra_i: int = 0, extra_j: int = 0) -> WeightedAutomaton:
+    """The Zeckendorf construction for f = sum_i A_i Phi^i(f) + g, where
+    G is an automaton for g, or None for g = 0.
+
+    Explores the grid of _ZContext from the seeds s_{i,0,q0,0^g}
+    (initial weight f0) and keeps F = 1 exactly on layer-0 states with
+    offset 0.  For a nonzero g, each offset j <= h~ also gets a copy B_j
+    of the automaton for x^j g (normalize of x^(j-1) g shifted once
+    more), run in lockstep with the defect state
+    and digit window of the grid: copy states are ("g", j, b, q, u),
+    state b of B_j, and are named g{j}n{t}, t counting them in order of
+    discovery.  Arrows into the unique final state of B_j land on the
+    grid state s_{0,j,q,u} instead, which injects g_{n-j} into the
+    offset-j carrier exactly where the recurrence wants it.  The
+    empty-word mass of each B_j is dropped: canonical expansions are
+    never empty, and the n = 0 identity is instead enforced up front as
+    compatibility of f0 with g_0 (without it no automaton of this shape
+    can compute the series, since the weight of "0" always equals the
+    right-hand side of that identity).  The result is trimmed.
+    """
+    ring = P.ring
+    f0 = _isolating_f0(
+        P, f0, ring.zero if G is None else eval_sequence(G, ZECKENDORF, 0))
+    ctx = _ZContext(P, extra_i, extra_j)
+    u0 = (0,) * ctx.g
+    seeds = {(i, 0, ctx.q_init, u0): f0 for i in range(ctx.d)}
+    parts = []
+    for j in range(ctx.ht + 1 if G is not None else 0):
+        xg = G if j == 0 else shift_regular(xg, 1)   # x^j g
+        Bj = normalize(xg)
+        fins = [t for t, w in enumerate(Bj.final) if w]
+        if len(fins) != 1:
+            raise AutomatonError("normalize did not produce a single final state")
+        out_by_state = {}
+        for (src, b, dst), w in Bj.transitions.items():
+            out_by_state.setdefault(src, []).append((b, dst, w))
+        parts.append((fins[0], out_by_state))
+        for sidx, w in enumerate(Bj.initial):
+            if w and sidx != fins[0]:
+                seeds["g", j, sidx, ctx.q_init, u0] = w
+
+    def successors(state):
+        if state[0] != "g":
+            return ctx.moves(state)
+        _tag, j, bs, qs, u = state
+        fin, out_by_state = parts[j]
+        q2, nxt = ctx.advance(qs, u)
+        return [(b, (0, j, q2, nxt[b]) if dst == fin else ("g", j, dst, q2, nxt[b]), w)
+                for b, dst, w in out_by_state.get(bs, ()) if b in nxt]
+
+    part_size = [0] * len(parts)
+
+    def name(state):
+        if state[0] != "g":
+            return ctx.state_name(state)
+        j = state[1]
+        part_size[j] += 1
+        return f"g{j}n{part_size[j] - 1}"
+
+    return explore_automaton(
+        ring, (0, 1), seeds, successors,
+        lambda state: ring.one if state[:2] == (0, 0) else ring.zero, name)
+
+
 def build_automaton_z(P: MahlerEquation, f0=None, *,
                       _extra_i: int = 0, _extra_j: int = 0) -> WeightedAutomaton:
     """Weighted automaton computing f_n on Zeckendorf expansions of n.
 
-    Explores the grid of _ZContext lazily from the seeds s_{i,0,q0,0^g}
-    (initial weight f0) and keeps F = 1 exactly on layer-0 states with
-    offset 0.  The contract covers every adjacent-ones-free word, with
-    leading zeros allowed; evaluate through weight_z to get the
-    adjacent-ones check.  The result is trimmed.
+    The homogeneous case g = 0 of the one Zeckendorf construction
+    (_build_z): the grid alone.  The contract covers every
+    adjacent-ones-free word, with leading zeros allowed; evaluate
+    through weight_z to get the adjacent-ones check.
 
     _extra_i/_extra_j widen the grid beyond the cutoffs without
     changing the evaluated sequence; exposed for validating exactly
@@ -636,14 +702,7 @@ def build_automaton_z(P: MahlerEquation, f0=None, *,
     if P.g_poly:
         raise EquationError(
             "inhomogeneous equations need build_automaton_dumas")
-    ring = P.ring
-    f0 = _isolating_f0(P, f0, ring.zero)
-    ctx = _ZContext(P, _extra_i, _extra_j)
-    one = ring.one
-    zero = ring.zero
-    return explore_automaton(
-        ring, (0, 1), dict.fromkeys(ctx.seeds(), f0), ctx.moves,
-        lambda state: one if state[:2] == (0, 0) else zero, ctx.state_name)
+    return _build_z(P, f0, None, _extra_i, _extra_j)
 
 
 def weight_z(A: WeightedAutomaton, word) -> RingValue:
@@ -660,96 +719,27 @@ def build_automaton_dumas(P: MahlerEquation, G: WeightedAutomaton = None,
                           f0=None) -> WeightedAutomaton:
     """Solution automaton for f = sum_i A_i Phi^i(f) + g with regular g.
 
-    The homogeneous grid of build_automaton_z is extended, for each
-    offset j <= h~, with a copy B_j of the automaton for x^j g
-    (normalize(shift_regular(G, j))), run in lockstep with the defect
-    state and digit window of the grid.  Transitions of B_j into its
-    unique final state are rerouted to the grid state s_{0,j,q,u}
-    whose (q, u) the lockstep tracking dictates, which injects g_{n-j}
-    into the offset-j carrier exactly where the recurrence wants it.
-    The empty-word mass of each B_j is dropped: canonical expansions are
-    never empty, and the n = 0 identity is instead enforced up front as
-    compatibility of f0 with g_0 (without it no automaton of this shape
-    can compute the series, since the weight of "0" always equals the
-    right-hand side of that identity).
-
-    G defaults to the polynomial automaton of the equation's g lines.
+    The one Zeckendorf construction (_build_z) with the automaton G for
+    g; G defaults to the polynomial automaton of the equation's g lines.
+    A homogeneous equation with no G is the case g = 0: no copies of g,
+    and the machine of build_automaton_z.
     """
     if not isinstance(P.kind, Zeckendorf):
         raise EquationError("build_automaton_dumas needs a Zeckendorf equation")
-    ring = P.ring
     if G is None:
         if P.g_poly:
-            top = max(P.g_poly)
-            coeffs = [P.g_poly.get(j, ring.zero) for j in range(top + 1)]
-        else:
-            coeffs = [ring.zero]
-        G = polynomial_automaton(coeffs, ZECKENDORF, ring)
+            G = polynomial_automaton([P.g(j) for j in range(max(P.g_poly) + 1)],
+                                     ZECKENDORF, P.ring)
     else:
         if P.g_poly:
             raise EquationError(
                 "pass the inhomogeneous part either as g lines or as an "
                 "automaton, not both")
-        if G.ring != ring:
+        if G.ring != P.ring:
             raise EquationError("g automaton ring differs from the equation ring")
         if not set(G.alphabet) <= {0, 1}:
             raise EquationError("g automaton must read the digits {0, 1}")
-    f0 = _isolating_f0(P, f0, eval_sequence(G, ZECKENDORF, 0))
-    ctx = _ZContext(P)
-    zero = ring.zero
-    one = ring.one
-
-    # One exploration over two kinds of state: ("s", grid state) and
-    # ("g", j, b, q, u), state b of B_j run in lockstep with defect state
-    # q and digit window u.  Arrows into the final state of B_j land on
-    # ("s", (0, j, q, u)) instead.  The copy's states are named g{j}n{t},
-    # t counting them in order of discovery.
-    u0 = (0,) * ctx.g
-    parts = []
-    seeds = {("s", s): f0 for s in ctx.seeds()}
-    for j in range(ctx.ht + 1):
-        Bj = normalize(shift_regular(G, j))
-        fins = [t for t, w in enumerate(Bj.final) if w]
-        if len(fins) != 1:
-            raise AutomatonError("normalize did not produce a single final state")
-        out_by_state = {}
-        for (src, b, dst), w in Bj.transitions.items():
-            out_by_state.setdefault(src, []).append((b, dst, w))
-        parts.append((fins[0], out_by_state))
-        for sidx, w in enumerate(Bj.initial):
-            if w and sidx != fins[0]:
-                seeds["g", j, sidx, ctx.q_init, u0] = w
-
-    def successors(state):
-        if state[0] == "s":
-            for b, t, w in ctx.moves(state[1]):
-                yield b, ("s", t), w
-            return
-        _tag, j, bs, qs, u = state
-        fin, out_by_state = parts[j]
-        q2 = ctx.dtrans[(qs, u[0])]
-        for b, dst, w in out_by_state.get(bs, ()):
-            if b == 1 and u[-1] == 1:
-                continue
-            u2 = u[1:] + (b,)
-            if dst == fin:
-                yield b, ("s", (0, j, q2, u2)), w
-            else:
-                yield b, ("g", j, dst, q2, u2), w
-
-    part_size = [0] * len(parts)
-
-    def name(state):
-        if state[0] == "s":
-            return ctx.state_name(state[1])
-        j = state[1]
-        part_size[j] += 1
-        return f"g{j}n{part_size[j] - 1}"
-
-    return explore_automaton(
-        ring, (0, 1), seeds, successors,
-        lambda state: one if state[0] == "s" and state[1][:2] == (0, 0) else zero,
-        name)
+    return _build_z(P, f0, G)
 
 
 # ---------------------------------------------------------------------------

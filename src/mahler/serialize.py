@@ -64,7 +64,7 @@ def automaton_to_json(A: WeightedAutomaton) -> str:
 def automaton_from_json(text: str) -> WeightedAutomaton:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise AutomatonError(f"not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise AutomatonError("expected a JSON object")

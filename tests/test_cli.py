@@ -245,6 +245,8 @@ REL = ["relation", "-a", "builtin:fib-repr@Q", "--dmax", "1", "--hmax", "1"]
     (REL + ["-N", str(MAX_N // 4 + 1)], "--ncheck (default 4N)", 4 * (MAX_N // 4 + 1)),
     (["growth", "-N", str(MAX_N + 1)], "-N", MAX_N + 1),
     (["growth", "-N", "100", "--kmax", str(MAX_N + 1)], "--kmax", MAX_N + 1),
+    (["relation", "-a", "builtin:fib-repr@Q", "--dmax", "20", "--hmax", "3000", "-N", "500"],
+     "linear system size (dmax+1)(hmax+1)(N+1)", 21 * 3001 * 501),
 ])
 def test_order_ceiling(argv, what, bad, eqfile, capsys, monkeypatch):
     def never(*args, **kwargs):
@@ -341,6 +343,16 @@ def test_eval_json_of_wrong_types(capsys, tmp_path):
     code, out, err = run(capsys, "eval", "-a", str(bad), "-n", "3")
     assert code == 2
     assert err == "error: initial weight 1 is not a string\n"
+
+
+def test_eval_deeply_nested_json(capsys, tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 200_000)
+    code, out, err = run(capsys, "eval", "-a", str(bad), "-n", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: not valid JSON: ")
+    assert err.count("\n") == 1
 
 
 def test_bad_ring_suffix(capsys):

@@ -1,5 +1,6 @@
 """Equation layer: files, the recurrence oracle, and the compilers."""
 
+import hashlib
 import random
 
 import pytest
@@ -34,7 +35,8 @@ from mahler.equations import (
     z_state_space,
 )
 from mahler.numeration import ZECKENDORF, Base, NumerationError, canonical, value
-from mahler.rings import INTEGERS, RATIONALS, PrimeField, RingError
+from mahler.rings import INTEGERS, RATIONALS, ModRing, PrimeField, RingError
+from mahler.serialize import automaton_to_json
 from mahler.wfa import (
     WeightedAutomaton,
     same_structure,
@@ -633,6 +635,13 @@ class TestBuildAutomatonDumas:
         B = build_automaton_z(P)
         assert list(sequence_prefix(D, ZECKENDORF, 300)) == \
             list(sequence_prefix(B, ZECKENDORF, 300))
+        assert same_structure(D, B)
+        rng = random.Random(5)
+        for trial in range(8):
+            ring = (INTEGERS, RATIONALS, F5, ModRing(6))[trial % 4]
+            P = make_random_equation(rng, ring, ZECKENDORF, 3, 4,
+                                     zero_f0=trial % 3 == 0)
+            assert same_structure(build_automaton_dumas(P), build_automaton_z(P))
 
     def test_explicit_g_automaton(self):
         dfib = shipped("dumas_fib.eq")
@@ -686,6 +695,43 @@ class TestBuildAutomatonDumas:
     def test_rejects_incompatible_f0(self):
         with pytest.raises(EquationError, match="f0 = 1 is not compatible"):
             build_automaton_dumas(shipped("dumas_twolayer.eq"), f0=1)
+
+
+def test_builder_json_is_pinned():
+    # sha256 of automaton_to_json: a rewrite of a builder must keep its
+    # output byte for byte (state names and order, vectors, arrows).
+    dfib = shipped("dumas_fib.eq")
+    plain = MahlerEquation(ring=dfib.ring, kind=dfib.kind,
+                           alpha=dict(dfib.alpha), f0=dfib.f0)
+    fib = shipped("fib_repr.eq")
+    builds = {
+        "z fib_repr": (build_automaton_z(fib),
+                       "a2fbd86c864454e60e720363a9a6041b3f23dd7df9d354e2e9e365ba31c96339"),
+        "z fib_repr widened": (
+            build_automaton_z(fib, _extra_i=1, _extra_j=3),
+            "2f06c37a3be504bc864500ad3e24cd70676d224063a8c5945c8b575bd79918ff"),
+        "dumas fib_repr": (build_automaton_dumas(fib),
+                           "a2fbd86c864454e60e720363a9a6041b3f23dd7df9d354e2e9e365ba31c96339"),
+        "dumas dumas_fib": (build_automaton_dumas(dfib),
+                            "114a36dff517a730f666e4db0476a8f2317774f2c09bb941677419d383f0f7ce"),
+        "dumas dumas_twolayer": (
+            build_automaton_dumas(shipped("dumas_twolayer.eq")),
+            "ed1f6bef8853ab93982b260964e0450b3315d93933eab41110ea83989a3396bd"),
+        "dumas G = count-ones": (
+            build_automaton_dumas(plain, G=count_ones_automaton(INTEGERS)),
+            "ba8884b0ddec0bb0bf3bc163c20791044f32748b21c42b1b1eae1c3a00bac58b"),
+        "dumas G = x^2": (
+            build_automaton_dumas(
+                plain, G=polynomial_automaton([0, 0, 1], ZECKENDORF, INTEGERS)),
+            "114a36dff517a730f666e4db0476a8f2317774f2c09bb941677419d383f0f7ce"),
+        "q hyperbinary": (build_automaton_q(shipped("hyperbinary.eq")),
+                          "c23cf552e700ad44f0bb0528835504d4c5733d6fdaee41c031cfcd64e9450c9e"),
+        "q two-layer": (build_automaton_q(TWO_LAYER),
+                        "42088ae60aa44c0a45f368287a346647c0fe4b07dddcdc7c7e8ed71b4cda96fe"),
+    }
+    got = {name: hashlib.sha256(automaton_to_json(A).encode()).hexdigest()
+           for name, (A, _) in builds.items()}
+    assert got == {name: digest for name, (_, digest) in builds.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,10 @@ class TestJsonValidation:
         with pytest.raises(AutomatonError, match="not valid JSON"):
             automaton_from_json("{nope")
 
+    def test_too_deeply_nested(self):
+        with pytest.raises(AutomatonError, match="not valid JSON"):
+            automaton_from_json("[" * 200_000)
+
     def test_not_an_object(self):
         with pytest.raises(AutomatonError, match="expected a JSON object"):
             automaton_from_json("[1, 2]")
