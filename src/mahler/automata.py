@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .numeration import Base, NumerationKind, _digits, format_word, word_alphabet
-from .rings import INTEGERS, Ring
+from .rings import INTEGERS, Ring, RingValue
 from .wfa import (AutomatonError, DfaWithOutput, UnambiguousAutomaton,
                   WeightedAutomaton, _dfa_table, explore, explore_automaton,
                   reachable)
@@ -345,9 +345,7 @@ def shift_regular(A: WeightedAutomaton, j: int) -> WeightedAutomaton:
 def _shift_once(A: WeightedAutomaton) -> WeightedAutomaton:
     pairs, rtrans, raccept, rinit = _recognizer_cached((-1, 0, 1), 1)
     ring = A.ring
-    out_arrows: dict = {}
-    for (s, lab, d), w in A.transitions.items():
-        out_arrows.setdefault((s, lab), []).append((d, w))
+    arrows = A._arrows
 
     def successors(state):
         r, s, x = state
@@ -355,8 +353,8 @@ def _shift_once(A: WeightedAutomaton) -> WeightedAutomaton:
             for guess in (0, 1) if x == 0 else (0,):
                 r2 = rtrans.get((r, b - guess))
                 if r2 is not None:
-                    for d, w in out_arrows.get((s, guess), ()):
-                        yield b, (r2, d, guess), w
+                    for d, w in arrows.get(guess, {}).get(s, ()):
+                        yield b, (r2, d, guess), RingValue(ring, w)
 
     def name(state):
         r, s, x = state

@@ -43,7 +43,7 @@ from .numeration import (
     phi,
     preimages,
 )
-from .rings import Ring, RingError, RingValue, parse_ring
+from .rings import Ring, RingError, RingValue, _quote, parse_ring
 from .wfa import (
     AutomatonError,
     WeightedAutomaton,
@@ -336,7 +336,7 @@ def parse_equation(text: str) -> MahlerEquation:
         try:
             return int(tok, 10)
         except ValueError:
-            fail(lineno, f"{what} must be an integer, got {tok!r}")
+            fail(lineno, f"{what} must be an integer, got {_quote(tok)}")
 
     ring = None
     kind = None
@@ -400,7 +400,7 @@ def parse_equation(text: str) -> MahlerEquation:
                 fail(lineno, f"duplicate g {j}")
             g_entries[j] = (lineno, toks[2])
         else:
-            fail(lineno, f"unknown directive {key!r}")
+            fail(lineno, f"unknown directive {_quote(key)}")
     if ring is None:
         raise EquationFileError("missing ring line")
     if kind is None:
@@ -653,10 +653,7 @@ def _build_z(P: MahlerEquation, f0, G: Optional[WeightedAutomaton],
         fins = [t for t, w in enumerate(Bj.final) if w]
         if len(fins) != 1:
             raise AutomatonError("normalize did not produce a single final state")
-        out_by_state = {}
-        for (src, b, dst), w in Bj.transitions.items():
-            out_by_state.setdefault(src, []).append((b, dst, w))
-        parts.append((fins[0], out_by_state))
+        parts.append((fins[0], Bj._arrows))
         for sidx, w in enumerate(Bj.initial):
             if w and sidx != fins[0]:
                 seeds["g", j, sidx, ctx.q_init, u0] = w
@@ -665,10 +662,11 @@ def _build_z(P: MahlerEquation, f0, G: Optional[WeightedAutomaton],
         if state[0] != "g":
             return ctx.moves(state)
         _tag, j, bs, qs, u = state
-        fin, out_by_state = parts[j]
+        fin, arrows = parts[j]
         q2, nxt = ctx.advance(qs, u)
-        return [(b, (0, j, q2, nxt[b]) if dst == fin else ("g", j, dst, q2, nxt[b]), w)
-                for b, dst, w in out_by_state.get(bs, ()) if b in nxt]
+        return [(b, (0, j, q2, u2) if dst == fin else ("g", j, dst, q2, u2),
+                 RingValue(ring, w))
+                for b, u2 in nxt.items() for dst, w in arrows.get(b, {}).get(bs, ())]
 
     part_size = [0] * len(parts)
 

@@ -9,8 +9,16 @@ mixing rings raises instead of silently coercing.
 
 from __future__ import annotations
 
+import reprlib
 from fractions import Fraction
 from math import gcd
+
+
+def _quote(value) -> str:
+    """repr(value) for an error message, cut short (strings to 30
+    characters, arrays to 6 entries and 6 levels of nesting) so that
+    hostile input cannot blow an error line up."""
+    return reprlib.repr(value)
 
 
 class RingError(ValueError):
@@ -101,8 +109,8 @@ class Ring:
         """Parse an element literal: signed decimal, `a/b` for rationals."""
         try:
             return self.element(self._parse_payload(text.strip()))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise RingError(f"bad {self.spec} element {text!r}: {exc}") from None
+        except (ValueError, ZeroDivisionError):
+            raise RingError(f"bad {self.spec} element {_quote(text)}") from None
 
     def _parse_payload(self, text):
         return int(text)
@@ -211,7 +219,7 @@ class IntegerRing(Ring):
                 raise RingError(f"{x} is not an integer")
             return x.numerator
         if not isinstance(x, int):
-            raise RingError(f"cannot make a Z element from {x!r}")
+            raise RingError(f"cannot make a Z element from {_quote(x)}")
         return x
 
 
@@ -237,7 +245,7 @@ class RationalRing(Ring):
     def _canon(self, x):
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
-        raise RingError(f"cannot make a Q element from {x!r}")
+        raise RingError(f"cannot make a Q element from {_quote(x)}")
 
     def _parse_payload(self, text):
         if "/" in text:
@@ -256,7 +264,7 @@ class ModRing(Ring):
 
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 2:
-            raise RingError(f"modulus must be an integer >= 2, got {n!r}")
+            raise RingError(f"modulus must be an integer >= 2, got {_quote(n)}")
         self.n = n
         self.spec = f"Zmod:{n}"
         self.characteristic = n
@@ -278,7 +286,7 @@ class ModRing(Ring):
                 raise RingError(f"denominator of {x} is not a unit mod {self.n}")
             return (x.numerator * pow(x.denominator, -1, self.n)) % self.n
         if not isinstance(x, int):
-            raise RingError(f"cannot make a {self.spec} element from {x!r}")
+            raise RingError(f"cannot make a {self.spec} element from {_quote(x)}")
         return x % self.n
 
 
@@ -289,7 +297,7 @@ class PrimeField(ModRing):
 
     def __init__(self, p: int):
         if not _is_prime(p):
-            raise RingError(f"Fp modulus must be prime, got {p!r}")
+            raise RingError(f"Fp modulus must be prime, got {_quote(p)}")
         super().__init__(p)
         self.spec = f"Fp:{p}"
         self._init_constants()
@@ -313,13 +321,13 @@ def parse_ring(spec: str) -> Ring:
         try:
             return ModRing(int(spec[5:]))
         except ValueError:
-            raise RingError(f"bad modulus in {spec!r}") from None
+            raise RingError(f"bad modulus in {_quote(spec)}") from None
     if spec.startswith("Fp:"):
         try:
             return PrimeField(int(spec[3:]))
         except ValueError:
-            raise RingError(f"bad prime in {spec!r}") from None
-    raise RingError(f"unknown ring spec {spec!r}")
+            raise RingError(f"bad prime in {_quote(spec)}") from None
+    raise RingError(f"unknown ring spec {_quote(spec)}")
 
 
 def ring_inverse(a: RingValue) -> RingValue:

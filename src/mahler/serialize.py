@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 
-from .rings import RingValue, parse_ring
+from .rings import RingValue, _quote, parse_ring
 from .wfa import AutomatonError, DfaWithOutput, WeightedAutomaton, _label_key
 
 
@@ -35,12 +35,12 @@ def _decode_label(raw):
         out = []
         for x in raw:
             if not isinstance(x, int) or isinstance(x, bool):
-                raise AutomatonError(f"label component {x!r} is not an integer")
+                raise AutomatonError(f"label component {_quote(x)} is not an integer")
             out.append(x)
         return tuple(out)
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
-    raise AutomatonError(f"label {raw!r} is neither an integer nor an array")
+    raise AutomatonError(f"label {_quote(raw)} is neither an integer nor an array")
 
 
 def automaton_to_json(A: WeightedAutomaton) -> str:
@@ -64,13 +64,13 @@ def automaton_to_json(A: WeightedAutomaton) -> str:
 def automaton_from_json(text: str) -> WeightedAutomaton:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # also ints past the str limit
         raise AutomatonError(f"not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise AutomatonError("expected a JSON object")
     if doc.get("type", "wfa") != "wfa":
         raise AutomatonError(
-            f"cannot import automata of type {doc.get('type')!r}; only "
+            f"cannot import automata of type {_quote(doc.get('type'))}; only "
             "weighted automata round-trip")
     for key in ("ring", "alphabet", "states", "initial", "final", "transitions"):
         if key not in doc:
@@ -84,7 +84,7 @@ def automaton_from_json(text: str) -> WeightedAutomaton:
     index = {}
     for i, name in enumerate(states):
         if name in index:
-            raise AutomatonError(f"duplicate state name {name!r}")
+            raise AutomatonError(f"duplicate state name {_quote(name)}")
         index[name] = i
     if not isinstance(doc["alphabet"], list):
         raise AutomatonError("alphabet must be an array")
@@ -92,7 +92,7 @@ def automaton_from_json(text: str) -> WeightedAutomaton:
 
     def parse_weight(wtext, what):
         if not isinstance(wtext, str):
-            raise AutomatonError(f"{what} weight {wtext!r} is not a string")
+            raise AutomatonError(f"{what} weight {_quote(wtext)} is not a string")
         return ring.parse(wtext)
 
     def vector(mapping, what):
@@ -101,7 +101,7 @@ def automaton_from_json(text: str) -> WeightedAutomaton:
         vec = [ring.zero] * len(states)
         for name, wtext in mapping.items():
             if name not in index:
-                raise AutomatonError(f"{what} names unknown state {name!r}")
+                raise AutomatonError(f"{what} names unknown state {_quote(name)}")
             vec[index[name]] = parse_weight(wtext, what)
         return tuple(vec)
 
@@ -116,13 +116,15 @@ def automaton_from_json(text: str) -> WeightedAutomaton:
         try:
             src, label, wtext, dst = row["from"], row["label"], row["weight"], row["to"]
         except KeyError as e:
-            raise AutomatonError(f"transition missing key {e.args[0]!r}") from None
+            raise AutomatonError(f"transition missing key {_quote(e.args[0])}") from None
         if not (isinstance(src, str) and isinstance(dst, str)
                 and src in index and dst in index):
-            raise AutomatonError(f"transition endpoint unknown: {src!r} -> {dst!r}")
+            raise AutomatonError(
+                f"transition endpoint unknown: {_quote(src)} -> {_quote(dst)}")
         key = (index[src], _decode_label(label), index[dst])
         if key in trans:
-            raise AutomatonError(f"duplicate transition {src!r} -{label!r}-> {dst!r}")
+            raise AutomatonError(
+                f"duplicate transition {_quote(src)} -{_quote(label)}-> {_quote(dst)}")
         trans[key] = parse_weight(wtext, "transition")
     return WeightedAutomaton(
         ring=ring,
@@ -140,7 +142,7 @@ def dfa_to_json(D: DfaWithOutput) -> str:
             return v
         if isinstance(v, RingValue):
             return str(v)
-        raise AutomatonError(f"cannot serialize output {v!r}")
+        raise AutomatonError(f"cannot serialize output {_quote(v)}")
 
     doc = {
         "type": "dfa",

@@ -18,6 +18,12 @@ The weighted ones (the equation compilers, products, shifts and the
 Zeckendorf adder) take the explored states straight to a trimmed
 machine through explore_automaton().  Plain reachability without
 numbering (trimming) uses reachable().
+
+A weighted machine keeps one arrow index, built with it: ``_arrows`` maps
+label -> {src: [(dst, weight payload), ...]} in the order of
+``transitions``, i.e. each mu(b) stored row by row.  _step_payload,
+determinize, matrix_rep, path counting, cauchy_product,
+automata._shift_once and the copies of g in equations._build_z read it.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, Union
 
 from .numeration import Base, NumerationKind, as_digits, canonical
-from .rings import INTEGERS, Ring, RingError, RingValue
+from .rings import INTEGERS, Ring, RingError, RingValue, _quote
 
 Label = Union[int, tuple]
 
@@ -144,7 +150,10 @@ class DfaWithOutput:
 
 @dataclass(frozen=True, eq=False)
 class WeightedAutomaton:
-    """Weighted automaton: ring, alphabet, named states, I/F vectors, arrows."""
+    """Weighted automaton: ring, alphabet, named states, I/F vectors, arrows
+    (``transitions``: (src, label, dst) -> nonzero weight), and the arrow
+    index ``_arrows``: label -> {src: [(dst, payload), ...]}, built once
+    here; the module docstring lists the code that reads it."""
 
     ring: Ring
     alphabet: tuple
@@ -168,17 +177,16 @@ class WeightedAutomaton:
         if len(initial) != n or len(final) != n:
             raise AutomatonError("initial/final vector length differs from state count")
         clean = {}
+        arrows: dict = {}
         for (src, label, dst), w in dict(self.transitions).items():
             if not (0 <= src < n and 0 <= dst < n):
                 raise AutomatonError(f"transition endpoint out of range: {(src, label, dst)}")
             if label not in alpha_set:
-                raise AutomatonError(f"transition label {label!r} not in alphabet")
+                raise AutomatonError(f"transition label {_quote(label)} not in alphabet")
             w = ring.element(w)
             if w:
                 clean[(src, label, dst)] = w
-        arrows = {}
-        for (src, label, dst), w in clean.items():
-            arrows.setdefault(label, []).append((src, dst, w.payload))
+                arrows.setdefault(label, {}).setdefault(src, []).append((dst, w.payload))
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "initial", initial)
@@ -206,21 +214,23 @@ def _word_labels(A: WeightedAutomaton, w) -> list:
     alpha = set(A.alphabet)
     for lab in labels:
         if lab not in alpha:
-            raise AutomatonError(f"label {lab!r} outside automaton alphabet")
+            raise AutomatonError(f"label {_quote(lab)} outside automaton alphabet")
     return labels
 
 
 def _step_payload(A: WeightedAutomaton, vec: dict, label) -> dict:
+    """The sparse row vector vec * mu(label): each nonzero entry of vec
+    meets the arrows of its own source only."""
+    by_src = A._arrows.get(label, {})
     ring = A.ring
+    add, mul = ring._add, ring._mul
     zero = ring._zero.payload
     out: dict = {}
-    for src, dst, wpay in A._arrows.get(label, ()):
-        a = vec.get(src)
-        if a is None:
-            continue
-        prod = ring._mul(a, wpay)
-        cur = out.get(dst)
-        out[dst] = prod if cur is None else ring._add(cur, prod)
+    for src, a in vec.items():
+        for dst, wpay in by_src.get(src, ()):
+            prod = mul(a, wpay)
+            cur = out.get(dst)
+            out[dst] = prod if cur is None else add(cur, prod)
     return {s: v for s, v in out.items() if v != zero}
 
 
@@ -228,32 +238,36 @@ def _initial_payload(A: WeightedAutomaton) -> dict:
     return {i: v.payload for i, v in enumerate(A.initial) if v}
 
 
-def _gather_payload(A: WeightedAutomaton, vec: dict) -> RingValue:
+def _gather_payload(A: WeightedAutomaton, entries: Iterable[tuple]) -> RingValue:
+    """Sum of a * F[s] over the (s, a) payload pairs of a row vector."""
     ring = A.ring
-    acc = ring._zero.payload
-    zero = acc
-    for s, a in vec.items():
-        f = A.final[s].payload
+    acc = zero = ring._zero.payload
+    final = A.final
+    for s, a in entries:
+        f = final[s].payload
         if f != zero:
             acc = ring._add(acc, ring._mul(a, f))
     return RingValue(ring, acc)
 
 
-def weight(A: WeightedAutomaton, w) -> RingValue:
-    """Weight of a digit word under the automaton."""
+def _fold(A: WeightedAutomaton, w) -> dict:
+    """The sparse row vector I * mu(w)."""
     vec = _initial_payload(A)
     for label in _word_labels(A, w):
         if not vec:
             break
         vec = _step_payload(A, vec, label)
-    return _gather_payload(A, vec)
+    return vec
+
+
+def weight(A: WeightedAutomaton, w) -> RingValue:
+    """Weight of a digit word under the automaton."""
+    return _gather_payload(A, _fold(A, w).items())
 
 
 def forward_vector(A: WeightedAutomaton, w) -> tuple:
     """Accumulated in-weight per state after reading the word."""
-    vec = _initial_payload(A)
-    for label in _word_labels(A, w):
-        vec = _step_payload(A, vec, label)
+    vec = _fold(A, w)
     zero = A.ring._zero.payload
     return tuple(RingValue(A.ring, vec.get(i, zero)) for i in range(len(A.states)))
 
@@ -284,7 +298,7 @@ def sequence_prefix(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list:
         stack = [(_step_payload(A, init, b), b) for b in range(min(q - 1, N), 0, -1)]
         while stack:
             vec, val = stack.pop()
-            out[val] = _gather_payload(A, vec)
+            out[val] = _gather_payload(A, vec.items())
             for b in range(q - 1, -1, -1):
                 child = q * val + b
                 if child <= N:
@@ -293,7 +307,7 @@ def sequence_prefix(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list:
         stack = [(_step_payload(A, init, 1), 1, 2, 1)]
         while stack:
             vec, val, shifted, last = stack.pop()
-            out[val] = _gather_payload(A, vec)
+            out[val] = _gather_payload(A, vec.items())
             for b in ((0,) if last == 1 else (1, 0)):
                 child = shifted + b
                 if child <= N:
@@ -404,8 +418,9 @@ def matrix_rep(A: WeightedAutomaton) -> MatrixRep:
     mats = {}
     for label in A.alphabet:
         rows = [[zero] * n for _ in range(n)]
-        for src, dst, wpay in A._arrows.get(label, ()):
-            rows[src][dst] = rows[src][dst] + RingValue(A.ring, wpay)
+        for src, out in A._arrows.get(label, {}).items():
+            for dst, wpay in out:
+                rows[src][dst] = RingValue(A.ring, wpay)
         mats[label] = tuple(tuple(r) for r in rows)
     return MatrixRep(
         ring=A.ring,
@@ -448,57 +463,45 @@ def same_structure(A: WeightedAutomaton, B: WeightedAutomaton) -> bool:
 # {0, 1}, the automaton weight of a word counts its accepting paths.  The
 # machine is unambiguous up to length L exactly when the sum over words of
 # (path count)^2 matches the sum of path counts at every length; the
-# squared sum comes from the pair-product automaton, so no word
-# enumeration happens.
-
-def _total_path_weight(I, arrows_by_label, F, L, labels) -> list[int]:
-    totals = []
-    vec = dict(I)
-    for _ in range(L + 1):
-        totals.append(sum(a * F.get(s, 0) for s, a in vec.items()))
-        nxt: dict = {}
-        for label in labels:
-            for src, dst, w in arrows_by_label.get(label, ()):
-                a = vec.get(src)
-                if a:
-                    nxt[dst] = nxt.get(dst, 0) + a * w
-        vec = nxt
-    return totals
-
+# squared sum is the path count of the pair machine, which reads each
+# label on two paths at once, so no word enumeration happens.
 
 def count_accepted_paths(A: WeightedAutomaton, L: int) -> list[int]:
     """Sum over words of each length 0..L of the automaton weight (in Z)."""
     if A.ring != INTEGERS:
         raise AutomatonError("path counting is defined over the integers")
-    I = {i: v.payload for i, v in enumerate(A.initial) if v}
-    F = {i: v.payload for i, v in enumerate(A.final) if v}
-    return _total_path_weight(I, A._arrows, F, L, A.alphabet)
+    totals = []
+    vec = _initial_payload(A)
+    for _ in range(L + 1):
+        totals.append(_gather_payload(A, vec.items()).payload)
+        nxt: dict = {}
+        for label in A.alphabet:
+            for s, a in _step_payload(A, vec, label).items():
+                nxt[s] = nxt.get(s, 0) + a
+        vec = nxt
+    return totals
 
 
 def count_accepted_path_pairs(A: WeightedAutomaton, L: int) -> list[int]:
-    """Sum over words of the squared weight, via the pair-product automaton."""
+    """Sum over words of the squared weight: the path count of the pair
+    machine on states (s1, s2), trimmed, which keeps every total."""
     if A.ring != INTEGERS:
         raise AutomatonError("path counting is defined over the integers")
-    I = {}
-    for i, vi in enumerate(A.initial):
-        if vi:
-            for j, vj in enumerate(A.initial):
-                if vj:
-                    I[(i, j)] = vi.payload * vj.payload
-    F = {}
-    for i, vi in enumerate(A.final):
-        if vi:
-            for j, vj in enumerate(A.final):
-                if vj:
-                    F[(i, j)] = vi.payload * vj.payload
-    arrows = {}
-    for label, arr in A._arrows.items():
-        pair = []
-        for s1, d1, w1 in arr:
-            for s2, d2, w2 in arr:
-                pair.append(((s1, s2), (d1, d2), w1 * w2))
-        arrows[label] = pair
-    return _total_path_weight(I, arrows, F, L, A.alphabet)
+
+    def successors(pair):
+        s1, s2 = pair
+        for label, by_src in A._arrows.items():
+            for d1, w1 in by_src.get(s1, ()):
+                for d2, w2 in by_src.get(s2, ()):
+                    yield label, (d1, d2), RingValue(INTEGERS, w1 * w2)
+
+    pairs = explore_automaton(
+        INTEGERS, A.alphabet,
+        {(i, j): vi * vj for i, vi in enumerate(A.initial) if vi
+         for j, vj in enumerate(A.initial) if vj},
+        successors, lambda pair: A.final[pair[0]] * A.final[pair[1]],
+        lambda pair: f"{pair[0]},{pair[1]}")
+    return count_accepted_paths(pairs, L)
 
 
 def is_unambiguous(A: WeightedAutomaton, L: int) -> bool:
@@ -555,15 +558,10 @@ def cauchy_product(A1: WeightedAutomaton, A2: WeightedAutomaton,
             raise AutomatonError("addition automaton labels must be digit triples")
         if lab[2] not in out_labels:
             out_labels.append(lab[2])
-    add_out: dict = {}
-    for (src, lab, dst) in AA.transitions:
-        add_out.setdefault(src, []).append((lab[0], lab[1], lab[2], dst))
-    out1: dict = {}
-    for (src, lab, dst), w in A1.transitions.items():
-        out1.setdefault((src, lab), []).append((dst, w))
-    out2: dict = {}
-    for (src, lab, dst), w in A2.transitions.items():
-        out2.setdefault((src, lab), []).append((dst, w))
+    # alphabet order, not index order, fixes the order of discovery (state numbering)
+    add_arrows = [(lab, AA._arrows[lab]) for lab in AA.alphabet if lab in AA._arrows]
+    arrows1, arrows2 = A1._arrows, A2._arrows
+    mul = ring._mul
 
     seeds = {(qa, s1, s2): v1 * v2
              for qa in range(len(AA.states)) if AA.initial[qa]
@@ -572,10 +570,11 @@ def cauchy_product(A1: WeightedAutomaton, A2: WeightedAutomaton,
 
     def successors(triple):
         qa, s1, s2 = triple
-        for b1, b2, b3, qa2 in add_out.get(qa, ()):
-            for d1, w1 in out1.get((s1, b1), ()):
-                for d2, w2 in out2.get((s2, b2), ()):
-                    yield b3, (qa2, d1, d2), w1 * w2
+        for (b1, b2, b3), by_src in add_arrows:
+            for qa2, _w in by_src.get(qa, ()):
+                for d1, w1 in arrows1.get(b1, {}).get(s1, ()):
+                    for d2, w2 in arrows2.get(b2, {}).get(s2, ()):
+                        yield b3, (qa2, d1, d2), RingValue(ring, mul(w1, w2))
 
     def final(triple):
         qa, s1, s2 = triple
@@ -609,24 +608,18 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
     n = len(A.states)
     zero = ring._zero.payload
     labels = sorted(A.alphabet, key=_label_key)
+    add, mul = ring._add, ring._mul
     start = tuple(v.payload for v in A.initial)
     arrows = A._arrows
-    out_side = tuple(v.payload for v in A.final)
 
     def step_vec(vec, label):
         acc = [zero] * n
-        for src, dst, w in arrows.get(label, ()):
+        for src, out in arrows.get(label, {}).items():
             a = vec[src]
             if a != zero:
-                acc[dst] = ring._add(acc[dst], ring._mul(a, w))
+                for dst, w in out:
+                    acc[dst] = add(acc[dst], mul(a, w))
         return tuple(acc)
-
-    def out_of(vec):
-        o = zero
-        for a, f in zip(vec, out_side):
-            if a != zero and f != zero:
-                o = ring._add(o, ring._mul(a, f))
-        return RingValue(ring, o)
 
     order, trans = explore(
         [start], lambda vec: ((label, step_vec(vec, label), None) for label in labels))
@@ -635,5 +628,5 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
         states=tuple(f"v{i}" for i in range(len(order))),
         initial=0,
         transitions=_dfa_table(trans),
-        outputs=tuple(out_of(v) for v in order),
+        outputs=tuple(_gather_payload(A, enumerate(v)) for v in order),
     )

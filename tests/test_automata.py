@@ -24,6 +24,8 @@ from mahler.wfa import (
     AutomatonError,
     MissingTransitionError,
     WeightedAutomaton,
+    count_accepted_path_pairs,
+    count_accepted_paths,
     eval_sequence,
     is_unambiguous,
     same_structure,
@@ -180,6 +182,22 @@ def test_addition_zeckendorf():
 def test_addition_zeckendorf_unambiguous_to_14():
     A = addition_automaton_zeckendorf().automaton
     assert is_unambiguous(A, 14)
+
+
+# The path totals behind each adder's UnambiguousAutomaton check, to
+# L = 10: the path counts equal the squared counts, length by length.
+@pytest.mark.parametrize("make, counts", [
+    (lambda: addition_automaton_base(2),
+     [1, 3, 10, 36, 136, 528, 2080, 8256, 32896, 131328, 524800]),
+    (lambda: addition_automaton_base(3),
+     [1, 6, 45, 378, 3321, 29646, 266085, 2392578, 21526641, 193720086, 1743421725]),
+    (addition_automaton_zeckendorf,
+     [1, 3, 6, 15, 36, 91, 231, 595, 1540, 4005, 10440]),
+], ids=["base2", "base3", "zeckendorf"])
+def test_adder_path_counts_pinned(make, counts):
+    add = make().automaton
+    assert count_accepted_paths(add, 10) == counts
+    assert count_accepted_path_pairs(add, 10) == counts
 
 
 def test_addition_dispatcher():

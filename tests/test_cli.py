@@ -456,3 +456,39 @@ def test_export_wfa_dot_and_json(capsys, tmp_path):
                          "--format", "json", "-o", str(dest))
     assert code == 0
     assert automaton_from_json(dest.read_text()).n_states == 3
+
+
+# ---------------------------------------------------------------------------
+# hostile input: one short error line
+
+def _wfa_doc(alphabet="[0, 1]", initial='{"a": "1"}'):
+    return ('{"ring": "Z", "alphabet": ' + alphabet + ', "states": ["a"], '
+            '"initial": ' + initial + ', "final": {"a": "1"}, "transitions": []}')
+
+
+HOSTILE = {
+    # at 980 levels a deep caller stack can make json.loads give up first;
+    # 400 levels always reach the label check
+    **{f"label nested {k} deep": ("x.json", _wfa_doc(alphabet="[0, " + "[" * k + "]" * k + "]"))
+       for k in (400, 980)},
+    "50,000-char state name": ("x.json", _wfa_doc(initial='{"' + "s" * 50_000 + '": "1"}')),
+    "integer past the str limit": ("x.json", _wfa_doc(alphabet="[0, " + "1" * 5000 + "]")),
+    "100,000-char directive": ("x.eq", "ring Z\n" + "x" * 100_000 + " 1\n"),
+    "100,000-char ring spec": ("x.eq", "ring " + "Z" * 100_000 + "\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_input_gives_one_short_error_line(case, capsys, tmp_path):
+    name, text = HOSTILE[case]
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    if name.endswith(".json"):
+        code, out, err = run(capsys, "eval", "-a", str(path), "-n", "1")
+    else:
+        code, out, err = run(capsys, "solve", "-f", str(path), "-N", "1")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines[0]) <= 200

@@ -14,7 +14,8 @@ from mahler.automata import (
 )
 from mahler.equations import build_automaton_z
 from mahler.numeration import ZECKENDORF, Base, canonical
-from mahler.rings import INTEGERS, RATIONALS, MixedRingError, PrimeField, RingError
+from mahler.rings import (INTEGERS, RATIONALS, MixedRingError, PrimeField, RingError,
+                          parse_ring)
 from mahler.wfa import (
     AutomatonError,
     DfaWithOutput,
@@ -274,6 +275,53 @@ def test_matrix_rep_round_trip():
         total = sum((v * f for v, f in zip(vec, rep.final)),
                     start=INTEGERS.zero)
         assert total == weight(A, w)
+
+
+# Random machines over Z, Fp:3 and Zmod:6 with several arrows per
+# (source, label); the Zmod:6 weights 2, 3 and 4 make products cancel.
+INDEX_RINGS = {"Z": (INTEGERS, (-2, -1, 1, 2, 3)),
+               "Fp:3": (parse_ring("Fp:3"), (1, 2)),
+               "Zmod:6": (parse_ring("Zmod:6"), (1, 2, 3, 4, 5))}
+
+
+@st.composite
+def indexed_machines(draw):
+    ring, weights = INDEX_RINGS[draw(st.sampled_from(sorted(INDEX_RINGS)))]
+    n = draw(st.integers(1, 4))
+    entry = st.sampled_from((0,) + weights)
+    arrows = draw(st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.sampled_from((0, 1)), st.integers(0, n - 1)),
+        st.sampled_from(weights), max_size=3 * n))
+    return WeightedAutomaton(
+        ring=ring, alphabet=(0, 1), states=tuple(f"s{i}" for i in range(n)),
+        initial=tuple(draw(st.lists(entry, min_size=n, max_size=n))),
+        final=tuple(draw(st.lists(entry, min_size=n, max_size=n))),
+        transitions=arrows)
+
+
+@settings(max_examples=60)
+@given(indexed_machines())
+def test_arrow_index_steps_like_the_dense_matrices(A):
+    ring, n = A.ring, A.n_states
+    rep = matrix_rep(A)
+    for b in A.alphabet:
+        for s, d in product(range(n), repeat=2):
+            assert rep.matrices[b][s][d] == A.transition(s, b, d)
+    finite = ring.cardinality is not None
+    if finite:
+        direct, reverse = determinize(A, "direct"), determinize(A, "reverse")
+    for w in all_words(A.alphabet, 6):
+        vec = list(rep.initial)
+        for b in w:
+            mat = rep.matrices[b]
+            vec = [sum((vec[s] * mat[s][d] for s in range(n)), start=ring.zero)
+                   for d in range(n)]
+        total = sum((v * f for v, f in zip(vec, rep.final)), start=ring.zero)
+        assert forward_vector(A, w) == tuple(vec)
+        assert weight(A, w) == total
+        if finite:
+            assert direct.run(list(w)) == total
+            assert reverse.run(list(w)) == weight(A, w[::-1])
 
 
 def test_same_structure_detects_changes():
