@@ -93,13 +93,9 @@ from .wfa import (
     UnambiguousAutomaton,
     WeightedAutomaton,
     cauchy_product,
-    count_accepted_paths,
     determinize,
     eval_sequence,
     forward_vector,
-    is_unambiguous,
-    matrix_rep,
-    normalize,
     same_structure,
     sequence_prefix,
     trim,

@@ -208,7 +208,9 @@ def addition_automaton_base(q: int) -> UnambiguousAutomaton:
     The state is the value read so far of u + v - w; a value r other than
     0 or -1 can never come back to 0, since one more digit maps r to
     q*r + e with e between -(q-1) and 2(q-1), so only those two values are
-    kept; state "0" stands for running value 0 and state "1" for -1.
+    kept; state "0" stands for running value 0 and state "1" for -1.  The
+    next state is a function of the state and the triple, so the machine
+    is deterministic, which UnambiguousAutomaton checks.
     """
     if q < 2:
         raise AutomatonError(f"base must be >= 2, got {q}")
@@ -243,8 +245,9 @@ def addition_automaton_zeckendorf() -> UnambiguousAutomaton:
     """Addition automaton for the Zeckendorf numeration.
 
     Product of three per-track adjacent-ones checks with a zero recognizer
-    fed the digitwise combination a + b - c; deterministic, hence
-    unambiguous.  Accepts exactly the padded canonical triples.
+    fed the digitwise combination a + b - c; deterministic (checked by
+    UnambiguousAutomaton), hence unambiguous.  Accepts exactly the padded
+    canonical triples.
     """
     pairs, rtrans, raccept, rinit = _recognizer_cached((-1, 0, 1, 2), 0)
     one = INTEGERS.one

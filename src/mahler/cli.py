@@ -59,7 +59,7 @@ from .numeration import (
     format_word,
     parse_word,
 )
-from .rings import INTEGERS, PrimeField, RingError, parse_ring
+from .rings import INTEGERS, PrimeField, RingError, _quote, parse_ring
 from .serialize import (
     automaton_from_json,
     automaton_to_dot,
@@ -119,13 +119,13 @@ def _load_wfa(spec: str):
             ring = parse_ring(ring_spec)
         if name not in BUILTIN_WFA:
             raise CliError(
-                f"unknown builtin automaton {name!r}; available: "
+                f"unknown builtin automaton {_quote(name)}; available: "
                 + ", ".join(sorted(BUILTIN_WFA)))
         maker, takes_ring = BUILTIN_WFA[name]
         if takes_ring:
             return maker(ring)
         if ring is not None:
-            raise CliError(f"builtin {name!r} does not take a ring suffix")
+            raise CliError(f"builtin {_quote(name)} does not take a ring suffix")
         return maker()
     with open(spec, "r", encoding="utf-8") as fh:
         return automaton_from_json(fh.read())
@@ -143,9 +143,9 @@ def _parse_numeration(text: str):
         try:
             return Base(int(text[len("base-"):], 10))
         except ValueError:
-            raise CliError(f"bad base in numeration {text!r}") from None
+            raise CliError(f"bad base in numeration {_quote(text)}") from None
     raise CliError(
-        f"unknown numeration {text!r}; expected 'zeckendorf' or 'base-<q>'")
+        f"unknown numeration {_quote(text)}; expected 'zeckendorf' or 'base-<q>'")
 
 
 def _emit(text: str, path):

@@ -45,11 +45,9 @@ from .numeration import (
 )
 from .rings import Ring, RingError, RingValue, _quote, parse_ring
 from .wfa import (
-    AutomatonError,
     WeightedAutomaton,
     eval_sequence,
     explore_automaton,
-    normalize,
     sequence_prefix,
     weight,
 )
@@ -626,19 +624,21 @@ def _build_z(P: MahlerEquation, f0, G: Optional[WeightedAutomaton],
 
     Explores the grid of _ZContext from the seeds s_{i,0,q0,0^g}
     (initial weight f0) and keeps F = 1 exactly on layer-0 states with
-    offset 0.  For a nonzero g, each offset j <= h~ also gets a copy B_j
-    of the automaton for x^j g (normalize of x^(j-1) g shifted once
-    more), run in lockstep with the defect state
-    and digit window of the grid: copy states are ("g", j, b, q, u),
-    state b of B_j, and are named g{j}n{t}, t counting them in order of
-    discovery.  Arrows into the unique final state of B_j land on the
-    grid state s_{0,j,q,u} instead, which injects g_{n-j} into the
-    offset-j carrier exactly where the recurrence wants it.  The
-    empty-word mass of each B_j is dropped: canonical expansions are
-    never empty, and the n = 0 identity is instead enforced up front as
-    compatibility of f0 with g_0 (without it no automaton of this shape
-    can compute the series, since the weight of "0" always equals the
-    right-hand side of that identity).  The result is trimmed.
+    offset 0.  For a nonzero g, each offset j <= h~ also gets a copy of
+    the automaton B_j for x^j g (x^(j-1) g shifted once more), run in
+    lockstep with the defect state and digit window of the grid: copy
+    states are ("g", j, b, q, u), state b of B_j, seeded from the
+    initial states of B_j and named g{j}n{t}, t counting them in order
+    of discovery.  Each copy state keeps the arrows of b, and on digit
+    e gains one arrow into the grid state s_{0,j,q,u} weighted
+    sum w F[d] over the arrows b -e-> d of B_j (when nonzero); this
+    injects g_{n-j} into the offset-j carrier exactly where the
+    recurrence wants it.  The empty-word mass of each B_j is dropped:
+    canonical expansions are never empty, and the n = 0 identity is
+    instead enforced up front as compatibility of f0 with g_0 (without
+    it no automaton of this shape can compute the series, since the
+    weight of "0" always equals the right-hand side of that identity).
+    The result is trimmed.
     """
     ring = P.ring
     f0 = _isolating_f0(
@@ -649,24 +649,27 @@ def _build_z(P: MahlerEquation, f0, G: Optional[WeightedAutomaton],
     parts = []
     for j in range(ctx.ht + 1 if G is not None else 0):
         xg = G if j == 0 else shift_regular(xg, 1)   # x^j g
-        Bj = normalize(xg)
-        fins = [t for t, w in enumerate(Bj.final) if w]
-        if len(fins) != 1:
-            raise AutomatonError("normalize did not produce a single final state")
-        parts.append((fins[0], Bj._arrows))
-        for sidx, w in enumerate(Bj.initial):
-            if w and sidx != fins[0]:
+        parts.append(xg)
+        for sidx, w in enumerate(xg.initial):
+            if w:
                 seeds["g", j, sidx, ctx.q_init, u0] = w
 
     def successors(state):
         if state[0] != "g":
             return ctx.moves(state)
         _tag, j, bs, qs, u = state
-        fin, arrows = parts[j]
+        Bj = parts[j]
         q2, nxt = ctx.advance(qs, u)
-        return [(b, (0, j, q2, u2) if dst == fin else ("g", j, dst, q2, u2),
-                 RingValue(ring, w))
-                for b, u2 in nxt.items() for dst, w in arrows.get(b, {}).get(bs, ())]
+        out = []
+        for b, u2 in nxt.items():
+            into = ring.zero
+            for dst, w in Bj._arrows.get(b, {}).get(bs, ()):
+                w = RingValue(ring, w)
+                out.append((b, ("g", j, dst, q2, u2), w))
+                into = into + w * Bj.final[dst]
+            if into:
+                out.append((b, (0, j, q2, u2), into))
+        return out
 
     part_size = [0] * len(parts)
 

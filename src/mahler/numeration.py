@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 from math import isqrt
 from typing import Iterable, Sequence, Union
 
+from .rings import _quote
+
 
 class NumerationError(ValueError):
     """Bad digits, malformed word text, or an out-of-domain argument."""
@@ -123,10 +125,10 @@ def parse_word(text: str) -> DigitWord:
         try:
             digits = tuple(int(part) for part in text.split(","))
         except ValueError:
-            raise NumerationError(f"bad digit word {text!r}") from None
+            raise NumerationError(f"bad digit word {_quote(text)}") from None
     else:
         if not text.isdigit():
-            raise NumerationError(f"bad digit word {text!r}")
+            raise NumerationError(f"bad digit word {_quote(text)}")
         digits = tuple(int(ch) for ch in text)
     alphabet = frozenset(digits) | frozenset((0, 1))
     return DigitWord(digits, alphabet)
@@ -198,24 +200,6 @@ def pad(w: Digits, length: int, alphabet: frozenset[int] | None = None) -> Digit
     if alphabet is None:
         alphabet = frozenset(padded) | frozenset((0, 1))
     return DigitWord(padded, alphabet)
-
-
-def digit_add(u: Digits, v: Digits) -> DigitWord:
-    """Elementwise digit sum of two words of equal length."""
-    a, b = as_digits(u), as_digits(v)
-    if len(a) != len(b):
-        raise NumerationError(f"length mismatch: {len(a)} vs {len(b)}")
-    digits = tuple(x + y for x, y in zip(a, b))
-    return DigitWord(digits, frozenset(digits) | frozenset((0, 1)))
-
-
-def digit_sub(u: Digits, v: Digits) -> DigitWord:
-    """Elementwise digit difference of two words of equal length."""
-    a, b = as_digits(u), as_digits(v)
-    if len(a) != len(b):
-        raise NumerationError(f"length mismatch: {len(a)} vs {len(b)}")
-    digits = tuple(x - y for x, y in zip(a, b))
-    return DigitWord(digits, frozenset(digits) | frozenset((0, 1)))
 
 
 # The Zeckendorf shift and its companions.  phi appends a zero digit; it

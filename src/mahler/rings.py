@@ -29,16 +29,32 @@ class MixedRingError(RingError):
     """Operation between values of two different rings."""
 
 
+# Miller-Rabin with the twelve prime bases 2..37 is exact below this bound
+# (Sorenson and Webster, Math. Comp. 2017); larger moduli are refused.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality test, exact for n below _PRIME_LIMIT."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -296,6 +312,8 @@ class PrimeField(ModRing):
     is_field = True
 
     def __init__(self, p: int):
+        if p >= _PRIME_LIMIT:
+            raise RingError(f"Fp modulus must be below {_PRIME_LIMIT}, got {_quote(p)}")
         if not _is_prime(p):
             raise RingError(f"Fp modulus must be prime, got {_quote(p)}")
         super().__init__(p)
@@ -324,11 +342,9 @@ def parse_ring(spec: str) -> Ring:
             raise RingError(f"bad modulus in {_quote(spec)}") from None
     if spec.startswith("Fp:"):
         try:
-            return PrimeField(int(spec[3:]))
+            p = int(spec[3:])
         except ValueError:
             raise RingError(f"bad prime in {_quote(spec)}") from None
+        return PrimeField(p)
     raise RingError(f"unknown ring spec {_quote(spec)}")
 
-
-def ring_inverse(a: RingValue) -> RingValue:
-    return a.inverse()

@@ -22,15 +22,16 @@ numbering (trimming) uses reachable().
 A weighted machine keeps one arrow index, built with it: ``_arrows`` maps
 label -> {src: [(dst, weight payload), ...]} in the order of
 ``transitions``, i.e. each mu(b) stored row by row.  _step_payload,
-determinize, matrix_rep, path counting, cauchy_product,
-automata._shift_once and the copies of g in equations._build_z read it.
+determinize, the determinism check of UnambiguousAutomaton,
+cauchy_product, automata._shift_once and the copies of g in
+equations._build_z read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Hashable, Iterable, Mapping, Union
 
 from .numeration import Base, NumerationKind, as_digits, canonical
 from .rings import INTEGERS, Ring, RingError, RingValue, _quote
@@ -137,15 +138,6 @@ class DfaWithOutput:
         for label in as_digits(word) if not isinstance(word, (list, tuple)) else word:
             state = self.step(state, label)
         return self.outputs[state]
-
-    def run_states(self, word) -> list[int]:
-        """The full state trajectory, starting state included."""
-        state = self.initial
-        out = [state]
-        for label in word:
-            state = self.step(state, label)
-            out.append(state)
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,92 +358,6 @@ def explore_automaton(ring: Ring, alphabet, seeds: Mapping,
     ))
 
 
-def normalize(A: WeightedAutomaton) -> WeightedAutomaton:
-    """Equivalent automaton whose only final state is a fresh sink.
-
-    The sink has final weight one and no outgoing transitions; every
-    transition into an old final state is duplicated into the sink with
-    the old final weight folded in, and the sink picks up the empty-word
-    weight as its initial weight.
-    """
-    ring = A.ring
-    sink = "fin"
-    while sink in A.states:
-        sink = sink + "_"
-    n = len(A.states)
-    empty_word = ring.zero
-    for i in range(n):
-        empty_word = empty_word + A.initial[i] * A.final[i]
-    trans = dict(A.transitions)
-    extra: dict = {}
-    for (src, label, dst), w in A.transitions.items():
-        f = A.final[dst]
-        if f:
-            key = (src, label, n)
-            cur = extra.get(key, ring.zero)
-            extra[key] = cur + w * f
-    trans.update(extra)
-    return WeightedAutomaton(
-        ring=ring,
-        alphabet=A.alphabet,
-        states=A.states + (sink,),
-        initial=A.initial + (empty_word,),
-        final=(ring.zero,) * n + (ring.one,),
-        transitions=trans,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixRep:
-    """Linear representation: row vector, one matrix per label, column vector."""
-
-    ring: Ring
-    alphabet: tuple
-    initial: tuple
-    matrices: Mapping  # label -> tuple of row tuples, entries RingValue
-    final: tuple
-
-
-def matrix_rep(A: WeightedAutomaton) -> MatrixRep:
-    n = len(A.states)
-    zero = A.ring.zero
-    mats = {}
-    for label in A.alphabet:
-        rows = [[zero] * n for _ in range(n)]
-        for src, out in A._arrows.get(label, {}).items():
-            for dst, wpay in out:
-                rows[src][dst] = RingValue(A.ring, wpay)
-        mats[label] = tuple(tuple(r) for r in rows)
-    return MatrixRep(
-        ring=A.ring,
-        alphabet=A.alphabet,
-        initial=A.initial,
-        matrices=MappingProxyType(mats),
-        final=A.final,
-    )
-
-
-def automaton_from_matrix(rep: MatrixRep, states: Sequence[str] | None = None) -> WeightedAutomaton:
-    n = len(rep.initial)
-    if states is None:
-        states = tuple(f"s{i}" for i in range(n))
-    trans = {}
-    for label, rows in rep.matrices.items():
-        for i in range(n):
-            for j in range(n):
-                w = rows[i][j]
-                if w:
-                    trans[(i, label, j)] = w
-    return WeightedAutomaton(
-        ring=rep.ring,
-        alphabet=rep.alphabet,
-        states=tuple(states),
-        initial=rep.initial,
-        final=rep.final,
-        transitions=trans,
-    )
-
-
 def same_structure(A: WeightedAutomaton, B: WeightedAutomaton) -> bool:
     """Identical states, alphabet, vectors and transition table."""
     return (A.ring == B.ring and A.alphabet == B.alphabet and A.states == B.states
@@ -459,66 +365,17 @@ def same_structure(A: WeightedAutomaton, B: WeightedAutomaton) -> bool:
             and dict(A.transitions) == dict(B.transitions))
 
 
-# Path counting for unambiguity: over the integers, with every weight in
-# {0, 1}, the automaton weight of a word counts its accepting paths.  The
-# machine is unambiguous up to length L exactly when the sum over words of
-# (path count)^2 matches the sum of path counts at every length; the
-# squared sum is the path count of the pair machine, which reads each
-# label on two paths at once, so no word enumeration happens.
-
-def count_accepted_paths(A: WeightedAutomaton, L: int) -> list[int]:
-    """Sum over words of each length 0..L of the automaton weight (in Z)."""
-    if A.ring != INTEGERS:
-        raise AutomatonError("path counting is defined over the integers")
-    totals = []
-    vec = _initial_payload(A)
-    for _ in range(L + 1):
-        totals.append(_gather_payload(A, vec.items()).payload)
-        nxt: dict = {}
-        for label in A.alphabet:
-            for s, a in _step_payload(A, vec, label).items():
-                nxt[s] = nxt.get(s, 0) + a
-        vec = nxt
-    return totals
-
-
-def count_accepted_path_pairs(A: WeightedAutomaton, L: int) -> list[int]:
-    """Sum over words of the squared weight: the path count of the pair
-    machine on states (s1, s2), trimmed, which keeps every total."""
-    if A.ring != INTEGERS:
-        raise AutomatonError("path counting is defined over the integers")
-
-    def successors(pair):
-        s1, s2 = pair
-        for label, by_src in A._arrows.items():
-            for d1, w1 in by_src.get(s1, ()):
-                for d2, w2 in by_src.get(s2, ()):
-                    yield label, (d1, d2), RingValue(INTEGERS, w1 * w2)
-
-    pairs = explore_automaton(
-        INTEGERS, A.alphabet,
-        {(i, j): vi * vj for i, vi in enumerate(A.initial) if vi
-         for j, vj in enumerate(A.initial) if vj},
-        successors, lambda pair: A.final[pair[0]] * A.final[pair[1]],
-        lambda pair: f"{pair[0]},{pair[1]}")
-    return count_accepted_paths(pairs, L)
-
-
-def is_unambiguous(A: WeightedAutomaton, L: int) -> bool:
-    """No word of length <= L has two accepting paths."""
-    return count_accepted_paths(A, L) == count_accepted_path_pairs(A, L)
-
-
 @dataclass(frozen=True, eq=False)
 class UnambiguousAutomaton:
     """A 0/1-weighted automaton over Z certified free of duplicate paths.
 
-    Construction checks the weight range and runs the path-pair counting
-    check up to ``check_length``; a failure raises.
+    Construction checks the weight range and that the machine is
+    deterministic: at most one initial state and at most one arrow per
+    (source, label).  Then every word has at most one path from the
+    initial state, at every length; a failure raises.
     """
 
     automaton: WeightedAutomaton
-    check_length: int = 12
 
     def __post_init__(self):
         A = self.automaton
@@ -528,10 +385,17 @@ class UnambiguousAutomaton:
         allowed = {INTEGERS.zero, INTEGERS.one}
         if not vals <= allowed:
             raise AutomatonError("weights outside {0, 1}")
-        if not is_unambiguous(A, self.check_length):
+        starts = [s for s, v in enumerate(A.initial) if v]
+        if len(starts) > 1:
             raise AutomatonError(
-                f"ambiguous: some word of length <= {self.check_length} "
-                f"has more than one accepting path")
+                f"ambiguous: states {_quote(A.states[starts[0]])} and "
+                f"{_quote(A.states[starts[1]])} are both initial")
+        for label, by_src in A._arrows.items():
+            for src, out in by_src.items():
+                if len(out) > 1:
+                    raise AutomatonError(
+                        f"ambiguous: state {_quote(A.states[src])} has "
+                        f"{len(out)} arrows on label {_quote(label)}")
 
     @property
     def alphabet(self):

@@ -100,6 +100,22 @@ def convolve(a, b):
     return [sum(a[k] * b[n - k] for k in range(n + 1)) for n in range(N)]
 
 
+def accepted_path_totals(initial, final, arrows, L):
+    """I * (sum_b M_b)^k * F for k = 0..L: the sum over all words of each
+    length of the automaton weight.  Plain-int vectors, arrows a dict
+    (src, label, dst) -> int."""
+    n = len(initial)
+    step = [[0] * n for _ in range(n)]
+    for (src, _label, dst), w in arrows.items():
+        step[src][dst] += w
+    vec = list(initial)
+    totals = []
+    for _ in range(L + 1):
+        totals.append(sum(v * f for v, f in zip(vec, final)))
+        vec = [sum(vec[s] * step[s][d] for s in range(n)) for d in range(n)]
+    return totals
+
+
 def phi_floor(n):
     """floor(n * golden ratio) via 80-digit decimal arithmetic."""
     return int(_PHI * n)

@@ -24,10 +24,7 @@ from mahler.wfa import (
     AutomatonError,
     MissingTransitionError,
     WeightedAutomaton,
-    count_accepted_path_pairs,
-    count_accepted_paths,
     eval_sequence,
-    is_unambiguous,
     same_structure,
     sequence_prefix,
     weight,
@@ -179,13 +176,21 @@ def test_addition_zeckendorf():
     assert weight(add, triple_word(4, 3, 7, ZECKENDORF, 3)).payload == 1
 
 
-def test_addition_zeckendorf_unambiguous_to_14():
-    A = addition_automaton_zeckendorf().automaton
-    assert is_unambiguous(A, 14)
+@pytest.mark.parametrize("make", [lambda: addition_automaton_base(2),
+                                  lambda: addition_automaton_base(3),
+                                  addition_automaton_zeckendorf],
+                         ids=["base2", "base3", "zeckendorf"])
+def test_adders_are_deterministic(make):
+    A = make().automaton
+    assert sum(1 for v in A.initial if v) == 1
+    arrows = {}
+    for (src, label, _dst) in A.transitions:
+        arrows[src, label] = arrows.get((src, label), 0) + 1
+    assert set(arrows.values()) == {1}
 
 
-# The path totals behind each adder's UnambiguousAutomaton check, to
-# L = 10: the path counts equal the squared counts, length by length.
+# Path totals of each adder to L = 10: being unambiguous with 0/1
+# weights, an adder's total at length L counts the accepted triples.
 @pytest.mark.parametrize("make, counts", [
     (lambda: addition_automaton_base(2),
      [1, 3, 10, 36, 136, 528, 2080, 8256, 32896, 131328, 524800]),
@@ -196,8 +201,9 @@ def test_addition_zeckendorf_unambiguous_to_14():
 ], ids=["base2", "base3", "zeckendorf"])
 def test_adder_path_counts_pinned(make, counts):
     add = make().automaton
-    assert count_accepted_paths(add, 10) == counts
-    assert count_accepted_path_pairs(add, 10) == counts
+    assert oracles.accepted_path_totals(
+        ints(add.initial), ints(add.final),
+        {key: w.payload for key, w in add.transitions.items()}, 10) == counts
 
 
 def test_addition_dispatcher():

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 
@@ -484,11 +485,37 @@ def test_hostile_input_gives_one_short_error_line(case, capsys, tmp_path):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     if name.endswith(".json"):
-        code, out, err = run(capsys, "eval", "-a", str(path), "-n", "1")
+        assert_one_short_error(*run(capsys, "eval", "-a", str(path), "-n", "1"))
     else:
-        code, out, err = run(capsys, "solve", "-f", str(path), "-N", "1")
+        assert_one_short_error(*run(capsys, "solve", "-f", str(path), "-N", "1"))
+
+
+def assert_one_short_error(code, out, err):
     assert code == 2
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert len(lines[0]) <= 200
+
+
+HOSTILE_ARGV = {
+    "5,000-char numeration": ("eval", "-a", "builtin:fib-repr", "-n", "3",
+                              "--numeration", "y" * 5000),
+    "5,000-char builtin name": ("eval", "-a", "builtin:" + "y" * 5000, "-n", "1"),
+    "5,000-char word": ("eval", "-a", "builtin:fib-repr", "--word", "x" * 5000),
+    "prime past the primality bound": (
+        "eval", "-a", "builtin:fib-repr@Fp:" + "9" * 40, "-n", "1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_ARGV))
+def test_hostile_argument_gives_one_short_error_line(case, capsys):
+    assert_one_short_error(*run(capsys, *HOSTILE_ARGV[case]))
+
+
+def test_large_prime_field_answers_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _err = run(capsys, "eval", "-a", "builtin:fib-repr@Fp:1000000000000000003",
+                          "-n", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out.strip() == "1"

@@ -9,8 +9,6 @@ from mahler.numeration import (
     NumerationError,
     canonical,
     delta,
-    digit_add,
-    digit_sub,
     fib,
     floor_phi,
     floor_phi2,
@@ -175,13 +173,6 @@ def test_pad():
     assert w.digits == (0, 0, 0, 1, 0, 1)
     with pytest.raises(NumerationError):
         pad(canonical(4), 2)
-
-
-def test_digit_add_sub():
-    assert digit_add((1, 0), (0, 1)).digits == (1, 1)
-    assert digit_sub((1, 0), (0, 1)).digits == (1, -1)
-    with pytest.raises(NumerationError):
-        digit_add((1,), (1, 0))
 
 
 def test_parse_and_format_word():

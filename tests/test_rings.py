@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,8 +11,9 @@ from mahler.rings import (
     ModRing,
     PrimeField,
     RingError,
+    _PRIME_LIMIT,
+    _is_prime,
     parse_ring,
-    ring_inverse,
 )
 
 
@@ -30,6 +32,28 @@ def test_parse_ring_specs():
 def test_parse_ring_rejects(bad):
     with pytest.raises(RingError):
         parse_ring(bad)
+
+
+def _trial_division_prime(n):
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20_000) if _is_prime(n)] == \
+        [n for n in range(20_000) if _trial_division_prime(n)]
+
+
+def test_large_moduli():
+    # a Carmichael number, and strong pseudoprimes to the bases 2..7 and
+    # to the bases 2..23
+    for n in (561, 3_215_031_751, 3_825_123_056_546_413_051):
+        assert not _is_prime(n)
+        with pytest.raises(RingError, match="must be prime"):
+            parse_ring(f"Fp:{n}")
+    for p in (2 ** 61 - 1, 1_000_000_000_000_000_003):
+        assert parse_ring(f"Fp:{p}").cardinality == p
+    with pytest.raises(RingError, match=str(_PRIME_LIMIT)):
+        parse_ring(f"Fp:{_PRIME_LIMIT}")
 
 
 def test_ring_flags():
@@ -90,7 +114,6 @@ def test_division_and_inverse():
     f7 = PrimeField(7)
     x = f7.element(3)
     assert x.inverse() == f7.element(5)
-    assert ring_inverse(x) * x == f7.one
     assert (f7.element(6) / f7.element(2)) == f7.element(3)
     assert f7.element(2) ** -2 == f7.element(4).inverse()
     with pytest.raises(ZeroDivisionError):

@@ -15,25 +15,19 @@ from mahler.automata import (
 from mahler.equations import build_automaton_z
 from mahler.numeration import ZECKENDORF, Base, canonical
 from mahler.rings import (INTEGERS, RATIONALS, MixedRingError, PrimeField, RingError,
-                          parse_ring)
+                          RingValue, parse_ring)
 from mahler.wfa import (
     AutomatonError,
     DfaWithOutput,
     MissingTransitionError,
     UnambiguousAutomaton,
     WeightedAutomaton,
-    automaton_from_matrix,
     cauchy_product,
-    count_accepted_path_pairs,
-    count_accepted_paths,
     determinize,
     eval_sequence,
     explore,
     explore_automaton,
     forward_vector,
-    is_unambiguous,
-    matrix_rep,
-    normalize,
     reachable,
     same_structure,
     sequence_prefix,
@@ -237,42 +231,37 @@ def test_trim_drops_unreachable_and_dead():
     assert trim(T) is T
 
 
-def test_normalize_single_final_and_weights():
-    for A in (fibonacci_representation_automaton(), count_ones_automaton(INTEGERS)):
-        N = normalize(A)
-        finals = [i for i, f in enumerate(N.final) if f]
-        assert len(finals) == 1
-        assert N.states[finals[0]] == "fin"
-        assert all(not f.is_one() or i == finals[0]
-                   for i, f in enumerate(N.final))
-        assert not any(src == finals[0] for (src, _b, _d) in N.transitions)
-        for w in all_words((0, 1), 10):
-            assert weight(N, w) == weight(A, w)
+def dense_matrices(A):
+    """One n x n matrix of RingValues per label, straight from transitions."""
+    n = A.n_states
+    mats = {b: [[A.ring.zero] * n for _ in range(n)] for b in A.alphabet}
+    for (s, b, d), w in A.transitions.items():
+        mats[b][s][d] = w
+    return mats
 
 
-def test_normalize_avoids_name_collision():
-    one = INTEGERS.one
-    A = WeightedAutomaton(
-        ring=INTEGERS, alphabet=(0,), states=("fin",),
-        initial=(one,), final=(one,), transitions={(0, 0, 0): 1})
-    N = normalize(A)
-    assert "fin_" in N.states
+def dense_forward(A, mats, w):
+    """I * M_{w_1} * ... * M_{w_k} by dense vector-matrix products."""
+    n, zero = A.n_states, A.ring.zero
+    vec = list(A.initial)
+    for b in w:
+        vec = [sum((vec[s] * mats[b][s][d] for s in range(n)), start=zero)
+               for d in range(n)]
+    return vec
 
 
 def test_matrix_rep_round_trip():
     A = hand_automaton()
-    rep = matrix_rep(A)
-    B = automaton_from_matrix(rep, states=A.states)
+    mats = dense_matrices(A)
+    n = A.n_states
+    B = WeightedAutomaton(
+        ring=A.ring, alphabet=A.alphabet, states=A.states, initial=A.initial,
+        final=A.final, transitions={(s, b, d): mats[b][s][d] for b in A.alphabet
+                                    for s in range(n) for d in range(n)})
     assert same_structure(A, B)
     # direct linear-algebra evaluation against the path semantics
     for w in all_words((0, 1), 6):
-        vec = list(rep.initial)
-        for label in w:
-            mat = rep.matrices[label]
-            vec = [sum((vec[i] * mat[i][j] for i in range(len(vec))),
-                       start=INTEGERS.zero)
-                   for j in range(len(vec))]
-        total = sum((v * f for v, f in zip(vec, rep.final)),
+        total = sum((v * f for v, f in zip(dense_forward(A, mats, w), A.final)),
                     start=INTEGERS.zero)
         assert total == weight(A, w)
 
@@ -302,21 +291,18 @@ def indexed_machines(draw):
 @settings(max_examples=60)
 @given(indexed_machines())
 def test_arrow_index_steps_like_the_dense_matrices(A):
-    ring, n = A.ring, A.n_states
-    rep = matrix_rep(A)
-    for b in A.alphabet:
-        for s, d in product(range(n), repeat=2):
-            assert rep.matrices[b][s][d] == A.transition(s, b, d)
+    ring = A.ring
+    indexed = [((s, b, d), RingValue(ring, w)) for b, by_src in A._arrows.items()
+               for s, out in by_src.items() for d, w in out]
+    assert len(indexed) == len(A.transitions)
+    assert dict(indexed) == dict(A.transitions)
+    mats = dense_matrices(A)
     finite = ring.cardinality is not None
     if finite:
         direct, reverse = determinize(A, "direct"), determinize(A, "reverse")
     for w in all_words(A.alphabet, 6):
-        vec = list(rep.initial)
-        for b in w:
-            mat = rep.matrices[b]
-            vec = [sum((vec[s] * mat[s][d] for s in range(n)), start=ring.zero)
-                   for d in range(n)]
-        total = sum((v * f for v, f in zip(vec, rep.final)), start=ring.zero)
+        vec = dense_forward(A, mats, w)
+        total = sum((v * f for v, f in zip(vec, A.final)), start=ring.zero)
         assert forward_vector(A, w) == tuple(vec)
         assert weight(A, w) == total
         if finite:
@@ -333,14 +319,6 @@ def test_same_structure_detects_changes():
         initial=A.initial, final=A.final,
         transitions={(0, 0, 0): 1, (0, 1, 1): 5, (1, 0, 1): 3})
     assert not same_structure(A, C)
-
-
-def test_count_paths_all_ones():
-    A = all_ones_automaton()
-    counts = count_accepted_paths(A, 6)
-    assert counts == [2 ** L for L in range(7)]
-    assert count_accepted_path_pairs(A, 6) == counts
-    assert is_unambiguous(A, 6)
 
 
 def ambiguous_automaton():
@@ -363,10 +341,33 @@ def ambiguous_automaton():
 
 def test_ambiguity_detected():
     A = ambiguous_automaton()
-    assert count_accepted_paths(A, 2)[2] == 2
-    assert count_accepted_path_pairs(A, 2)[2] == 4
-    assert not is_unambiguous(A, 2)
+    assert weight(A, (1, 0)) == INTEGERS.element(2)
+    with pytest.raises(AutomatonError, match="ambiguous: state 's' has 2 arrows on label 1"):
+        UnambiguousAutomaton(A)
+
+
+def test_ambiguity_past_twelve_digits_detected():
+    # 0 -1-> 1 and 0 -1-> 14, then two 12-step chains on 0 into the final
+    # states 13 and 26: only words of length 13 have two accepting paths
+    one, zero = INTEGERS.one, INTEGERS.zero
+    trans = {(0, 1, 1): 1, (0, 1, 14): 1}
+    for start in (1, 14):
+        trans.update({(start + k, 0, start + k + 1): 1 for k in range(12)})
+    A = WeightedAutomaton(
+        ring=INTEGERS, alphabet=(0, 1), states=tuple(f"s{i}" for i in range(27)),
+        initial=(one,) + (zero,) * 26,
+        final=tuple(one if i in (13, 26) else zero for i in range(27)),
+        transitions=trans)
+    assert weight(A, (1,) + (0,) * 12) == INTEGERS.element(2)
     with pytest.raises(AutomatonError, match="ambiguous"):
+        UnambiguousAutomaton(A)
+
+
+def test_second_initial_state_is_ambiguous():
+    one = INTEGERS.one
+    A = WeightedAutomaton(ring=INTEGERS, alphabet=(0,), states=("a", "b"),
+                          initial=(one, one), final=(one, one), transitions={})
+    with pytest.raises(AutomatonError, match="ambiguous: states 'a' and 'b' are both initial"):
         UnambiguousAutomaton(A)
 
 
@@ -378,11 +379,6 @@ def test_unambiguous_wrapper_validation():
         UnambiguousAutomaton(f2)
     ok = UnambiguousAutomaton(all_ones_automaton())
     assert ok.alphabet == (0, 1)
-
-
-def test_path_counting_needs_integers():
-    with pytest.raises(AutomatonError):
-        count_accepted_paths(count_ones_automaton(PrimeField(2)), 3)
 
 
 def test_cauchy_product_base2():
@@ -436,7 +432,6 @@ def test_dfa_run_and_missing_edge():
         outputs=("even", "odd"),
     )
     assert D.run((1, 0, 1)) == "odd"
-    assert D.run_states((1, 0)) == [0, 1, 0]
     with pytest.raises(MissingTransitionError):
         D.run((0,))
 
