@@ -126,63 +126,40 @@ def defect_automaton() -> DfaWithOutput:
     )
 
 
-def _determinize_nfa(arrows, initial_set, final_set, alphabet):
-    """Classical subset construction; the empty set is an explicit state."""
-    def successors(subset):
-        for d in alphabet:
-            yield d, frozenset(t for s in subset for t in arrows.get((s, d), ())), None
-
-    order, trans = explore([frozenset(initial_set)], successors)
-    accepting = tuple(bool(subset & final_set) for subset in order)
-    return order, _dfa_table(trans), accepting
-
-
 @lru_cache(maxsize=None)
 def defect_automaton_constructed() -> DfaWithOutput:
     """The defect machine rebuilt from scratch by the guess-the-sum route.
 
-    For each candidate output b, a nondeterministic machine reads the
-    difference word and guesses, digit by digit, an adjacent-ones-free word
-    w; a zero recognizer over {-1, 0, 1, 2} tracks [w minus input]_Z.  At
-    the end of input, w must have value equal to the input's and appending
-    a zero digit to both must leave difference -b.  The three determinized
-    machines are run in parallel; the output is the unique b that accepts,
-    or None if none does.
+    A nondeterministic machine reads the difference word and guesses,
+    digit by digit, an adjacent-ones-free word w; a zero recognizer over
+    {-1, 0, 1, 2} tracks [w minus input]_Z, and the NFA state is the
+    recognizer state with the last guessed digit.  At the end of input, w
+    must have value equal to the input's, and appending a zero digit to
+    both must leave difference -b.  The guessing does not depend on b, so
+    one subset construction (the empty set an explicit state) serves all
+    three candidate outputs: a subset outputs the unique b whose end
+    states it meets, or None if it meets none.
     """
     alphabet = (-1, 0, 1)
     pairs, trans, _accept, initial = _recognizer_cached((-1, 0, 1, 2), 0)
 
-    dfas = []
-    for b in (-1, 0, 1):
-        arrows: dict = {}
-        n = len(pairs)
-        for s in range(n):
-            for x in (0, 1):
-                sx = s * 2 + x
-                for bp in alphabet:
-                    targets = []
-                    t = trans.get((s, 0 - bp))
+    def successors(subset):
+        for bp in alphabet:
+            targets = set()
+            for s, x in subset:
+                t = trans.get((s, -bp))
+                if t is not None:
+                    targets.add((t, 0))
+                if x == 0:
+                    t = trans.get((s, 1 - bp))
                     if t is not None:
-                        targets.append(t * 2 + 0)
-                    if x == 0:
-                        t = trans.get((s, 1 - bp))
-                        if t is not None:
-                            targets.append(t * 2 + 1)
-                    if targets:
-                        arrows[(sx, bp)] = tuple(targets)
-        final = frozenset(s * 2 + x
-                          for s, (p, q) in enumerate(pairs)
-                          for x in (0, 1)
-                          if p == 0 and q == -b)
-        dfas.append(_determinize_nfa(arrows, {initial * 2 + 0}, final, alphabet))
+                        targets.add((t, 1))
+            yield bp, frozenset(targets), None
 
-    order, prod_trans = explore(
-        [(0, 0, 0)],
-        lambda triple: ((d, tuple(dfas[i][1][(triple[i], d)] for i in range(3)), None)
-                        for d in alphabet))
+    order, arrows = explore([frozenset({(initial, 0)})], successors)
     outputs = []
-    for triple in order:
-        hits = [b for i, b in enumerate((-1, 0, 1)) if dfas[i][2][triple[i]]]
+    for subset in order:
+        hits = [b for b in alphabet if any(pairs[s] == (0, -b) for s, _x in subset)]
         if len(hits) > 1:
             raise AutomatonError(f"defect sets overlap on a state: {hits}")
         outputs.append(hits[0] if hits else None)
@@ -190,7 +167,7 @@ def defect_automaton_constructed() -> DfaWithOutput:
         alphabet=alphabet,
         states=tuple(f"d{i}" for i in range(len(order))),
         initial=0,
-        transitions=_dfa_table(prod_trans),
+        transitions=_dfa_table(arrows),
         outputs=tuple(outputs),
     )
 
@@ -208,36 +185,25 @@ def addition_automaton_base(q: int) -> UnambiguousAutomaton:
     The state is the value read so far of u + v - w; a value r other than
     0 or -1 can never come back to 0, since one more digit maps r to
     q*r + e with e between -(q-1) and 2(q-1), so only those two values are
-    kept; state "0" stands for running value 0 and state "1" for -1.  The
-    next state is a function of the state and the triple, so the machine
-    is deterministic, which UnambiguousAutomaton checks.
+    explored from 0; state "0" stands for running value 0 and state "1"
+    for -1, and only "0" is final.  The next state is a function of the
+    state and the triple, so the machine is deterministic, which
+    UnambiguousAutomaton checks.
     """
     if q < 2:
         raise AutomatonError(f"base must be >= 2, got {q}")
     one = INTEGERS.one
-    digits = range(q)
-    states = (0, -1)
-    idx = {0: 0, -1: 1}
-    trans = {}
-    alphabet = []
-    for a in digits:
-        for b in digits:
-            for c in digits:
-                alphabet.append((a, b, c))
-                e = a + b - c
-                for r in states:
-                    r2 = q * r + e
-                    if r2 in idx:
-                        trans[(idx[r], (a, b, c), idx[r2])] = one
-    A = WeightedAutomaton(
-        ring=INTEGERS,
-        alphabet=tuple(alphabet),
-        states=("0", "1"),
-        initial=(one, INTEGERS.zero),
-        final=(one, INTEGERS.zero),
-        transitions=trans,
-    )
-    return UnambiguousAutomaton(A)
+    alphabet = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)]
+
+    def successors(r):
+        for a, b, c in alphabet:
+            r2 = q * r + a + b - c
+            if r2 in (0, -1):
+                yield (a, b, c), r2, one
+
+    return UnambiguousAutomaton(explore_automaton(
+        INTEGERS, alphabet, {0: one}, successors,
+        lambda r: one if r == 0 else INTEGERS.zero, lambda r: str(-r)))
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,9 @@ ring-parameterized builtins also take "builtin:<name>@<ring>", e.g.
 builtin:fib-repr@Q.  See BUILTIN_WFA / BUILTIN_DFA.  Exit codes: 0
 success or PASS, 1
 verification FAIL (or no relation found), 2 usage, parse, or
-precondition errors, an order -N above MAX_N, or running out of memory.
+precondition errors, an order -N above MAX_N, an equation whose d, h,
+g exponents or state grid pass MAX_N (build, verify), or running out of
+memory.
 """
 
 from __future__ import annotations
@@ -90,7 +92,18 @@ MAX_N = 10**6
 
 def _check_order(N: int, what: str = "-N") -> None:
     if N > MAX_N:
-        raise CliError(f"{what} = {N} exceeds the ceiling {MAX_N}")
+        # _quote cuts the digits short; past 4,300 digits repr(N) itself raises
+        shown = _quote(N) if N.bit_length() < 14_000 else f"a {N.bit_length()}-bit number"
+        raise CliError(f"{what} = {shown} exceeds the ceiling {MAX_N}")
+
+
+def _integer(text: str) -> int:
+    """argparse type for integer options; a bad value is quoted short
+    (its text, since repr of an int past 4,300 digits raises)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
 
 
 # name -> (maker, takes a ring suffix); a ring-parameterized maker gets
@@ -158,8 +171,15 @@ def _emit(text: str, path):
 
 
 def _build_from_equation(P):
+    # every one of these sizes a list or a loop of the build: refuse first
+    _check_order(P.d, "d")
+    _check_order(P.h, "h")
+    _check_order(max(P.g_poly, default=0), "largest g exponent")
     if isinstance(P.kind, Base):
+        _check_order(max(P.d, 1) * max(1, -(-P.h // (P.kind.q - 1))),
+                     "base-q grid d(h~+1)")
         return build_automaton_q(P)
+    _check_order(z_state_space(P).grid_bound, "grid bound")
     return build_automaton_dumas(P)
 
 
@@ -327,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="coefficient table of an isolating equation")
     p.add_argument("-f", "--file", required=True, help="equation file")
-    p.add_argument("-N", type=int, default=100,
+    p.add_argument("-N", type=_integer, default=100,
                    help=f"truncation order (default 100, at most {MAX_N})")
     p.set_defaults(func=cmd_solve)
 
@@ -340,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-a", "--automaton", required=True,
                    help="automaton JSON path or builtin:<name>")
     grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("-n", type=int, help="index, evaluated on its canonical expansion")
+    grp.add_argument("-n", type=_integer, help="index, evaluated on its canonical expansion")
     grp.add_argument("--word", help="explicit digit word, e.g. '10100' or '1,0,-1'")
     p.add_argument("--numeration", default="zeckendorf",
                    help="zeckendorf (default) or base-<q>")
@@ -348,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check an automaton against the equation")
     p.add_argument("-f", "--file", required=True, help="equation file")
-    p.add_argument("-N", type=int, default=500,
+    p.add_argument("-N", type=_integer, default=500,
                    help=f"check n <= N (default 500, at most {MAX_N})")
     p.add_argument("--automaton", help="automaton JSON path or builtin:<name>; "
                                        "default: build from the equation")
@@ -357,13 +377,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("relation", help="search for an annihilating equation")
     p.add_argument("-a", "--automaton", required=True,
                    help="automaton JSON path or builtin:<name>")
-    p.add_argument("--dmax", type=int, required=True,
+    p.add_argument("--dmax", type=_integer, required=True,
                    help=f"largest Phi power ((dmax+1)(hmax+1)(N+1) at most {MAX_N})")
-    p.add_argument("--hmax", type=int, required=True,
+    p.add_argument("--hmax", type=_integer, required=True,
                    help=f"largest coefficient degree ((dmax+1)(hmax+1)(N+1) at most {MAX_N})")
-    p.add_argument("-N", type=int, default=500,
+    p.add_argument("-N", type=_integer, default=500,
                    help=f"linear system rows (default 500, at most {MAX_N})")
-    p.add_argument("--ncheck", type=int, default=None,
+    p.add_argument("--ncheck", type=_integer, default=None,
                    help=f"re-verification order (default 4N, at most {MAX_N})")
     p.add_argument("--numeration", default="zeckendorf",
                    help="zeckendorf (default) or base-<q>")
@@ -390,9 +410,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_defect)
 
     p = sub.add_parser("growth", help="non-regular example growth thresholds")
-    p.add_argument("-N", type=int, default=10000,
+    p.add_argument("-N", type=_integer, default=10000,
                    help=f"compute f_0..f_N (default 10000, at most {MAX_N})")
-    p.add_argument("--kmax", type=int, default=3,
+    p.add_argument("--kmax", type=_integer, default=3,
                    help=f"largest exponent to test (default 3, at most {MAX_N})")
     p.set_defaults(func=cmd_growth)
 

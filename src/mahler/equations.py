@@ -537,152 +537,113 @@ def z_state_space(P: MahlerEquation) -> ZSpaceInfo:
     )
 
 
-class _ZContext:
-    """Shared tables for the Zeckendorf grid.
-
-    A grid state is (i, j, q, u): layer i, offset j, defect-automaton
-    state q, and the window u holding the last g input digits (the word
-    is implicitly padded with g leading zeros).  delta_hat runs the
-    defect automaton from q over the digitwise difference u - (j)_Z and
-    reads off the linearity defect; the offset after consuming the next
-    digit b is then phi(j) + delta_hat + b.
-    """
-
-    def __init__(self, P: MahlerEquation, extra_i: int = 0, extra_j: int = 0):
-        self.P = P
-        self.ring = P.ring
-        self.d = max(P.d, 1) + extra_i
-        self.h = P.h
-        self.ht = z_state_space(P).h_tilde + extra_j
-        self.g = len(_digits(self.ht))
-        dfa = defect_automaton()
-        self.q_init = dfa.initial
-        self.dtrans = dict(dfa.transitions)
-        self.douts = dfa.outputs
-        self.phi_tab = [phi(j) for j in range(self.ht + 1)]
-        self.pad_tab = [pad(_digits(j), self.g).digits for j in range(self.ht + 1)]
-
-    def delta_hat(self, j: int, qs: int, u: tuple) -> Optional[int]:
-        """Defect output after running u - (j)_Z from qs; None when the
-        run needs the missing defect edge (such states are unreachable
-        while reading adjacent-ones-free input and get no transitions)."""
-        s = qs
-        pj = self.pad_tab[j]
-        step = self.dtrans.get
-        for t in range(self.g):
-            s = step((s, u[t] - pj[t]))
-            if s is None:
-                return None
-        return self.douts[s]
-
-    def advance(self, qs: int, u: tuple):
-        """(q2, nxt): the defect state once the oldest window digit u[0]
-        is consumed, and a map from each digit b that may be read next to
-        the window u[1:] + (b,).
-
-        The guess b = 1 is cut when the window already ends in 1: no
-        adjacent-ones-free word takes that edge, so cutting it keeps
-        weights intact on the whole contract domain while keeping the
-        explored grid small.
-        """
-        nxt = {0: u[1:] + (0,)}
-        if u[-1] != 1:
-            nxt[1] = u[1:] + (1,)
-        return self.dtrans[(qs, u[0])], nxt
-
-    def moves(self, state: tuple) -> list:
-        """Out-transitions (b, target, weight) of one grid state."""
-        i, j, qs, u = state
-        dh = self.delta_hat(j, qs, u)
-        if dh is None:
-            return []
-        q2, nxt = self.advance(qs, u)
-        pj = self.phi_tab[j]
-        one = self.ring.one
-        alpha = self.P.alpha
-        out = []
-        for b, u2 in nxt.items():
-            ell = pj + dh + b
-            if i + 1 <= self.d - 1 and 0 <= ell <= self.ht:
-                out.append((b, (i + 1, ell, q2, u2), one))
-            if ell >= 0:
-                for k in range(max(0, ell - self.h), min(self.ht, ell) + 1):
-                    a = alpha.get((i + 1, ell - k))
-                    if a is not None:
-                        out.append((b, (0, k, q2, u2), a))
-        return out
-
-    def state_name(self, state: tuple) -> str:
-        i, j, qs, u = state
-        return f"s{i}_{j}_q{qs}_u{''.join(map(str, u))}"
-
-
 def _build_z(P: MahlerEquation, f0, G: Optional[WeightedAutomaton],
              extra_i: int = 0, extra_j: int = 0) -> WeightedAutomaton:
     """The Zeckendorf construction for f = sum_i A_i Phi^i(f) + g, where
     G is an automaton for g, or None for g = 0.
 
-    Explores the grid of _ZContext from the seeds s_{i,0,q0,0^g}
-    (initial weight f0) and keeps F = 1 exactly on layer-0 states with
-    offset 0.  For a nonzero g, each offset j <= h~ also gets a copy of
-    the automaton B_j for x^j g (x^(j-1) g shifted once more), run in
-    lockstep with the defect state and digit window of the grid: copy
-    states are ("g", j, b, q, u), state b of B_j, seeded from the
-    initial states of B_j and named g{j}n{t}, t counting them in order
-    of discovery.  Each copy state keeps the arrows of b, and on digit
-    e gains one arrow into the grid state s_{0,j,q,u} weighted
-    sum w F[d] over the arrows b -e-> d of B_j (when nonzero); this
-    injects g_{n-j} into the offset-j carrier exactly where the
-    recurrence wants it.  The empty-word mass of each B_j is dropped:
-    canonical expansions are never empty, and the n = 0 identity is
-    instead enforced up front as compatibility of f0 with g_0 (without
-    it no automaton of this shape can compute the series, since the
-    weight of "0" always equals the right-hand side of that identity).
-    The result is trimmed.
+    A grid state is (i, j, q, u): layer i, offset j, defect-automaton
+    state q, and the window u holding the last g input digits (the word
+    is implicitly padded with g leading zeros).  Running the defect
+    automaton from q over the digitwise difference u - (j)_Z gives the
+    linearity defect; the offset after consuming the next digit b is then
+    phi(j) + defect + b.  A state whose run needs the missing defect edge
+    is unreachable while reading adjacent-ones-free input and gets no
+    transitions.  Consuming the oldest window digit u[0] moves the defect
+    state on, and the window becomes u[1:] + (b,).  The guess b = 1 is cut
+    when the window already ends in 1: no adjacent-ones-free word takes
+    that edge, so cutting it keeps weights intact on the whole contract
+    domain while keeping the explored grid small.
+
+    The grid is explored from the seeds s_{i,0,q0,0^g} (initial weight
+    f0), and F = 1 exactly on layer-0 states with offset 0.  For a
+    nonzero g, each offset j <= h~ also gets a copy of the automaton B_j
+    for x^j g (x^(j-1) g shifted once more), run in lockstep with the
+    defect state and digit window of the grid: copy states are
+    ("g", j, b, q, u), state b of B_j, seeded from the initial states of
+    B_j and named g{j}n{t}, t counting them in order of discovery.  Each
+    copy state keeps the arrows of b, and on digit e gains one arrow into
+    the grid state s_{0,j,q,u} weighted sum w F[d] over the arrows
+    b -e-> d of B_j (when nonzero); this injects g_{n-j} into the
+    offset-j carrier exactly where the recurrence wants it.  The
+    empty-word mass of each B_j is dropped: canonical expansions are
+    never empty, and the n = 0 identity is instead enforced up front as
+    compatibility of f0 with g_0 (without it no automaton of this shape
+    can compute the series, since the weight of "0" always equals the
+    right-hand side of that identity).  The result is trimmed.
     """
     ring = P.ring
     f0 = _isolating_f0(
         P, f0, ring.zero if G is None else eval_sequence(G, ZECKENDORF, 0))
-    ctx = _ZContext(P, extra_i, extra_j)
-    u0 = (0,) * ctx.g
-    seeds = {(i, 0, ctx.q_init, u0): f0 for i in range(ctx.d)}
+    one = ring.one
+    alpha = P.alpha
+    d = max(P.d, 1) + extra_i
+    h = P.h
+    ht = z_state_space(P).h_tilde + extra_j
+    g = len(_digits(ht))
+    dfa = defect_automaton()
+    dtrans = dict(dfa.transitions)
+    douts = dfa.outputs
+    phi_tab = [phi(j) for j in range(ht + 1)]
+    pad_tab = [pad(_digits(j), g).digits for j in range(ht + 1)]
+    u0 = (0,) * g
+    seeds = {(i, 0, dfa.initial, u0): f0 for i in range(d)}
     parts = []
-    for j in range(ctx.ht + 1 if G is not None else 0):
+    for j in range(ht + 1 if G is not None else 0):
         xg = G if j == 0 else shift_regular(xg, 1)   # x^j g
         parts.append(xg)
         for sidx, w in enumerate(xg.initial):
             if w:
-                seeds["g", j, sidx, ctx.q_init, u0] = w
+                seeds["g", j, sidx, dfa.initial, u0] = w
 
     def successors(state):
-        if state[0] != "g":
-            return ctx.moves(state)
-        _tag, j, bs, qs, u = state
-        Bj = parts[j]
-        q2, nxt = ctx.advance(qs, u)
-        out = []
-        for b, u2 in nxt.items():
-            into = ring.zero
-            for dst, w in Bj._arrows.get(b, {}).get(bs, ()):
-                w = RingValue(ring, w)
-                out.append((b, ("g", j, dst, q2, u2), w))
-                into = into + w * Bj.final[dst]
-            if into:
-                out.append((b, (0, j, q2, u2), into))
-        return out
+        is_copy = state[0] == "g"
+        if is_copy:
+            _tag, j, bs, qs, u = state
+            Bj = parts[j]
+        else:
+            i, j, qs, u = state
+            s = qs
+            pj = pad_tab[j]
+            for t in range(g):
+                s = dtrans.get((s, u[t] - pj[t]))
+                if s is None:
+                    return
+            ell0 = phi_tab[j] + douts[s]   # the offset after digit b is ell0 + b
+        q2 = dtrans[(qs, u[0])]
+        for b in (0,) if u[-1] == 1 else (0, 1):
+            u2 = u[1:] + (b,)
+            if is_copy:
+                into = ring.zero
+                for dst, w in Bj._arrows.get(b, {}).get(bs, ()):
+                    w = RingValue(ring, w)
+                    yield b, ("g", j, dst, q2, u2), w
+                    into = into + w * Bj.final[dst]
+                if into:
+                    yield b, (0, j, q2, u2), into
+                continue
+            ell = ell0 + b
+            if i + 1 <= d - 1 and 0 <= ell <= ht:
+                yield b, (i + 1, ell, q2, u2), one
+            if ell >= 0:
+                for k in range(max(0, ell - h), min(ht, ell) + 1):
+                    a = alpha.get((i + 1, ell - k))
+                    if a is not None:
+                        yield b, (0, k, q2, u2), a
 
     part_size = [0] * len(parts)
 
     def name(state):
         if state[0] != "g":
-            return ctx.state_name(state)
+            i, j, qs, u = state
+            return f"s{i}_{j}_q{qs}_u{''.join(map(str, u))}"
         j = state[1]
         part_size[j] += 1
         return f"g{j}n{part_size[j] - 1}"
 
     return explore_automaton(
         ring, (0, 1), seeds, successors,
-        lambda state: ring.one if state[:2] == (0, 0) else ring.zero, name)
+        lambda state: one if state[:2] == (0, 0) else ring.zero, name)
 
 
 def build_automaton_z(P: MahlerEquation, f0=None, *,

@@ -294,10 +294,16 @@ def preimages(kind: NumerationKind, N: int, i: int = 1) -> list[int]:
     table stands in for a phi_preimage / divmod query per index.  Base q
     strides through the multiples of q^i; Zeckendorf fills the i = 1
     table forward from the exact phi_via_floor(k) while that is <= N and
-    composes it i times.
+    composes it i times.  Once op^i(1) > N only 0 has a preimage, and
+    that table comes at once, so a huge i costs no more than a small one.
     """
     if N < 0 or i < 0:
         raise NumerationError(f"preimages needs N >= 0 and i >= 0, got N = {N}, i = {i}")
+    top = 1  # op^k(1), followed only while it stays <= N
+    for _ in range(i):
+        top = kind.q * top if isinstance(kind, Base) else phi_via_floor(top)
+        if top > N:
+            return [0] + [-1] * N
     if isinstance(kind, Base):
         p = kind.q ** i
         pre = [-1] * (N + 1)

@@ -14,10 +14,10 @@ Every construction that builds a machine state by state (products,
 subset constructions, the equation compilers in equations.py, the
 recognizers and carry machines in automata.py) goes through explore(),
 which numbers the states reachable from a list of seeds breadth-first.
-The weighted ones (the equation compilers, products, shifts and the
-Zeckendorf adder) take the explored states straight to a trimmed
-machine through explore_automaton().  Plain reachability without
-numbering (trimming) uses reachable().
+The weighted ones (the equation compilers, products, shifts and both
+adders) take the explored states straight to a trimmed machine through
+explore_automaton().  Plain reachability without numbering (trimming)
+uses reachable().
 
 A weighted machine keeps one arrow index, built with it: ``_arrows`` maps
 label -> {src: [(dst, weight payload), ...]} in the order of
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Mapping, Union
 
-from .numeration import Base, NumerationKind, as_digits, canonical
+from .numeration import Base, NumerationKind, as_digits, canonical, word_alphabet
 from .rings import INTEGERS, Ring, RingError, RingValue, _quote
 
 Label = Union[int, tuple]
@@ -276,10 +276,13 @@ def sequence_prefix(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list:
     refolding each word from scratch; agrees with eval_sequence entry by
     entry.  In Zeckendorf each node w carries the pair (value(w),
     value(w 0)): child w b has value(w 0) + b and value(w b 0) =
-    value(w 0) + value(w) + 2 b, so the walk never calls phi.
+    value(w 0) + value(w) + 2 b, so the walk never calls phi.  Digit b
+    first occurs in canonical(b), so a digit b <= N missing from the
+    machine's alphabet raises as eval_sequence would.
     """
     if N < 0:
         raise AutomatonError(f"need N >= 0, got {N}")
+    _word_labels(A, [b for b in word_alphabet(kind) if b <= N])
     out = [None] * (N + 1)
     out[0] = eval_sequence(A, kind, 0)
     if N == 0:

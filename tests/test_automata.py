@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -20,6 +21,7 @@ from mahler.automata import (
 )
 from mahler.numeration import ZECKENDORF, Base, canonical, pad, value
 from mahler.rings import INTEGERS, PrimeField
+from mahler.serialize import automaton_to_json, dfa_to_json
 from mahler.wfa import (
     AutomatonError,
     MissingTransitionError,
@@ -204,6 +206,25 @@ def test_adder_path_counts_pinned(make, counts):
     assert oracles.accepted_path_totals(
         ints(add.initial), ints(add.final),
         {key: w.payload for key, w in add.transitions.items()}, 10) == counts
+
+
+def test_constructed_machines_json_is_pinned():
+    # sha256 of the JSON: a rewrite of a construction must keep its
+    # output byte for byte (state names and order, labels, arrows).
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+    got = {f"base {q}": digest(automaton_to_json(addition_automaton_base(q).automaton))
+           for q in (2, 3, 4)}
+    got["zeckendorf"] = digest(automaton_to_json(addition_automaton_zeckendorf().automaton))
+    got["defect"] = digest(dfa_to_json(defect_automaton_constructed()))
+    assert got == {
+        "base 2": "3e64cefd0a65ddd934f74079d072a53e5dee64b495b5dabd23e879fa7e0826a8",
+        "base 3": "721cb25fa065a5aca39b1803916165c1cf69ab91a900cae5e25b3c50b7dff740",
+        "base 4": "2035e2df0da7141d9290dcf9a612769987d562a502e964f0d2ac3014e27e6288",
+        "zeckendorf": "078c3bb31e3797af082bba85022e8b36aeaa7e3e46ca913482de31d1e77deefe",
+        "defect": "ca9f2088e73c4d541f5ad8b12fd7d957bce5cbc3dd0a5b30f3e7797563218f81",
+    }
+    assert len(defect_automaton_constructed().states) == 39
 
 
 def test_addition_dispatcher():

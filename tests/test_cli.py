@@ -505,12 +505,72 @@ HOSTILE_ARGV = {
     "5,000-char word": ("eval", "-a", "builtin:fib-repr", "--word", "x" * 5000),
     "prime past the primality bound": (
         "eval", "-a", "builtin:fib-repr@Fp:" + "9" * 40, "-n", "1"),
+    # the ceiling is checked before the file is opened
+    "4,001-digit order": ("solve", "-f", "x.eq", "-N", "9" * 4001),
+    # past 4,300 digits even repr() of the product raises
+    "8,000-digit system size": ("relation", "-a", "builtin:fib-repr@Q",
+                                "--dmax", "9" * 4000, "--hmax", "9" * 4000, "-N", "10"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_ARGV))
 def test_hostile_argument_gives_one_short_error_line(case, capsys):
-    assert_one_short_error(*run(capsys, *HOSTILE_ARGV[case]))
+    start = time.perf_counter()
+    result = run(capsys, *HOSTILE_ARGV[case])
+    assert time.perf_counter() - start < 1.0
+    assert_one_short_error(*result)
+
+
+def test_integer_past_the_str_limit_is_not_echoed_whole(capsys):
+    # argparse refuses it; its error line quotes the text short
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "-f", "x.eq", "-N", "9" * 5001])
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "invalid int value" in errors[0]
+    assert all(len(line) <= 200 for line in captured.err.splitlines())
+
+
+OVERSIZED = {
+    "d = 10^8": "numeration zeckendorf\nf0 1\nalpha 0 0 1\nalpha 100000000 0 1\n",
+    "h = 10^8": "numeration zeckendorf\nf0 1\nalpha 0 0 1\nalpha 1 0 1\n"
+                "alpha 1 100000000 1\n",
+    "g exponent 10^8": "numeration zeckendorf\nf0 0\nalpha 0 0 1\nalpha 1 0 1\n"
+                       "g 100000000 1\n",
+    "base-2 d = 10^8": "numeration base 2\nf0 1\nalpha 0 0 1\nalpha 100000000 0 1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_equation_is_refused_before_building(case, capsys, tmp_path):
+    path = tmp_path / "big.eq"
+    path.write_text("ring Z\n" + OVERSIZED[case], encoding="utf-8")
+    start = time.perf_counter()
+    result = run(capsys, "build", "-f", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert_one_short_error(*result)
+    assert "exceeds the ceiling" in result[2]
+    # solve needs only O(N) work however large d, h or the g exponent are
+    start = time.perf_counter()
+    code, out, _err = run(capsys, "solve", "-f", str(path), "-N", "10")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and len(out.splitlines()) == 11
+
+
+def test_verify_rejects_an_automaton_missing_base_digits(capsys, tmp_path):
+    # count-ones reads {0, 1}; base 3 needs a 2 from n = 2 on
+    path = tmp_path / "b3.eq"
+    path.write_text("ring Z\nnumeration base 3\nf0 0\nalpha 0 0 1\nalpha 1 0 1\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "verify", "-f", str(path), "-N", "8",
+                         "--automaton", "builtin:count-ones")
+    assert code == 2
+    assert out == ""
+    assert err == "error: label 2 outside automaton alphabet\n"
 
 
 def test_large_prime_field_answers_at_once(capsys):

@@ -125,6 +125,23 @@ def test_preimages_match_pointwise_queries(kind, N, i):
         assert pre[m] == expected
 
 
+@pytest.mark.parametrize("kind", [BASE2, BASE3, ZECKENDORF])
+def test_preimages_past_the_top(kind):
+    # once op^i(1) > N only 0 has a preimage; a huge i costs O(N)
+    for N in (0, 1, 2, 7, 40):
+        for i in range(12):
+            pre = preimages(kind, N, i)
+            for m in range(N + 1):
+                if isinstance(kind, Base):
+                    k, r = divmod(m, kind.q ** i)
+                    assert pre[m] == (k if r == 0 else -1)
+                else:
+                    k = phi_preimage(m, i)
+                    assert pre[m] == (-1 if k is None else k)
+        assert preimages(kind, N, 10**8) == [0] + [-1] * N
+    assert preimages(kind, 10, 0) == list(range(11))
+
+
 def test_preimages_validation():
     assert preimages(ZECKENDORF, 0, 3) == [0]
     with pytest.raises(NumerationError):

@@ -136,6 +136,19 @@ def test_zeckendorf_prefix_walk_matches_eval(seed, ring):
     assert pref == [eval_sequence(A, ZECKENDORF, n) for n in range(N + 1)]
 
 
+def test_sequence_prefix_rejects_digits_outside_the_alphabet():
+    # a {0,1} machine read in base 3 has no value where a 2 is read: the
+    # prefix raises exactly when some eval_sequence up to N would
+    A = count_ones_automaton(INTEGERS)
+    kind = Base(3)
+    assert sequence_prefix(A, kind, 1) == [eval_sequence(A, kind, n) for n in range(2)]
+    for N in (2, 8):
+        with pytest.raises(AutomatonError, match="label 2 outside automaton alphabet"):
+            sequence_prefix(A, kind, N)
+        with pytest.raises(AutomatonError, match="label 2 outside automaton alphabet"):
+            eval_sequence(A, kind, 2)
+
+
 def test_base_prefix_walk_below_the_base():
     # the roots 1..q-1 of the base-q walk are cut at N
     A = WeightedAutomaton(
