@@ -24,6 +24,8 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -131,9 +133,9 @@ class MahlerEquation:
             try:
                 i, j = key
             except (TypeError, ValueError):
-                raise EquationError(f"alpha key {key!r} is not an (i, j) pair") from None
+                raise EquationError(f"alpha key {_quote(key)} is not an (i, j) pair") from None
             if not (isinstance(i, int) and isinstance(j, int)) or i < 0 or j < 0:
-                raise EquationError(f"alpha index {key!r} out of range")
+                raise EquationError(f"alpha index {_quote(key)} out of range")
             v = ring.element(val)
             if v:
                 clean[(i, j)] = v
@@ -142,7 +144,7 @@ class MahlerEquation:
         gp = {}
         for j, val in dict(self.g_poly or {}).items():
             if not isinstance(j, int) or j < 0:
-                raise EquationError(f"g exponent {j!r} out of range")
+                raise EquationError(f"g exponent {_quote(j)} out of range")
             v = ring.element(val)
             if v:
                 gp[j] = v
@@ -150,10 +152,12 @@ class MahlerEquation:
         h = max(j for _, j in clean)
         if self.d is not None and self.d != d:
             raise EquationError(
-                f"declared exponent d = {self.d} but the coefficients give d = {d}")
+                f"declared exponent d = {_quote(self.d)} but the coefficients give "
+                f"d = {_quote(d)}")
         if self.h is not None and self.h != h:
             raise EquationError(
-                f"declared height h = {self.h} but the coefficients give h = {h}")
+                f"declared height h = {_quote(self.h)} but the coefficients give "
+                f"h = {_quote(h)}")
         object.__setattr__(self, "alpha", MappingProxyType(clean))
         object.__setattr__(self, "g_poly", MappingProxyType(gp))
         object.__setattr__(self, "f0", ring.element(self.f0))
@@ -384,18 +388,18 @@ def parse_equation(text: str) -> MahlerEquation:
             i = intval(toks[1], lineno, "alpha index i")
             j = intval(toks[2], lineno, "alpha index j")
             if i < 0 or j < 0:
-                fail(lineno, f"alpha indices must be nonnegative, got ({i}, {j})")
+                fail(lineno, f"alpha indices must be nonnegative, got {_quote((i, j))}")
             if (i, j) in alpha_entries:
-                fail(lineno, f"duplicate alpha ({i}, {j})")
+                fail(lineno, f"duplicate alpha {_quote((i, j))}")
             alpha_entries[(i, j)] = (lineno, toks[3])
         elif key == "g":
             if len(toks) != 3:
                 fail(lineno, "expected: g <j> <element>")
             j = intval(toks[1], lineno, "g exponent")
             if j < 0:
-                fail(lineno, f"g exponent must be nonnegative, got {j}")
+                fail(lineno, f"g exponent must be nonnegative, got {_quote(j)}")
             if j in g_entries:
-                fail(lineno, f"duplicate g {j}")
+                fail(lineno, f"duplicate g {_quote(j)}")
             g_entries[j] = (lineno, toks[2])
         else:
             fail(lineno, f"unknown directive {_quote(key)}")
@@ -416,18 +420,20 @@ def parse_equation(text: str) -> MahlerEquation:
             fail(lineno, f"bad {what}: {e}")
 
     f0 = element(f0_entry, "f0")
-    alpha = {key: element(entry, f"alpha {key[0]} {key[1]}")
+    alpha = {key: element(entry, f"alpha {_quote(key[0])} {_quote(key[1])}")
              for key, entry in alpha_entries.items()}
-    g_poly = {j: element(entry, f"g {j}") for j, entry in g_entries.items()}
+    g_poly = {j: element(entry, f"g {_quote(j)}") for j, entry in g_entries.items()}
     support = {key for key, val in alpha.items() if val}
     if not support:
         raise EquationFileError("all alpha coefficients are zero")
     true_d = max(i for i, _ in support)
     true_h = max(j for _, j in support)
     if "d" in decl and decl["d"][1] != true_d:
-        fail(decl["d"][0], f"declared d = {decl['d'][1]} but the alpha lines give d = {true_d}")
+        fail(decl["d"][0], f"declared d = {_quote(decl['d'][1])} but the alpha lines "
+                           f"give d = {_quote(true_d)}")
     if "h" in decl and decl["h"][1] != true_h:
-        fail(decl["h"][0], f"declared h = {decl['h'][1]} but the alpha lines give h = {true_h}")
+        fail(decl["h"][0], f"declared h = {_quote(decl['h'][1])} but the alpha lines "
+                           f"give h = {_quote(true_h)}")
     return MahlerEquation(ring=ring, kind=kind, alpha=alpha, f0=f0, g_poly=g_poly)
 
 
@@ -710,37 +716,45 @@ def build_automaton_dumas(P: MahlerEquation, G: WeightedAutomaton = None,
 def _kernel_basis(ring: Ring, rows: list, ncols: int) -> list:
     """Right-kernel basis of a matrix of ring payloads over a field.
 
-    Gauss-Jordan with exact arithmetic; one basis vector per free
-    column, emitted in ascending column order.
+    Fraction-free Gauss-Jordan on Python ints.  Over Q each row is first
+    scaled by the lcm of its denominators; over Fp:p the payloads
+    already are ints.  Elimination sets row <- a*row - f*pivot_row, then
+    divides the row by its content over Q (where Bareiss, Math. Comp.
+    22, 1968, divides by the previous pivot) or reduces it mod p.  At
+    the end pivot row r is a multiple of row r of the reduced row
+    echelon form, which is unique, so each entry -m[r][free] / m[r][c]
+    is the value, as the same payload type, that Gauss-Jordan over the
+    field gives.  One basis vector per free column, emitted in
+    ascending column order.
     """
-    add, mul, neg, inv = ring._add, ring._mul, ring._neg, ring._inv
-    zero = ring.zero.payload
-    one = ring.one.payload
-    mat = [list(r) for r in rows]
+    p = ring.characteristic
+    if p:
+        mat = list(rows)  # rows are replaced, never changed in place
+    else:
+        mat = []
+        for row in rows:
+            den = lcm(*(x.denominator for x in row))
+            mat.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
     pivots = []
     r = 0
     for c in range(ncols):
-        prow = None
-        for rr in range(r, len(mat)):
-            if mat[rr][c] != zero:
-                prow = rr
-                break
+        prow = next((rr for rr in range(r, len(mat)) if mat[rr][c]), None)
         if prow is None:
             continue
         mat[r], mat[prow] = mat[prow], mat[r]
-        ipiv = inv(mat[r][c])
-        mat[r] = [mul(ipiv, x) for x in mat[r]]
         row_r = mat[r]
-        for rr in range(len(mat)):
-            if rr != r and mat[rr][c] != zero:
-                factor = mat[rr][c]
-                mat[rr] = [add(x, neg(mul(factor, y)))
-                           for x, y in zip(mat[rr], row_r)]
+        a = row_r[c]
+        for rr, row in enumerate(mat):
+            f = row[c]
+            if f and rr != r:
+                new = [a * x - f * y for x, y in zip(row, row_r)]
+                mat[rr] = [x % p for x in new] if p else _primitive(new)
         pivots.append((r, c))
         r += 1
         if r == len(mat):
             break
     pivot_cols = {c for _, c in pivots}
+    zero, one = ring.zero.payload, ring.one.payload
     basis = []
     for free in range(ncols):
         if free in pivot_cols:
@@ -748,9 +762,18 @@ def _kernel_basis(ring: Ring, rows: list, ncols: int) -> list:
         v = [zero] * ncols
         v[free] = one
         for rr, c in pivots:
-            v[c] = neg(mat[rr][free])
+            if p:
+                v[c] = -mat[rr][free] * pow(mat[rr][c], -1, p) % p
+            else:
+                v[c] = Fraction(-mat[rr][free], mat[rr][c])
         basis.append(v)
     return basis
+
+
+def _primitive(row: list) -> list:
+    """An int row divided by its content (the gcd of its entries)."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
 
 def find_relation(A: WeightedAutomaton, kind: NumerationKind, d_max: int,

@@ -212,18 +212,23 @@ def _word_labels(A: WeightedAutomaton, w) -> list:
 
 def _step_payload(A: WeightedAutomaton, vec: dict, label) -> dict:
     """The sparse row vector vec * mu(label): each nonzero entry of vec
-    meets the arrows of its own source only."""
+    meets the arrows of its own source only.
+
+    Payloads are plain ints or Fractions, so the sums and products are
+    native ``+`` and ``*``; over Zmod:n and Fp:p each output entry is
+    reduced mod the characteristic once, at the end, and then zeros are
+    dropped.  The result is entry for entry what ring._add/_mul give.
+    """
     by_src = A._arrows.get(label, {})
-    ring = A.ring
-    add, mul = ring._add, ring._mul
-    zero = ring._zero.payload
     out: dict = {}
     for src, a in vec.items():
         for dst, wpay in by_src.get(src, ()):
-            prod = mul(a, wpay)
             cur = out.get(dst)
-            out[dst] = prod if cur is None else add(cur, prod)
-    return {s: v for s, v in out.items() if v != zero}
+            out[dst] = a * wpay if cur is None else cur + a * wpay
+    n = A.ring.characteristic
+    if n:
+        return {s: r for s, v in out.items() if (r := v % n)}
+    return {s: v for s, v in out.items() if v}
 
 
 def _initial_payload(A: WeightedAutomaton) -> dict:

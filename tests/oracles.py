@@ -1,12 +1,14 @@
 """Brute-force reference computations for the test suite.
 
 Everything in this file is deliberately independent of the package:
-plain integers, exhaustive enumeration, and high-precision decimal
-arithmetic.  Tests compare package output against these, and expected
-constants frozen into test modules were produced by them.
+plain integers and fractions, exhaustive enumeration, textbook linear
+algebra, and high-precision decimal arithmetic.  Tests compare package
+output against these, and expected constants frozen into test modules
+were produced by them.
 """
 
 from decimal import Decimal, getcontext
+from fractions import Fraction
 from itertools import product
 
 getcontext().prec = 80
@@ -114,6 +116,58 @@ def accepted_path_totals(initial, final, arrows, L):
         totals.append(sum(v * f for v, f in zip(vec, final)))
         vec = [sum(vec[s] * step[s][d] for s in range(n)) for d in range(n)]
     return totals
+
+
+def path_sum(initial, final, arrows, word):
+    """Weight of a word as the sum over every path, one path at a time:
+    initial weight times arrow weights times final weight, in whatever
+    numbers the weights are (plain ints: no reduction).  ``arrows`` is a
+    dict (src, label, dst) -> weight."""
+    out = {}
+    for (src, label, dst), w in arrows.items():
+        out.setdefault((src, label), []).append((dst, w))
+    paths = [(s, w) for s, w in enumerate(initial) if w]
+    for label in word:
+        paths = [(dst, acc * w) for s, acc in paths for dst, w in out.get((s, label), ())]
+    return sum(acc * final[s] for s, acc in paths)
+
+
+def kernel_basis(rows, ncols, p=0):
+    """Right-kernel basis by textbook Gauss-Jordan: each pivot row scaled
+    to 1, the pivot column cleared in every other row.  Entries are
+    Fractions (p = 0) or ints mod the prime p.  One vector per free
+    column, in ascending column order, with 1 at the free column."""
+    def red(x):
+        return x % p if p else Fraction(x)
+
+    def div(a, b):
+        return a * pow(b, -1, p) % p if p else Fraction(a) / b
+
+    mat = [[red(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        prow = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if prow is None:
+            continue
+        mat[r], mat[prow] = mat[prow], mat[r]
+        piv = mat[r][c]
+        mat[r] = [div(x, piv) for x in mat[r]]
+        for i in range(len(mat)):
+            f = mat[i][c]
+            if i != r and f != 0:
+                mat[i] = [red(x - f * y) for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [red(0)] * ncols
+        v[free] = red(1)
+        for r, c in enumerate(pivots):
+            v[c] = red(-mat[r][free])
+        basis.append(v)
+    return basis
 
 
 def phi_floor(n):

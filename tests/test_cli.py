@@ -467,6 +467,12 @@ def _wfa_doc(alphabet="[0, 1]", initial='{"a": "1"}'):
             '"initial": ' + initial + ', "final": {"a": "1"}, "transitions": []}')
 
 
+def _eq_doc(lines):
+    return "ring Z\nnumeration zeckendorf\nf0 1\n" + lines
+
+
+BIG = "9" * 4000
+
 HOSTILE = {
     # at 980 levels a deep caller stack can make json.loads give up first;
     # 400 levels always reach the label check
@@ -476,6 +482,18 @@ HOSTILE = {
     "integer past the str limit": ("x.json", _wfa_doc(alphabet="[0, " + "1" * 5000 + "]")),
     "100,000-char directive": ("x.eq", "ring Z\n" + "x" * 100_000 + " 1\n"),
     "100,000-char ring spec": ("x.eq", "ring " + "Z" * 100_000 + "\n"),
+    # every place where an integer from an equation file reaches an error line
+    "4,000-digit declared d": ("x.eq", _eq_doc(f"d {BIG}\nalpha 0 0 1\nalpha 1 0 1\n")),
+    "4,000-digit declared h": ("x.eq", _eq_doc(f"h {BIG}\nalpha 0 0 1\nalpha 1 0 1\n")),
+    "4,000-digit alpha index behind a declared d": (
+        "x.eq", _eq_doc(f"d 1\nalpha 0 0 1\nalpha {BIG} 0 1\n")),
+    "4,000-digit duplicate alpha": (
+        "x.eq", _eq_doc(f"alpha 0 0 1\nalpha {BIG} {BIG} 1\nalpha {BIG} {BIG} 1\n")),
+    "4,000-digit negative alpha index": ("x.eq", _eq_doc(f"alpha 0 0 1\nalpha -{BIG} 0 1\n")),
+    "4,000-digit bad alpha element": ("x.eq", _eq_doc(f"alpha 0 0 1\nalpha {BIG} {BIG} y\n")),
+    "4,000-digit negative g exponent": ("x.eq", _eq_doc(f"alpha 0 0 1\ng -{BIG} 1\n")),
+    "4,000-digit duplicate g": ("x.eq", _eq_doc(f"alpha 0 0 1\ng {BIG} 1\ng {BIG} 1\n")),
+    "4,000-digit bad g element": ("x.eq", _eq_doc(f"alpha 0 0 1\ng {BIG} y\n")),
 }
 
 

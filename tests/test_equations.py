@@ -2,8 +2,10 @@
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import SHIPPED, equation_text, ints, make_random_equation
@@ -19,6 +21,7 @@ from mahler.equations import (
     MahlerEquation,
     SeriesPrefix,
     ZSpaceInfo,
+    _kernel_basis,
     build_automaton_dumas,
     build_automaton_q,
     build_automaton_z,
@@ -35,7 +38,7 @@ from mahler.equations import (
     z_state_space,
 )
 from mahler.numeration import ZECKENDORF, Base, NumerationError, canonical, value
-from mahler.rings import INTEGERS, RATIONALS, ModRing, PrimeField, RingError
+from mahler.rings import INTEGERS, RATIONALS, ModRing, PrimeField, RingError, parse_ring
 from mahler.serialize import automaton_to_json
 from mahler.wfa import (
     WeightedAutomaton,
@@ -112,6 +115,13 @@ class TestMahlerEquation:
                            match="declared height h = 2 but the coefficients give h = 0"):
             MahlerEquation(ring=INTEGERS, kind=BASE2,
                            alpha={(0, 0): 1, (1, 0): 1}, f0=1, h=2)
+
+    @pytest.mark.parametrize("field", ["d", "h"])
+    def test_declared_mismatch_quotes_a_huge_integer(self, field):
+        with pytest.raises(EquationError) as exc:
+            MahlerEquation(ring=INTEGERS, kind=BASE2, alpha={(0, 0): 1, (1, 0): 1},
+                           f0=1, **{field: 10 ** 4000})
+        assert "..." in str(exc.value) and len(str(exc.value)) < 200
 
     def test_empty_equation_rejected(self):
         with pytest.raises(EquationError, match="no nonzero coefficient"):
@@ -737,6 +747,52 @@ def test_builder_json_is_pinned():
 # ---------------------------------------------------------------------------
 # relation search
 
+KERNEL_RINGS = ("Q", "Fp:2", "Fp:3", "Fp:101")
+
+
+@st.composite
+def kernel_systems(draw):
+    """(ring, rows, ncols): random, all-zero, wide (more columns than
+    rows), rank-deficient products L*R, and matrices with no rows."""
+    ring = parse_ring(draw(st.sampled_from(KERNEL_RINGS)))
+    p = ring.characteristic
+    # over Q mostly non-integer fractions
+    entry = (st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)) if not p
+             else st.integers(0, p - 1))
+    shape = draw(st.sampled_from(("random", "zero", "wide", "product", "no rows")))
+    if shape == "no rows":
+        ncols, nrows = draw(st.integers(0, 7)), 0
+    elif shape == "wide":
+        ncols = draw(st.integers(2, 7))
+        nrows = draw(st.integers(1, ncols - 1))
+    else:
+        ncols, nrows = draw(st.integers(1, 7)), draw(st.integers(1, 8))
+
+    def matrix(n, m):
+        return [[draw(entry) for _ in range(m)] for _ in range(n)]
+
+    if shape == "zero":
+        rows = [[0] * ncols for _ in range(nrows)]
+    elif shape == "product":
+        k = draw(st.integers(0, min(nrows, ncols)))
+        L, R = matrix(nrows, k), matrix(k, ncols)
+        rows = [[sum((L[i][t] * R[t][j] for t in range(k)), 0) for j in range(ncols)]
+                for i in range(nrows)]
+    else:
+        rows = matrix(nrows, ncols)
+    return ring, [[ring.element(x).payload for x in row] for row in rows], ncols
+
+
+@settings(max_examples=300)
+@given(kernel_systems())
+def test_kernel_basis_equals_textbook_gauss_jordan(system):
+    ring, rows, ncols = system
+    got = _kernel_basis(ring, rows, ncols)
+    want = oracles.kernel_basis(rows, ncols, ring.characteristic)
+    assert got == want
+    assert [[type(x) for x in v] for v in got] == [[type(x) for x in v] for v in want]
+
+
 class TestFindRelation:
     def test_recovers_fib_equation(self):
         A = fibonacci_representation_automaton(RATIONALS)
@@ -775,6 +831,27 @@ class TestFindRelation:
         R = find_relation(count_ones_automaton(F2), BASE2, 2, 4, 100)
         assert R is not None
         assert {k: str(v) for k, v in R.alpha.items()} == expected
+
+    # the two relation searches of the benchmark's machine-algebra workload
+    BENCH_RELATIONS = {
+        "count-ones": (count_ones_automaton, 4, 5, (
+            "ring Q\nnumeration zeckendorf\nd 4\nh 5\nf0 0\n"
+            "alpha 0 1 1\nalpha 1 0 1\nalpha 1 1 1\nalpha 2 0 -1\n"
+            "alpha 2 2 2\nalpha 3 2 -2\nalpha 4 5 -1\n")),
+        "fib-repr": (fibonacci_representation_automaton, 2, 2, (
+            "ring Q\nnumeration zeckendorf\nd 1\nh 1\nf0 1\n"
+            "alpha 0 0 1\nalpha 1 0 1\nalpha 1 1 1\n")),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BENCH_RELATIONS))
+    def test_bench_relations_are_pinned(self, name):
+        machine, d_max, h_max, text = self.BENCH_RELATIONS[name]
+        R = find_relation(machine(RATIONALS), ZECKENDORF, d_max, h_max, 200)
+        assert format_equation(R) == text
+        if name == "count-ones":
+            alpha_lines = [ln for ln in text.splitlines() if ln.startswith("alpha")]
+            assert alpha_lines == [ln for ln in equation_text("thue_morse_zeck.eq").splitlines()
+                                   if ln.startswith("alpha")]
 
     def test_needs_a_field(self):
         A = fibonacci_representation_automaton(INTEGERS)

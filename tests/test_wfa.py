@@ -13,7 +13,7 @@ from mahler.automata import (
     fibonacci_representation_automaton,
 )
 from mahler.equations import build_automaton_z
-from mahler.numeration import ZECKENDORF, Base, canonical
+from mahler.numeration import ZECKENDORF, Base, canonical, word_alphabet
 from mahler.rings import (INTEGERS, RATIONALS, MixedRingError, PrimeField, RingError,
                           RingValue, parse_ring)
 from mahler.wfa import (
@@ -22,6 +22,8 @@ from mahler.wfa import (
     MissingTransitionError,
     UnambiguousAutomaton,
     WeightedAutomaton,
+    _initial_payload,
+    _step_payload,
     cauchy_product,
     determinize,
     eval_sequence,
@@ -54,23 +56,6 @@ def hand_automaton():
     )
 
 
-def brute_weight(A, w):
-    """Reference path-sum: enumerate every path explicitly."""
-    total = A.ring.zero
-    paths = [(s, A.initial[s]) for s in range(A.n_states)]
-    for label in w:
-        nxt = []
-        for s, acc in paths:
-            for t in range(A.n_states):
-                wt = A.transition(s, label, t)
-                if wt:
-                    nxt.append((t, acc * wt))
-        paths = nxt
-    for s, acc in paths:
-        total = total + acc * A.final[s]
-    return total
-
-
 def all_words(alphabet, max_len):
     for L in range(max_len + 1):
         yield from product(alphabet, repeat=L)
@@ -89,8 +74,10 @@ def test_hand_weights():
 
 def test_weight_matches_brute_path_sum():
     for A in (hand_automaton(), count_ones_automaton(INTEGERS)):
+        arrows = {key: w.payload for key, w in A.transitions.items()}
         for w in all_words((0, 1), 6):
-            assert weight(A, w) == brute_weight(A, w)
+            assert weight(A, w).payload == oracles.path_sum(
+                ints(A.initial), ints(A.final), arrows, w)
 
 
 def test_weight_rejects_foreign_labels():
@@ -134,6 +121,79 @@ def test_zeckendorf_prefix_walk_matches_eval(seed, ring):
     N = 150
     pref = sequence_prefix(A, ZECKENDORF, N)
     assert pref == [eval_sequence(A, ZECKENDORF, n) for n in range(N + 1)]
+
+
+# Random machines over Z, Q, Zmod:6 and Fp:5, given as plain ints: weights
+# past n wrap mod n, and a pair of arrows w and n - w (w and -w over Z, Q)
+# from two sources of equal initial weight into one target makes that
+# entry of the step cancel only after the reduction.
+STEP_RINGS = ("Z", "Q", "Zmod:6", "Fp:5")
+
+
+@st.composite
+def plain_int_machines(draw):
+    ring = parse_ring(draw(st.sampled_from(STEP_RINGS)))
+    n = ring.characteristic
+    kind = draw(st.sampled_from((ZECKENDORF, BASE2, Base(3))))
+    alphabet = word_alphabet(kind)
+    k = draw(st.integers(2, 4))
+    weights = st.integers(-3, 3 * n if n else 12)
+    arrows = draw(st.dictionaries(
+        st.tuples(st.integers(0, k - 1), st.sampled_from(alphabet), st.integers(0, k - 1)),
+        weights, max_size=3 * k))
+    initial = draw(st.lists(weights, min_size=k, max_size=k))
+    final = draw(st.lists(weights, min_size=k, max_size=k))
+    for label in alphabet:
+        if draw(st.booleans()):
+            s1, s2 = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+            dst = draw(st.integers(0, k - 1))
+            w = draw(st.integers(1, n - 1 if n else 5))
+            arrows[(s1, label, dst)] = w
+            arrows[(s2, label, dst)] = n - w if n else -w
+            initial[s2] = initial[s1] = initial[s1] or 1
+    return ring, kind, initial, final, arrows
+
+
+def _digit_word(n, kind):
+    if kind == ZECKENDORF:
+        return [int(c) for c in oracles.zeckendorf_greedy(n)]
+    return oracles.base_digits(n, kind.q)
+
+
+@settings(max_examples=80)
+@given(plain_int_machines())
+def test_stepping_matches_the_plain_int_path_sum_on_every_ring(machine):
+    ring, kind, initial, final, arrows = machine
+    A = WeightedAutomaton(ring=ring, alphabet=word_alphabet(kind),
+                          states=tuple(f"s{i}" for i in range(len(initial))),
+                          initial=initial, final=final, transitions=arrows)
+
+    def reduced(x):
+        return ring.element(x).payload
+
+    for label in A.alphabet:
+        step = _step_payload(A, _initial_payload(A), label)
+        assert all(v and v == reduced(v) and type(v) is type(ring.zero.payload)
+                   for v in step.values())
+    for w in all_words(A.alphabet, 4):
+        assert weight(A, w).payload == reduced(oracles.path_sum(initial, final, arrows, w))
+    N = 40
+    assert [v.payload for v in sequence_prefix(A, kind, N)] == [
+        reduced(oracles.path_sum(initial, final, arrows, _digit_word(n, kind)))
+        for n in range(N + 1)]
+
+
+@pytest.mark.parametrize("spec, pair", [("Zmod:6", (2, 4)), ("Fp:5", (1, 4)),
+                                        ("Z", (3, -3)), ("Q", (3, -3))])
+def test_step_drops_an_entry_that_cancels(spec, pair):
+    ring = parse_ring(spec)
+    A = WeightedAutomaton(ring=ring, alphabet=(0, 1), states=("a", "b", "c"),
+                          initial=(1, 1, 0), final=(0, 0, 1),
+                          transitions={(0, 1, 2): pair[0], (1, 1, 2): pair[1],
+                                       (0, 0, 2): pair[0]})
+    assert _step_payload(A, _initial_payload(A), 1) == {}
+    assert _step_payload(A, _initial_payload(A), 0) == {2: ring.element(pair[0]).payload}
+    assert not weight(A, (1,)) and weight(A, (0,)) == ring.element(pair[0])
 
 
 def test_sequence_prefix_rejects_digits_outside_the_alphabet():
