@@ -20,7 +20,6 @@ from .automata import (
     fibonacci_representation_automaton,
     polynomial_automaton,
     shift_regular,
-    zero_recognizer,
 )
 from .equations import (
     EquationError,

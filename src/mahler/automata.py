@@ -8,8 +8,11 @@ one Fibonacci index down), so reading digit d maps (p, q) to
 (p + q + d, p + d).  States are explored up to a conservative coordinate
 bound, trimmed to the part that can still reach an accepting state, and
 the build re-runs itself with four times the bound and checks the two
-results are isomorphic, so an insufficient bound fails loudly instead of
-silently misclassifying long words.
+results are equal, so an insufficient bound fails loudly instead of
+silently misclassifying long words.  Equal is the same test as
+isomorphic here: the pair a word leads to depends on the word alone, and
+every state on a path to a live pair is live, so both cores are numbered
+by the breadth-first order of their own arrows.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from .wfa import (AutomatonError, DfaWithOutput, UnambiguousAutomaton,
 
 def _recognizer_core(digits: tuple, c: int, bound: int):
     """Reachable (p, q) pairs with both coordinates within the bound,
-    trimmed to states that can still reach p = c.  Returns
-    (pairs, transitions, accepting, initial) with partial transitions."""
+    trimmed to the initial pair and the pairs that can still reach p = c.
+    Returns (pairs, transitions) with partial transitions; the initial
+    state is index 0 and a state accepts iff its pair has p == c."""
     def successors(pq):
         p, q = pq
         for d in digits:
@@ -38,40 +42,24 @@ def _recognizer_core(digits: tuple, c: int, bound: int):
                 yield d, (p2, q2), None
 
     order, trans = explore([(0, 0)], successors)
-    accept = {i for i, (p, _q) in enumerate(order) if p == c}
     rev: dict = {}
     for src, _d, dst in trans:
         rev.setdefault(dst, set()).add(src)
-    live = reachable(accept, rev)
+    live = reachable((i for i, (p, _q) in enumerate(order) if p == c), rev)
     keep = sorted(live | {0})
     remap = {old: new for new, old in enumerate(keep)}
-    pairs = [order[i] for i in keep]
-    core_trans = {(remap[s], d): remap[t]
-                  for s, d, t in trans if s in remap and t in remap}
-    core_accept = {remap[i] for i in accept if i in remap}
-    return pairs, core_trans, core_accept, remap[0]
-
-
-def _dfa_canonical_form(trans, accept, initial, digits):
-    """BFS relabelling from the initial state; isomorphism-invariant."""
-    order, arrows = explore(
-        [initial],
-        lambda s: ((d, trans[(s, d)], None) for d in digits if (s, d) in trans))
-    acc = frozenset(i for i, s in enumerate(order) if s in accept)
-    return (len(order), frozenset(arrows), acc)
+    return ([order[i] for i in keep],
+            {(remap[s], d): remap[t] for s, d, t in trans if s in remap and t in remap})
 
 
 @lru_cache(maxsize=None)
 def _recognizer_cached(digits: tuple, c: int):
     bound = 8 * (max(max(abs(d) for d in digits), abs(c)) + 1)
-    parts = _recognizer_core(digits, c, bound)
-    check = _recognizer_core(digits, c, 4 * bound)
-    form = _dfa_canonical_form(*parts[1:], digits)
-    form4 = _dfa_canonical_form(*check[1:], digits)
-    if form != form4:
+    core = _recognizer_core(digits, c, bound)
+    if core != _recognizer_core(digits, c, 4 * bound):
         raise AutomatonError(
             f"recognizer bound {bound} too small for digits {digits}, c={c}")
-    return parts
+    return core
 
 
 def constant_recognizer(C, c: int) -> DfaWithOutput:
@@ -79,29 +67,16 @@ def constant_recognizer(C, c: int) -> DfaWithOutput:
     digits = tuple(sorted(set(C)))
     if not digits:
         raise AutomatonError("empty digit set")
-    pairs, trans, accept, initial = _recognizer_cached(digits, c)
-    n = len(pairs)
-    dead = n
-    total = {}
-    for s in range(n):
-        for d in digits:
-            total[(s, d)] = trans.get((s, d), dead)
-    for d in digits:
-        total[(dead, d)] = dead
-    names = tuple(f"p{p}q{q}" for p, q in pairs) + ("dead",)
-    outputs = tuple(s in accept for s in range(n)) + (False,)
+    pairs, trans = _recognizer_cached(digits, c)
+    dead = len(pairs)  # no arrows leave it in the core, so it loops to itself
     return DfaWithOutput(
         alphabet=digits,
-        states=names,
-        initial=initial,
-        transitions=total,
-        outputs=outputs,
+        states=tuple(f"p{p}q{q}" for p, q in pairs) + ("dead",),
+        initial=0,
+        transitions={(s, d): trans.get((s, d), dead)
+                     for s in range(dead + 1) for d in digits},
+        outputs=tuple(p == c for p, _q in pairs) + (False,),
     )
-
-
-def zero_recognizer(C) -> DfaWithOutput:
-    """Total DFA accepting words over C of Zeckendorf value zero."""
-    return constant_recognizer(C, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +116,7 @@ def defect_automaton_constructed() -> DfaWithOutput:
     states it meets, or None if it meets none.
     """
     alphabet = (-1, 0, 1)
-    pairs, trans, _accept, initial = _recognizer_cached((-1, 0, 1, 2), 0)
+    pairs, trans = _recognizer_cached((-1, 0, 1, 2), 0)
 
     def successors(subset):
         for bp in alphabet:
@@ -156,7 +131,7 @@ def defect_automaton_constructed() -> DfaWithOutput:
                         targets.add((t, 1))
             yield bp, frozenset(targets), None
 
-    order, arrows = explore([frozenset({(initial, 0)})], successors)
+    order, arrows = explore([frozenset({(0, 0)})], successors)
     outputs = []
     for subset in order:
         hits = [b for b in alphabet if any(pairs[s] == (0, -b) for s, _x in subset)]
@@ -215,7 +190,7 @@ def addition_automaton_zeckendorf() -> UnambiguousAutomaton:
     UnambiguousAutomaton), hence unambiguous.  Accepts exactly the padded
     canonical triples.
     """
-    pairs, rtrans, raccept, rinit = _recognizer_cached((-1, 0, 1, 2), 0)
+    pairs, rtrans = _recognizer_cached((-1, 0, 1, 2), 0)
     one = INTEGERS.one
 
     def successors(state):
@@ -233,8 +208,8 @@ def addition_automaton_zeckendorf() -> UnambiguousAutomaton:
 
     return UnambiguousAutomaton(explore_automaton(
         INTEGERS, [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)],
-        {(rinit, 0, 0, 0): one}, successors,
-        lambda state: one if state[0] in raccept else INTEGERS.zero, name))
+        {(0, 0, 0, 0): one}, successors,
+        lambda state: one if pairs[state[0]][0] == 0 else INTEGERS.zero, name))
 
 
 def addition_automaton(kind: NumerationKind) -> UnambiguousAutomaton:
@@ -252,45 +227,33 @@ def polynomial_automaton(coeffs, kind: NumerationKind, ring: Ring) -> WeightedAu
 
     A zero self-loop on the root absorbs leading zeros; the rest is the
     tree of canonical expansions of the support.  Words outside the tree
-    get weight 0, so beyond the list the series is zero.
+    get weight 0, so beyond the list the series is zero.  Every tree node
+    is a seed, in order of first appearance (n ascending, then prefix
+    length), which fixes the state numbering; like every explored
+    machine the result is trimmed, so the zero series has no states.
     """
     cs = [ring.element(c) for c in coeffs]
-    index: dict = {(): 0}
-    names = ["z"]
-    trans = {(0, 0, 0): ring.one}
-    finals = {0: cs[0] if cs else ring.zero}
-
-    def node(prefix):
-        i = index.get(prefix)
-        if i is None:
-            i = len(index)
-            index[prefix] = i
-            names.append("n" + format_word(prefix))
-        return i
-
+    finals = {(): cs[0] if cs else ring.zero}
     for n, c in enumerate(cs):
-        if n == 0 or not c:
-            continue
-        w = _digits(n, kind)
-        prev = 0
-        for k in range(1, len(w) + 1):
-            known = w[:k] in index
-            cur = node(w[:k])
-            if not known:
-                trans[(prev, w[k - 1], cur)] = ring.one
-            prev = cur
-        finals[prev] = c
-    n_states = len(index)
-    final = tuple(finals.get(i, ring.zero) for i in range(n_states))
-    initial = tuple(ring.one if i == 0 else ring.zero for i in range(n_states))
-    return WeightedAutomaton(
-        ring=ring,
-        alphabet=word_alphabet(kind),
-        states=tuple(names),
-        initial=initial,
-        final=final,
-        transitions=trans,
-    )
+        if n and c:
+            w = _digits(n, kind)
+            for k in range(1, len(w)):
+                finals.setdefault(w[:k], ring.zero)
+            finals[w] = c
+    alphabet = word_alphabet(kind)
+    one = ring.one
+
+    def successors(prefix):
+        if not prefix:
+            yield 0, prefix, one
+        for d in alphabet:
+            if prefix + (d,) in finals:
+                yield d, prefix + (d,), one
+
+    return explore_automaton(
+        ring, alphabet, {prefix: one if not prefix else ring.zero for prefix in finals},
+        successors, finals.__getitem__,
+        lambda prefix: "n" + format_word(prefix) if prefix else "z")
 
 
 def shift_regular(A: WeightedAutomaton, j: int) -> WeightedAutomaton:
@@ -312,7 +275,7 @@ def shift_regular(A: WeightedAutomaton, j: int) -> WeightedAutomaton:
 
 
 def _shift_once(A: WeightedAutomaton) -> WeightedAutomaton:
-    pairs, rtrans, raccept, rinit = _recognizer_cached((-1, 0, 1), 1)
+    pairs, rtrans = _recognizer_cached((-1, 0, 1), 1)
     ring = A.ring
     arrows = A._arrows
 
@@ -330,9 +293,9 @@ def _shift_once(A: WeightedAutomaton) -> WeightedAutomaton:
         return f"p{pairs[r][0]}q{pairs[r][1]}|{A.states[s]}|{x}"
 
     return explore_automaton(
-        ring, (0, 1), {(rinit, s, 0): v for s, v in enumerate(A.initial) if v},
+        ring, (0, 1), {(0, s, 0): v for s, v in enumerate(A.initial) if v},
         successors,
-        lambda state: A.final[state[1]] if state[0] in raccept else ring.zero, name)
+        lambda state: A.final[state[1]] if pairs[state[0]][0] == 1 else ring.zero, name)
 
 
 # ---------------------------------------------------------------------------

@@ -167,10 +167,6 @@ class MahlerEquation:
     def coefficient(self, i: int, j: int) -> RingValue:
         return self.alpha.get((i, j), self.ring.zero)
 
-    def a(self, i: int) -> dict:
-        """The polynomial A_i as a dict exponent -> coefficient."""
-        return {j: v for (ii, j), v in self.alpha.items() if ii == i}
-
     def g(self, j: int) -> RingValue:
         return self.g_poly.get(j, self.ring.zero)
 

@@ -12,12 +12,13 @@ is outside the domain the machine was built for.
 
 Every construction that builds a machine state by state (products,
 subset constructions, the equation compilers in equations.py, the
-recognizers and carry machines in automata.py) goes through explore(),
-which numbers the states reachable from a list of seeds breadth-first.
-The weighted ones (the equation compilers, products, shifts and both
-adders) take the explored states straight to a trimmed machine through
-explore_automaton().  Plain reachability without numbering (trimming)
-uses reachable().
+recognizers, carry machines and polynomial machines in automata.py) goes
+through explore(), which numbers the states reachable from a list of
+seeds breadth-first.  The weighted ones (the equation compilers,
+products, shifts, both adders and the polynomial machines) take the
+explored states straight to a trimmed machine through
+explore_automaton(), and none keeps a state index of its own.  Plain
+reachability without numbering (trimming) uses reachable().
 
 A weighted machine keeps one arrow index, built with it: ``_arrows`` maps
 label -> {src: [(dst, weight payload), ...]} in the order of
@@ -189,9 +190,6 @@ class WeightedAutomaton:
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    def transition(self, src: int, label, dst: int) -> RingValue:
-        return self.transitions.get((src, label, dst), self.ring.zero)
 
     def weight(self, w) -> RingValue:
         return weight(self, w)

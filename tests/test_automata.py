@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from conftest import ints
+from mahler import automata
 from mahler.automata import (
     addition_automaton,
     addition_automaton_base,
@@ -17,10 +18,9 @@ from mahler.automata import (
     fibonacci_representation_automaton,
     polynomial_automaton,
     shift_regular,
-    zero_recognizer,
 )
 from mahler.numeration import ZECKENDORF, Base, canonical, pad, value
-from mahler.rings import INTEGERS, PrimeField
+from mahler.rings import INTEGERS, RATIONALS, PrimeField
 from mahler.serialize import automaton_to_json, dfa_to_json
 from mahler.wfa import (
     AutomatonError,
@@ -43,7 +43,7 @@ def all_words(alphabet, max_len):
 # --- value recognizers ----------------------------------------------------
 
 def test_zero_recognizer_examples():
-    D = zero_recognizer((-1, 0, 1))
+    D = constant_recognizer((-1, 0, 1), 0)
     assert D.run((1, -1, -1)) is True  # 3 - 2 - 1
     assert D.run((1,)) is False
     assert D.run(()) is True
@@ -62,7 +62,7 @@ def test_recognizers_exhaustive(alphabet, c):
 
 
 def test_recognizer_is_total_with_dead_state():
-    D = zero_recognizer((-1, 0, 1))
+    D = constant_recognizer((-1, 0, 1), 0)
     assert "dead" in D.states
     for s in range(len(D.states)):
         for d in D.alphabet:
@@ -72,13 +72,26 @@ def test_recognizer_is_total_with_dead_state():
 def test_recognizer_repeatable_and_validated():
     # the state exploration is cached; the wrapper is rebuilt per call
     # (identity equality) but structurally identical
-    a = zero_recognizer((-1, 0, 1))
-    b = zero_recognizer([1, 0, -1])
+    a = constant_recognizer((-1, 0, 1), 0)
+    b = constant_recognizer([1, 0, -1], 0)
     assert (a.alphabet, a.states, a.initial, a.outputs) == \
         (b.alphabet, b.states, b.initial, b.outputs)
     assert dict(a.transitions) == dict(b.transitions)
     with pytest.raises(AutomatonError):
         constant_recognizer((), 0)
+
+
+def test_recognizer_bound_check(monkeypatch):
+    # a core at 4B that differs from the core at B means B was too small
+    real = automata._recognizer_core
+
+    def core(digits, c, bound):
+        pairs, trans = real(digits, c, bound)
+        return (pairs + [(bound, 0)] if bound > 64 else pairs), trans
+
+    monkeypatch.setattr(automata, "_recognizer_core", core)
+    with pytest.raises(AutomatonError, match=r"recognizer bound 64 too small"):
+        automata._recognizer_cached((0, 1, 2, 3), 7)
 
 
 # --- the shift-defect machine ---------------------------------------------
@@ -250,6 +263,36 @@ def test_polynomial_automaton_zero():
     assert ints(sequence_prefix(A, ZECKENDORF, 6)) == [0] * 7
     B = polynomial_automaton((0, 0), BASE2, INTEGERS)
     assert ints(sequence_prefix(B, BASE2, 6)) == [0] * 7
+    # trimmed like every explored machine: nothing is left
+    assert A.n_states == B.n_states == 0
+
+
+def test_polynomial_json_is_pinned():
+    # sha256 of the JSON for supports with gaps: the tree nodes are
+    # numbered in order of first appearance, byte for byte
+    gaps1, gaps2 = (0, 1, 0, 0, 2, 3), (1, 0, 0, 0, 0, 5, 0, 0, 7)
+    got = {
+        (coeffs, name, ring.spec): hashlib.sha256(automaton_to_json(
+            polynomial_automaton(coeffs, kind, ring)).encode()).hexdigest()
+        for coeffs in (gaps1, gaps2)
+        for name, kind in (("base 2", BASE2), ("base 3", Base(3)),
+                           ("zeckendorf", ZECKENDORF))
+        for ring in (INTEGERS, RATIONALS)
+    }
+    assert got == {
+        (gaps1, "base 2", "Z"): "82d9e852983d7187f0e0a6cd48139ca1bf0e68680e1752030808ed44eed93d3f",
+        (gaps1, "base 2", "Q"): "68365624a93d13c6a079f65ad91a32f967c604c03f602d36bbf1aa90eb7af44d",
+        (gaps1, "base 3", "Z"): "cd992d6efbf62b2a1cbb4c4cd0c8d981e1fa8d440cab76f6d7f597c0331e1242",
+        (gaps1, "base 3", "Q"): "ee9f1b0f03dc6864d75e5c6b00088af626f3eee9c7d7efb73288d335e8032bd8",
+        (gaps1, "zeckendorf", "Z"): "11848d20380bfeee00a3100f82ab58286d9dc5fea5d6a528d2c01627f35da02a",
+        (gaps1, "zeckendorf", "Q"): "c7b9297c6bba4a6074adc6ca5c2bcd25f362547302ca1216fdd55c369561e06c",
+        (gaps2, "base 2", "Z"): "f9a954bdbb8c0e36444933b1000d4d3496e0cdaaa39253f800f14085870f3c2c",
+        (gaps2, "base 2", "Q"): "0d5b1ebd049e1d37789351f9f67a70da95a49f63106d960b0312bd2f220d65ba",
+        (gaps2, "base 3", "Z"): "35570000ab2e9a9d29934d02fe4972be1024b8a8432df30361149b49652844a0",
+        (gaps2, "base 3", "Q"): "25fd6213fa82cc4d10f59486adc34120c08c77486848793533fd3070f1e6ab4c",
+        (gaps2, "zeckendorf", "Z"): "a66156b0d7f659859a644e3c9162ce850c62ebe1e29bbe8962a217c55712b055",
+        (gaps2, "zeckendorf", "Q"): "d3328ef554b8fea954e87291bf995c27bab900845628e3869b2359da7063bbfd",
+    }
 
 
 def test_shift_regular():

@@ -97,7 +97,8 @@ class TestMahlerEquation:
         assert (P.d, P.h) == (1, 2)
         assert P.coefficient(1, 1).is_one()
         assert P.coefficient(5, 5) == INTEGERS.zero
-        assert P.a(1) == {0: INTEGERS.one, 1: INTEGERS.one, 2: INTEGERS.one}
+        assert {j: v for (i, j), v in P.alpha.items() if i == 1} == \
+            {0: INTEGERS.one, 1: INTEGERS.one, 2: INTEGERS.one}
         assert P.is_homogeneous
 
     def test_zero_coefficients_dropped(self):

@@ -6,10 +6,10 @@ import pytest
 
 from mahler.automata import (
     addition_automaton_zeckendorf,
+    constant_recognizer,
     count_ones_automaton,
     defect_automaton,
     fibonacci_representation_automaton,
-    zero_recognizer,
 )
 from mahler.rings import INTEGERS, RATIONALS, ModRing, PrimeField, RingError
 from mahler.serialize import (
@@ -225,7 +225,7 @@ class TestDfaJson:
                        for row in doc["transitions"])
 
     def test_boolean_outputs(self):
-        doc = json.loads(dfa_to_json(zero_recognizer((-1, 0, 1))))
+        doc = json.loads(dfa_to_json(constant_recognizer((-1, 0, 1), 0)))
         assert doc["outputs"]["p0q0"] is True
         assert doc["outputs"]["dead"] is False
 
