@@ -46,7 +46,6 @@ from .equations import (
 from .numeration import (
     ZECKENDORF,
     Base,
-    DigitWord,
     NumerationError,
     Zeckendorf,
     canonical,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .numeration import Base, NumerationKind, _digits, format_word, word_alphabet
+from .numeration import Base, NumerationKind, canonical, format_word, word_alphabet
 from .rings import INTEGERS, Ring, RingValue
 from .wfa import (AutomatonError, DfaWithOutput, UnambiguousAutomaton,
                   WeightedAutomaton, _dfa_table, explore, explore_automaton,
@@ -236,7 +236,7 @@ def polynomial_automaton(coeffs, kind: NumerationKind, ring: Ring) -> WeightedAu
     finals = {(): cs[0] if cs else ring.zero}
     for n, c in enumerate(cs):
         if n and c:
-            w = _digits(n, kind)
+            w = canonical(n, kind)
             for k in range(1, len(w)):
                 finals.setdefault(w[:k], ring.zero)
             finals[w] = c

@@ -59,7 +59,6 @@ from .numeration import (
     NumerationError,
     canonical,
     format_word,
-    parse_word,
 )
 from .rings import INTEGERS, PrimeField, RingError, _quote, parse_ring
 from .serialize import (
@@ -193,7 +192,7 @@ def cmd_solve(args) -> int:
             "a sequence against it instead")
     series = solve_series(P, args.N)
     for n, v in enumerate(series):
-        print(f"{n}, {format_word(canonical(n, P.kind).digits)}, {v}")
+        print(f"{n}, {format_word(canonical(n, P.kind))}, {v}")
     return 0
 
 
@@ -215,11 +214,10 @@ def cmd_eval(args) -> int:
     A = _load_wfa(args.automaton)
     kind = _parse_numeration(args.numeration)
     if args.word is not None:
-        w = parse_word(args.word)
         if isinstance(kind, Base):
-            v = weight(A, w)
+            v = weight(A, args.word)
         else:
-            v = weight_z(A, w)
+            v = weight_z(A, args.word)
     else:
         if args.n < 0:
             raise CliError(f"need n >= 0, got {args.n}")
@@ -248,7 +246,7 @@ def cmd_verify(args) -> int:
         got = sequence_prefix(A, P.kind, N)
         for n in range(N + 1):
             if got[n] != oracle[n]:
-                word = format_word(canonical(n, P.kind).digits)
+                word = format_word(canonical(n, P.kind))
                 print(f"FAIL at n = {n} (word {word}): oracle {oracle[n]}, "
                       f"automaton {got[n]}")
                 return 1
@@ -297,9 +295,7 @@ def cmd_determinize(args) -> int:
 
 
 def cmd_defect(args) -> int:
-    w = parse_word(args.input)
-    D = defect_automaton()
-    print(D.run(w.digits))
+    print(defect_automaton().run(args.input))
     return 0
 
 
@@ -436,7 +432,9 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+        msg = str(e) if e.filename is None else (  # str(e) carries the whole name
+            f"[Errno {e.errno}] {e.strerror}: {_quote(e.filename)}")
+        print(f"error: {msg}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)

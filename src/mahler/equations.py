@@ -36,8 +36,8 @@ from .numeration import (
     NumerationError,
     NumerationKind,
     Zeckendorf,
-    _digits,
     as_digits,
+    canonical,
     floor_phi,
     format_word,
     has_adjacent_ones,
@@ -529,7 +529,7 @@ def z_state_space(P: MahlerEquation) -> ZSpaceInfo:
     """Offsets run 0..h~ with h~ = floor((h+2)*phi) - 1; windows have
     length g = |canonical(h~)|."""
     ht = floor_phi(P.h + 2) - 1
-    g = len(_digits(ht))
+    g = len(canonical(ht))
     d = max(P.d, 1)
     return ZSpaceInfo(
         h_tilde=ht,
@@ -582,12 +582,12 @@ def _build_z(P: MahlerEquation, f0, G: Optional[WeightedAutomaton],
     d = max(P.d, 1) + extra_i
     h = P.h
     ht = z_state_space(P).h_tilde + extra_j
-    g = len(_digits(ht))
+    g = len(canonical(ht))
     dfa = defect_automaton()
     dtrans = dict(dfa.transitions)
     douts = dfa.outputs
     phi_tab = [phi(j) for j in range(ht + 1)]
-    pad_tab = [pad(_digits(j), g).digits for j in range(ht + 1)]
+    pad_tab = [pad(canonical(j), g) for j in range(ht + 1)]
     u0 = (0,) * g
     seeds = {(i, 0, dfa.initial, u0): f0 for i in range(d)}
     parts = []
@@ -674,7 +674,7 @@ def weight_z(A: WeightedAutomaton, word) -> RingValue:
     w = as_digits(word)
     if has_adjacent_ones(w):
         raise NumerationError(
-            f"word {format_word(w)} has adjacent ones; Zeckendorf automata "
+            f"word {_quote(format_word(w))} has adjacent ones; Zeckendorf automata "
             "are specified on adjacent-ones-free words only")
     return weight(A, w)
 

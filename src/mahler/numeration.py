@@ -2,7 +2,10 @@
 
 Conventions used throughout:
 
-* Digit words are most-significant-digit first.
+* A digit word is a plain tuple of ints, most significant digit first.
+  Which digits are allowed is up to the machine that reads the word;
+  ``canonical`` is the one expansion function, and its digits lie in
+  ``word_alphabet(kind)``.
 * Fibonacci numbers are indexed so that F_0 = 1, F_1 = 2, F_2 = 3, ...
   (with F_{-2} = 0 and F_{-1} = 1); the Zeckendorf value of a word
   b_{k-1} ... b_1 b_0 is sum b_i * F_i.
@@ -28,7 +31,7 @@ against.  The automaton prefix walk in wfa.py carries the value pair
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Sequence, Union
 
@@ -47,7 +50,7 @@ class Base:
 
     def __post_init__(self):
         if not isinstance(self.q, int) or self.q < 2:
-            raise NumerationError(f"base must be an integer >= 2, got {self.q!r}")
+            raise NumerationError(f"base must be an integer >= 2, got {_quote(self.q)}")
 
 
 @dataclass(frozen=True)
@@ -71,41 +74,12 @@ def fib(i: int) -> int:
     return _fib_cache[i + 2]
 
 
-@dataclass(frozen=True)
-class DigitWord:
-    """A digit word, most significant digit first, over a declared alphabet."""
-
-    digits: tuple[int, ...]
-    alphabet: frozenset[int] = field(default=frozenset((0, 1)))
-
-    def __post_init__(self):
-        bad = [d for d in self.digits if d not in self.alphabet]
-        if bad:
-            raise NumerationError(
-                f"digit {bad[0]} outside declared alphabet {sorted(self.alphabet)}")
-
-    def __len__(self):
-        return len(self.digits)
-
-    def __iter__(self):
-        return iter(self.digits)
-
-    def __getitem__(self, i):
-        return self.digits[i]
-
-    def __str__(self):
-        return format_word(self.digits)
-
-
-Digits = Union[DigitWord, str, Sequence[int]]
+Digits = Union[str, Sequence[int]]
 
 
 def as_digits(w: Digits) -> tuple[int, ...]:
-    if isinstance(w, DigitWord):
-        return w.digits
-    if isinstance(w, str):
-        return parse_word(w).digits
-    return tuple(w)
+    """Word text through ``parse_word``, any other sequence as a tuple."""
+    return parse_word(w) if isinstance(w, str) else tuple(w)
 
 
 def format_word(digits: Iterable[int]) -> str:
@@ -116,22 +90,19 @@ def format_word(digits: Iterable[int]) -> str:
     return ",".join(str(d) for d in digits)
 
 
-def parse_word(text: str) -> DigitWord:
-    """Inverse of ``format_word``; the alphabet becomes the digits seen."""
+def parse_word(text: str) -> tuple[int, ...]:
+    """Inverse of ``format_word``."""
     text = text.strip()
     if text == "":
-        digits: tuple[int, ...] = ()
-    elif "," in text or "-" in text:
+        return ()
+    if "," in text or "-" in text:
         try:
-            digits = tuple(int(part) for part in text.split(","))
+            return tuple(int(part) for part in text.split(","))
         except ValueError:
             raise NumerationError(f"bad digit word {_quote(text)}") from None
-    else:
-        if not text.isdigit():
-            raise NumerationError(f"bad digit word {_quote(text)}")
-        digits = tuple(int(ch) for ch in text)
-    alphabet = frozenset(digits) | frozenset((0, 1))
-    return DigitWord(digits, alphabet)
+    if not text.isdigit():
+        raise NumerationError(f"bad digit word {_quote(text)}")
+    return tuple(int(ch) for ch in text)
 
 
 def word_alphabet(kind: NumerationKind) -> tuple[int, ...]:
@@ -141,15 +112,10 @@ def word_alphabet(kind: NumerationKind) -> tuple[int, ...]:
     return (0, 1)
 
 
-def canonical(n: int, kind: NumerationKind = ZECKENDORF) -> DigitWord:
+def canonical(n: int, kind: NumerationKind = ZECKENDORF) -> tuple[int, ...]:
     """Canonical expansion of n >= 0; the single digit 0 for n = 0."""
     if not isinstance(n, int) or n < 0:
         raise NumerationError(f"canonical expansion needs n >= 0, got {n!r}")
-    return DigitWord(_digits(n, kind), frozenset(word_alphabet(kind)))
-
-
-def _digits(n: int, kind: NumerationKind = ZECKENDORF) -> tuple[int, ...]:
-    """Digits of canonical(n, kind) for an int n >= 0, unchecked."""
     if n == 0:
         return (0,)
     if isinstance(kind, Base):
@@ -191,15 +157,12 @@ def has_adjacent_ones(w: Digits) -> bool:
     return any(a == 1 and b == 1 for a, b in zip(digits, digits[1:]))
 
 
-def pad(w: Digits, length: int, alphabet: frozenset[int] | None = None) -> DigitWord:
+def pad(w: Digits, length: int) -> tuple[int, ...]:
     """Left-pad with zeros to the requested length."""
     digits = as_digits(w)
     if len(digits) > length:
         raise NumerationError(f"word of length {len(digits)} does not fit in {length}")
-    padded = (0,) * (length - len(digits)) + digits
-    if alphabet is None:
-        alphabet = frozenset(padded) | frozenset((0, 1))
-    return DigitWord(padded, alphabet)
+    return (0,) * (length - len(digits)) + digits
 
 
 # The Zeckendorf shift and its companions.  phi appends a zero digit; it
@@ -208,8 +171,7 @@ def pad(w: Digits, length: int, alphabet: frozenset[int] | None = None) -> Digit
 
 def phi(n: int) -> int:
     """Shift: value of the canonical expansion of n with a 0 appended."""
-    w = canonical(n, ZECKENDORF)
-    return value(w.digits + (0,), ZECKENDORF)
+    return value(canonical(n, ZECKENDORF) + (0,), ZECKENDORF)
 
 
 def phi_iter(n: int, i: int) -> int:
@@ -229,7 +191,7 @@ def phi_preimage(m: int, i: int = 1) -> int | None:
         return m
     if m == 0:
         return 0
-    w = canonical(m, ZECKENDORF).digits
+    w = canonical(m, ZECKENDORF)
     if len(w) <= i or any(d != 0 for d in w[-i:]):
         return None
     k = value(w[:-i], ZECKENDORF)
@@ -242,7 +204,7 @@ def lam(n: int) -> int:
     Writing n = sum b_i F_i, returns sum over i >= 1 of b_i F_{i-1}.
     A left inverse of phi: lam(phi(n)) == n for all n >= 0.
     """
-    w = canonical(n, ZECKENDORF).digits
+    w = canonical(n, ZECKENDORF)
     return value(w[:-1], ZECKENDORF)
 
 
@@ -253,7 +215,7 @@ def delta(m: int, n: int) -> int:
 
 def support(n: int) -> frozenset[int]:
     """Indices i with b_i = 1 in the canonical expansion of n."""
-    w = canonical(n, ZECKENDORF).digits
+    w = canonical(n, ZECKENDORF)
     k = len(w)
     return frozenset(k - 1 - pos for pos, d in enumerate(w) if d == 1)
 

@@ -47,6 +47,9 @@ class AutomatonError(ValueError):
 class MissingTransitionError(KeyError):
     """A partial deterministic machine was driven off its domain."""
 
+    def __str__(self):  # the message itself, not KeyError's repr of it
+        return str(self.args[0])
+
 
 def explore(seeds: Iterable[Hashable],
             successors: Callable[[Hashable], Iterable[tuple]]) -> tuple[list, dict]:
@@ -130,13 +133,13 @@ class DfaWithOutput:
         nxt = self.transitions.get((state, label))
         if nxt is None:
             raise MissingTransitionError(
-                f"no transition from state {self.states[state]!r} on {label!r}")
+                f"no transition from state {_quote(self.states[state])} on {_quote(label)}")
         return nxt
 
     def run(self, word) -> object:
         """Drive the machine over the word; output of the state reached."""
         state = self.initial
-        for label in as_digits(word) if not isinstance(word, (list, tuple)) else word:
+        for label in as_digits(word):
             state = self.step(state, label)
         return self.outputs[state]
 
@@ -199,8 +202,8 @@ class WeightedAutomaton:
                 f"{self.ring.spec}, {len(self.transitions)} transitions>")
 
 
-def _word_labels(A: WeightedAutomaton, w) -> list:
-    labels = list(as_digits(w)) if not isinstance(w, (list, tuple)) else list(w)
+def _word_labels(A: WeightedAutomaton, w) -> tuple:
+    labels = as_digits(w)
     alpha = set(A.alphabet)
     for lab in labels:
         if lab not in alpha:

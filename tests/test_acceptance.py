@@ -101,7 +101,7 @@ def test_c03_defect_automata_exhaustive():
     # words of m and n and must output phi(m) - phi(m-n) - phi(n) on every
     # pair 0 <= n <= m <= 2000.  Vectorized over all 2 003 001 pairs.
     M = 2000
-    words = [canonical(n).digits for n in range(M + 1)]
+    words = [canonical(n) for n in range(M + 1)]
     L = max(len(w) for w in words)
     digit = np.zeros((M + 1, L), dtype=np.int8)
     for n, w in enumerate(words):
@@ -297,14 +297,14 @@ def test_inv_oracle_soundness():
 def test_inv_leading_zero_invariance():
     A = build_automaton_q(shipped("hyperbinary.eq"))
     for n in range(101):
-        w = canonical(n, BASE2).digits
+        w = canonical(n, BASE2)
         base = weight(A, w)
         for k in range(1, 6):
             assert weight(A, (0,) * k + w) == base
 
     Z = build_automaton_z(shipped("fib_repr.eq"))
     for n in range(101):
-        w = canonical(n).digits
+        w = canonical(n)
         base = weight_z(Z, w)
         for k in range(1, 6):
             assert weight_z(Z, (0,) * k + w) == base

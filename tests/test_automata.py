@@ -130,9 +130,9 @@ def test_defect_constructed_is_total_and_partitioned():
 def triple_word(a, b, c, kind, extra=0):
     """Stack the canonical expansions of a, b, c into digit triples,
     left-padded to the length of the longest plus `extra`."""
-    wa, wb, wc = (canonical(x, kind).digits for x in (a, b, c))
+    wa, wb, wc = (canonical(x, kind) for x in (a, b, c))
     L = max(len(wa), len(wb), len(wc)) + extra
-    wa, wb, wc = (pad(w, L).digits for w in (wa, wb, wc))
+    wa, wb, wc = (pad(w, L) for w in (wa, wb, wc))
     return tuple(zip(wa, wb, wc))
 
 
@@ -254,7 +254,7 @@ def test_polynomial_automaton(kind):
     got = ints(sequence_prefix(A, kind, 12))
     assert got == [1, 0, 2, 5] + [0] * 9
     # leading zeros in the input word change nothing
-    w = (0, 0) + canonical(2, kind).digits
+    w = (0, 0) + canonical(2, kind)
     assert weight(A, w).payload == 2
 
 

@@ -191,7 +191,7 @@ def test_verify_corrupted_automaton_fails(eqfile, capsys, tmp_path):
                          out)
     assert found is not None, out
     n = int(found.group(1))
-    assert found.group(2) == format_word(canonical(n).digits)
+    assert found.group(2) == format_word(canonical(n))
 
 
 def test_verify_residual_mode(eqfile, capsys):
@@ -494,6 +494,7 @@ HOSTILE = {
     "4,000-digit negative g exponent": ("x.eq", _eq_doc(f"alpha 0 0 1\ng -{BIG} 1\n")),
     "4,000-digit duplicate g": ("x.eq", _eq_doc(f"alpha 0 0 1\ng {BIG} 1\ng {BIG} 1\n")),
     "4,000-digit bad g element": ("x.eq", _eq_doc(f"alpha 0 0 1\ng {BIG} y\n")),
+    "4,000-digit negative base": ("x.eq", f"ring Z\nnumeration base -{BIG}\nf0 1\nalpha 0 0 1\n"),
 }
 
 
@@ -528,6 +529,10 @@ HOSTILE_ARGV = {
     # past 4,300 digits even repr() of the product raises
     "8,000-digit system size": ("relation", "-a", "builtin:fib-repr@Q",
                                 "--dmax", "9" * 4000, "--hmax", "9" * 4000, "-N", "10"),
+    "4,000-digit defect label": ("defect", "--input", "1," + "9" * 4000),
+    "100,000-digit word with adjacent ones": ("eval", "-a", "builtin:fib-repr",
+                                              "--word", "11" + "0" * 100_000),
+    "100,000-char file name": ("solve", "-f", "x" * 100_000, "-N", "8"),
 }
 
 

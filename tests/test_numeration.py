@@ -5,7 +5,6 @@ import oracles
 from mahler.numeration import (
     ZECKENDORF,
     Base,
-    DigitWord,
     NumerationError,
     canonical,
     delta,
@@ -53,10 +52,10 @@ def test_kind_validation():
 
 
 def test_canonical_examples():
-    assert canonical(0).digits == (0,)
-    assert str(canonical(7)) == "1010"
-    assert str(canonical(100, BASE2)) == "1100100"
-    assert str(canonical(100, BASE3)) == "10201"
+    assert canonical(0) == (0,)
+    assert format_word(canonical(7)) == "1010"
+    assert format_word(canonical(100, BASE2)) == "1100100"
+    assert format_word(canonical(100, BASE3)) == "10201"
     with pytest.raises(NumerationError):
         canonical(-1)
     with pytest.raises(NumerationError):
@@ -156,9 +155,9 @@ def test_canonical_around_fibonacci_numbers():
     for k in range(101):
         for n in (fib(k) - 1, fib(k), fib(k) + 1):
             w = canonical(n)
-            assert str(w) == oracles.zeckendorf_greedy(n)
+            assert format_word(w) == oracles.zeckendorf_greedy(n)
             assert value(w) == n
-            assert w.alphabet == frozenset((0, 1))
+            assert set(w) <= {0, 1}
 
 
 def test_lam():
@@ -187,24 +186,22 @@ def test_support():
 
 def test_pad():
     w = pad(canonical(4), 6)
-    assert w.digits == (0, 0, 0, 1, 0, 1)
+    assert w == (0, 0, 0, 1, 0, 1)
     with pytest.raises(NumerationError):
         pad(canonical(4), 2)
 
 
 def test_parse_and_format_word():
-    assert str(parse_word("10100")) == "10100"
-    assert parse_word("1,0,-1").digits == (1, 0, -1)
+    assert format_word(parse_word("10100")) == "10100"
+    assert parse_word("1,0,-1") == (1, 0, -1)
     assert format_word((1, 0, -1)) == "1,0,-1"
-    assert parse_word("").digits == ()
+    assert parse_word("") == ()
     for bad in ("1x", "1 -1", "a", "-"):
         with pytest.raises(NumerationError):
             parse_word(bad)
 
 
 def test_digit_word_alphabet_enforced():
-    with pytest.raises(NumerationError):
-        DigitWord((2,), frozenset((0, 1)))
     assert has_adjacent_ones((0, 1, 1))
     assert not has_adjacent_ones((1, 0, 1))
 
@@ -214,14 +211,14 @@ def test_canonical_round_trip(n, kind):
     w = canonical(n, kind)
     assert value(w, kind) == n
     if n > 0:
-        assert w.digits[0] != 0
+        assert w[0] != 0
 
 
 @given(st.integers(0, 100000))
 def test_canonical_zeckendorf_is_greedy_and_clean(n):
     w = canonical(n)
     assert not has_adjacent_ones(w)
-    assert str(w) == oracles.zeckendorf_greedy(n)
+    assert format_word(w) == oracles.zeckendorf_greedy(n)
 
 
 @st.composite
@@ -244,7 +241,7 @@ def test_canonical_of_value_strips_leading_zeros(w):
     n = value(tuple(cleaned))
     trimmed = tuple(cleaned[next(
         (i for i, d in enumerate(cleaned) if d), len(cleaned)):])
-    assert canonical(n).digits == (trimmed if trimmed else (0,))
+    assert canonical(n) == (trimmed if trimmed else (0,))
 
 
 @given(st.integers(0, 5000), st.integers(0, 5000))

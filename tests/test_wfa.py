@@ -10,10 +10,11 @@ from mahler.automata import (
     addition_automaton,
     all_ones_automaton,
     count_ones_automaton,
+    defect_automaton,
     fibonacci_representation_automaton,
 )
-from mahler.equations import build_automaton_z
-from mahler.numeration import ZECKENDORF, Base, canonical, word_alphabet
+from mahler.equations import build_automaton_z, weight_z
+from mahler.numeration import ZECKENDORF, Base, canonical, parse_word, word_alphabet
 from mahler.rings import (INTEGERS, RATIONALS, MixedRingError, PrimeField, RingError,
                           RingValue, parse_ring)
 from mahler.wfa import (
@@ -507,6 +508,20 @@ def test_dfa_run_and_missing_edge():
     assert D.run((1, 0, 1)) == "odd"
     with pytest.raises(MissingTransitionError):
         D.run((0,))
+
+
+@pytest.mark.parametrize("text", ["", "0", "1001", "10100101", "1,0,-1", "1,-1"])
+def test_word_as_text_tuple_or_list_reads_alike(text):
+    # every reader takes a word through as_digits: text is parsed, any
+    # other sequence becomes a tuple
+    words = (text, parse_word(text), list(parse_word(text)))
+    runs = [defect_automaton().run(w) for w in words]
+    assert runs[0] in (-1, 0, 1) and runs == runs[:1] * 3
+    if set(parse_word(text)) <= {0, 1}:
+        A = fibonacci_representation_automaton()
+        for read in (weight, weight_z):
+            values = [read(A, w) for w in words]
+            assert values == values[:1] * 3
 
 
 def test_automaton_validation():
