@@ -357,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="automaton JSON path or builtin:<name>")
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("-n", type=_integer, help="index, evaluated on its canonical expansion")
-    grp.add_argument("--word", help="explicit digit word, e.g. '10100' or '1,0,-1'")
+    grp.add_argument("--word", help="explicit digit word, e.g. '10100', '1,0,2' or '-1,0'")
     p.add_argument("--numeration", default="zeckendorf",
                    help="zeckendorf (default) or base-<q>")
     p.set_defaults(func=cmd_eval)
@@ -402,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("defect", help="run the linearity-defect automaton")
     p.add_argument("--input", required=True,
-                   help="digit word over {-1,0,1}, e.g. '1,0,-1'")
+                   help="digit word over {-1,0,1} with commas, e.g. '1,0,-1' or '0,1,-1'")
     p.set_defaults(func=cmd_defect)
 
     p = sub.add_parser("growth", help="non-regular example growth thresholds")
@@ -424,6 +424,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes '-1,0' for an option
+        opt = argv[i - 1]  # --word, --input or an abbreviation of either
+        if len(opt) > 2 and argv[i][1:2].isdigit() and any(
+                name.startswith(opt) for name in ("--word", "--input")):
+            argv[i - 1:i + 1] = [f"{opt}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

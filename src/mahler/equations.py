@@ -230,22 +230,24 @@ def _isolating_f0(P: MahlerEquation, f0, g0: RingValue) -> RingValue:
     return f0
 
 
-def _g_lookup(P: MahlerEquation, g, N: int):
-    """Accessor for g_n; an explicit prefix overrides the polynomial part."""
-    ring = P.ring
+def _payloads(ring: Ring, s, what: str) -> list:
+    """Payloads of a SeriesPrefix or of a sequence of ring elements."""
+    if isinstance(s, SeriesPrefix):
+        if s.ring != ring:
+            raise EquationError(f"{what} ring differs from the equation ring")
+        s = s.coeffs
+    return [ring.element(v).payload for v in s]
+
+
+def _g_payloads(P: MahlerEquation, g, N: int) -> list:
+    """Payloads of g_0..g_N; an explicit prefix overrides the polynomial part."""
     if g is None:
-        gp = P.g_poly
-        zero = ring.zero
-        return lambda n: gp.get(n, zero)
-    if isinstance(g, SeriesPrefix):
-        if g.ring != ring:
-            raise EquationError("g series ring differs from the equation ring")
-        seq = g.coeffs
-    else:
-        seq = tuple(ring.element(v) for v in g)
+        zero = P.ring.zero
+        return [P.g_poly.get(n, zero).payload for n in range(N + 1)]
+    seq = _payloads(P.ring, g, "g series")
     if len(seq) <= N:
         raise EquationError(f"g prefix too short: need g_0..g_{N}, got {len(seq)} entries")
-    return lambda n: seq[n]
+    return seq
 
 
 def solve_series(P: MahlerEquation, N: int, f0=None, g=None) -> SeriesPrefix:
@@ -256,24 +258,29 @@ def solve_series(P: MahlerEquation, N: int, f0=None, g=None) -> SeriesPrefix:
     such k are < n, so the recurrence is well-founded), plus g_n.  An
     explicit g prefix overrides the equation's polynomial part.  The k
     come from one preimages(kind, N, i) table per distinct i; the oracle
-    uses numeration code only, never an automaton.
+    uses numeration code only, never an automaton.  The sums run on
+    payloads with native ``+`` and ``*``, and each f_n is reduced once by
+    ring._reduce.
     """
     if N < 0:
         raise EquationError(f"need N >= 0, got {N}")
-    g_at = _g_lookup(P, g, N)
-    out = [_isolating_f0(P, f0, g_at(0))]
+    ring = P.ring
+    g_pay = _g_payloads(P, g, N)
+    f0 = _isolating_f0(P, f0, RingValue(ring, g_pay[0]))
+    out = [f0.payload]
     pre = {i: preimages(P.kind, N, i) for (i, _) in P.alpha if i >= 1}
-    items = [(j, a, pre[i]) for (i, j), a in sorted(P.alpha.items()) if i >= 1]
+    items = [(j, a.payload, pre[i]) for (i, j), a in sorted(P.alpha.items()) if i >= 1]
+    reduce = ring._reduce
     for n in range(1, N + 1):
-        acc = g_at(n)
+        acc = g_pay[n]
         for j, a, pre_i in items:
             m = n - j
             if m >= 0:
                 k = pre_i[m]
                 if k >= 0:
-                    acc = acc + a * out[k]
-        out.append(acc)
-    return SeriesPrefix(P.ring, tuple(out))
+                    acc += a * out[k]
+        out.append(reduce(acc))
+    return SeriesPrefix(ring, tuple(RingValue(ring, v) for v in out))
 
 
 def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
@@ -282,35 +289,32 @@ def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
     Identically zero exactly when s solves the equation up to its
     truncation order.  Works for non-isolating equations; needs no
     coefficients beyond the prefix because phi(k) >= k and q*k >= k.
+    Summed on payloads like solve_series.
     """
     ring = P.ring
-    if isinstance(s, SeriesPrefix):
-        if s.ring != ring:
-            raise EquationError("series ring differs from the equation ring")
-        seq = s.coeffs
-    else:
-        seq = tuple(ring.element(v) for v in s)
-        if not seq:
-            raise EquationError("empty series prefix")
+    seq = _payloads(ring, s, "series")
+    if not seq:
+        raise EquationError("empty series prefix")
     N = len(seq) - 1
-    g_at = _g_lookup(P, g, N)
+    g_pay = _g_payloads(P, g, N)
     pre = {i: preimages(P.kind, N, i) for (i, _) in P.alpha if i >= 1}
-    items = [(i, j, a, pre.get(i)) for (i, j), a in sorted(P.alpha.items())]
+    items = [(i, j, a.payload, pre.get(i)) for (i, j), a in sorted(P.alpha.items())]
+    reduce = ring._reduce
     out = []
     for n in range(N + 1):
-        acc = -g_at(n)
+        acc = -g_pay[n]
         for i, j, a, pre_i in items:
             m = n - j
             if m < 0:
                 continue
             if i == 0:
-                acc = acc + a * seq[m]
+                acc += a * seq[m]
                 continue
             k = pre_i[m]
             if k >= 0:
-                acc = acc - a * seq[k]
-        out.append(acc)
-    return SeriesPrefix(ring, tuple(out))
+                acc -= a * seq[k]
+        out.append(reduce(acc))
+    return SeriesPrefix(ring, tuple(RingValue(ring, v) for v in out))
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,10 @@ class Ring:
 
     Payloads are plain ints (Z, Zmod, Fp) or Fractions (Q), always kept in
     canonical form: reduced fraction, least nonnegative residue.  The
-    underscore methods work on payloads directly; evaluation loops use them
-    to avoid wrapper overhead.
+    underscore methods work on payloads directly.  The oracle and every
+    evaluation loop sum payloads with native ``+`` and ``*`` instead and
+    bring each finished entry to canonical form once with ``_reduce``, the
+    one reduction rule: mod n over Zmod:n and Fp:p, nothing over Z and Q.
     """
 
     spec = "?"
@@ -73,7 +75,7 @@ class Ring:
     cardinality: int | None = None  # None means infinite
 
     def __eq__(self, other):
-        return isinstance(other, Ring) and self.spec == other.spec
+        return self is other or (isinstance(other, Ring) and self.spec == other.spec)
 
     def __hash__(self):
         return hash(self.spec)
@@ -98,6 +100,9 @@ class Ring:
     def _canon(self, x):
         raise NotImplementedError
 
+    def _reduce(self, x):
+        return x
+
     # element construction
 
     @property
@@ -115,7 +120,7 @@ class Ring:
     def element(self, x) -> "RingValue":
         """Wrap an int (or Fraction, or same-ring RingValue) as a value."""
         if isinstance(x, RingValue):
-            if x.ring != self:
+            if x.ring is not self and x.ring != self:
                 raise MixedRingError(
                     f"value of {x.ring.spec} used where {self.spec} expected")
             return x
@@ -295,6 +300,9 @@ class ModRing(Ring):
 
     def _neg(self, a):
         return (-a) % self.n
+
+    def _reduce(self, x):
+        return x % self.n
 
     def _canon(self, x):
         if isinstance(x, Fraction):

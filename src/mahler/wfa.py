@@ -215,10 +215,8 @@ def _step_payload(A: WeightedAutomaton, vec: dict, label) -> dict:
     """The sparse row vector vec * mu(label): each nonzero entry of vec
     meets the arrows of its own source only.
 
-    Payloads are plain ints or Fractions, so the sums and products are
-    native ``+`` and ``*``; over Zmod:n and Fp:p each output entry is
-    reduced mod the characteristic once, at the end, and then zeros are
-    dropped.  The result is entry for entry what ring._add/_mul give.
+    Native ``+`` and ``*`` on the payloads; each output entry is reduced
+    once, at the end, by ring._reduce, and then zeros are dropped.
     """
     by_src = A._arrows.get(label, {})
     out: dict = {}
@@ -226,10 +224,8 @@ def _step_payload(A: WeightedAutomaton, vec: dict, label) -> dict:
         for dst, wpay in by_src.get(src, ()):
             cur = out.get(dst)
             out[dst] = a * wpay if cur is None else cur + a * wpay
-    n = A.ring.characteristic
-    if n:
-        return {s: r for s, v in out.items() if (r := v % n)}
-    return {s: v for s, v in out.items() if v}
+    reduce = A.ring._reduce
+    return {s: r for s, v in out.items() if (r := reduce(v))}
 
 
 def _initial_payload(A: WeightedAutomaton) -> dict:
@@ -237,15 +233,16 @@ def _initial_payload(A: WeightedAutomaton) -> dict:
 
 
 def _gather_payload(A: WeightedAutomaton, entries: Iterable[tuple]) -> RingValue:
-    """Sum of a * F[s] over the (s, a) payload pairs of a row vector."""
+    """Sum of a * F[s] over the (s, a) payload pairs of a row vector,
+    native ``+`` and ``*``, reduced once."""
     ring = A.ring
-    acc = zero = ring._zero.payload
+    acc = ring._zero.payload
     final = A.final
     for s, a in entries:
         f = final[s].payload
-        if f != zero:
-            acc = ring._add(acc, ring._mul(a, f))
-    return RingValue(ring, acc)
+        if f:
+            acc += a * f
+    return RingValue(ring, ring._reduce(acc))
 
 
 def _fold(A: WeightedAutomaton, w) -> dict:
@@ -479,20 +476,19 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
             transitions={(d, b, s): w for (s, b, d), w in A.transitions.items()})
     ring = A.ring
     n = len(A.states)
-    zero = ring._zero.payload
+    reduce = ring._reduce
     labels = sorted(A.alphabet, key=_label_key)
-    add, mul = ring._add, ring._mul
     start = tuple(v.payload for v in A.initial)
     arrows = A._arrows
 
     def step_vec(vec, label):
-        acc = [zero] * n
+        acc = [0] * n
         for src, out in arrows.get(label, {}).items():
             a = vec[src]
-            if a != zero:
+            if a:
                 for dst, w in out:
-                    acc[dst] = add(acc[dst], mul(a, w))
-        return tuple(acc)
+                    acc[dst] += a * w
+        return tuple(map(reduce, acc))
 
     order, trans = explore(
         [start], lambda vec: ((label, step_vec(vec, label), None) for label in labels))

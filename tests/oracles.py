@@ -132,6 +132,30 @@ def path_sum(initial, final, arrows, word):
     return sum(acc * final[s] for s, acc in paths)
 
 
+def recurrence(alpha, f0, g, op, N, mod=0):
+    """f_0..f_N of the isolating equation f = sum alpha[i, j] x^j Phi^i(f) + g
+    by its recurrence, one term and one candidate index at a time: f_n is
+    g_n plus alpha[i, j] * f_k for every (i, j) and every k < n with
+    op^i(k) + j = n.  ``alpha`` maps (i, j), i >= 1, to ints or Fractions;
+    ``g`` lists g_0..g_N; ``op`` is the index map of one Phi (k -> q k, or
+    phi_ref).  With mod > 0 every f_n is reduced mod it."""
+    images = {}
+    for i, _j in alpha:
+        row = list(range(N + 1))
+        for _ in range(i):
+            row = [op(k) for k in row]
+        images[i] = row
+    f = [f0 % mod if mod else f0]
+    for n in range(1, N + 1):
+        acc = g[n]
+        for (i, j), a in alpha.items():
+            for k in range(n):
+                if images[i][k] + j == n:
+                    acc += a * f[k]
+        f.append(acc % mod if mod else acc)
+    return f
+
+
 def kernel_basis(rows, ncols, p=0):
     """Right-kernel basis by textbook Gauss-Jordan: each pivot row scaled
     to 1, the pivot column cleared in every other row.  Entries are

@@ -407,6 +407,27 @@ def test_defect_outputs(capsys):
     assert run(capsys, "defect", "--input", "0") == (0, "0\n", "")
 
 
+@pytest.mark.parametrize("argv", [
+    ("defect", "--input", "-1,0,1"),
+    ("defect", "--input", "1,-1"),
+    ("eval", "-a", "builtin:fib-repr", "--word", "-1,0"),
+    ("eval", "-a", "builtin:fib-repr", "--word", "10100"),
+    ("defect", "--inp", "-1,0"),
+    ("eval", "-a", "builtin:fib-repr", "--wo", "-1"),
+])
+def test_digit_word_with_a_minus_is_read_as_a_value(capsys, argv):
+    # the word as its own argument behaves exactly like the --opt=word form
+    *head, opt, word = argv
+    assert run(capsys, *argv) == run(capsys, *head, f"{opt}={word}")
+
+
+def test_leading_negative_digit_word(capsys):
+    assert run(capsys, "defect", "--input", "-1,0,1") == \
+        (2, "", "error: no transition from state 'q0' on -1\n")
+    assert run(capsys, "eval", "-a", "builtin:fib-repr", "--word", "-1,0") == \
+        (2, "", "error: label -1 outside automaton alphabet\n")
+
+
 def test_defect_missing_transition(capsys):
     code, out, err = run(capsys, "defect", "--input", "-1")
     assert code == 2

@@ -317,6 +317,76 @@ class TestResidual:
 
 
 # ---------------------------------------------------------------------------
+# the oracle against a plain recurrence
+
+ORACLE_RINGS = ("Z", "Q", "Zmod:6", "Zmod:12", "Fp:2", "Fp:7")
+
+
+@st.composite
+def oracle_problems(draw):
+    """(P, explicit g prefix or None, N, k, reference f_0..f_N) over every
+    ring family, in base 2, base 3 and Zeckendorf, with d <= 3, h <= 4 and
+    no g, a polynomial g or an explicit g prefix (which overrides a
+    polynomial part); g_0 or alpha[1, 0] is chosen so that f0 is
+    compatible.  k in 1..N is an index to perturb."""
+    ring = parse_ring(draw(st.sampled_from(ORACLE_RINGS)))
+    n = ring.characteristic
+    if n:
+        entry = st.integers(0, n - 1)
+    elif ring == RATIONALS:  # mostly non-integer fractions
+        entry = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    else:
+        entry = st.integers(-3, 3)
+    kind = draw(st.sampled_from((BASE2, Base(3), ZECKENDORF)))
+    d, h, N = draw(st.integers(1, 3)), draw(st.integers(0, 4)), draw(st.integers(1, 60))
+    alpha = {(i, j): draw(entry) for i in range(1, d + 1) for j in range(h + 1)}
+    f0 = draw(entry)
+    mode = draw(st.sampled_from(("none", "polynomial", "prefix")))
+    g_poly = {} if mode == "none" else {j: draw(entry) for j in range(draw(st.integers(0, 5)))}
+    g = [draw(entry) for _ in range(N + 1)] if mode == "prefix" else \
+        [g_poly.get(j, 0) for j in range(N + 1)]
+    c = sum(alpha[i, 0] for i in range(1, d + 1))
+    if mode == "none":
+        alpha[1, 0] += 1 - c
+    else:
+        g[0] = f0 * (1 - c)
+        if mode == "polynomial":
+            g_poly[0] = g[0]
+    P = MahlerEquation(ring=ring, kind=kind, alpha={(0, 0): 1, **alpha}, f0=f0, g_poly=g_poly)
+    op = oracles.phi_ref if kind == ZECKENDORF else (lambda k: kind.q * k)
+    want = oracles.recurrence(alpha, f0, g, op, N, n)
+    return P, (g if mode == "prefix" else None), N, draw(st.integers(1, N)), want
+
+
+def assert_canonical(series):
+    ring = series.ring
+    for v in series:
+        if ring == RATIONALS:
+            assert type(v.payload) is Fraction
+        else:
+            assert type(v.payload) is int
+            assert ring.characteristic == 0 or 0 <= v.payload < ring.characteristic
+
+
+@settings(max_examples=200)
+@given(oracle_problems())
+def test_oracle_equals_plain_recurrence(problem):
+    P, g, N, k, want = problem
+    s = solve_series(P, N, g=g)
+    assert [v.payload for v in s] == want
+    assert_canonical(s)
+    res = residual(P, s, g=g)
+    assert res.is_zero()
+    assert_canonical(res)
+    bad = list(s)
+    bad[k] = bad[k] + P.ring.one
+    res = residual(P, bad, g=g)
+    assert [bool(v) for v in res].index(True) == k
+    assert res[k].is_one()
+    assert_canonical(res)
+
+
+# ---------------------------------------------------------------------------
 # equation files
 
 class TestEquationFiles:

@@ -131,6 +131,22 @@ def test_mixed_ring_rejected():
     assert INTEGERS.element(2) != PrimeField(5).element(2)
 
 
+def test_same_ring_fast_paths_and_foreign_ring_text():
+    z6 = ModRing(6)
+    v = z6.element(5)
+    assert z6 == z6 and z6.element(v) is v
+    assert ModRing(6).element(v) is v  # another object with the same spec
+    with pytest.raises(MixedRingError, match=r"^value of Zmod:7 used where Zmod:6 expected$"):
+        z6.element(ModRing(7).element(1))
+    assert z6 != "Zmod:6"
+
+
+def test_one_reduction_rule():
+    assert ModRing(6)._reduce(-1) == 5 and PrimeField(7)._reduce(23) == 2
+    assert INTEGERS._reduce(-12) == -12
+    assert RATIONALS._reduce(Fraction(-3, 4)) == Fraction(-3, 4)
+
+
 def test_values_immutable_and_hashable():
     v = INTEGERS.element(3)
     with pytest.raises(AttributeError):

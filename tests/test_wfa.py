@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import ints, make_random_equation
+from mahler import cli
 from mahler.automata import (
     addition_automaton,
     all_ones_automaton,
@@ -17,6 +19,7 @@ from mahler.equations import build_automaton_z, weight_z
 from mahler.numeration import ZECKENDORF, Base, canonical, parse_word, word_alphabet
 from mahler.rings import (INTEGERS, RATIONALS, MixedRingError, PrimeField, RingError,
                           RingValue, parse_ring)
+from mahler.serialize import dfa_to_json
 from mahler.wfa import (
     AutomatonError,
     DfaWithOutput,
@@ -488,6 +491,31 @@ def test_determinize_direct_and_reverse():
     for w in all_words((0, 1), 8):
         assert D.run(w) == weight(A, w)
         assert R.run(w) == weight(A, tuple(reversed(w)))
+
+
+# sizes and sha256 of dfa_to_json, recorded before determinize summed native payloads
+DFA_PINS = {
+    ("fib@Fp:2 squared", "direct"): (
+        379, "32499ba81d0fc3fe6d59de999f6f745b59baebfb47b7366f78bb3044bda2b197"),
+    ("fib@Fp:2 squared", "reverse"): (
+        8288, "75e43e76b8698de4645cdb9a4f865e44ddb6cdb85662bfadc54d8bbae03c151d"),
+    ("builtin:thue-morse", "direct"): (
+        2, "3c6afdbc961d1b0fc393b8b41334fbdbd3caa19b9a573be66047622227833141"),
+    ("builtin:thue-morse", "reverse"): (
+        2, "3c6afdbc961d1b0fc393b8b41334fbdbd3caa19b9a573be66047622227833141"),
+}
+
+
+def test_determinize_pinned_machines():
+    f2 = fibonacci_representation_automaton(PrimeField(2))
+    machines = {"fib@Fp:2 squared": cauchy_product(f2, f2, addition_automaton(ZECKENDORF)),
+                "builtin:thue-morse": cli._load_wfa("builtin:thue-morse")}
+    got = {}
+    for name, direction in DFA_PINS:
+        D = determinize(machines[name], direction)
+        got[name, direction] = (
+            len(D.states), hashlib.sha256(dfa_to_json(D).encode()).hexdigest())
+    assert got == DFA_PINS
 
 
 def test_determinize_prerequisites():
