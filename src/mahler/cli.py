@@ -19,7 +19,8 @@ builtin:fib-repr@Q.  See BUILTIN_WFA / BUILTIN_DFA.  Exit codes: 0
 success or PASS, 1
 verification FAIL (or no relation found), 2 usage, parse, or
 precondition errors, an order -N above MAX_N, an equation whose d, h,
-g exponents or state grid pass MAX_N (build, verify), or running out of
+g exponents, base or state grid pass MAX_N (build, verify), a base-q
+adder of more than MAX_N digit triples (product), or running out of
 memory.
 """
 
@@ -175,6 +176,7 @@ def _build_from_equation(P):
     _check_order(P.h, "h")
     _check_order(max(P.g_poly, default=0), "largest g exponent")
     if isinstance(P.kind, Base):
+        _check_order(P.kind.q, "base q (the machine's alphabet)")
         _check_order(max(P.d, 1) * max(1, -(-P.h // (P.kind.q - 1))),
                      "base-q grid d(h~+1)")
         return build_automaton_q(P)
@@ -279,9 +281,11 @@ def cmd_relation(args) -> int:
 
 
 def cmd_product(args) -> int:
+    kind = _parse_numeration(args.numeration)
+    if isinstance(kind, Base):
+        _check_order(kind.q ** 3, "adder alphabet q^3")
     A = _load_wfa(args.automaton)
     B = _load_wfa(args.other)
-    kind = _parse_numeration(args.numeration)
     C = cauchy_product(A, B, addition_automaton(kind))
     _emit(automaton_to_json(C) + "\n", args.output)
     return 0

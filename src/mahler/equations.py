@@ -93,11 +93,6 @@ class SeriesPrefix:
     def __getitem__(self, n):
         return self.coeffs[n]
 
-    def __eq__(self, other):
-        if not isinstance(other, SeriesPrefix):
-            return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
-
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if len(self.coeffs) > 8 else ""
@@ -494,7 +489,8 @@ def build_automaton_q(P: MahlerEquation, f0=None, *,
 
     def moves(state):
         i, j = state
-        for b in range(q):
+        # a digit past P.h + h~ - qj closes no block and descends nowhere
+        for b in range(min(q, P.h + ht - q * j + 1)):
             m = q * j + b
             if i + 1 < d and m <= ht:
                 yield b, (i + 1, m), one

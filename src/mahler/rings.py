@@ -4,7 +4,9 @@ Rings on offer: the integers ``Z``, the rationals ``Q``, modular rings
 ``Zmod:n`` (n >= 2, composite allowed), and prime fields ``Fp:p``.  All
 arithmetic is arbitrary precision and exact; nothing here ever touches a
 float.  Values are immutable and remember their ring, so accidentally
-mixing rings raises instead of silently coercing.
+mixing rings raises instead of silently coercing.  There is one
+arithmetic rule: native ``+``, ``-``, ``*`` on the payloads, then
+``Ring._reduce`` (mod n over Zmod:n and Fp:p, nothing over Z and Q).
 """
 
 from __future__ import annotations
@@ -59,20 +61,27 @@ def _is_prime(n: int) -> bool:
 
 
 class Ring:
-    """A commutative ring; subclasses fix payload representation and ops.
+    """A commutative ring; subclasses fix payload representation.
 
     Payloads are plain ints (Z, Zmod, Fp) or Fractions (Q), always kept in
-    canonical form: reduced fraction, least nonnegative residue.  The
-    underscore methods work on payloads directly.  The oracle and every
-    evaluation loop sum payloads with native ``+`` and ``*`` instead and
-    bring each finished entry to canonical form once with ``_reduce``, the
-    one reduction rule: mod n over Zmod:n and Fp:p, nothing over Z and Q.
+    canonical form: reduced fraction, least nonnegative residue.  All
+    arithmetic follows one rule: native ``+``, ``-`` and ``*`` on the
+    payloads, then ``_reduce`` back to canonical form -- mod n over Zmod:n
+    and Fp:p, nothing over Z and Q.  The value operators apply it per
+    operation; the oracle and every evaluation loop sum many products
+    natively and reduce each finished entry once.  A ring class keeps only
+    what differs: ``_canon`` (payload from an int or Fraction),
+    ``_reduce``, ``_inv``, parsing, formatting and the flags below.
     """
 
     spec = "?"
     is_field = False
     characteristic = 0
     cardinality: int | None = None  # None means infinite
+
+    def __init__(self):
+        self.zero = RingValue(self, self._canon(0))
+        self.one = RingValue(self, self._canon(1))
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Ring) and self.spec == other.spec)
@@ -83,17 +92,6 @@ class Ring:
     def __repr__(self):
         return f"Ring({self.spec})"
 
-    # payload-level arithmetic, results canonical
-
-    def _add(self, a, b):
-        raise NotImplementedError
-
-    def _mul(self, a, b):
-        raise NotImplementedError
-
-    def _neg(self, a):
-        raise NotImplementedError
-
     def _inv(self, a):
         raise RingError(f"inverse needs a field, {self.spec} is not one")
 
@@ -102,20 +100,6 @@ class Ring:
 
     def _reduce(self, x):
         return x
-
-    # element construction
-
-    @property
-    def zero(self):
-        return self._zero
-
-    @property
-    def one(self):
-        return self._one
-
-    def _init_constants(self):
-        self._zero = RingValue(self, self._canon(0))
-        self._one = RingValue(self, self._canon(1))
 
     def element(self, x) -> "RingValue":
         """Wrap an int (or Fraction, or same-ring RingValue) as a value."""
@@ -161,20 +145,20 @@ class RingValue:
         return other
 
     def __add__(self, other):
-        other = self._same(other)
-        return RingValue(self.ring, self.ring._add(self.payload, other.payload))
+        r = self.ring
+        return RingValue(r, r._reduce(self.payload + self._same(other).payload))
 
     def __sub__(self, other):
-        other = self._same(other)
-        return RingValue(self.ring, self.ring._add(
-            self.payload, self.ring._neg(other.payload)))
+        r = self.ring
+        return RingValue(r, r._reduce(self.payload - self._same(other).payload))
 
     def __mul__(self, other):
-        other = self._same(other)
-        return RingValue(self.ring, self.ring._mul(self.payload, other.payload))
+        r = self.ring
+        return RingValue(r, r._reduce(self.payload * self._same(other).payload))
 
     def __neg__(self):
-        return RingValue(self.ring, self.ring._neg(self.payload))
+        r = self.ring
+        return RingValue(r, r._reduce(-self.payload))
 
     def __truediv__(self, other):
         other = self._same(other)
@@ -207,10 +191,10 @@ class RingValue:
         return hash((self.ring.spec, self.payload))
 
     def __bool__(self):
-        return self.payload != self.ring._zero.payload
+        return self.payload != self.ring.zero.payload
 
     def is_one(self) -> bool:
-        return self.payload == self.ring._one.payload
+        return self.payload == self.ring.one.payload
 
     def __str__(self):
         return self.ring.format(self.payload)
@@ -221,18 +205,6 @@ class RingValue:
 
 class IntegerRing(Ring):
     spec = "Z"
-
-    def __init__(self):
-        self._init_constants()
-
-    def _add(self, a, b):
-        return a + b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
 
     def _canon(self, x):
         if isinstance(x, Fraction):
@@ -247,18 +219,6 @@ class IntegerRing(Ring):
 class RationalRing(Ring):
     spec = "Q"
     is_field = True
-
-    def __init__(self):
-        self._init_constants()
-
-    def _add(self, a, b):
-        return a + b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
 
     def _inv(self, a):
         return 1 / a
@@ -290,16 +250,7 @@ class ModRing(Ring):
         self.spec = f"Zmod:{n}"
         self.characteristic = n
         self.cardinality = n
-        self._init_constants()
-
-    def _add(self, a, b):
-        return (a + b) % self.n
-
-    def _mul(self, a, b):
-        return (a * b) % self.n
-
-    def _neg(self, a):
-        return (-a) % self.n
+        super().__init__()
 
     def _reduce(self, x):
         return x % self.n
@@ -308,10 +259,10 @@ class ModRing(Ring):
         if isinstance(x, Fraction):
             if gcd(x.denominator, self.n) != 1:
                 raise RingError(f"denominator of {x} is not a unit mod {self.n}")
-            return (x.numerator * pow(x.denominator, -1, self.n)) % self.n
-        if not isinstance(x, int):
+            x = x.numerator * pow(x.denominator, -1, self.n)
+        elif not isinstance(x, int):
             raise RingError(f"cannot make a {self.spec} element from {_quote(x)}")
-        return x % self.n
+        return self._reduce(x)
 
 
 class PrimeField(ModRing):
@@ -326,7 +277,6 @@ class PrimeField(ModRing):
             raise RingError(f"Fp modulus must be prime, got {_quote(p)}")
         super().__init__(p)
         self.spec = f"Fp:{p}"
-        self._init_constants()
 
     def _inv(self, a):
         return pow(a, -1, self.n)

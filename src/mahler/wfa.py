@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Mapping, Union
 
-from .numeration import Base, NumerationKind, as_digits, canonical, word_alphabet
+from .numeration import Base, NumerationKind, as_digits, canonical
 from .rings import INTEGERS, Ring, RingError, RingValue, _quote
 
 Label = Union[int, tuple]
@@ -236,7 +236,7 @@ def _gather_payload(A: WeightedAutomaton, entries: Iterable[tuple]) -> RingValue
     """Sum of a * F[s] over the (s, a) payload pairs of a row vector,
     native ``+`` and ``*``, reduced once."""
     ring = A.ring
-    acc = ring._zero.payload
+    acc = ring.zero.payload
     final = A.final
     for s, a in entries:
         f = final[s].payload
@@ -263,7 +263,7 @@ def weight(A: WeightedAutomaton, w) -> RingValue:
 def forward_vector(A: WeightedAutomaton, w) -> tuple:
     """Accumulated in-weight per state after reading the word."""
     vec = _fold(A, w)
-    zero = A.ring._zero.payload
+    zero = A.ring.zero.payload
     return tuple(RingValue(A.ring, vec.get(i, zero)) for i in range(len(A.states)))
 
 
@@ -285,7 +285,7 @@ def sequence_prefix(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list:
     """
     if N < 0:
         raise AutomatonError(f"need N >= 0, got {N}")
-    _word_labels(A, [b for b in word_alphabet(kind) if b <= N])
+    _word_labels(A, range(min(kind.q if isinstance(kind, Base) else 2, N + 1)))
     out = [None] * (N + 1)
     out[0] = eval_sequence(A, kind, 0)
     if N == 0:
@@ -297,10 +297,8 @@ def sequence_prefix(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list:
         while stack:
             vec, val = stack.pop()
             out[val] = _gather_payload(A, vec.items())
-            for b in range(q - 1, -1, -1):
-                child = q * val + b
-                if child <= N:
-                    stack.append((_step_payload(A, vec, b), child))
+            for b in range(min(q - 1, N - q * val), -1, -1):
+                stack.append((_step_payload(A, vec, b), q * val + b))
     else:
         stack = [(_step_payload(A, init, 1), 1, 2, 1)]
         while stack:
@@ -431,7 +429,7 @@ def cauchy_product(A1: WeightedAutomaton, A2: WeightedAutomaton,
     # alphabet order, not index order, fixes the order of discovery (state numbering)
     add_arrows = [(lab, AA._arrows[lab]) for lab in AA.alphabet if lab in AA._arrows]
     arrows1, arrows2 = A1._arrows, A2._arrows
-    mul = ring._mul
+    reduce = ring._reduce
 
     seeds = {(qa, s1, s2): v1 * v2
              for qa in range(len(AA.states)) if AA.initial[qa]
@@ -444,7 +442,7 @@ def cauchy_product(A1: WeightedAutomaton, A2: WeightedAutomaton,
             for qa2, _w in by_src.get(qa, ()):
                 for d1, w1 in arrows1.get(b1, {}).get(s1, ()):
                     for d2, w2 in arrows2.get(b2, {}).get(s2, ()):
-                        yield b3, (qa2, d1, d2), RingValue(ring, mul(w1, w2))
+                        yield b3, (qa2, d1, d2), RingValue(ring, reduce(w1 * w2))
 
     def final(triple):
         qa, s1, s2 = triple

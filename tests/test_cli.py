@@ -9,6 +9,7 @@ import pytest
 from conftest import equation_text, ints
 from mahler import cli
 from mahler.cli import MAX_N, main
+from mahler.equations import build_automaton_q, parse_equation, solve_series
 from mahler.numeration import ZECKENDORF, canonical, format_word
 from mahler.serialize import automaton_from_json
 from mahler.wfa import sequence_prefix
@@ -554,6 +555,9 @@ HOSTILE_ARGV = {
     "100,000-digit word with adjacent ones": ("eval", "-a", "builtin:fib-repr",
                                               "--word", "11" + "0" * 100_000),
     "100,000-char file name": ("solve", "-f", "x" * 100_000, "-N", "8"),
+    # the base-1000 adder reads 10^9 digit triples
+    "base-1000 product": ("product", "-a", "builtin:count-ones", "-b", "builtin:count-ones",
+                          "--numeration", "base-1000"),
 }
 
 
@@ -586,6 +590,7 @@ OVERSIZED = {
     "g exponent 10^8": "numeration zeckendorf\nf0 0\nalpha 0 0 1\nalpha 1 0 1\n"
                        "g 100000000 1\n",
     "base-2 d = 10^8": "numeration base 2\nf0 1\nalpha 0 0 1\nalpha 100000000 0 1\n",
+    "base 10^11": "numeration base 100000000000\nf0 1\nalpha 0 0 1\nalpha 1 0 1\n",
 }
 
 
@@ -603,6 +608,20 @@ def test_oversized_equation_is_refused_before_building(case, capsys, tmp_path):
     code, out, _err = run(capsys, "solve", "-f", str(path), "-N", "10")
     assert time.perf_counter() - start < 1.0
     assert code == 0 and len(out.splitlines()) == 11
+
+
+def test_large_base_costs_the_digits_used_not_the_base(capsys, tmp_path):
+    # with q = 10^5 and N = 3000 every index is a single digit: the walk
+    # and the build visit the digits at most N, never all q of them
+    path = tmp_path / "b100000.eq"
+    path.write_text("ring Z\nnumeration base 100000\nf0 1\nalpha 0 0 1\nalpha 1 0 1\n",
+                    encoding="utf-8")
+    start = time.perf_counter()
+    code, out, _err = run(capsys, "verify", "-f", str(path), "-N", "3000")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and out.startswith("PASS")
+    P = parse_equation(path.read_text(encoding="utf-8"))
+    assert sequence_prefix(build_automaton_q(P), P.kind, 3000) == list(solve_series(P, 3000))
 
 
 def test_verify_rejects_an_automaton_missing_base_digits(capsys, tmp_path):

@@ -172,6 +172,24 @@ def test_ring_laws(x, y, z, ring):
     assert a - b == a + (-b)
 
 
+# each ring with the modulus that reduces its plain results by hand
+_BY_HAND = [(INTEGERS, None), (RATIONALS, None), (ModRing(6), 6), (ModRing(12), 12),
+            (PrimeField(2), 2), (PrimeField(7), 7)]
+
+
+@given(st.sampled_from(_BY_HAND), st.integers(-10**20, 10**20), st.integers(-10**20, 10**20),
+       st.integers(1, 10**6), st.integers(1, 10**6))
+def test_value_operators_are_plain_arithmetic_reduced(case, x, y, dx, dy):
+    ring, n = case
+    if ring is RATIONALS:
+        x, y = Fraction(x, dx), Fraction(y, dy)
+    a, b = ring.element(x), ring.element(y)
+    for got, plain in ((a + b, x + y), (a - b, x - y), (a * b, x * y), (-a, -x)):
+        want = plain if n is None else plain % n
+        assert got.ring is ring
+        assert got.payload == want and type(got.payload) is type(want)
+
+
 @given(st.integers(-50, 50), st.sampled_from([RATIONALS, PrimeField(7)]))
 def test_field_inverse_law(x, ring):
     a = ring.element(x)
