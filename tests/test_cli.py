@@ -611,8 +611,9 @@ def test_oversized_equation_is_refused_before_building(case, capsys, tmp_path):
 
 
 def test_large_base_costs_the_digits_used_not_the_base(capsys, tmp_path):
-    # with q = 10^5 and N = 3000 every index is a single digit: the walk
-    # and the build visit the digits at most N, never all q of them
+    # with q = 10^5 and N = 3000 every index is a single digit: the prefix
+    # walk visits digits up to N and the build digits up to h + h~, never
+    # all q of them
     path = tmp_path / "b100000.eq"
     path.write_text("ring Z\nnumeration base 100000\nf0 1\nalpha 0 0 1\nalpha 1 0 1\n",
                     encoding="utf-8")
