@@ -71,6 +71,7 @@ from .serialize import (
 )
 from .wfa import (
     AutomatonError,
+    DfaWithOutput,
     MissingTransitionError,
     cauchy_product,
     determinize,
@@ -322,19 +323,11 @@ def cmd_growth(args) -> int:
 
 def cmd_export(args) -> int:
     spec = args.automaton
-    obj = None
-    if spec.startswith("builtin:"):
-        name = spec[len("builtin:"):]
-        if name in BUILTIN_DFA:
-            obj = BUILTIN_DFA[name]()
-    if obj is None:
-        obj = _load_wfa(spec)
-    is_dfa = not hasattr(obj, "ring")
-    if args.format == "json":
-        text = (dfa_to_json(obj) if is_dfa else automaton_to_json(obj)) + "\n"
-    else:
-        text = dfa_to_dot(obj) if is_dfa else automaton_to_dot(obj)
-    _emit(text, args.output)
+    maker = BUILTIN_DFA.get(spec[len("builtin:"):]) if spec.startswith("builtin:") else None
+    obj = maker() if maker else _load_wfa(spec)
+    to_json, to_dot = ((dfa_to_json, dfa_to_dot) if isinstance(obj, DfaWithOutput)
+                       else (automaton_to_json, automaton_to_dot))
+    _emit(to_json(obj) + "\n" if args.format == "json" else to_dot(obj), args.output)
     return 0
 
 

@@ -26,6 +26,13 @@ from .rings import RingValue, _quote, parse_ring
 from .wfa import AutomatonError, DfaWithOutput, WeightedAutomaton, _label_key
 
 
+def _sorted_transitions(M) -> list:
+    """M's transition items by source, label and target (the last key entry;
+    keys of a machine with outputs end in the label, which breaks no tie)."""
+    return sorted(M.transitions.items(),
+                  key=lambda kv: (kv[0][0], _label_key(kv[0][1]), kv[0][-1]))
+
+
 def _encode_label(label):
     return list(label) if isinstance(label, tuple) else label
 
@@ -53,9 +60,7 @@ def automaton_to_json(A: WeightedAutomaton) -> str:
         "transitions": [
             {"from": A.states[s], "label": _encode_label(b),
              "weight": str(w), "to": A.states[d]}
-            for (s, b, d), w in sorted(
-                A.transitions.items(),
-                key=lambda kv: (kv[0][0], _label_key(kv[0][1]), kv[0][2]))
+            for (s, b, d), w in _sorted_transitions(A)
         ],
     }
     return json.dumps(doc, indent=1)
@@ -152,9 +157,7 @@ def dfa_to_json(D: DfaWithOutput) -> str:
         "outputs": {D.states[i]: out_value(v) for i, v in enumerate(D.outputs)},
         "transitions": [
             {"from": D.states[s], "label": _encode_label(b), "to": D.states[d]}
-            for (s, b), d in sorted(
-                D.transitions.items(),
-                key=lambda kv: (kv[0][0], _label_key(kv[0][1])))
+            for (s, b), d in _sorted_transitions(D)
         ],
     }
     return json.dumps(doc, indent=1)
@@ -170,31 +173,38 @@ def _label_text(label) -> str:
     return str(label)
 
 
+def _dot(states, nodes, edges) -> str:
+    """DOT text: ``nodes`` holds each state's label lines and extra
+    attributes, ``edges`` its (source, target, label) arrows."""
+    lines = ["digraph automaton {", "  rankdir=LR;", "  node [shape=circle];"]
+    for name, (parts, attrs) in zip(states, nodes):
+        label = "\\n".join(_dot_escape(p) for p in parts)
+        attr_list = ", ".join([f'label="{label}"', *attrs])
+        lines.append(f'  "{_dot_escape(name)}" [{attr_list}];')
+    for s, d, text in edges:
+        lines.append(f'  "{_dot_escape(states[s])}" -> "{_dot_escape(states[d])}" '
+                     f'[label="{_dot_escape(text)}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def automaton_to_dot(A: WeightedAutomaton) -> str:
     """One node per state, one edge per nonzero transition ("label:weight").
 
     Nonzero initial/final weights are annotated in the node label;
     final-weight carriers are drawn with a double border.
     """
-    lines = ["digraph automaton {", "  rankdir=LR;", "  node [shape=circle];"]
-    for i, name in enumerate(A.states):
-        parts = [_dot_escape(name)]
-        attrs = []
-        if A.initial[i]:
-            parts.append(_dot_escape(f"I={A.initial[i]}"))
-        if A.final[i]:
-            parts.append(_dot_escape(f"F={A.final[i]}"))
+    nodes = []
+    for name, i, f in zip(A.states, A.initial, A.final):
+        parts, attrs = [name], []
+        if i:
+            parts.append(f"I={i}")
+        if f:
+            parts.append(f"F={f}")
             attrs.append("peripheries=2")
-        attrs.insert(0, f'label="{(chr(92) + "n").join(parts)}"')
-        lines.append(f'  "{_dot_escape(name)}" [{", ".join(attrs)}];')
-    for (s, b, d), w in sorted(
-            A.transitions.items(),
-            key=lambda kv: (kv[0][0], _label_key(kv[0][1]), kv[0][2])):
-        text = f"{_label_text(b)}:{w}"
-        lines.append(f'  "{_dot_escape(A.states[s])}" -> "{_dot_escape(A.states[d])}" '
-                     f'[label="{_dot_escape(text)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        nodes.append((parts, attrs))
+    edges = ((s, d, f"{_label_text(b)}:{w}") for (s, b, d), w in _sorted_transitions(A))
+    return _dot(A.states, nodes, edges)
 
 
 def dfa_to_dot(D: DfaWithOutput) -> str:
@@ -203,22 +213,9 @@ def dfa_to_dot(D: DfaWithOutput) -> str:
     The initial state is drawn bold with a "(start)" mark, which keeps
     the node count equal to the state count.
     """
-    lines = ["digraph automaton {", "  rankdir=LR;", "  node [shape=circle];"]
-    for i, name in enumerate(D.states):
-        label = name
-        if D.outputs[i] is not None:
-            label += f" / {D.outputs[i]}"
-        parts = [_dot_escape(label)]
-        attrs = []
-        if i == D.initial:
-            attrs.append("style=bold")
-            parts.append("(start)")
-        attrs.insert(0, f'label="{(chr(92) + "n").join(parts)}"')
-        lines.append(f'  "{_dot_escape(name)}" [{", ".join(attrs)}];')
-    for (s, b), d in sorted(
-            D.transitions.items(),
-            key=lambda kv: (kv[0][0], _label_key(kv[0][1]))):
-        lines.append(f'  "{_dot_escape(D.states[s])}" -> "{_dot_escape(D.states[d])}" '
-                     f'[label="{_dot_escape(_label_text(b))}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = [([name if out is None else f"{name} / {out}"], [])
+             for name, out in zip(D.states, D.outputs)]
+    nodes[D.initial][0].append("(start)")
+    nodes[D.initial][1].append("style=bold")
+    edges = ((s, d, _label_text(b)) for (s, b), d in _sorted_transitions(D))
+    return _dot(D.states, nodes, edges)

@@ -304,6 +304,14 @@ def test_shift_regular():
         assert got == [0] * j + base[:121 - j], j
 
 
+def test_shift_regular_preconditions():
+    with pytest.raises(AutomatonError, match="shift needs j >= 0, got -1"):
+        shift_regular(count_ones_automaton(INTEGERS), -1)
+    with pytest.raises(AutomatonError,
+                       match=r"shift_regular expects a \{0,1\}-alphabet automaton"):
+        shift_regular(polynomial_automaton([0, 1], Base(3), INTEGERS), 1)
+
+
 def test_count_ones_both_readings():
     A = count_ones_automaton(INTEGERS)
     for n in range(200):

@@ -1,17 +1,19 @@
 """CLI behavior through main(argv): outputs, exit codes, error paths."""
 
 import json
+import random
 import re
 import time
 
 import pytest
 
-from conftest import equation_text, ints
+from conftest import SHIPPED, equation_text, ints
 from mahler import cli
+from mahler.automata import addition_automaton_base, addition_automaton_zeckendorf
 from mahler.cli import MAX_N, main
 from mahler.equations import build_automaton_q, parse_equation, solve_series
 from mahler.numeration import ZECKENDORF, canonical, format_word
-from mahler.serialize import automaton_from_json
+from mahler.serialize import automaton_from_json, automaton_to_json
 from mahler.wfa import sequence_prefix
 
 
@@ -124,6 +126,15 @@ def test_eval_base2(capsys):
                          "--numeration", "base-2", "-n", "3")
     assert code == 0
     assert out == "0\n"
+
+
+def test_eval_word_in_base_q(capsys):
+    code, out, err = run(capsys, "eval", "-a", "builtin:count-ones",
+                         "--numeration", "base-2", "--word", "101")
+    assert (code, out, err) == (0, "2\n", "")
+    code, out, err = run(capsys, "eval", "-a", "builtin:count-ones",
+                         "--numeration", "base-3", "--word", "121")
+    assert (code, out, err) == (2, "", "error: label 2 outside automaton alphabet\n")
 
 
 def test_eval_from_json_file(eqfile, capsys, tmp_path):
@@ -347,6 +358,13 @@ def test_eval_json_of_wrong_types(capsys, tmp_path):
     assert err == "error: initial weight 1 is not a string\n"
 
 
+def test_eval_json_with_duplicate_labels(capsys, tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text(_wfa_doc(alphabet="[0, 0]"), encoding="utf-8")
+    code, out, err = run(capsys, "eval", "-a", str(path), "-n", "1")
+    assert (code, out, err) == (2, "", "error: duplicate alphabet labels\n")
+
+
 def test_eval_deeply_nested_json(capsys, tmp_path):
     bad = tmp_path / "deep.json"
     bad.write_text("[" * 200_000)
@@ -479,6 +497,16 @@ def test_export_wfa_dot_and_json(capsys, tmp_path):
                          "--format", "json", "-o", str(dest))
     assert code == 0
     assert automaton_from_json(dest.read_text()).n_states == 3
+
+
+@pytest.mark.parametrize("name, make", [
+    ("addition-base2", lambda: addition_automaton_base(2)),
+    ("addition-zeckendorf", addition_automaton_zeckendorf),
+])
+def test_export_fixed_builtin(name, make, capsys):
+    code, out, err = run(capsys, "export", "-a", f"builtin:{name}", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == automaton_to_json(make().automaton) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -643,3 +671,75 @@ def test_large_prime_field_answers_at_once(capsys):
                           "-n", "1")
     assert time.perf_counter() - start < 1.0
     assert code == 0 and out.strip() == "1"
+
+
+# ---------------------------------------------------------------------------
+# mutation fuzzing of both readers: every mutant of a shipped equation file
+# or builtin JSON machine ends in an answer, a FAIL or one short error line
+
+FUZZ_CHARS = "0123456789-+/:,.[]{}\" \nabdefhqxzFZ@#"
+
+
+def _mutate(rng, text):
+    """One to four edits: delete, insert or replace a character, reverse a span."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(chars))
+        edit = rng.randrange(4)
+        if edit == 0:
+            del chars[i]
+        elif edit == 1:
+            chars.insert(i, rng.choice(FUZZ_CHARS))
+        elif edit == 2:
+            chars[i] = rng.choice(FUZZ_CHARS)
+        else:
+            j = i + rng.randint(2, 12)
+            chars[i:j] = reversed(chars[i:j])
+    return "".join(chars)
+
+
+def _directives(name):
+    """A shipped equation file without its comment lines: they are most of
+    its text, and a mutant that only edits them reaches the skip path."""
+    return "".join(line for line in equation_text(name).splitlines(True)
+                   if not line.startswith("#"))
+
+
+def test_mutated_inputs_end_in_an_answer_or_one_error_line(eqfile, capsys, tmp_path):
+    sources = [(_directives(name), False) for name in SHIPPED] + [
+        (automaton_to_json(cli._load_wfa(f"builtin:{name}")), True)
+        for name in sorted(cli.BUILTIN_WFA)]
+    fib = eqfile("fib_repr.eq")
+    mutant_file = tmp_path / "mutant"
+    path = str(mutant_file)
+    rng = random.Random(14)
+    cases = 0
+    while cases < 300:
+        text, is_json = rng.choice(sources)
+        mutant = _mutate(rng, text)
+        mutant_file.write_text(mutant, encoding="utf-8")
+        N = str(rng.randint(0, 30))
+        if is_json:
+            commands = [
+                ["eval", "-a", path, "-n", N],
+                ["eval", "-a", path, "--word", rng.choice(["101", "1001", "0"])],
+                ["export", "-a", path, "--format", rng.choice(["dot", "json"])],
+                ["determinize", "-a", path, "--direction", rng.choice(["direct", "reverse"])],
+                ["product", "-a", path, "-b", rng.choice(["builtin:fib-repr", path])],
+                ["verify", "-f", fib, "-N", N, "--automaton", path]]
+        else:
+            commands = [["solve", "-f", path, "-N", N], ["verify", "-f", path, "-N", N],
+                        ["build", "-f", path]]
+        for argv in commands:
+            cases += 1
+            where = f"{argv[0]} on {mutant!r}"
+            try:
+                code = main(argv)
+            except Exception as e:  # a traceback out of main is the defect sought
+                pytest.fail(f"{where} raised {e!r}")
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), where
+            assert "Traceback" not in err, where
+            if code == 2:
+                errors = [line for line in err.splitlines() if line.startswith("error:")]
+                assert len(errors) == 1 and len(errors[0]) < 400, where

@@ -423,6 +423,10 @@ class TestEquationFiles:
             parse_equation("ring\n")
         with pytest.raises(EquationFileError, match="line 1: expected: g <j> <element>"):
             parse_equation("g 2\n")
+        with pytest.raises(EquationFileError, match="line 3: expected: d <int>"):
+            parse_equation("ring Z\nnumeration zeckendorf\nd 1 2\n")
+        with pytest.raises(EquationFileError, match="line 3: expected: f0 <element>"):
+            parse_equation("ring Z\nnumeration zeckendorf\nf0 1 2\n")
 
     def test_non_integer_index(self):
         with pytest.raises(EquationFileError,

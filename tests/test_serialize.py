@@ -1,16 +1,22 @@
 """JSON round trips and DOT snapshots."""
 
+import hashlib
 import json
 
 import pytest
 
+from conftest import equation_text
 from mahler.automata import (
+    addition_automaton,
     addition_automaton_zeckendorf,
     constant_recognizer,
     count_ones_automaton,
     defect_automaton,
+    defect_automaton_constructed,
     fibonacci_representation_automaton,
 )
+from mahler.equations import build_automaton_dumas, parse_equation
+from mahler.numeration import ZECKENDORF
 from mahler.rings import INTEGERS, RATIONALS, ModRing, PrimeField, RingError
 from mahler.serialize import (
     automaton_from_json,
@@ -19,7 +25,14 @@ from mahler.serialize import (
     dfa_to_dot,
     dfa_to_json,
 )
-from mahler.wfa import AutomatonError, WeightedAutomaton, same_structure
+from mahler.wfa import (
+    AutomatonError,
+    DfaWithOutput,
+    WeightedAutomaton,
+    cauchy_product,
+    determinize,
+    same_structure,
+)
 
 
 def small(ring, w):
@@ -229,6 +242,12 @@ class TestDfaJson:
         assert doc["outputs"]["p0q0"] is True
         assert doc["outputs"]["dead"] is False
 
+    def test_unserializable_output(self):
+        D = DfaWithOutput(alphabet=(0,), states=("a",), initial=0,
+                          transitions={(0, 0): 0}, outputs=(1.5,))
+        with pytest.raises(AutomatonError, match="cannot serialize output 1.5"):
+            dfa_to_json(D)
+
 
 # ---------------------------------------------------------------------------
 # DOT
@@ -268,3 +287,36 @@ class TestDot:
         dot = automaton_to_dot(addition_automaton_zeckendorf().automaton)
         assert ':1"];' in dot  # weights are all 1
         assert "0,0,0:1" in dot
+
+
+# sha256 of the DOT text, taken before both writers shared one layout: a
+# rewrite of a writer must keep its output byte for byte
+DOT_PINS = {
+    "fib_repr": "23f6764ba74a317577ff6d0fe57c2f81d7919d95118caec8278982729c89c2e8",
+    "dumas_fib": "839d103373d05fd3510b6e0c159a40c0eb3cf1fe996aee7aee87d78aea548c68",
+    "addition zeckendorf":
+        "b8c040537734d17806a85e29f61bdee81ff7b5189870612ad2a55be9afc7deb3",
+    "defect": "37f1f8546b97941f29fa48af65023a9cd314c11307066883fccde5134a3f93be",
+    "defect constructed":
+        "3410f63fb638d12e7dff11b0637d47815b9ee70be7ea778f4b51bc5223c392f0",
+    "fib@Fp:2 squared, direct":
+        "e8d05fe3b47303fdeba366804a526a31c08da0ba48f534c9688f0435dac1a71d",
+}
+
+
+def test_dot_is_pinned():
+    def build(name):
+        return build_automaton_dumas(parse_equation(equation_text(name)))
+
+    f2 = fibonacci_representation_automaton(PrimeField(2))
+    texts = {
+        "fib_repr": automaton_to_dot(build("fib_repr.eq")),
+        "dumas_fib": automaton_to_dot(build("dumas_fib.eq")),
+        "addition zeckendorf": automaton_to_dot(addition_automaton_zeckendorf().automaton),
+        "defect": dfa_to_dot(defect_automaton()),
+        "defect constructed": dfa_to_dot(defect_automaton_constructed()),
+        "fib@Fp:2 squared, direct": dfa_to_dot(determinize(
+            cauchy_product(f2, f2, addition_automaton(ZECKENDORF)), "direct")),
+    }
+    got = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+    assert got == DOT_PINS

@@ -484,6 +484,12 @@ def test_cauchy_product_ring_mismatch():
                        count_ones_automaton(PrimeField(2)), add)
 
 
+def test_cauchy_product_needs_an_adder_over_digit_triples():
+    A = count_ones_automaton(INTEGERS)
+    with pytest.raises(AutomatonError, match="addition automaton labels must be digit triples"):
+        cauchy_product(A, A, UnambiguousAutomaton(all_ones_automaton()))
+
+
 def test_determinize_direct_and_reverse():
     A = count_ones_automaton(PrimeField(2))
     D = determinize(A, "direct")
@@ -557,6 +563,9 @@ def test_automaton_validation():
     with pytest.raises(AutomatonError, match="duplicate state"):
         WeightedAutomaton(ring=INTEGERS, alphabet=(0,), states=("a", "a"),
                           initial=(one, one), final=(one, one), transitions={})
+    with pytest.raises(AutomatonError, match="duplicate alphabet labels"):
+        WeightedAutomaton(ring=INTEGERS, alphabet=(0, 0), states=("a",),
+                          initial=(one,), final=(one,), transitions={})
     with pytest.raises(AutomatonError, match="out of range"):
         WeightedAutomaton(ring=INTEGERS, alphabet=(0,), states=("a",),
                           initial=(one,), final=(one,),
