@@ -41,7 +41,6 @@ from .automata import (
 )
 from .equations import (
     EquationError,
-    SeriesPrefix,
     build_automaton_dumas,
     build_automaton_q,
     find_relation,
@@ -255,8 +254,7 @@ def cmd_verify(args) -> int:
                 return 1
         print(f"PASS: automaton matches the recurrence oracle for all n <= {N}")
         return 0
-    seq = SeriesPrefix(P.ring, tuple(sequence_prefix(A, P.kind, N)))
-    res = residual(P, seq)
+    res = residual(P, sequence_prefix(A, P.kind, N))
     for n, v in enumerate(res):
         if v:
             print(f"FAIL at n = {n}: residual {v}")

@@ -23,7 +23,7 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -104,11 +104,11 @@ class MahlerEquation:
     """A_0(x) y = sum_{i=1}^{d} A_i(x) Phi^i(y) + g(x), sparse coefficients.
 
     alpha maps (i, j) to the x^j coefficient of A_i; zero entries are
-    dropped on construction.  d and h are derived from the support (and
-    checked against the declared values when given): d is the largest i
-    with A_i nonzero, h the largest j appearing anywhere.  g_poly maps
-    exponents to the coefficients of the polynomial inhomogeneous part;
-    most equations leave it empty.
+    dropped on construction.  d and h are derived from the support: d is
+    the largest i with A_i nonzero, h the largest j appearing anywhere.
+    g_poly maps exponents to the coefficients of the polynomial
+    inhomogeneous part; most equations leave it empty.  For another f0,
+    use dataclasses.replace(P, f0=...), which derives d and h again.
     """
 
     ring: Ring
@@ -116,8 +116,8 @@ class MahlerEquation:
     alpha: Mapping
     f0: RingValue
     g_poly: Mapping = None
-    d: int = None
-    h: int = None
+    d: int = field(init=False)
+    h: int = field(init=False)
 
     def __post_init__(self):
         ring = self.ring
@@ -143,21 +143,11 @@ class MahlerEquation:
             v = ring.element(val)
             if v:
                 gp[j] = v
-        d = max(i for i, _ in clean)
-        h = max(j for _, j in clean)
-        if self.d is not None and self.d != d:
-            raise EquationError(
-                f"declared exponent d = {_quote(self.d)} but the coefficients give "
-                f"d = {_quote(d)}")
-        if self.h is not None and self.h != h:
-            raise EquationError(
-                f"declared height h = {_quote(self.h)} but the coefficients give "
-                f"h = {_quote(h)}")
         object.__setattr__(self, "alpha", MappingProxyType(clean))
         object.__setattr__(self, "g_poly", MappingProxyType(gp))
         object.__setattr__(self, "f0", ring.element(self.f0))
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "d", max(i for i, _ in clean))
+        object.__setattr__(self, "h", max(j for _, j in clean))
 
     def coefficient(self, i: int, j: int) -> RingValue:
         return self.alpha.get((i, j), self.ring.zero)
@@ -184,45 +174,39 @@ def is_isolating(P: MahlerEquation) -> bool:
     return all(i != 0 or j == 0 for (i, j) in P.alpha)
 
 
-def _compat_sides(P: MahlerEquation, f0: RingValue, g0: RingValue):
-    """Both sides of the n = 0 coefficient identity."""
-    lhs = P.coefficient(0, 0) * f0
+def _compat_sides(P: MahlerEquation, g0: RingValue):
+    """Both sides of the n = 0 coefficient identity for P.f0 and g_0 = g0."""
+    lhs = P.coefficient(0, 0) * P.f0
     rhs = g0
     for (i, j), a in P.alpha.items():
         if i >= 1 and j == 0:
-            rhs = rhs + a * f0
+            rhs = rhs + a * P.f0
     return lhs, rhs
 
 
-def compatible_f0(P: MahlerEquation, f0=None, g0=None) -> bool:
-    """n = 0 instance of the recurrence: alpha[0,0] f0 = sum_{i>=1} alpha[i,0] f0 + g0.
+def compatible_f0(P: MahlerEquation) -> bool:
+    """n = 0 instance of the recurrence: alpha[0,0] f0 = sum_{i>=1} alpha[i,0] f0 + g_0.
 
     For an isolating homogeneous equation this is f0 = (sum of the
-    constant terms of A_1..A_d) * f0.  g0 defaults to the equation's own
-    inhomogeneous part and may be overridden when g comes from an
-    automaton.
+    constant terms of A_1..A_d) * f0, with the equation's own f0 and g_0.
     """
-    ring = P.ring
-    f0 = P.f0 if f0 is None else ring.element(f0)
-    g0 = P.g(0) if g0 is None else ring.element(g0)
-    lhs, rhs = _compat_sides(P, f0, g0)
+    lhs, rhs = _compat_sides(P, P.g(0))
     return lhs == rhs
 
 
-def _isolating_f0(P: MahlerEquation, f0, g0: RingValue) -> RingValue:
-    """The f0 to solve or build with (default P.f0), after checking that P
-    is isolating and that f0 satisfies the n = 0 identity with g_0 = g0."""
+def _isolating_f0(P: MahlerEquation, g0: RingValue) -> RingValue:
+    """P.f0, after checking that P is isolating and that P.f0 satisfies
+    the n = 0 identity with g_0 = g0."""
     if not is_isolating(P):
         raise EquationError(
             "equation is not isolating (A_0 != 1); only isolating equations "
             "determine their coefficients by recurrence")
-    f0 = P.f0 if f0 is None else P.ring.element(f0)
-    lhs, rhs = _compat_sides(P, f0, g0)
+    lhs, rhs = _compat_sides(P, g0)
     if lhs != rhs:
         raise EquationError(
-            f"f0 = {f0} is not compatible: the n = 0 coefficient identity "
+            f"f0 = {P.f0} is not compatible: the n = 0 coefficient identity "
             f"needs {lhs} = {rhs}")
-    return f0
+    return P.f0
 
 
 def _payloads(ring: Ring, s, what: str) -> list:
@@ -245,23 +229,23 @@ def _g_payloads(P: MahlerEquation, g, N: int) -> list:
     return seq
 
 
-def solve_series(P: MahlerEquation, N: int, f0=None, g=None) -> SeriesPrefix:
+def solve_series(P: MahlerEquation, N: int, g=None) -> SeriesPrefix:
     """f_0..f_N by the coefficient recurrence; the oracle for every builder.
 
-    Requires the isolating form.  Each f_n with n >= 1 collects
-    alpha[i, j] * f_k over all i >= 1 and k with op^i(k) + j = n (all
-    such k are < n, so the recurrence is well-founded), plus g_n.  An
-    explicit g prefix overrides the equation's polynomial part.  The k
-    come from one preimages(kind, N, i) table per distinct i; the oracle
-    uses numeration code only, never an automaton.  The sums run on
-    payloads with native ``+`` and ``*``, and each f_n is reduced once by
-    ring._reduce.
+    Requires the isolating form; f_0 is P.f0.  Each f_n with n >= 1
+    collects alpha[i, j] * f_k over all i >= 1 and k with op^i(k) + j = n
+    (all such k are < n, so the recurrence is well-founded), plus g_n.
+    An explicit g prefix overrides the equation's polynomial part.  The
+    k come from one preimages(kind, N, i) table per distinct i; the
+    oracle uses numeration code only, never an automaton.  The sums run
+    on payloads with native ``+`` and ``*``, and each f_n is reduced
+    once by ring._reduce.
     """
     if N < 0:
         raise EquationError(f"need N >= 0, got {N}")
     ring = P.ring
     g_pay = _g_payloads(P, g, N)
-    f0 = _isolating_f0(P, f0, RingValue(ring, g_pay[0]))
+    f0 = _isolating_f0(P, RingValue(ring, g_pay[0]))
     out = [f0.payload]
     pre = {i: preimages(P.kind, N, i) for (i, _) in P.alpha if i >= 1}
     items = [(j, a.payload, pre[i]) for (i, j), a in sorted(P.alpha.items()) if i >= 1]
@@ -452,7 +436,7 @@ def format_equation(P: MahlerEquation) -> str:
 # ---------------------------------------------------------------------------
 # base-q compilation
 
-def build_automaton_q(P: MahlerEquation, f0=None, *,
+def build_automaton_q(P: MahlerEquation, *,
                       _extra_i: int = 0, _extra_j: int = 0) -> WeightedAutomaton:
     """Weighted automaton computing f_n on base-q expansions of n.
 
@@ -461,7 +445,7 @@ def build_automaton_q(P: MahlerEquation, f0=None, *,
     path with nonzero weight and are cut.  Reading digit b from s_{i,j}
     either descends one layer with weight 1, tracking the offset
     j -> qj + b, or closes the block of layers with weight
-    alpha[i+1, qj+b-k] into s_{0,k}.  I = f0 on the whole j = 0 column,
+    alpha[i+1, qj+b-k] into s_{0,k}.  I = P.f0 on the whole j = 0 column,
     F = 1 on s_{0,0}; the result is trimmed.  Leading zeros do not
     change weights: compatibility of f0 makes the initial vector stable
     under reading 0.  The whole grid is seeded in row order (initial
@@ -479,7 +463,7 @@ def build_automaton_q(P: MahlerEquation, f0=None, *,
             "inhomogeneous equations are supported only over Zeckendorf "
             "numeration (build_automaton_dumas)")
     ring = P.ring
-    f0 = _isolating_f0(P, f0, ring.zero)
+    f0 = _isolating_f0(P, ring.zero)
     q = P.kind.q
     d = max(P.d, 1) + _extra_i
     ht = max(0, -(-P.h // (q - 1)) - 1) + _extra_j
@@ -539,7 +523,7 @@ def z_state_space(P: MahlerEquation) -> ZSpaceInfo:
     )
 
 
-def _build_z(P: MahlerEquation, f0, G: Optional[WeightedAutomaton],
+def _build_z(P: MahlerEquation, G: Optional[WeightedAutomaton],
              extra_i: int = 0, extra_j: int = 0) -> WeightedAutomaton:
     """The Zeckendorf construction for f = sum_i A_i Phi^i(f) + g, where
     G is an automaton for g, or None for g = 0.
@@ -558,7 +542,7 @@ def _build_z(P: MahlerEquation, f0, G: Optional[WeightedAutomaton],
     domain while keeping the explored grid small.
 
     The grid is explored from the seeds s_{i,0,q0,0^g} (initial weight
-    f0), and F = 1 exactly on layer-0 states with offset 0.  For a
+    P.f0), and F = 1 exactly on layer-0 states with offset 0.  For a
     nonzero g, each offset j <= h~ also gets a copy of the automaton B_j
     for x^j g (x^(j-1) g shifted once more), run in lockstep with the
     defect state and digit window of the grid: copy states are
@@ -576,7 +560,7 @@ def _build_z(P: MahlerEquation, f0, G: Optional[WeightedAutomaton],
     """
     ring = P.ring
     f0 = _isolating_f0(
-        P, f0, ring.zero if G is None else eval_sequence(G, ZECKENDORF, 0))
+        P, ring.zero if G is None else eval_sequence(G, ZECKENDORF, 0))
     one = ring.one
     alpha = P.alpha
     d = max(P.d, 1) + extra_i
@@ -648,13 +632,13 @@ def _build_z(P: MahlerEquation, f0, G: Optional[WeightedAutomaton],
         lambda state: one if state[:2] == (0, 0) else ring.zero, name)
 
 
-def build_automaton_z(P: MahlerEquation, f0=None, *,
+def build_automaton_z(P: MahlerEquation, *,
                       _extra_i: int = 0, _extra_j: int = 0) -> WeightedAutomaton:
     """Weighted automaton computing f_n on Zeckendorf expansions of n.
 
     The homogeneous case g = 0 of the one Zeckendorf construction
-    (_build_z): the grid alone.  The contract covers every
-    adjacent-ones-free word, with leading zeros allowed; evaluate
+    (_build_z): the grid alone, seeded with P.f0.  The contract covers
+    every adjacent-ones-free word, with leading zeros allowed; evaluate
     through weight_z to get the adjacent-ones check.
 
     _extra_i/_extra_j widen the grid beyond the cutoffs without
@@ -666,7 +650,7 @@ def build_automaton_z(P: MahlerEquation, f0=None, *,
     if P.g_poly:
         raise EquationError(
             "inhomogeneous equations need build_automaton_dumas")
-    return _build_z(P, f0, None, _extra_i, _extra_j)
+    return _build_z(P, None, _extra_i, _extra_j)
 
 
 def weight_z(A: WeightedAutomaton, word) -> RingValue:
@@ -679,14 +663,15 @@ def weight_z(A: WeightedAutomaton, word) -> RingValue:
     return weight(A, w)
 
 
-def build_automaton_dumas(P: MahlerEquation, G: WeightedAutomaton = None,
-                          f0=None) -> WeightedAutomaton:
+def build_automaton_dumas(P: MahlerEquation,
+                          G: WeightedAutomaton = None) -> WeightedAutomaton:
     """Solution automaton for f = sum_i A_i Phi^i(f) + g with regular g.
 
     The one Zeckendorf construction (_build_z) with the automaton G for
     g; G defaults to the polynomial automaton of the equation's g lines.
     A homogeneous equation with no G is the case g = 0: no copies of g,
-    and the machine of build_automaton_z.
+    and the machine of build_automaton_z.  P.f0 must satisfy the n = 0
+    identity with the g_0 that G gives.
     """
     if not isinstance(P.kind, Zeckendorf):
         raise EquationError("build_automaton_dumas needs a Zeckendorf equation")
@@ -703,7 +688,7 @@ def build_automaton_dumas(P: MahlerEquation, G: WeightedAutomaton = None,
             raise EquationError("g automaton ring differs from the equation ring")
         if not set(G.alphabet) <= {0, 1}:
             raise EquationError("g automaton must read the digits {0, 1}")
-    return _build_z(P, f0, G)
+    return _build_z(P, G)
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +795,6 @@ def find_relation(A: WeightedAutomaton, kind: NumerationKind, d_max: int,
             k = pre[i][m] if m >= 0 else -1
             row.append(sp[k] if k >= 0 else zero)
         rows.append(row)
-    sfull = SeriesPrefix(ring, tuple(s))
     for v in _kernel_basis(ring, rows, len(cols)):
         alpha = {}
         for (i, j), payload in zip(cols, v):
@@ -818,12 +802,10 @@ def find_relation(A: WeightedAutomaton, kind: NumerationKind, d_max: int,
                 continue
             val = RingValue(ring, payload)
             alpha[(i, j)] = val if i == 0 else -val
-        if not alpha:
-            continue
         u = alpha[min(alpha)].inverse()
         alpha = {key: u * val for key, val in alpha.items()}
         cand = MahlerEquation(ring=ring, kind=kind, alpha=alpha, f0=s[0])
-        if residual(cand, sfull).is_zero():
+        if residual(cand, s).is_zero():
             return cand
     return None
 
@@ -881,8 +863,8 @@ def christol_isolate(ore: Sequence, q: int, ring: Ring):
     g_0 = f_0 / A_0(0).
 
     The stored f0 of the returned equation is a compatible default (1
-    when the constant terms allow a free choice, else 0); pass the g_0
-    you actually want to the automaton builder.
+    when the constant terms allow a free choice, else 0); for the g_0
+    you actually want, build from dataclasses.replace(Q, f0=...).
     """
     if not ring.is_field or ring.characteristic != q:
         raise RingError(
@@ -906,12 +888,9 @@ def christol_isolate(ore: Sequence, q: int, ring: Ring):
         bi = _poly_mul(polys[i], _poly_pow(ring, a0, q ** i - 2))
         for j, v in bi.items():
             alpha[(i, j)] = -v
-    sum0 = ring.zero
-    for (i, j), v in alpha.items():
-        if i >= 1 and j == 0:
-            sum0 = sum0 + v
-    f0 = ring.one if sum0.is_one() else ring.zero
-    Q = MahlerEquation(ring=ring, kind=Base(q), alpha=alpha, f0=f0)
+    Q = MahlerEquation(ring=ring, kind=Base(q), alpha=alpha, f0=ring.one)
+    if not compatible_f0(Q):
+        Q = replace(Q, f0=ring.zero)
     a0_dense = tuple(a0.get(j, ring.zero) for j in range(max(a0) + 1))
     return Q, a0_dense
 

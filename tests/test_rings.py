@@ -88,6 +88,19 @@ def test_element_and_parse():
         PrimeField(5).parse("two")
 
 
+@pytest.mark.parametrize("ring", [INTEGERS, RATIONALS, ModRing(6)], ids=lambda r: r.spec)
+def test_element_rejects_text(ring):
+    with pytest.raises(RingError, match=f"^cannot make a {ring.spec} element from '3'$"):
+        ring.element("3")
+
+
+def test_value_operators_reject_plain_operands():
+    with pytest.raises(TypeError, match="^expected RingValue, got int$"):
+        INTEGERS.one + 1
+    with pytest.raises(TypeError, match="^exponent must be an int$"):
+        INTEGERS.one ** 0.5
+
+
 def test_fraction_payloads_cross_rings():
     assert INTEGERS.element(Fraction(4, 2)).payload == 2
     with pytest.raises(RingError):
