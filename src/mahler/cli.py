@@ -41,6 +41,7 @@ from .automata import (
 )
 from .equations import (
     EquationError,
+    _series,
     build_automaton_dumas,
     build_automaton_q,
     find_relation,
@@ -57,6 +58,7 @@ from .numeration import (
     ZECKENDORF,
     Base,
     NumerationError,
+    _canonical_fold,
     canonical,
     format_word,
 )
@@ -72,10 +74,10 @@ from .wfa import (
     AutomatonError,
     DfaWithOutput,
     MissingTransitionError,
+    _prefix_payloads,
     cauchy_product,
     determinize,
     eval_sequence,
-    sequence_prefix,
     weight,
 )
 
@@ -193,8 +195,14 @@ def cmd_solve(args) -> int:
             "recurrence to unroll; use `mahler verify --automaton ...` to check "
             "a sequence against it instead")
     series = solve_series(P, args.N)
-    for n, v in enumerate(series):
-        print(f"{n}, {format_word(canonical(n, P.kind))}, {v}")
+    kind = P.kind
+    if isinstance(kind, Base) and kind.q > 10:  # a digit past 9 puts commas in the whole word
+        words = map(format_word, _canonical_fold(kind, args.N, (), lambda w, b: w + (b,)))
+    else:
+        words = _canonical_fold(kind, args.N, "", lambda text, b: text + str(b))
+    fmt = P.ring.format
+    sys.stdout.writelines(f"{n}, {word}, {fmt(v)}\n"
+                          for n, (word, v) in enumerate(zip(words, series.payloads)))
     return 0
 
 
@@ -243,22 +251,23 @@ def cmd_verify(args) -> int:
     if A.ring != P.ring:
         raise CliError(
             f"automaton ring {A.ring.spec} differs from equation ring {P.ring.spec}")
+    fmt = P.ring.format
     if isolating:
-        oracle = solve_series(P, N)
-        got = sequence_prefix(A, P.kind, N)
-        for n in range(N + 1):
-            if got[n] != oracle[n]:
-                word = format_word(canonical(n, P.kind))
-                print(f"FAIL at n = {n} (word {word}): oracle {oracle[n]}, "
-                      f"automaton {got[n]}")
-                return 1
+        oracle = solve_series(P, N).payloads
+        got = _prefix_payloads(A, P.kind, N)
+        n = next((n for n in range(N + 1) if got[n] != oracle[n]), None)
+        if n is not None:
+            word = format_word(canonical(n, P.kind))
+            print(f"FAIL at n = {n} (word {word}): oracle {fmt(oracle[n])}, "
+                  f"automaton {fmt(got[n])}")
+            return 1
         print(f"PASS: automaton matches the recurrence oracle for all n <= {N}")
         return 0
-    res = residual(P, sequence_prefix(A, P.kind, N))
-    for n, v in enumerate(res):
-        if v:
-            print(f"FAIL at n = {n}: residual {v}")
-            return 1
+    res = residual(P, _series(P.ring, _prefix_payloads(A, P.kind, N))).payloads
+    n = next((n for n, v in enumerate(res) if v), None)
+    if n is not None:
+        print(f"FAIL at n = {n}: residual {fmt(res[n])}")
+        return 1
     print(f"PASS: residual vanishes for all n <= {N}")
     return 0
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence
 
 from .automata import defect_automaton, polynomial_automaton, shift_regular
 from .numeration import (
@@ -36,6 +36,7 @@ from .numeration import (
     NumerationError,
     NumerationKind,
     Zeckendorf,
+    _preimage_tables,
     as_digits,
     canonical,
     floor_phi,
@@ -48,9 +49,9 @@ from .numeration import (
 from .rings import Ring, RingError, RingValue, _quote, parse_ring
 from .wfa import (
     WeightedAutomaton,
+    _prefix_payloads,
     eval_sequence,
     explore_automaton,
-    sequence_prefix,
     weight,
 )
 
@@ -63,40 +64,77 @@ class EquationFileError(EquationError):
     """Malformed equation file; the message names the offending line."""
 
 
-@dataclass(frozen=True)
 class SeriesPrefix:
-    """Truncated power series: coefficients f_0 .. f_N in one ring."""
+    """Truncated power series: coefficients f_0 .. f_N in one ring.
 
-    ring: Ring
-    coeffs: Tuple[RingValue, ...]
+    It holds its ring and the tuple of reduced payloads, and wraps a
+    RingValue only when a coefficient is read.  The coefficients a
+    caller passes (ring values of this ring, ints, Fractions) each go
+    through ring.element; the oracle hands its payloads over unchecked
+    (_series).
+    """
 
-    def __post_init__(self):
-        coeffs = tuple(self.ring.element(c) for c in self.coeffs)
-        if not coeffs:
+    __slots__ = ("ring", "payloads")
+
+    def __init__(self, ring: Ring, coeffs):
+        payloads = tuple(ring.element(c).payload for c in coeffs)
+        if not payloads:
             raise EquationError("a series prefix holds at least f_0")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "payloads", payloads)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SeriesPrefix is immutable")
+
+    def __reduce__(self):  # copy rebuilds from the payloads, not through __setattr__
+        return _series, (self.ring, self.payloads)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as ring values."""
+        return tuple(self)
 
     @property
     def order(self) -> int:
         """The truncation order N."""
-        return len(self.coeffs) - 1
+        return len(self.payloads) - 1
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.payloads)
 
     def __len__(self):
-        return len(self.coeffs)
+        return len(self.payloads)
 
     def __iter__(self):
-        return iter(self.coeffs)
+        ring = self.ring
+        return (RingValue(ring, p) for p in self.payloads)
 
     def __getitem__(self, n):
-        return self.coeffs[n]
+        if isinstance(n, slice):
+            ring = self.ring
+            return tuple(RingValue(ring, p) for p in self.payloads[n])
+        return RingValue(self.ring, self.payloads[n])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ring == other.ring and self.payloads == other.payloads
+
+    def __hash__(self):
+        return hash((self.ring, self.coeffs))
 
     def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:8])
-        tail = ", ..." if len(self.coeffs) > 8 else ""
+        head = ", ".join(map(self.ring.format, self.payloads[:8]))
+        tail = ", ..." if len(self.payloads) > 8 else ""
         return f"<SeriesPrefix over {self.ring.spec} to order {self.order}: {head}{tail}>"
+
+
+def _series(ring: Ring, payloads) -> SeriesPrefix:
+    """A SeriesPrefix on payloads already reduced in ring; no check."""
+    s = object.__new__(SeriesPrefix)
+    object.__setattr__(s, "ring", ring)
+    object.__setattr__(s, "payloads", tuple(payloads))
+    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,20 +247,24 @@ def _isolating_f0(P: MahlerEquation, g0: RingValue) -> RingValue:
     return P.f0
 
 
-def _payloads(ring: Ring, s, what: str) -> list:
-    """Payloads of a SeriesPrefix or of a sequence of ring elements."""
+def _payloads(ring: Ring, s, what: str) -> tuple:
+    """Payloads of a SeriesPrefix (read as they are) or of a sequence of
+    ring elements (each through ring.element)."""
     if isinstance(s, SeriesPrefix):
         if s.ring != ring:
             raise EquationError(f"{what} ring differs from the equation ring")
-        s = s.coeffs
-    return [ring.element(v).payload for v in s]
+        return s.payloads
+    return tuple(ring.element(v).payload for v in s)
 
 
 def _g_payloads(P: MahlerEquation, g, N: int) -> list:
     """Payloads of g_0..g_N; an explicit prefix overrides the polynomial part."""
     if g is None:
-        zero = P.ring.zero
-        return [P.g_poly.get(n, zero).payload for n in range(N + 1)]
+        out = [P.ring.zero.payload] * (N + 1)
+        for j, v in P.g_poly.items():
+            if j <= N:
+                out[j] = v.payload
+        return out
     seq = _payloads(P.ring, g, "g series")
     if len(seq) <= N:
         raise EquationError(f"g prefix too short: need g_0..g_{N}, got {len(seq)} entries")
@@ -236,10 +278,11 @@ def solve_series(P: MahlerEquation, N: int, g=None) -> SeriesPrefix:
     collects alpha[i, j] * f_k over all i >= 1 and k with op^i(k) + j = n
     (all such k are < n, so the recurrence is well-founded), plus g_n.
     An explicit g prefix overrides the equation's polynomial part.  The
-    k come from one preimages(kind, N, i) table per distinct i; the
-    oracle uses numeration code only, never an automaton.  The sums run
-    on payloads with native ``+`` and ``*``, and each f_n is reduced
-    once by ring._reduce.
+    k come from one preimage table per distinct i, all composed from one
+    i = 1 table; the oracle uses numeration code only, never an
+    automaton.  The sums run on payloads with native ``+`` and ``*``,
+    each f_n is reduced once by ring._reduce, and the payload list
+    becomes the SeriesPrefix as it is.
     """
     if N < 0:
         raise EquationError(f"need N >= 0, got {N}")
@@ -247,7 +290,7 @@ def solve_series(P: MahlerEquation, N: int, g=None) -> SeriesPrefix:
     g_pay = _g_payloads(P, g, N)
     f0 = _isolating_f0(P, RingValue(ring, g_pay[0]))
     out = [f0.payload]
-    pre = {i: preimages(P.kind, N, i) for (i, _) in P.alpha if i >= 1}
+    pre = _preimage_tables(P.kind, N, (i for (i, _) in P.alpha if i >= 1))
     items = [(j, a.payload, pre[i]) for (i, j), a in sorted(P.alpha.items()) if i >= 1]
     reduce = ring._reduce
     for n in range(1, N + 1):
@@ -259,7 +302,7 @@ def solve_series(P: MahlerEquation, N: int, g=None) -> SeriesPrefix:
                 if k >= 0:
                     acc += a * out[k]
         out.append(reduce(acc))
-    return SeriesPrefix(ring, tuple(RingValue(ring, v) for v in out))
+    return _series(ring, out)
 
 
 def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
@@ -268,7 +311,8 @@ def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
     Identically zero exactly when s solves the equation up to its
     truncation order.  Works for non-isolating equations; needs no
     coefficients beyond the prefix because phi(k) >= k and q*k >= k.
-    Summed on payloads like solve_series.
+    Summed on payloads like solve_series; a SeriesPrefix is read from
+    its payloads with no second check.
     """
     ring = P.ring
     seq = _payloads(ring, s, "series")
@@ -276,7 +320,7 @@ def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
         raise EquationError("empty series prefix")
     N = len(seq) - 1
     g_pay = _g_payloads(P, g, N)
-    pre = {i: preimages(P.kind, N, i) for (i, _) in P.alpha if i >= 1}
+    pre = _preimage_tables(P.kind, N, (i for (i, _) in P.alpha if i >= 1))
     items = [(i, j, a.payload, pre.get(i)) for (i, j), a in sorted(P.alpha.items())]
     reduce = ring._reduce
     out = []
@@ -293,7 +337,7 @@ def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
             if k >= 0:
                 acc -= a * seq[k]
         out.append(reduce(acc))
-    return SeriesPrefix(ring, tuple(RingValue(ring, v) for v in out))
+    return _series(ring, out)
 
 
 # ---------------------------------------------------------------------------
@@ -782,11 +826,11 @@ def find_relation(A: WeightedAutomaton, kind: NumerationKind, d_max: int,
     N_check = 4 * N if N_check is None else N_check
     if N_check <= N:
         raise EquationError(f"N_check must exceed N, got {N_check} <= {N}")
-    s = sequence_prefix(A, kind, N_check)
-    sp = [v.payload for v in s]
+    s = _series(ring, _prefix_payloads(A, kind, N_check))
+    sp = s.payloads
     zero = ring.zero.payload
     cols = [(i, j) for i in range(d_max + 1) for j in range(h_max + 1)]
-    pre = [preimages(kind, N, i) for i in range(d_max + 1)]
+    pre = _preimage_tables(kind, N, range(d_max + 1))
     rows = []
     for n in range(N + 1):
         row = []

@@ -24,8 +24,9 @@ one O(N) table answering "which k has op^i(k) = m?" for every m <= N
 residual and the relation search all look their preimages up there.
 The digit-level ``phi``, ``phi_iter`` and ``phi_preimage`` stay as the
 independent witnesses the table and the floor formulas are checked
-against.  The automaton prefix walk in wfa.py carries the value pair
-(value(w), value(w 0)) down the tree of canonical words instead.
+against.  The automaton prefix walk in wfa.py, and ``_canonical_fold``
+here (every canonical word to N, one step per word), carry the value
+pair (value(w), value(w 0)) down the tree of canonical words instead.
 """
 
 from __future__ import annotations
@@ -138,6 +139,36 @@ def canonical(n: int, kind: NumerationKind = ZECKENDORF) -> tuple[int, ...]:
         else:
             digits.append(0)
     return tuple(digits)
+
+
+def _canonical_fold(kind: NumerationKind, N: int, start, extend) -> list:
+    """out[n] = extend folded over canonical(n, kind) from start, n = 0..N.
+
+    One walk down the tree of canonical words, so each word costs one
+    extend(parent's result, digit) instead of an expansion of its own:
+    extend(w, b) with w = (), and canonical(n) is read back; with w = ""
+    and str(b) appended, its text.  Base q goes in index order, since
+    canonical(n) is canonical(n // q) followed by n % q.  In Zeckendorf
+    each node w carries (value(w), value(w 0)): child w b has value
+    value(w 0) + b, and value(w b 0) = value(w 0) + value(w) + 2 b.
+    """
+    if N < 0:
+        raise NumerationError(f"canonical words need N >= 0, got {N}")
+    out = [extend(start, 0)] + [None] * N
+    if isinstance(kind, Base):
+        q = kind.q
+        for n in range(1, N + 1):
+            out[n] = extend(out[n // q] if n >= q else start, n % q)
+        return out
+    stack = [(extend(start, 1), 1, 2, 1)] if N else []
+    while stack:
+        w, val, shifted, last = stack.pop()
+        out[val] = w
+        for b in ((0,) if last == 1 else (1, 0)):
+            child = shifted + b
+            if child <= N:
+                stack.append((extend(w, b), child, shifted + val + 2 * b, b))
+    return out
 
 
 def value(w: Digits, kind: NumerationKind = ZECKENDORF) -> int:
@@ -253,31 +284,42 @@ def preimages(kind: NumerationKind, N: int, i: int = 1) -> list[int]:
     """pre[m] = the k with op^i(k) = m, or -1 when there is none; m = 0..N.
 
     op is n -> q n in base q and the shift phi in Zeckendorf.  One O(N)
-    table stands in for a phi_preimage / divmod query per index.  Base q
-    strides through the multiples of q^i; Zeckendorf fills the i = 1
-    table forward from the exact phi_via_floor(k) while that is <= N and
-    composes it i times.  Once op^i(1) > N only 0 has a preimage, and
-    that table comes at once, so a huge i costs no more than a small one.
+    table stands in for a phi_preimage / divmod query per index; see
+    _preimage_tables for how it is made.
     """
-    if N < 0 or i < 0:
-        raise NumerationError(f"preimages needs N >= 0 and i >= 0, got N = {N}, i = {i}")
-    top = 1  # op^k(1), followed only while it stays <= N
-    for _ in range(i):
-        top = kind.q * top if isinstance(kind, Base) else phi_via_floor(top)
-        if top > N:
-            return [0] + [-1] * N
-    if isinstance(kind, Base):
-        p = kind.q ** i
-        pre = [-1] * (N + 1)
-        pre[::p] = range(N // p + 1)
-        return pre
+    return _preimage_tables(kind, N, (i,))[i]
+
+
+def _preimage_tables(kind: NumerationKind, N: int, depths: Iterable[int]) -> dict:
+    """{i: preimages(kind, N, i)} for every i in depths.
+
+    The i = 1 table is made once: base q strides through the multiples
+    of q, Zeckendorf fills it forward from the exact phi_via_floor(k)
+    while that is <= N.  Each deeper table composes it with the one
+    above.  Once op^i(1) > N only 0 has a preimage, and every deeper
+    table is that one, so a huge i costs no more than a small one.
+    """
+    depths = set(depths)
+    if N < 0 or min(depths, default=0) < 0:
+        raise NumerationError(
+            f"preimages needs N >= 0 and i >= 0, got N = {N}, i = {min(depths, default=0)}")
     one = [-1] * (N + 1)
-    k = m = 0
-    while m <= N:
-        one[m] = k
-        k += 1
-        m = phi_via_floor(k)
+    if isinstance(kind, Base):
+        one[::kind.q] = range(N // kind.q + 1)
+    else:
+        k = m = 0
+        while m <= N:
+            one[m] = k
+            k += 1
+            m = phi_via_floor(k)
+    tables = {}
     pre = list(range(N + 1))
-    for _ in range(i):
-        pre = [one[m] if m >= 0 else -1 for m in pre]
-    return pre
+    for i in range(max(depths, default=-1) + 1):
+        if i:
+            pre = one if i == 1 else [one[m] if m >= 0 else -1 for m in pre]
+        if i in depths:
+            tables[i] = pre
+        if pre.count(-1) == N:  # only 0 has a preimage, at this depth and below
+            tables.update((j, pre) for j in depths if j > i)
+            break
+    return tables

@@ -216,7 +216,8 @@ def _step_payload(A: WeightedAutomaton, vec: dict, label) -> dict:
     meets the arrows of its own source only.
 
     Native ``+`` and ``*`` on the payloads; each output entry is reduced
-    once, at the end, by ring._reduce, and then zeros are dropped.
+    once, at the end, by ring._reduce (skipped over Z and Q, where it is
+    the identity), and then zeros are dropped.
     """
     by_src = A._arrows.get(label, {})
     out: dict = {}
@@ -224,7 +225,10 @@ def _step_payload(A: WeightedAutomaton, vec: dict, label) -> dict:
         for dst, wpay in by_src.get(src, ()):
             cur = out.get(dst)
             out[dst] = a * wpay if cur is None else cur + a * wpay
-    reduce = A.ring._reduce
+    ring = A.ring
+    if not ring.characteristic:  # Z and Q: _reduce is the identity
+        return {s: v for s, v in out.items() if v}
+    reduce = ring._reduce
     return {s: r for s, v in out.items() if (r := reduce(v))}
 
 
@@ -273,42 +277,71 @@ def eval_sequence(A: WeightedAutomaton, kind: NumerationKind, n: int) -> RingVal
 
 
 def sequence_prefix(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list:
-    """[weight(canonical(n)) for n = 0..N], sharing work across prefixes.
+    """[weight(canonical(n)) for n = 0..N] from one walk of the tree of
+    canonical words (_prefix_payloads); agrees with eval_sequence entry by
+    entry, and every zero entry is ring.zero itself."""
+    ring = A.ring
+    zero = ring.zero
+    return [RingValue(ring, p) if p else zero for p in _prefix_payloads(A, kind, N)]
+
+
+def _prefix_payloads(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list:
+    """The payloads of sequence_prefix(A, kind, N), sharing work across prefixes.
 
     Walks the tree of canonical words once, depth first, instead of
-    refolding each word from scratch; agrees with eval_sequence entry by
-    entry.  In Zeckendorf each node w carries the pair (value(w),
-    value(w 0)): child w b has value(w 0) + b and value(w b 0) =
-    value(w 0) + value(w) + 2 b, so the walk never calls phi.  Digit b
-    first occurs in canonical(b), so a digit b <= N missing from the
-    machine's alphabet raises as eval_sequence would.
+    refolding each word from scratch, and steps each child through
+    _step_payload.  It does not descend below a word w whose row vector
+    I mu(w) is zero: weight(w v) = I mu(w) mu(v) F is zero for every v,
+    and the output starts as all zeros.  In Zeckendorf each node w
+    carries the pair (value(w), value(w 0)): child w b has value(w 0) +
+    b and value(w b 0) = value(w 0) + value(w) + 2 b, so the walk never
+    calls phi.  Digit b first occurs in canonical(b), so a digit b <= N
+    missing from the machine's alphabet raises as eval_sequence would.
     """
     if N < 0:
         raise AutomatonError(f"need N >= 0, got {N}")
     _word_labels(A, range(min(kind.q if isinstance(kind, Base) else 2, N + 1)))
-    out = [None] * (N + 1)
-    out[0] = eval_sequence(A, kind, 0)
-    if N == 0:
-        return out
+    ring = A.ring
+    zero = ring.zero.payload
+    reduce = ring._reduce
+    final = {s: f.payload for s, f in enumerate(A.final) if f}
+    step = _step_payload
+    out = [zero] * (N + 1)
+    out[0] = weight(A, (0,)).payload
     init = _initial_payload(A)
+    if not (N and init):
+        return out
     if isinstance(kind, Base):
         q = kind.q
-        stack = [(_step_payload(A, init, b), b) for b in range(min(q - 1, N), 0, -1)]
+        stack = [(step(A, init, b), b) for b in range(min(q - 1, N), 0, -1)]
         while stack:
             vec, val = stack.pop()
-            out[val] = _gather_payload(A, vec.items())
+            if not vec:
+                continue
+            acc = zero
+            for s, a in vec.items():
+                f = final.get(s)
+                if f is not None:
+                    acc += a * f
+            out[val] = reduce(acc)
             for b in range(min(q - 1, N - q * val), -1, -1):
-                stack.append((_step_payload(A, vec, b), q * val + b))
+                stack.append((step(A, vec, b), q * val + b))
     else:
-        stack = [(_step_payload(A, init, 1), 1, 2, 1)]
+        stack = [(step(A, init, 1), 1, 2, 1)]
         while stack:
             vec, val, shifted, last = stack.pop()
-            out[val] = _gather_payload(A, vec.items())
+            if not vec:
+                continue
+            acc = zero
+            for s, a in vec.items():
+                f = final.get(s)
+                if f is not None:
+                    acc += a * f
+            out[val] = reduce(acc)
             for b in ((0,) if last == 1 else (1, 0)):
                 child = shifted + b
                 if child <= N:
-                    stack.append((_step_payload(A, vec, b), child,
-                                  shifted + val + 2 * b, b))
+                    stack.append((step(A, vec, b), child, shifted + val + 2 * b, b))
     return out
 
 
@@ -414,10 +447,18 @@ def cauchy_product(A1: WeightedAutomaton, A2: WeightedAutomaton,
     digitwise triples of canonical-up-to-padding expansions with value(a)
     + value(b) = value(c).  Both factors must be leading-zero invariant,
     since the summand expansions get padded to the length of the result.
+    A factor passes when I mu(0) = I, for then weight(0^k w) =
+    I mu(0)^k mu(w) F = weight(w); any other factor is refused, although
+    some of those are invariant by a longer argument.
     """
     if A1.ring != A2.ring:
         raise AutomatonError(
             f"factor rings differ: {A1.ring.spec} vs {A2.ring.spec}")
+    for which, A in (("first", A1), ("second", A2)):
+        init = _initial_payload(A)
+        if _step_payload(A, init, 0) != init:
+            raise AutomatonError(
+                f"the {which} factor is not leading-zero invariant: I mu(0) != I")
     ring = A1.ring
     AA = add.automaton
     out_labels = []

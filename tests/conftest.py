@@ -5,6 +5,8 @@ import importlib.resources
 from hypothesis import HealthCheck, settings
 
 from mahler.equations import MahlerEquation
+from mahler.rings import INTEGERS
+from mahler.wfa import WeightedAutomaton
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -64,3 +66,13 @@ def _coeff(rng, ring):
 def ints(values):
     """RingValue sequence over Z -> plain ints (for readable asserts)."""
     return [v.payload if hasattr(v, "payload") else int(v) for v in values]
+
+
+def zero_digit_counter():
+    """Base 2, over Z: the number of zero digits in the word (f = 1, 0,
+    1, 0, 2, 1, ...).  I mu(0) = I + (the state that has read a zero), so
+    padding a word with zeros changes its weight: the factor a Cauchy
+    product must refuse."""
+    return WeightedAutomaton(
+        ring=INTEGERS, alphabet=(0, 1), states=("s", "t"), initial=(1, 0), final=(0, 1),
+        transitions={(0, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (1, 0, 1): 1, (1, 1, 1): 1})

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import SHIPPED, equation_text, ints
+from conftest import SHIPPED, equation_text, ints, zero_digit_counter
 from mahler import cli
 from mahler.automata import addition_automaton_base, addition_automaton_zeckendorf
 from mahler.cli import MAX_N, main
@@ -264,7 +264,7 @@ REL = ["relation", "-a", "builtin:fib-repr@Q", "--dmax", "1", "--hmax", "1"]
 def test_order_ceiling(argv, what, bad, eqfile, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the ceiling must be checked before any work")
-    for name in ("solve_series", "sequence_prefix", "residual", "find_relation",
+    for name in ("solve_series", "_prefix_payloads", "residual", "find_relation",
                  "growth_analysis", "_build_from_equation", "_load_wfa"):
         monkeypatch.setattr(cli, name, never)
     argv = [eqfile(a) if a.endswith(".eq") else a for a in argv]
@@ -399,6 +399,17 @@ def test_product_ring_mismatch(capsys):
                          "-b", "builtin:all-ones@Q")
     assert code == 2
     assert err == "error: factor rings differ: Z vs Q\n"
+
+
+def test_product_refuses_a_factor_not_leading_zero_invariant(capsys, tmp_path):
+    # unchecked, the product read 1, 1, 4, 4, 10, 11, ... for the
+    # convolution 1, 1, 2, 2, 4, 5, ...
+    zeros = tmp_path / "zeros.json"
+    zeros.write_text(automaton_to_json(zero_digit_counter()))
+    code, out, err = run(capsys, "product", "-a", str(zeros), "-b", "builtin:all-ones",
+                         "--numeration", "base-2")
+    assert (code, out) == (2, "")
+    assert err == "error: the first factor is not leading-zero invariant: I mu(0) != I\n"
 
 
 def test_determinize_finite_ring(capsys):

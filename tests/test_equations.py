@@ -1,5 +1,6 @@
 """Equation layer: files, the recurrence oracle, and the compilers."""
 
+import copy
 import hashlib
 import random
 from dataclasses import replace
@@ -39,7 +40,8 @@ from mahler.equations import (
     z_state_space,
 )
 from mahler.numeration import ZECKENDORF, Base, NumerationError, canonical, value
-from mahler.rings import INTEGERS, RATIONALS, ModRing, PrimeField, RingError, parse_ring
+from mahler.rings import (INTEGERS, RATIONALS, MixedRingError, ModRing, PrimeField,
+                          RingError, parse_ring)
 from mahler.serialize import automaton_to_json
 from mahler.wfa import (
     WeightedAutomaton,
@@ -82,6 +84,40 @@ class TestSeriesPrefix:
         assert a != SeriesPrefix(INTEGERS, (1, 3))
         assert a != SeriesPrefix(RATIONALS, (1, 2))
         assert (a == (1, 2)) is False
+
+    def test_reads_like_a_tuple_of_ring_values(self):
+        vals = tuple(RATIONALS.element(Fraction(x, 3)) for x in (3, 0, -1, 4, 0, 2, 5, 7, 9, 1))
+        s = SeriesPrefix(RATIONALS, vals)
+        assert s.payloads == tuple(v.payload for v in vals)
+        assert s.order == len(vals) - 1 and len(s) == len(vals)
+        assert tuple(s) == s.coeffs == vals
+        assert s[3] == vals[3] and s[-1] == vals[-1]
+        assert s[2:7] == vals[2:7] and s[::3] == vals[::3] and s[5:2] == ()
+        with pytest.raises(IndexError):
+            s[len(vals)]
+        # equal to, and hashed like, the frozen (ring, coefficients) record it replaces
+        same = SeriesPrefix(RATIONALS, [Fraction(x, 3) for x in (3, 0, -1, 4, 0, 2, 5, 7, 9, 1)])
+        assert s == same and hash(s) == hash(same) == hash((RATIONALS, vals))
+        assert len({s, same, SeriesPrefix(RATIONALS, vals[:-1])}) == 2
+        assert s != SeriesPrefix(RATIONALS, vals[:-1] + (RATIONALS.zero,))
+        assert repr(s) == ("<SeriesPrefix over Q to order 9: "
+                           "1, 0, -1/3, 4/3, 0, 2/3, 5/3, 7/3, ...>")
+        assert not s.is_zero()
+        assert SeriesPrefix(RATIONALS, (RATIONALS.zero,) * 3).is_zero()
+        with pytest.raises(AttributeError):
+            s.payloads = ()
+        assert copy.copy(s) == s
+
+    def test_validates_foreign_values(self):
+        with pytest.raises(MixedRingError):
+            SeriesPrefix(INTEGERS, (INTEGERS.one, F5.one))
+        with pytest.raises(RingError, match="not an integer"):
+            SeriesPrefix(INTEGERS, (1, Fraction(1, 2)))
+        with pytest.raises(RingError, match="cannot make a Z element"):
+            SeriesPrefix(INTEGERS, (1, "2"))
+        assert SeriesPrefix(F5, (7, -1)).payloads == (2, 4)
+        assert residual(shipped("thue_morse_zeck.eq"),
+                        SeriesPrefix(INTEGERS, (0, 1, 1, 1, 2))).is_zero()
 
     def test_repr_truncates(self):
         short = repr(SeriesPrefix(INTEGERS, (1, 2)))

@@ -2,10 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from mahler import numeration
 from mahler.numeration import (
     ZECKENDORF,
     Base,
     NumerationError,
+    _canonical_fold,
+    _preimage_tables,
     canonical,
     delta,
     fib,
@@ -141,6 +144,26 @@ def test_preimages_past_the_top(kind):
     assert preimages(kind, 10, 0) == list(range(11))
 
 
+@pytest.mark.parametrize("kind", [BASE2, BASE3, ZECKENDORF])
+def test_preimage_tables_compose_one_shift_table(kind, monkeypatch):
+    N = 3000
+    expected = {i: preimages(kind, N, i) for i in range(6)}
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return phi_via_floor(k)
+
+    monkeypatch.setattr(numeration, "phi_via_floor", counted)
+    assert _preimage_tables(kind, N, [4, 0, 2, 5, 2, 1, 3]) == expected
+    if kind == ZECKENDORF:
+        # the i = 1 table is filled once (about N / golden ratio calls),
+        # not once per depth
+        assert len(calls) < 0.62 * N + 10
+    assert _preimage_tables(kind, N, ()) == {}
+    assert _preimage_tables(kind, 7, [1, 10**8])[10**8] == [0] + [-1] * 7
+
+
 def test_preimages_validation():
     assert preimages(ZECKENDORF, 0, 3) == [0]
     with pytest.raises(NumerationError):
@@ -247,3 +270,22 @@ def test_canonical_of_value_strips_leading_zeros(w):
 @given(st.integers(0, 5000), st.integers(0, 5000))
 def test_delta_pointwise(m, n):
     assert delta(m, n) == phi(m + n) - phi(m) - phi(n)
+
+
+@pytest.mark.parametrize("kind", [ZECKENDORF, BASE2, BASE3, Base(10)])
+def test_canonical_walk_gives_every_word(kind):
+    N = 10**5
+    words = _canonical_fold(kind, N, (), lambda w, b: w + (b,))
+    assert words == [canonical(n, kind) for n in range(N + 1)]
+    # the text fold solve prints from; digits up to 9 need no commas
+    texts = _canonical_fold(kind, N, "", lambda text, b: text + str(b))
+    assert texts[::7] == [format_word(w) for w in words[::7]]
+
+
+@pytest.mark.parametrize("kind", [ZECKENDORF, BASE2, Base(12)])
+def test_canonical_walk_small_orders(kind):
+    for N in range(14):
+        assert _canonical_fold(kind, N, (), lambda w, b: w + (b,)) == [
+            canonical(n, kind) for n in range(N + 1)]
+    with pytest.raises(NumerationError, match="N >= 0"):
+        _canonical_fold(kind, -1, (), lambda w, b: w + (b,))

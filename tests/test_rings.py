@@ -25,6 +25,11 @@ def test_parse_ring_specs():
     assert parse_ring(" Z ") is INTEGERS
 
 
+def test_ring_repr_names_the_spec():
+    assert [repr(parse_ring(spec)) for spec in ("Z", "Q", "Zmod:6", "Fp:7")] == [
+        "Ring(Z)", "Ring(Q)", "Ring(Zmod:6)", "Ring(Fp:7)"]
+
+
 @pytest.mark.parametrize("bad", [
     "", "GF:2", "Fp:4", "Fp:1", "Fp:x", "Zmod:1", "Zmod:0", "Zmod:-3",
     "Zmod:x", "R",

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import ints, make_random_equation
-from mahler import cli
+from conftest import ints, make_random_equation, zero_digit_counter
+from mahler import cli, wfa
 from mahler.automata import (
     addition_automaton,
     all_ones_automaton,
@@ -185,6 +185,31 @@ def test_stepping_matches_the_plain_int_path_sum_on_every_ring(machine):
     assert [v.payload for v in sequence_prefix(A, kind, N)] == [
         reduced(oracles.path_sum(initial, final, arrows, _digit_word(n, kind)))
         for n in range(N + 1)]
+
+
+@settings(max_examples=80)
+@given(plain_int_machines())
+def test_pruned_walk_matches_eval_and_never_steps_a_zero_vector(machine):
+    # over Zmod:6 and Fp:5 the cancelling arrow pairs empty a vector mid-walk
+    ring, kind, initial, final, arrows = machine
+    A = WeightedAutomaton(ring=ring, alphabet=word_alphabet(kind),
+                          states=tuple(f"s{i}" for i in range(len(initial))),
+                          initial=initial, final=final, transitions=arrows)
+    N = 60
+    expected = [eval_sequence(A, kind, n) for n in range(N + 1)]
+    stepped = []
+
+    def step(A, vec, label):
+        assert vec, "the walk stepped a zero vector"
+        stepped.append(label)
+        return _step_payload(A, vec, label)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(wfa, "_step_payload", step)
+        got = sequence_prefix(A, kind, N)
+    assert got == expected
+    assert all(v is ring.zero for v in got if not v)
+    assert len(stepped) <= N + 1  # one step per node: the word 0, then each n in 1..N
 
 
 @pytest.mark.parametrize("spec, pair", [("Zmod:6", (2, 4)), ("Fp:5", (1, 4)),
@@ -477,6 +502,61 @@ def test_cauchy_product_zeckendorf():
     assert got == oracles.convolve(a, a)
 
 
+def test_cauchy_product_refuses_a_factor_not_leading_zero_invariant():
+    # unchecked, this product's prefix reads 1, 1, 4, 4, 10, 11, ...
+    # instead of the convolution 1, 1, 2, 2, 4, 5, ...
+    add = addition_automaton(BASE2)
+    Z, ones = zero_digit_counter(), all_ones_automaton()
+    assert oracles.convolve([eval_sequence(Z, BASE2, n).payload for n in range(6)],
+                            [1] * 6) == [1, 1, 2, 2, 4, 5]
+    with pytest.raises(AutomatonError, match="^the first factor is not leading-zero invariant"):
+        cauchy_product(Z, ones, add)
+    with pytest.raises(AutomatonError, match="^the second factor is not leading-zero invariant"):
+        cauchy_product(ones, Z, add)
+
+
+@st.composite
+def product_factors(draw):
+    """A small 0/1-alphabet machine as plain ints; about half of them
+    made leading-zero invariant (one initial state, whose only zero arrow
+    is a weight-1 loop)."""
+    k = draw(st.integers(1, 3))
+    weights = st.integers(-2, 3)
+    arrows = draw(st.dictionaries(
+        st.tuples(st.integers(0, k - 1), st.sampled_from((0, 1)), st.integers(0, k - 1)),
+        weights, max_size=3 * k))
+    initial = draw(st.lists(weights, min_size=k, max_size=k))
+    final = draw(st.lists(weights, min_size=k, max_size=k))
+    if draw(st.booleans()):
+        initial = [draw(st.integers(1, 3))] + [0] * (k - 1)
+        arrows = {key: w for key, w in arrows.items() if key[:2] != (0, 0)}
+        arrows[(0, 0, 0)] = 1
+    return initial, final, arrows
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(("Z", "Zmod:6")), st.sampled_from((BASE2, ZECKENDORF)),
+       product_factors(), product_factors())
+def test_cauchy_product_is_refused_or_convolves(spec, kind, f1, f2):
+    ring = parse_ring(spec)
+    n = ring.characteristic
+    factors = [WeightedAutomaton(ring=ring, alphabet=(0, 1),
+                                 states=tuple(f"s{i}" for i in range(len(f[0]))),
+                                 initial=f[0], final=f[1], transitions=f[2])
+               for f in (f1, f2)]
+    try:
+        C = cauchy_product(*factors, addition_automaton(kind))
+    except AutomatonError as e:
+        assert "not leading-zero invariant" in str(e)
+        return
+    N = 40
+    prefixes = [[oracles.path_sum(*f, _digit_word(m, kind)) for m in range(N + 1)]
+                for f in (f1, f2)]
+    expected = oracles.convolve(*prefixes)
+    assert [v.payload for v in sequence_prefix(C, kind, N)] == [
+        x % n if n else x for x in expected]
+
+
 def test_cauchy_product_ring_mismatch():
     add = addition_automaton(BASE2)
     with pytest.raises(AutomatonError):
@@ -581,6 +661,11 @@ def test_automaton_validation():
         WeightedAutomaton(ring=INTEGERS, alphabet=(0,), states=("a",),
                           initial=(one,), final=(one,),
                           transitions={(0, 0, 0): PrimeField(5).one})
+
+
+def test_automaton_repr():
+    A = count_ones_automaton(INTEGERS)
+    assert repr(A) == "<WeightedAutomaton 2 states over Z, 5 transitions>"
 
 
 def test_zero_weights_dropped():
