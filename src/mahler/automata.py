@@ -132,12 +132,8 @@ def defect_automaton_constructed() -> DfaWithOutput:
             yield bp, frozenset(targets), None
 
     order, arrows = explore([frozenset({(0, 0)})], successors)
-    outputs = []
-    for subset in order:
-        hits = [b for b in alphabet if any(pairs[s] == (0, -b) for s, _x in subset)]
-        if len(hits) > 1:
-            raise AutomatonError(f"defect sets overlap on a state: {hits}")
-        outputs.append(hits[0] if hits else None)
+    outputs = [next((b for b in alphabet if any(pairs[s] == (0, -b) for s, _x in subset)), None)
+               for subset in order]
     return DfaWithOutput(
         alphabet=alphabet,
         states=tuple(f"d{i}" for i in range(len(order))),

@@ -36,7 +36,6 @@ from .numeration import (
     NumerationError,
     NumerationKind,
     Zeckendorf,
-    _preimage_tables,
     as_digits,
     canonical,
     floor_phi,
@@ -64,6 +63,7 @@ class EquationFileError(EquationError):
     """Malformed equation file; the message names the offending line."""
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class SeriesPrefix:
     """Truncated power series: coefficients f_0 .. f_N in one ring.
 
@@ -71,10 +71,12 @@ class SeriesPrefix:
     RingValue only when a coefficient is read.  The coefficients a
     caller passes (ring values of this ring, ints, Fractions) each go
     through ring.element; the oracle hands its payloads over unchecked
-    (_series).
+    (_series).  Equality compares ring and payloads; the hash is that
+    of (ring, coeffs).
     """
 
-    __slots__ = ("ring", "payloads")
+    ring: Ring
+    payloads: tuple
 
     def __init__(self, ring: Ring, coeffs):
         payloads = tuple(ring.element(c).payload for c in coeffs)
@@ -82,12 +84,6 @@ class SeriesPrefix:
             raise EquationError("a series prefix holds at least f_0")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "payloads", payloads)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeriesPrefix is immutable")
-
-    def __reduce__(self):  # copy rebuilds from the payloads, not through __setattr__
-        return _series, (self.ring, self.payloads)
 
     @property
     def coeffs(self) -> tuple:
@@ -114,11 +110,6 @@ class SeriesPrefix:
             ring = self.ring
             return tuple(RingValue(ring, p) for p in self.payloads[n])
         return RingValue(self.ring, self.payloads[n])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ring == other.ring and self.payloads == other.payloads
 
     def __hash__(self):
         return hash((self.ring, self.coeffs))
@@ -290,7 +281,7 @@ def solve_series(P: MahlerEquation, N: int, g=None) -> SeriesPrefix:
     g_pay = _g_payloads(P, g, N)
     f0 = _isolating_f0(P, RingValue(ring, g_pay[0]))
     out = [f0.payload]
-    pre = _preimage_tables(P.kind, N, (i for (i, _) in P.alpha if i >= 1))
+    pre = preimages(P.kind, N, (i for (i, _) in P.alpha if i >= 1))
     items = [(j, a.payload, pre[i]) for (i, j), a in sorted(P.alpha.items()) if i >= 1]
     reduce = ring._reduce
     for n in range(1, N + 1):
@@ -320,7 +311,7 @@ def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
         raise EquationError("empty series prefix")
     N = len(seq) - 1
     g_pay = _g_payloads(P, g, N)
-    pre = _preimage_tables(P.kind, N, (i for (i, _) in P.alpha if i >= 1))
+    pre = preimages(P.kind, N, (i for (i, _) in P.alpha if i >= 1))
     items = [(i, j, a.payload, pre.get(i)) for (i, j), a in sorted(P.alpha.items())]
     reduce = ring._reduce
     out = []
@@ -480,9 +471,20 @@ def format_equation(P: MahlerEquation) -> str:
 # ---------------------------------------------------------------------------
 # base-q compilation
 
-def build_automaton_q(P: MahlerEquation, *,
-                      _extra_i: int = 0, _extra_j: int = 0) -> WeightedAutomaton:
-    """Weighted automaton computing f_n on base-q expansions of n.
+def build_automaton_q(P: MahlerEquation) -> WeightedAutomaton:
+    """Weighted automaton computing f_n on base-q expansions of n: the
+    base-q construction (_build_q) on its cut grid."""
+    if not isinstance(P.kind, Base):
+        raise EquationError("build_automaton_q needs a base-q equation")
+    if P.g_poly:
+        raise EquationError(
+            "inhomogeneous equations are supported only over Zeckendorf "
+            "numeration (build_automaton_dumas)")
+    return _build_q(P, 0, 0)
+
+
+def _build_q(P: MahlerEquation, extra_i: int, extra_j: int) -> WeightedAutomaton:
+    """The base-q construction for a homogeneous base-q equation.
 
     Grid states s_{i,j} with 0 <= i <= d-1 and 0 <= j <= h~ where
     h~ = max(0, ceil(h/(q-1)) - 1); offsets above h~ cannot occur on a
@@ -496,21 +498,15 @@ def build_automaton_q(P: MahlerEquation, *,
     weight zero off the j = 0 column), so explore() numbers the states
     i-major.
 
-    _extra_i/_extra_j widen the grid beyond the cutoffs; the extra
-    states never occur on a nonzero-weight path, so the evaluated
-    sequence must not change.  Exposed for that validation only.
+    extra_i/extra_j widen the grid beyond the cutoffs; the extra states
+    never occur on a nonzero-weight path, so the evaluated sequence must
+    not change.  Only tests widen it, to check exactly that.
     """
-    if not isinstance(P.kind, Base):
-        raise EquationError("build_automaton_q needs a base-q equation")
-    if P.g_poly:
-        raise EquationError(
-            "inhomogeneous equations are supported only over Zeckendorf "
-            "numeration (build_automaton_dumas)")
     ring = P.ring
     f0 = _isolating_f0(P, ring.zero)
     q = P.kind.q
-    d = max(P.d, 1) + _extra_i
-    ht = max(0, -(-P.h // (q - 1)) - 1) + _extra_j
+    d = max(P.d, 1) + extra_i
+    ht = max(0, -(-P.h // (q - 1)) - 1) + extra_j
     one = ring.one
     zero = ring.zero
     alpha = P.alpha
@@ -570,16 +566,19 @@ def z_state_space(P: MahlerEquation) -> ZSpaceInfo:
 def _build_z(P: MahlerEquation, G: Optional[WeightedAutomaton],
              extra_i: int = 0, extra_j: int = 0) -> WeightedAutomaton:
     """The Zeckendorf construction for f = sum_i A_i Phi^i(f) + g, where
-    G is an automaton for g, or None for g = 0.
+    G is an automaton for g, or None for g = 0.  extra_i/extra_j widen
+    the grid as in _build_q.
 
     A grid state is (i, j, q, u): layer i, offset j, defect-automaton
     state q, and the window u holding the last g input digits (the word
     is implicitly padded with g leading zeros).  Running the defect
     automaton from q over the digitwise difference u - (j)_Z gives the
     linearity defect; the offset after consuming the next digit b is then
-    phi(j) + defect + b.  A state whose run needs the missing defect edge
-    is unreachable while reading adjacent-ones-free input and gets no
-    transitions.  Consuming the oldest window digit u[0] moves the defect
+    phi(j) + defect + b.  The run never takes the one missing defect
+    edge (q0 on -1): only digits of value below j would, and no offset
+    exceeds the value of the digits read (after n, ell = phi(n) -
+    phi(n - j) + b, k <= ell, and x^j g feeds offset j only from value
+    j on).  Consuming the oldest window digit u[0] moves the defect
     state on, and the window becomes u[1:] + (b,).  The guess b = 1 is cut
     when the window already ends in 1: no adjacent-ones-free word takes
     that edge, so cutting it keeps weights intact on the whole contract
@@ -636,9 +635,7 @@ def _build_z(P: MahlerEquation, G: Optional[WeightedAutomaton],
             s = qs
             pj = pad_tab[j]
             for t in range(g):
-                s = dtrans.get((s, u[t] - pj[t]))
-                if s is None:
-                    return
+                s = dtrans[s, u[t] - pj[t]]
             ell0 = phi_tab[j] + douts[s]   # the offset after digit b is ell0 + b
         q2 = dtrans[(qs, u[0])]
         for b in (0,) if u[-1] == 1 else (0, 1):
@@ -676,25 +673,20 @@ def _build_z(P: MahlerEquation, G: Optional[WeightedAutomaton],
         lambda state: one if state[:2] == (0, 0) else ring.zero, name)
 
 
-def build_automaton_z(P: MahlerEquation, *,
-                      _extra_i: int = 0, _extra_j: int = 0) -> WeightedAutomaton:
+def build_automaton_z(P: MahlerEquation) -> WeightedAutomaton:
     """Weighted automaton computing f_n on Zeckendorf expansions of n.
 
     The homogeneous case g = 0 of the one Zeckendorf construction
     (_build_z): the grid alone, seeded with P.f0.  The contract covers
     every adjacent-ones-free word, with leading zeros allowed; evaluate
     through weight_z to get the adjacent-ones check.
-
-    _extra_i/_extra_j widen the grid beyond the cutoffs without
-    changing the evaluated sequence; exposed for validating exactly
-    that.
     """
     if not isinstance(P.kind, Zeckendorf):
         raise EquationError("build_automaton_z needs a Zeckendorf equation")
     if P.g_poly:
         raise EquationError(
             "inhomogeneous equations need build_automaton_dumas")
-    return _build_z(P, None, _extra_i, _extra_j)
+    return _build_z(P, None)
 
 
 def weight_z(A: WeightedAutomaton, word) -> RingValue:
@@ -830,7 +822,7 @@ def find_relation(A: WeightedAutomaton, kind: NumerationKind, d_max: int,
     sp = s.payloads
     zero = ring.zero.payload
     cols = [(i, j) for i in range(d_max + 1) for j in range(h_max + 1)]
-    pre = _preimage_tables(kind, N, range(d_max + 1))
+    pre = preimages(kind, N, range(d_max + 1))
     rows = []
     for n in range(N + 1):
         row = []
@@ -981,7 +973,7 @@ def growth_analysis(N: int, k_max: int) -> GrowthReport:
     # lambda(n) drops the last Zeckendorf digit.  That digit is 0 exactly
     # when n = phi(k) for some k, and then lambda(n) = k; otherwise
     # n - 1 = phi(lambda(n)).
-    pre = preimages(ZECKENDORF, N, 1)
+    pre = preimages(ZECKENDORF, N, (1,))[1]
     f = [1]
     sums = [1]
     for n in range(1, N + 1):

@@ -18,10 +18,11 @@ golden ratio are provided separately (``phi_via_floor``) so the two can
 be checked against each other, and are computed exactly with integer
 square roots, never with floats.
 
-Bulk paths do not call ``phi`` per index.  ``preimages(kind, N, i)`` is
-one O(N) table answering "which k has op^i(k) = m?" for every m <= N
-(op is n -> q n in base q and phi in Zeckendorf); the oracle, the
-residual and the relation search all look their preimages up there.
+Bulk paths do not call ``phi`` per index.  ``preimages(kind, N, depths)``
+gives, for each i in depths, one O(N) table answering "which k has
+op^i(k) = m?" for every m <= N (op is n -> q n in base q and phi in
+Zeckendorf); the oracle, the residual and the relation search all look
+their preimages up there.
 The digit-level ``phi``, ``phi_iter`` and ``phi_preimage`` stay as the
 independent witnesses the table and the floor formulas are checked
 against.  The automaton prefix walk in wfa.py, and ``_canonical_fold``
@@ -280,24 +281,17 @@ def phi2_via_floor(n: int) -> int:
 # Preimage tables.  op (n -> q n, or phi) is strictly increasing with
 # op(0) = 0, so each m has at most one preimage under op^i, and it is <= m.
 
-def preimages(kind: NumerationKind, N: int, i: int = 1) -> list[int]:
-    """pre[m] = the k with op^i(k) = m, or -1 when there is none; m = 0..N.
+def preimages(kind: NumerationKind, N: int, depths: Iterable[int]) -> dict:
+    """{i: pre} for every i in depths, where pre[m] is the k with
+    op^i(k) = m, or -1 when there is none; m = 0..N.
 
     op is n -> q n in base q and the shift phi in Zeckendorf.  One O(N)
-    table stands in for a phi_preimage / divmod query per index; see
-    _preimage_tables for how it is made.
-    """
-    return _preimage_tables(kind, N, (i,))[i]
-
-
-def _preimage_tables(kind: NumerationKind, N: int, depths: Iterable[int]) -> dict:
-    """{i: preimages(kind, N, i)} for every i in depths.
-
-    The i = 1 table is made once: base q strides through the multiples
-    of q, Zeckendorf fills it forward from the exact phi_via_floor(k)
-    while that is <= N.  Each deeper table composes it with the one
-    above.  Once op^i(1) > N only 0 has a preimage, and every deeper
-    table is that one, so a huge i costs no more than a small one.
+    table stands in for a phi_preimage / divmod query per index.  The
+    i = 1 table is made once: base q strides through the multiples of
+    q, Zeckendorf fills it forward from the exact phi_via_floor(k) while
+    that is <= N.  Each deeper table composes it with the one above.
+    Once op^i(1) > N only 0 has a preimage, and every deeper table is
+    that one, so a huge i costs no more than a small one.
     """
     depths = set(depths)
     if N < 0 or min(depths, default=0) < 0:

@@ -95,9 +95,6 @@ class Ring:
     def _inv(self, a):
         raise RingError(f"inverse needs a field, {self.spec} is not one")
 
-    def _canon(self, x):
-        raise NotImplementedError
-
     def _reduce(self, x):
         return x
 
@@ -135,6 +132,9 @@ class RingValue:
 
     def __setattr__(self, name, value):
         raise AttributeError("RingValue is immutable")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not __setattr__
+        return RingValue, (self.ring, self.payload)
 
     def _same(self, other) -> "RingValue":
         if not isinstance(other, RingValue):

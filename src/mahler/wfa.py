@@ -149,7 +149,8 @@ class WeightedAutomaton:
     """Weighted automaton: ring, alphabet, named states, I/F vectors, arrows
     (``transitions``: (src, label, dst) -> nonzero weight), and the arrow
     index ``_arrows``: label -> {src: [(dst, payload), ...]}, built once
-    here; the module docstring lists the code that reads it."""
+    here; the module docstring lists the code that reads it.  The label
+    set ``_alphabet_set``, also built here, checks the words read."""
 
     ring: Ring
     alphabet: tuple
@@ -166,7 +167,7 @@ class WeightedAutomaton:
         alphabet = tuple(self.alphabet)
         if len(set(alphabet)) != len(alphabet):
             raise AutomatonError("duplicate alphabet labels")
-        alpha_set = set(alphabet)
+        alpha_set = frozenset(alphabet)
         n = len(states)
         initial = tuple(ring.element(v) for v in self.initial)
         final = tuple(ring.element(v) for v in self.final)
@@ -189,6 +190,7 @@ class WeightedAutomaton:
         object.__setattr__(self, "final", final)
         object.__setattr__(self, "transitions", MappingProxyType(clean))
         object.__setattr__(self, "_arrows", arrows)
+        object.__setattr__(self, "_alphabet_set", alpha_set)
 
     @property
     def n_states(self) -> int:
@@ -204,7 +206,7 @@ class WeightedAutomaton:
 
 def _word_labels(A: WeightedAutomaton, w) -> tuple:
     labels = as_digits(w)
-    alpha = set(A.alphabet)
+    alpha = A._alphabet_set
     for lab in labels:
         if lab not in alpha:
             raise AutomatonError(f"label {_quote(lab)} outside automaton alphabet")
@@ -288,19 +290,24 @@ def sequence_prefix(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list:
 def _prefix_payloads(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list:
     """The payloads of sequence_prefix(A, kind, N), sharing work across prefixes.
 
-    Walks the tree of canonical words once, depth first, instead of
-    refolding each word from scratch, and steps each child through
-    _step_payload.  It does not descend below a word w whose row vector
-    I mu(w) is zero: weight(w v) = I mu(w) mu(v) F is zero for every v,
-    and the output starts as all zeros.  In Zeckendorf each node w
-    carries the pair (value(w), value(w 0)): child w b has value(w 0) +
-    b and value(w b 0) = value(w 0) + value(w) + 2 b, so the walk never
-    calls phi.  Digit b first occurs in canonical(b), so a digit b <= N
-    missing from the machine's alphabet raises as eval_sequence would.
+    Walks the tree of canonical words once, depth first from the empty
+    word, instead of refolding each word from scratch, and steps each
+    child through _step_payload.  It does not descend below a word w
+    whose row vector I mu(w) is zero: weight(w v) = I mu(w) mu(v) F is
+    zero for every v, and the output starts as all zeros.  Each node w
+    carries value(w) and value(w 0); the child w b has value value(w 0)
+    + b, which is 0 only for a leading zero (skipped).  Only the
+    children rule depends on the numeration: in base q, value(w b 0) =
+    q value(w b); in Zeckendorf no 1 follows a 1, and value(w b 0) =
+    value(w 0) + value(w) + 2 b, so the walk never calls phi.  Digit b
+    first occurs in canonical(b), so a digit b <= N missing from the
+    machine's alphabet raises as eval_sequence would.
     """
     if N < 0:
         raise AutomatonError(f"need N >= 0, got {N}")
-    _word_labels(A, range(min(kind.q if isinstance(kind, Base) else 2, N + 1)))
+    base = isinstance(kind, Base)
+    q = kind.q if base else 2
+    _word_labels(A, range(min(q, N + 1)))
     ring = A.ring
     zero = ring.zero.payload
     reduce = ring._reduce
@@ -308,40 +315,24 @@ def _prefix_payloads(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list
     step = _step_payload
     out = [zero] * (N + 1)
     out[0] = weight(A, (0,)).payload
-    init = _initial_payload(A)
-    if not (N and init):
-        return out
-    if isinstance(kind, Base):
-        q = kind.q
-        stack = [(step(A, init, b), b) for b in range(min(q - 1, N), 0, -1)]
-        while stack:
-            vec, val = stack.pop()
-            if not vec:
-                continue
+    stack = [(_initial_payload(A), 0, 0, 0)]
+    while stack:
+        vec, val, shifted, last = stack.pop()
+        if not vec:
+            continue
+        if val:
             acc = zero
             for s, a in vec.items():
                 f = final.get(s)
                 if f is not None:
                     acc += a * f
             out[val] = reduce(acc)
-            for b in range(min(q - 1, N - q * val), -1, -1):
-                stack.append((step(A, vec, b), q * val + b))
-    else:
-        stack = [(step(A, init, 1), 1, 2, 1)]
-        while stack:
-            vec, val, shifted, last = stack.pop()
-            if not vec:
-                continue
-            acc = zero
-            for s, a in vec.items():
-                f = final.get(s)
-                if f is not None:
-                    acc += a * f
-            out[val] = reduce(acc)
-            for b in ((0,) if last == 1 else (1, 0)):
-                child = shifted + b
-                if child <= N:
-                    stack.append((step(A, vec, b), child, shifted + val + 2 * b, b))
+        for b in (range(min(q - 1, N - shifted), -1, -1) if base
+                  else (0,) if last else (1, 0)):
+            child = shifted + b
+            if 0 < child <= N:
+                stack.append((step(A, vec, b), child,
+                              q * child if base else shifted + val + 2 * b, b))
     return out
 
 

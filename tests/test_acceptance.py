@@ -26,6 +26,8 @@ from mahler.automata import (
 from mahler.equations import (
     EquationError,
     SeriesPrefix,
+    _build_q,
+    _build_z,
     build_automaton_dumas,
     build_automaton_q,
     build_automaton_z,
@@ -365,13 +367,13 @@ def test_inv_tracked_window_and_defect_state_z():
 def test_inv_truncation_safety():
     P = shipped("hyperbinary.eq")
     A = build_automaton_q(P)
-    B = build_automaton_q(P, _extra_i=1, _extra_j=3)
+    B = _build_q(P, 1, 3)
     assert list(sequence_prefix(A, BASE2, 1000)) == \
         list(sequence_prefix(B, BASE2, 1000))
 
     P = shipped("fib_repr.eq")
     A = build_automaton_z(P)
-    B = build_automaton_z(P, _extra_i=1, _extra_j=3)
+    B = _build_z(P, None, 1, 3)
     assert (A.n_states, B.n_states) == (29, 47)
     assert list(sequence_prefix(A, ZECKENDORF, 1000)) == \
         list(sequence_prefix(B, ZECKENDORF, 1000))

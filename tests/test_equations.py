@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import SHIPPED, equation_text, ints, make_random_equation
+from mahler import equations
 from mahler.automata import (
     all_ones_automaton,
     count_ones_automaton,
@@ -23,6 +25,8 @@ from mahler.equations import (
     MahlerEquation,
     SeriesPrefix,
     ZSpaceInfo,
+    _build_q,
+    _build_z,
     _kernel_basis,
     build_automaton_dumas,
     build_automaton_q,
@@ -118,6 +122,13 @@ class TestSeriesPrefix:
         assert SeriesPrefix(F5, (7, -1)).payloads == (2, 4)
         assert residual(shipped("thue_morse_zeck.eq"),
                         SeriesPrefix(INTEGERS, (0, 1, 1, 1, 2))).is_zero()
+
+    def test_pickles_and_deep_copies(self):
+        s = solve_series(shipped("fib_repr.eq"), 10)
+        for back in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert back == s and hash(back) == hash(s) and back.coeffs == s.coeffs
+        q = SeriesPrefix(RATIONALS, (Fraction(1, 3), 0, -2))
+        assert pickle.loads(pickle.dumps(q)) == copy.deepcopy(q) == q
 
     def test_repr_truncates(self):
         short = repr(SeriesPrefix(INTEGERS, (1, 2)))
@@ -606,7 +617,7 @@ class TestBuildAutomatonQ:
     def test_widened_grid_is_weight_identical(self):
         P = shipped("hyperbinary.eq")
         A = build_automaton_q(P)
-        Ax = build_automaton_q(P, _extra_i=1, _extra_j=3)
+        Ax = _build_q(P, 1, 3)
         assert len(Ax.states) == 2
         assert list(sequence_prefix(A, BASE2, 300)) == \
             list(sequence_prefix(Ax, BASE2, 300))
@@ -682,7 +693,7 @@ class TestBuildAutomatonZ:
     def test_widened_grid_is_weight_identical(self):
         P = shipped("fib_repr.eq")
         A = build_automaton_z(P)
-        Ax = build_automaton_z(P, _extra_i=1, _extra_j=3)
+        Ax = _build_z(P, None, 1, 3)
         assert len(A.states) == 29
         assert len(Ax.states) == 47
         assert list(sequence_prefix(A, ZECKENDORF, 300)) == \
@@ -813,7 +824,7 @@ def test_builder_json_is_pinned():
         "z fib_repr": (build_automaton_z(fib),
                        "a2fbd86c864454e60e720363a9a6041b3f23dd7df9d354e2e9e365ba31c96339"),
         "z fib_repr widened": (
-            build_automaton_z(fib, _extra_i=1, _extra_j=3),
+            _build_z(fib, None, 1, 3),
             "2f06c37a3be504bc864500ad3e24cd70676d224063a8c5945c8b575bd79918ff"),
         "dumas fib_repr": (build_automaton_dumas(fib),
                            "a2fbd86c864454e60e720363a9a6041b3f23dd7df9d354e2e9e365ba31c96339"),
@@ -1078,6 +1089,20 @@ class TestGrowth:
     def test_coefficients_nondecreasing(self):
         f = growth_analysis(400, 0).coefficients
         assert all(f[n] >= f[n - 1] for n in range(1, 401))
+
+    def test_disagreeing_recurrence_forms_raise(self, monkeypatch):
+        # the step and summation forms are provably equal; a preimage
+        # table corrupted to phi^-1(3) = 1 (it is 2) parts them at n = 3
+        real = equations.preimages
+
+        def corrupted(kind, N, depths):
+            tables = real(kind, N, depths)
+            tables[1][3] = 1
+            return tables
+
+        monkeypatch.setattr(equations, "preimages", corrupted)
+        with pytest.raises(EquationError, match="recurrence forms disagree at n = 3"):
+            growth_analysis(10, 1)
 
     def test_validation(self):
         with pytest.raises(EquationError, match="need N >= 1"):

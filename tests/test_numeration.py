@@ -8,7 +8,6 @@ from mahler.numeration import (
     Base,
     NumerationError,
     _canonical_fold,
-    _preimage_tables,
     canonical,
     delta,
     fib,
@@ -115,7 +114,7 @@ def test_phi_preimage():
 @given(st.sampled_from([BASE2, BASE3, ZECKENDORF]), st.integers(0, 1500),
        st.integers(0, 4))
 def test_preimages_match_pointwise_queries(kind, N, i):
-    pre = preimages(kind, N, i)
+    pre = preimages(kind, N, (i,))[i]
     assert len(pre) == N + 1
     for m in range(N + 1):
         if isinstance(kind, Base):
@@ -132,7 +131,7 @@ def test_preimages_past_the_top(kind):
     # once op^i(1) > N only 0 has a preimage; a huge i costs O(N)
     for N in (0, 1, 2, 7, 40):
         for i in range(12):
-            pre = preimages(kind, N, i)
+            pre = preimages(kind, N, (i,))[i]
             for m in range(N + 1):
                 if isinstance(kind, Base):
                     k, r = divmod(m, kind.q ** i)
@@ -140,14 +139,14 @@ def test_preimages_past_the_top(kind):
                 else:
                     k = phi_preimage(m, i)
                     assert pre[m] == (-1 if k is None else k)
-        assert preimages(kind, N, 10**8) == [0] + [-1] * N
-    assert preimages(kind, 10, 0) == list(range(11))
+        assert preimages(kind, N, (10**8,))[10**8] == [0] + [-1] * N
+    assert preimages(kind, 10, (0,))[0] == list(range(11))
 
 
 @pytest.mark.parametrize("kind", [BASE2, BASE3, ZECKENDORF])
 def test_preimage_tables_compose_one_shift_table(kind, monkeypatch):
     N = 3000
-    expected = {i: preimages(kind, N, i) for i in range(6)}
+    expected = {i: preimages(kind, N, (i,))[i] for i in range(6)}
     calls = []
 
     def counted(k):
@@ -155,21 +154,21 @@ def test_preimage_tables_compose_one_shift_table(kind, monkeypatch):
         return phi_via_floor(k)
 
     monkeypatch.setattr(numeration, "phi_via_floor", counted)
-    assert _preimage_tables(kind, N, [4, 0, 2, 5, 2, 1, 3]) == expected
+    assert preimages(kind, N, [4, 0, 2, 5, 2, 1, 3]) == expected
     if kind == ZECKENDORF:
         # the i = 1 table is filled once (about N / golden ratio calls),
         # not once per depth
         assert len(calls) < 0.62 * N + 10
-    assert _preimage_tables(kind, N, ()) == {}
-    assert _preimage_tables(kind, 7, [1, 10**8])[10**8] == [0] + [-1] * 7
+    assert preimages(kind, N, ()) == {}
+    assert preimages(kind, 7, [1, 10**8])[10**8] == [0] + [-1] * 7
 
 
 def test_preimages_validation():
-    assert preimages(ZECKENDORF, 0, 3) == [0]
+    assert preimages(ZECKENDORF, 0, (3,))[3] == [0]
     with pytest.raises(NumerationError):
-        preimages(ZECKENDORF, -1, 1)
+        preimages(ZECKENDORF, -1, (1,))
     with pytest.raises(NumerationError):
-        preimages(BASE2, 5, -1)
+        preimages(BASE2, 5, (-1,))
 
 
 def test_canonical_around_fibonacci_numbers():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import isqrt
 
@@ -170,6 +172,16 @@ def test_values_immutable_and_hashable():
     with pytest.raises(AttributeError):
         v.payload = 4
     assert len({v, INTEGERS.element(3), INTEGERS.element(4)}) == 2
+
+
+@pytest.mark.parametrize("spec", ["Z", "Q", "Zmod:6", "Fp:5"])
+def test_values_pickle_and_deep_copy(spec):
+    ring = parse_ring(spec)
+    for v in (ring.zero, ring.one, ring.parse("-7"), ring.parse("3") * ring.parse("4")):
+        for back in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
+            assert back == v and back.ring == ring and type(back.payload) is type(v.payload)
+    assert pickle.loads(pickle.dumps(ring.one)).is_one()
+    assert not copy.deepcopy(ring.zero)
 
 
 _RINGS = [INTEGERS, RATIONALS, PrimeField(2), PrimeField(7), ModRing(12)]

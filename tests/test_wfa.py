@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from itertools import product
 
 import pytest
@@ -15,7 +16,7 @@ from mahler.automata import (
     defect_automaton,
     fibonacci_representation_automaton,
 )
-from mahler.equations import build_automaton_z, weight_z
+from mahler.equations import build_automaton_q, build_automaton_z, parse_equation, weight_z
 from mahler.numeration import ZECKENDORF, Base, canonical, parse_word, word_alphabet
 from mahler.rings import (INTEGERS, RATIONALS, MixedRingError, PrimeField, RingError,
                           RingValue, parse_ring)
@@ -247,6 +248,19 @@ def test_base_prefix_walk_below_the_base():
     for N in range(6):
         assert sequence_prefix(A, Base(5), N) == \
             [eval_sequence(A, Base(5), n) for n in range(N + 1)]
+
+
+def test_weight_on_a_large_base_does_not_pay_for_the_alphabet():
+    # the label check reads the set the machine built once, so a call on
+    # a base-10^5 machine costs its word, not the 10^5 labels
+    A = build_automaton_q(parse_equation(
+        "ring Z\nnumeration base 100000\nf0 1\nalpha 0 0 1\nalpha 1 0 1\n"))
+    start = time.perf_counter()
+    # f = Phi(f), f_0 = 1: f_n = 1 at n = 0 only, and the word n 0 reads n q
+    assert [n for n in range(2000) if weight(A, (n, 0))] == [0]
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(AutomatonError, match="label 100000 outside automaton alphabet"):
+        weight(A, (100000,))
 
 
 def test_explore_numbers_seeds_first_then_breadth_first():
