@@ -49,6 +49,7 @@ from .rings import Ring, RingError, RingValue, _quote, parse_ring
 from .wfa import (
     WeightedAutomaton,
     _prefix_payloads,
+    _reduce_by_init,
     eval_sequence,
     explore_automaton,
     weight,
@@ -177,6 +178,8 @@ class MahlerEquation:
         object.__setattr__(self, "f0", ring.element(self.f0))
         object.__setattr__(self, "d", max(i for i, _ in clean))
         object.__setattr__(self, "h", max(j for _, j in clean))
+
+    __reduce__ = _reduce_by_init
 
     def coefficient(self, i: int, j: int) -> RingValue:
         return self.alpha.get((i, j), self.ring.zero)
@@ -953,6 +956,8 @@ class GrowthReport:
 
     def __post_init__(self):
         object.__setattr__(self, "thresholds", MappingProxyType(dict(self.thresholds)))
+
+    __reduce__ = _reduce_by_init
 
     @property
     def prefix(self) -> tuple:

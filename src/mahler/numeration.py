@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isqrt
 from typing import Iterable, Sequence, Union
 
@@ -288,8 +289,11 @@ def preimages(kind: NumerationKind, N: int, depths: Iterable[int]) -> dict:
     op is n -> q n in base q and the shift phi in Zeckendorf.  One O(N)
     table stands in for a phi_preimage / divmod query per index.  The
     i = 1 table is made once: base q strides through the multiples of
-    q, Zeckendorf fills it forward from the exact phi_via_floor(k) while
-    that is <= N.  Each deeper table composes it with the one above.
+    q; Zeckendorf fills it forward while phi(k) <= N, summing the gaps
+    phi(k + 1) - phi(k) = floor((k + 2) phi) - floor((k + 1) phi), which
+    spell the Fibonacci word 2122121221... (the Beatty sequence of the
+    golden ratio), so no square root is taken.  Each deeper table
+    composes it with the one above.
     Once op^i(1) > N only 0 has a preimage, and every deeper table is
     that one, so a huge i costs no more than a small one.
     """
@@ -301,11 +305,14 @@ def preimages(kind: NumerationKind, N: int, depths: Iterable[int]) -> dict:
     if isinstance(kind, Base):
         one[::kind.q] = range(N // kind.q + 1)
     else:
-        k = m = 0
-        while m <= N:
+        # phi(k + 1) - phi(k) is letter k of the Fibonacci word over {2, 1}
+        gaps, prev = [2, 1], [2]
+        while len(gaps) <= N:
+            gaps, prev = gaps + prev, gaps
+        for k, m in enumerate(accumulate(gaps, initial=0)):
+            if m > N:
+                break
             one[m] = k
-            k += 1
-            m = phi_via_floor(k)
     tables = {}
     pre = list(range(N + 1))
     for i in range(max(depths, default=-1) + 1):

@@ -92,6 +92,9 @@ class Ring:
     def __repr__(self):
         return f"Ring({self.spec})"
 
+    def __reduce__(self):  # pickle and copy give back the ring parse_ring makes
+        return parse_ring, (self.spec,)
+
     def _inv(self, a):
         raise RingError(f"inverse needs a field, {self.spec} is not one")
 

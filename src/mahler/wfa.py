@@ -22,19 +22,24 @@ reachability without numbering (trimming) uses reachable().
 
 A weighted machine keeps one arrow index, built with it: ``_arrows`` maps
 label -> {src: [(dst, weight payload), ...]} in the order of
-``transitions``, i.e. each mu(b) stored row by row.  _step_payload,
+``transitions``, i.e. each mu(b) stored row by row.  _step_payload (a
+row vector times mu(b)), _column_payload (mu(b) times a column vector),
 determinize, the determinism check of UnambiguousAutomaton,
 cauchy_product, automata._shift_once and the copies of g in
 equations._build_z read it.
+
+sequence_prefix meets in the middle of the tree of canonical words: rows
+I mu(u) stepped down its top levels, columns mu(v) F built up from its
+bottom, and one dot product per deeper word (see _prefix_payloads).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Mapping, Union
 
-from .numeration import Base, NumerationKind, as_digits, canonical
+from .numeration import Base, NumerationKind, as_digits, canonical, fib
 from .rings import INTEGERS, Ring, RingError, RingValue, _quote
 
 Label = Union[int, tuple]
@@ -116,6 +121,14 @@ def _label_key(label):
     return (0, (label,))
 
 
+def _reduce_by_init(obj):
+    """__reduce__ of a frozen dataclass that holds read-only mappings:
+    pickle and copy rebuild it through its constructor, which validates
+    again, from its init fields with each mapping as a plain dict."""
+    return type(obj), tuple(dict(v) if isinstance(v, MappingProxyType) else v
+                            for v in (getattr(obj, f.name) for f in fields(obj) if f.init))
+
+
 @dataclass(frozen=True, eq=False)
 class DfaWithOutput:
     """Partial DFA whose states carry outputs; run() returns the last output."""
@@ -128,6 +141,8 @@ class DfaWithOutput:
 
     def __post_init__(self):
         object.__setattr__(self, "transitions", MappingProxyType(dict(self.transitions)))
+
+    __reduce__ = _reduce_by_init
 
     def step(self, state: int, label) -> int:
         nxt = self.transitions.get((state, label))
@@ -191,6 +206,8 @@ class WeightedAutomaton:
         object.__setattr__(self, "transitions", MappingProxyType(clean))
         object.__setattr__(self, "_arrows", arrows)
         object.__setattr__(self, "_alphabet_set", alpha_set)
+
+    __reduce__ = _reduce_by_init
 
     @property
     def n_states(self) -> int:
@@ -287,20 +304,43 @@ def sequence_prefix(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list:
     return [RingValue(ring, p) if p else zero for p in _prefix_payloads(A, kind, N)]
 
 
-def _prefix_payloads(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list:
-    """The payloads of sequence_prefix(A, kind, N), sharing work across prefixes.
+def _column_payload(A: WeightedAutomaton, label, col: dict) -> dict:
+    """The sparse column vector mu(label) * col, read from the same arrow
+    index as _step_payload, each entry reduced once, zeros dropped."""
+    reduce = A.ring._reduce
+    out = {}
+    for src, arrows in A._arrows.get(label, {}).items():
+        acc = None
+        for dst, w in arrows:
+            c = col.get(dst)
+            if c is not None:
+                acc = w * c if acc is None else acc + w * c
+        if acc is not None and (acc := reduce(acc)):
+            out[src] = acc
+    return out
 
-    Walks the tree of canonical words once, depth first from the empty
-    word, instead of refolding each word from scratch, and steps each
-    child through _step_payload.  It does not descend below a word w
-    whose row vector I mu(w) is zero: weight(w v) = I mu(w) mu(v) F is
-    zero for every v, and the output starts as all zeros.  Each node w
-    carries value(w) and value(w 0); the child w b has value value(w 0)
-    + b, which is 0 only for a leading zero (skipped).  Only the
-    children rule depends on the numeration: in base q, value(w b 0) =
-    q value(w b); in Zeckendorf no 1 follows a 1, and value(w b 0) =
-    value(w 0) + value(w) + 2 b, so the walk never calls phi.  Digit b
-    first occurs in canonical(b), so a digit b <= N missing from the
+
+def _prefix_payloads(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list:
+    """The payloads of sequence_prefix(A, kind, N), sharing work across words.
+
+    weight(u v) = (I mu(u)) . (mu(v) F) for every cut of a word, so the
+    walk meets in the middle of the tree of canonical words.  Forward, it
+    steps the rows I mu(u) down the tree one level at a time
+    (_step_payload) and reads each out against F.  Backward, it builds
+    for each length j the columns mu(v) F of the suffix words v with
+    value(v) <= N (base q: any digits; Zeckendorf: no 11), each one
+    _column_payload from a column a digit shorter.  Each round grows the
+    side whose next level looks cheaper: the children to make times
+    their parents' nonzeros over the state count, against the new
+    suffix words.  Once the depths add up to len(canonical(N)), each
+    deeper word u v is one dot product, at value(u 0^j) + value(v); in
+    Zeckendorf a u ending in 1 meets only a v starting with 0.  Zero
+    rows and columns are dropped, since every word through them weighs
+    zero.  A node u carries value(u) and value(u 0): the child u b has
+    value value(u 0) + b (0 only for a leading zero, skipped), and
+    value(u b 0) is q value(u b) in base q and value(u 0) + value(u) +
+    2 b in Zeckendorf, so the walk never calls phi.  Digit b first
+    occurs in canonical(b), so a digit b <= N missing from the
     machine's alphabet raises as eval_sequence would.
     """
     if N < 0:
@@ -308,31 +348,61 @@ def _prefix_payloads(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list
     base = isinstance(kind, Base)
     q = kind.q if base else 2
     _word_labels(A, range(min(q, N + 1)))
-    ring = A.ring
-    zero = ring.zero.payload
-    reduce = ring._reduce
-    final = {s: f.payload for s, f in enumerate(A.final) if f}
-    step = _step_payload
+    zero = A.ring.zero.payload
+    reduce = A.ring._reduce
+    step, column = _step_payload, _column_payload
     out = [zero] * (N + 1)
-    out[0] = weight(A, (0,)).payload
-    stack = [(_initial_payload(A), 0, 0, 0)]
-    while stack:
-        vec, val, shifted, last = stack.pop()
-        if not vec:
+    length = len(canonical(N, kind))
+    init = _initial_payload(A)
+    # forward: (I mu(u), value(u), value(u 0), last digit) per node u of depth_f
+    level = [(init, 0, 0, 0)] if init else []
+    depth_f = 0
+    # backward: columns[j] lists (value(v), mu(v) F) by increasing value(v)
+    final = {s: f.payload for s, f in enumerate(A.final) if f}
+    columns = [[(0, final)] if final else []]
+
+    def meet(nodes, top):
+        # out[value(u v)] = I mu(u) . mu(v) F for each node u, each v shorter than top
+        for row, val, shifted, last in nodes:
+            items = row.items()
+            at, here = shifted - val, val  # here = value(u 0^j)
+            for j in range(top):
+                if here > N:
+                    break
+                cap = N - here if base or not last else min(N - here, fib(j - 1) - 1)
+                for v, col in columns[j]:
+                    if v > cap:
+                        break
+                    acc = zero
+                    for s, a in items:
+                        c = col.get(s)
+                        if c is not None:
+                            acc += a * c
+                    out[here + v] = reduce(acc)
+                at, here = here, q * here if base else here + at
+
+    while level and depth_f + len(columns) - 1 < length:
+        children = [(vec, b, child, q * child if base else shifted + val + 2 * b)
+                    for vec, val, shifted, last in level
+                    for b in (range(min(q, N - shifted + 1)) if base
+                              else (0,) if last else (0, 1))
+                    if 0 < (child := shifted + b) <= N]
+        j = len(columns) - 1
+        unit = q ** j if base else fib(j)  # value of a 1 before j digits
+        # the root's children are leading digits: the forward side makes them
+        if depth_f and min(q ** (j + 1) if base else fib(j + 1), N + 1) * len(A.states) \
+                < sum(len(vec) for vec, *_ in children):
+            columns.append([(b * unit + v, c) for b in range(min(q, N // unit + 1))
+                            for v, col in columns[j]
+                            if b * unit + v <= N and (base or not b or v < fib(j - 1))
+                            if (c := column(A, b, col))])
             continue
-        if val:
-            acc = zero
-            for s, a in vec.items():
-                f = final.get(s)
-                if f is not None:
-                    acc += a * f
-            out[val] = reduce(acc)
-        for b in (range(min(q - 1, N - shifted), -1, -1) if base
-                  else (0,) if last else (1, 0)):
-            child = shifted + b
-            if 0 < child <= N:
-                stack.append((step(A, vec, b), child,
-                              q * child if base else shifted + val + 2 * b, b))
+        meet(level, 1)
+        level = [(row, val, shifted, b) for vec, b, val, shifted in children
+                 if (row := step(A, vec, b))]
+        depth_f += 1
+    meet(level, len(columns))
+    out[0] = weight(A, (0,)).payload  # the word 0, not the root's empty word
     return out
 
 

@@ -184,6 +184,26 @@ class TestMahlerEquation:
         with pytest.raises(TypeError):
             P.g_poly[2] = INTEGERS.one
 
+    def test_pickles_and_deep_copies(self):
+        # rebuilt through the constructor: equal fields, read-only tables,
+        # the same machine from the builder, and validation runs again
+        for name in SHIPPED:
+            P = shipped(name)
+            for back in (pickle.loads(pickle.dumps(P)), copy.deepcopy(P), copy.copy(P)):
+                assert (back.ring, back.kind, back.f0, back.d, back.h) == \
+                    (P.ring, P.kind, P.f0, P.d, P.h)
+                assert back.alpha == P.alpha and back.g_poly == P.g_poly
+                with pytest.raises(TypeError):
+                    back.alpha[(0, 0)] = P.ring.zero
+                if is_isolating(P) and not P.g_poly:
+                    build = build_automaton_q if isinstance(P.kind, Base) else build_automaton_z
+                    assert same_structure(build(back), build(P))
+        P = MahlerEquation(ring=F5, kind=ZECKENDORF, alpha={(0, 0): 1, (1, 1): 3}, f0=2)
+        cls, args = P.__reduce__()
+        assert cls is MahlerEquation and type(args[2]) is dict
+        with pytest.raises(EquationError, match="no nonzero coefficient"):
+            cls(P.ring, P.kind, {(0, 0): 5}, *args[3:])
+
     def test_repr(self):
         assert "zeckendorf over Z, d=1, h=1" in repr(shipped("fib_repr.eq"))
         assert "base 2" in repr(shipped("hyperbinary.eq"))
@@ -1062,6 +1082,13 @@ class TestGrowth:
         rep = growth_analysis(200, 3)
         assert rep.thresholds == {0: 0, 1: 3, 2: 32, 3: 176}
         assert growth_analysis(100, 3).thresholds[3] is None
+
+    def test_pickles_and_deep_copies(self):
+        rep = growth_analysis(200, 3)
+        for back in (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep)):
+            assert back == rep and back.thresholds == {0: 0, 1: 3, 2: 32, 3: 176}
+            with pytest.raises(TypeError):
+                back.thresholds[0] = 1
 
     def test_matches_digit_level_form(self):
         # the recurrence read straight off canonical words: lambda(n) drops

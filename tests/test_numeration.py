@@ -155,12 +155,23 @@ def test_preimage_tables_compose_one_shift_table(kind, monkeypatch):
 
     monkeypatch.setattr(numeration, "phi_via_floor", counted)
     assert preimages(kind, N, [4, 0, 2, 5, 2, 1, 3]) == expected
-    if kind == ZECKENDORF:
-        # the i = 1 table is filled once (about N / golden ratio calls),
-        # not once per depth
-        assert len(calls) < 0.62 * N + 10
+    # the i = 1 table is filled once, not once per depth, and in
+    # Zeckendorf from the Fibonacci word, without the floor formula
+    assert calls == []
     assert preimages(kind, N, ()) == {}
     assert preimages(kind, 7, [1, 10**8])[10**8] == [0] + [-1] * 7
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 10**5])
+def test_zeckendorf_shift_table_is_the_floor_formula(N):
+    # the i = 1 table sums the gaps of the Fibonacci word; it must hold
+    # every k at phi_via_floor(k) <= N and -1 everywhere else
+    expected = [-1] * (N + 1)
+    k = 0
+    while (m := phi_via_floor(k)) <= N:
+        expected[m] = k
+        k += 1
+    assert preimages(ZECKENDORF, N, (1,))[1] == expected
 
 
 def test_preimages_validation():

@@ -182,6 +182,18 @@ def test_values_pickle_and_deep_copy(spec):
             assert back == v and back.ring == ring and type(back.payload) is type(v.payload)
     assert pickle.loads(pickle.dumps(ring.one)).is_one()
     assert not copy.deepcopy(ring.zero)
+    # a ring comes back as parse_ring(spec): Z and Q as the shared objects
+    for back in (pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring)):
+        assert back == ring and back.spec == spec
+    assert (pickle.loads(pickle.dumps(ring.one)).ring is ring) == (spec in ("Z", "Q"))
+
+
+def test_unpickled_values_share_the_integers_and_rationals():
+    assert pickle.loads(pickle.dumps(INTEGERS.one)).ring is INTEGERS
+    assert copy.deepcopy(RATIONALS.zero).ring is RATIONALS
+    ring = ModRing(6)  # pickled once, so one ring comes back for both values
+    values = pickle.loads(pickle.dumps([ring.one, ring.zero]))
+    assert values[0].ring is values[1].ring == ring
 
 
 _RINGS = [INTEGERS, RATIONALS, PrimeField(2), PrimeField(7), ModRing(12)]

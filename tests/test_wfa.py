@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 import time
 from itertools import product
@@ -17,7 +19,7 @@ from mahler.automata import (
     fibonacci_representation_automaton,
 )
 from mahler.equations import build_automaton_q, build_automaton_z, parse_equation, weight_z
-from mahler.numeration import ZECKENDORF, Base, canonical, parse_word, word_alphabet
+from mahler.numeration import ZECKENDORF, Base, canonical, fib, parse_word, word_alphabet
 from mahler.rings import (INTEGERS, RATIONALS, MixedRingError, PrimeField, RingError,
                           RingValue, parse_ring)
 from mahler.serialize import dfa_to_json
@@ -27,6 +29,7 @@ from mahler.wfa import (
     MissingTransitionError,
     UnambiguousAutomaton,
     WeightedAutomaton,
+    _column_payload,
     _initial_payload,
     _step_payload,
     cauchy_product,
@@ -129,17 +132,19 @@ def test_zeckendorf_prefix_walk_matches_eval(seed, ring):
 
 
 # Random machines over Z, Q, Zmod:6 and Fp:5, given as plain ints: weights
-# past n wrap mod n, and a pair of arrows w and n - w (w and -w over Z, Q)
+# past n wrap mod n.  A pair of arrows w and n - w (w and -w over Z, Q)
 # from two sources of equal initial weight into one target makes that
-# entry of the step cancel only after the reduction.
+# entry of the step cancel only after the reduction; a pair from one
+# source into two targets of equal final weight does the same to an entry
+# of the column mu(b) F.
 STEP_RINGS = ("Z", "Q", "Zmod:6", "Fp:5")
 
 
 @st.composite
-def plain_int_machines(draw):
+def plain_int_machines(draw, kinds=(ZECKENDORF, BASE2, Base(3))):
     ring = parse_ring(draw(st.sampled_from(STEP_RINGS)))
     n = ring.characteristic
-    kind = draw(st.sampled_from((ZECKENDORF, BASE2, Base(3))))
+    kind = draw(st.sampled_from(kinds))
     alphabet = word_alphabet(kind)
     k = draw(st.integers(2, 4))
     weights = st.integers(-3, 3 * n if n else 12)
@@ -148,14 +153,22 @@ def plain_int_machines(draw):
         weights, max_size=3 * k))
     initial = draw(st.lists(weights, min_size=k, max_size=k))
     final = draw(st.lists(weights, min_size=k, max_size=k))
+    pair = st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True)
     for label in alphabet:
         if draw(st.booleans()):
-            s1, s2 = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+            s1, s2 = draw(pair)
             dst = draw(st.integers(0, k - 1))
             w = draw(st.integers(1, n - 1 if n else 5))
             arrows[(s1, label, dst)] = w
             arrows[(s2, label, dst)] = n - w if n else -w
             initial[s2] = initial[s1] = initial[s1] or 1
+        if draw(st.booleans()):
+            d1, d2 = draw(pair)
+            src = draw(st.integers(0, k - 1))
+            w = draw(st.integers(1, n - 1 if n else 5))
+            arrows[(src, label, d1)] = w
+            arrows[(src, label, d2)] = n - w if n else -w
+            final[d2] = final[d1] = final[d1] or 1
     return ring, kind, initial, final, arrows
 
 
@@ -188,16 +201,30 @@ def test_stepping_matches_the_plain_int_path_sum_on_every_ring(machine):
         for n in range(N + 1)]
 
 
+def _meeting_points(kind, top):
+    """0..3 and u - 1, u for every digit unit u <= top (q^k in base q,
+    F_k in Zeckendorf): the N at which len(canonical(N)), and with it
+    the depth where the two sides of the prefix walk meet, moves."""
+    units = ([kind.q ** k for k in range(top.bit_length())] if isinstance(kind, Base)
+             else [fib(k) for k in range(top.bit_length() * 2)])
+    return sorted({0, 1, 2, 3}.union(*({u - 1, u} for u in units if u <= top)))
+
+
 @settings(max_examples=80)
-@given(plain_int_machines())
-def test_pruned_walk_matches_eval_and_never_steps_a_zero_vector(machine):
-    # over Zmod:6 and Fp:5 the cancelling arrow pairs empty a vector mid-walk
+@given(plain_int_machines((ZECKENDORF, BASE2, Base(3), Base(10))), st.data())
+def test_pruned_walk_matches_eval_and_never_steps_a_zero_vector(machine, data):
+    # over Zmod:6 and Fp:5 the cancelling arrow pairs empty a row or a
+    # column mid-walk; I = 0 leaves nothing to step
     ring, kind, initial, final, arrows = machine
+    if data.draw(st.booleans()):  # loops keep rows and columns alive to full depth
+        arrows = {(s, b, s): 1 for s in range(len(initial)) for b in word_alphabet(kind)} | arrows
+    if data.draw(st.integers(0, 7)) == 0:
+        initial = [0] * len(initial)
     A = WeightedAutomaton(ring=ring, alphabet=word_alphabet(kind),
                           states=tuple(f"s{i}" for i in range(len(initial))),
                           initial=initial, final=final, transitions=arrows)
-    N = 60
-    expected = [eval_sequence(A, kind, n) for n in range(N + 1)]
+    points = _meeting_points(kind, 250)
+    expected = [eval_sequence(A, kind, n) for n in range(points[-1] + 1)]
     stepped = []
 
     def step(A, vec, label):
@@ -205,12 +232,75 @@ def test_pruned_walk_matches_eval_and_never_steps_a_zero_vector(machine):
         stepped.append(label)
         return _step_payload(A, vec, label)
 
+    def column(A, label, col):
+        assert col, "the walk multiplied a zero column"
+        return _column_payload(A, label, col)
+
+    for N in points:
+        stepped.clear()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(wfa, "_step_payload", step)
+            m.setattr(wfa, "_column_payload", column)
+            got = sequence_prefix(A, kind, N)
+        assert got == expected[:N + 1]
+        assert all(v is ring.zero for v in got if not v)
+        assert len(stepped) <= N + 1  # one step per node: the word 0, then each n in 1..N
+
+
+@pytest.mark.parametrize("q", [100000, 10])
+def test_large_base_walk_makes_no_column_past_N(q):
+    # every column mu(v) F the walk makes is for a suffix word v of value
+    # <= N, and no level of either side loops over all q digits: at
+    # q = 10^5 one pass over the alphabet per node would take minutes
+    if q == 100000:
+        A = build_automaton_q(parse_equation(
+            "ring Z\nnumeration base 100000\nf0 1\nalpha 0 0 1\nalpha 1 0 1\n"))
+    else:  # one state, weight of a word = product of (digit + 1)
+        A = WeightedAutomaton(ring=INTEGERS, alphabet=tuple(range(q)), states=("s",),
+                              initial=(1,), final=(1,),
+                              transitions={(0, d, 0): d + 1 for d in range(q)})
+    kind, N = Base(q), 3000
+    made = {}  # id of each column made -> (value, length) of its suffix word
+    kept = []
+
+    def column(A, label, col):
+        value, length = made.get(id(col), (0, 0))  # (0, 0): the empty word's F
+        out = _column_payload(A, label, col)
+        made[id(out)] = (label * q ** length + value, length + 1)
+        kept.append(out)
+        return out
+
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(wfa, "_step_payload", step)
+        m.setattr(wfa, "_column_payload", column)
+        start = time.perf_counter()
         got = sequence_prefix(A, kind, N)
-    assert got == expected
-    assert all(v is ring.zero for v in got if not v)
-    assert len(stepped) <= N + 1  # one step per node: the word 0, then each n in 1..N
+        elapsed = time.perf_counter() - start
+    assert got == [eval_sequence(A, kind, n) for n in range(N + 1)]
+    assert all(value <= N for value, _ in made.values())
+    assert made or q > N  # base 10 meets in the middle; base 10^5 has one level
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("spec", STEP_RINGS)
+def test_machines_pickle_and_deep_copy(spec):
+    # rebuilt through the constructor, so the arrow index and the label
+    # set come back with them and the copy steps like the original
+    ring = parse_ring(spec)
+    rep = fibonacci_representation_automaton(ring)
+    A = cauchy_product(rep, rep, addition_automaton(ZECKENDORF))
+    for back in (pickle.loads(pickle.dumps(A)), copy.deepcopy(A), copy.copy(A)):
+        assert same_structure(back, A) and back._arrows == A._arrows
+        assert sequence_prefix(back, ZECKENDORF, 60) == sequence_prefix(A, ZECKENDORF, 60)
+    if ring.cardinality:
+        D = determinize(count_ones_automaton(ring))
+        for back in (pickle.loads(pickle.dumps(D)), copy.deepcopy(D)):
+            assert dict(back.transitions) == dict(D.transitions)
+            assert (back.states, back.outputs, back.initial) == (D.states, D.outputs, D.initial)
+            with pytest.raises(TypeError):
+                back.transitions[0, 0] = 1
+    D = defect_automaton()
+    back = pickle.loads(pickle.dumps(D))
+    assert dfa_to_json(back) == dfa_to_json(D)
 
 
 @pytest.mark.parametrize("spec, pair", [("Zmod:6", (2, 4)), ("Fp:5", (1, 4)),
