@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .numeration import Base, NumerationKind, canonical, format_word, word_alphabet
+from .numeration import Base, NumerationKind, _word_sep, canonical, word_alphabet
 from .rings import INTEGERS, Ring, RingValue
 from .wfa import (AutomatonError, DfaWithOutput, UnambiguousAutomaton,
                   WeightedAutomaton, _dfa_table, explore, explore_automaton,
@@ -249,7 +249,7 @@ def polynomial_automaton(coeffs, kind: NumerationKind, ring: Ring) -> WeightedAu
     return explore_automaton(
         ring, alphabet, {prefix: one if not prefix else ring.zero for prefix in finals},
         successors, finals.__getitem__,
-        lambda prefix: "n" + format_word(prefix) if prefix else "z")
+        lambda prefix: "n" + _word_sep(kind).join(map(str, prefix)) if prefix else "z")
 
 
 def shift_regular(A: WeightedAutomaton, j: int) -> WeightedAutomaton:

@@ -59,8 +59,8 @@ from .numeration import (
     Base,
     NumerationError,
     _canonical_fold,
+    _word_sep,
     canonical,
-    format_word,
 )
 from .rings import INTEGERS, PrimeField, RingError, _quote, parse_ring
 from .serialize import (
@@ -195,11 +195,9 @@ def cmd_solve(args) -> int:
             "recurrence to unroll; use `mahler verify --automaton ...` to check "
             "a sequence against it instead")
     series = solve_series(P, args.N)
-    kind = P.kind
-    if isinstance(kind, Base) and kind.q > 10:  # a digit past 9 puts commas in the whole word
-        words = map(format_word, _canonical_fold(kind, args.N, (), lambda w, b: w + (b,)))
-    else:
-        words = _canonical_fold(kind, args.N, "", lambda text, b: text + str(b))
+    sep = _word_sep(P.kind)
+    words = _canonical_fold(P.kind, args.N, "",
+                            lambda text, b: f"{text}{sep}{b}" if text else str(b))
     fmt = P.ring.format
     sys.stdout.writelines(f"{n}, {word}, {fmt(v)}\n"
                           for n, (word, v) in enumerate(zip(words, series.payloads)))
@@ -257,7 +255,7 @@ def cmd_verify(args) -> int:
         got = _prefix_payloads(A, P.kind, N)
         n = next((n for n in range(N + 1) if got[n] != oracle[n]), None)
         if n is not None:
-            word = format_word(canonical(n, P.kind))
+            word = _word_sep(P.kind).join(map(str, canonical(n, P.kind)))
             print(f"FAIL at n = {n} (word {word}): oracle {fmt(oracle[n])}, "
                   f"automaton {fmt(got[n])}")
             return 1

@@ -305,8 +305,10 @@ def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
     Identically zero exactly when s solves the equation up to its
     truncation order.  Works for non-isolating equations; needs no
     coefficients beyond the prefix because phi(k) >= k and q*k >= k.
-    Summed on payloads like solve_series; a SeriesPrefix is read from
-    its payloads with no second check.
+    The term loop is solve_series's, with A_0 in it: alpha[i, j] adds
+    +-alpha[i, j] * s_k for the k with op^i(k) + j = n, + for i = 0 (the
+    depth-0 table is the identity) and - for i >= 1.  A SeriesPrefix is
+    read from its payloads with no second check.
     """
     ring = P.ring
     seq = _payloads(ring, s, "series")
@@ -314,22 +316,18 @@ def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
         raise EquationError("empty series prefix")
     N = len(seq) - 1
     g_pay = _g_payloads(P, g, N)
-    pre = preimages(P.kind, N, (i for (i, _) in P.alpha if i >= 1))
-    items = [(i, j, a.payload, pre.get(i)) for (i, j), a in sorted(P.alpha.items())]
+    pre = preimages(P.kind, N, (i for (i, _) in P.alpha))
+    items = [(j, (-a if i else a).payload, pre[i]) for (i, j), a in sorted(P.alpha.items())]
     reduce = ring._reduce
     out = []
     for n in range(N + 1):
         acc = -g_pay[n]
-        for i, j, a, pre_i in items:
+        for j, a, pre_i in items:
             m = n - j
-            if m < 0:
-                continue
-            if i == 0:
-                acc += a * seq[m]
-                continue
-            k = pre_i[m]
-            if k >= 0:
-                acc -= a * seq[k]
+            if m >= 0:
+                k = pre_i[m]
+                if k >= 0:
+                    acc += a * seq[k]
         out.append(reduce(acc))
     return _series(ring, out)
 
@@ -440,18 +438,14 @@ def parse_equation(text: str) -> MahlerEquation:
     alpha = {key: element(entry, f"alpha {_quote(key[0])} {_quote(key[1])}")
              for key, entry in alpha_entries.items()}
     g_poly = {j: element(entry, f"g {_quote(j)}") for j, entry in g_entries.items()}
-    support = {key for key, val in alpha.items() if val}
-    if not support:
+    if not any(alpha.values()):
         raise EquationFileError("all alpha coefficients are zero")
-    true_d = max(i for i, _ in support)
-    true_h = max(j for _, j in support)
-    if "d" in decl and decl["d"][1] != true_d:
-        fail(decl["d"][0], f"declared d = {_quote(decl['d'][1])} but the alpha lines "
-                           f"give d = {_quote(true_d)}")
-    if "h" in decl and decl["h"][1] != true_h:
-        fail(decl["h"][0], f"declared h = {_quote(decl['h'][1])} but the alpha lines "
-                           f"give h = {_quote(true_h)}")
-    return MahlerEquation(ring=ring, kind=kind, alpha=alpha, f0=f0, g_poly=g_poly)
+    P = MahlerEquation(ring=ring, kind=kind, alpha=alpha, f0=f0, g_poly=g_poly)
+    for key, true in (("d", P.d), ("h", P.h)):
+        if key in decl and decl[key][1] != true:
+            fail(decl[key][0], f"declared {key} = {_quote(decl[key][1])} but the alpha "
+                               f"lines give {key} = {_quote(true)}")
+    return P
 
 
 def format_equation(P: MahlerEquation) -> str:

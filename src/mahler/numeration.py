@@ -21,13 +21,12 @@ square roots, never with floats.
 Bulk paths do not call ``phi`` per index.  ``preimages(kind, N, depths)``
 gives, for each i in depths, one O(N) table answering "which k has
 op^i(k) = m?" for every m <= N (op is n -> q n in base q and phi in
-Zeckendorf); the oracle, the residual and the relation search all look
-their preimages up there.
+Zeckendorf); the oracle, the residual, the relation search and
+``_canonical_fold`` (every canonical word to N, in index order) all look
+their preimages up there, and carry no value pairs.  The automaton
+prefix walk in wfa.py is the one walk down the tree of canonical words.
 The digit-level ``phi``, ``phi_iter`` and ``phi_preimage`` stay as the
-independent witnesses the table and the floor formulas are checked
-against.  The automaton prefix walk in wfa.py, and ``_canonical_fold``
-here (every canonical word to N, one step per word), carry the value
-pair (value(w), value(w 0)) down the tree of canonical words instead.
+independent witnesses the table and the floor formulas are checked against.
 """
 
 from __future__ import annotations
@@ -93,6 +92,12 @@ def format_word(digits: Iterable[int]) -> str:
     return ",".join(str(d) for d in digits)
 
 
+def _word_sep(kind: NumerationKind) -> str:
+    """What joins the digits of a canonical word in printed text: nothing,
+    or a comma in a base above 10, where one digit may print as two."""
+    return "," if isinstance(kind, Base) and kind.q > 10 else ""
+
+
 def parse_word(text: str) -> tuple[int, ...]:
     """Inverse of ``format_word``."""
     text = text.strip()
@@ -146,13 +151,13 @@ def canonical(n: int, kind: NumerationKind = ZECKENDORF) -> tuple[int, ...]:
 def _canonical_fold(kind: NumerationKind, N: int, start, extend) -> list:
     """out[n] = extend folded over canonical(n, kind) from start, n = 0..N.
 
-    One walk down the tree of canonical words, so each word costs one
-    extend(parent's result, digit) instead of an expansion of its own:
-    extend(w, b) with w = (), and canonical(n) is read back; with w = ""
-    and str(b) appended, its text.  Base q goes in index order, since
-    canonical(n) is canonical(n // q) followed by n % q.  In Zeckendorf
-    each node w carries (value(w), value(w 0)): child w b has value
-    value(w 0) + b, and value(w b 0) = value(w 0) + value(w) + 2 b.
+    Index order, so each word costs one extend(shorter word's result,
+    digit) instead of an expansion of its own: extend(w, b) with w = (),
+    and canonical(n) is read back; with w = "" and str(b) appended, its
+    text.  start stands for the empty word.  In base q, canonical(n) is
+    canonical(n // q) followed by n % q.  In Zeckendorf it is
+    canonical(k) followed by 0 when the shift table has phi(k) = n, and
+    else canonical(k) followed by 1 with phi(k) = n - 1.
     """
     if N < 0:
         raise NumerationError(f"canonical words need N >= 0, got {N}")
@@ -162,14 +167,10 @@ def _canonical_fold(kind: NumerationKind, N: int, start, extend) -> list:
         for n in range(1, N + 1):
             out[n] = extend(out[n // q] if n >= q else start, n % q)
         return out
-    stack = [(extend(start, 1), 1, 2, 1)] if N else []
-    while stack:
-        w, val, shifted, last = stack.pop()
-        out[val] = w
-        for b in ((0,) if last == 1 else (1, 0)):
-            child = shifted + b
-            if child <= N:
-                stack.append((extend(w, b), child, shifted + val + 2 * b, b))
+    one = preimages(kind, N, (1,))[1]
+    for n in range(1, N + 1):
+        k = one[n]
+        out[n] = extend(out[k], 0) if k >= 0 else extend(out[one[n - 1]] if n > 1 else start, 1)
     return out
 
 

@@ -156,6 +156,35 @@ def recurrence(alpha, f0, g, op, N, mod=0):
     return f
 
 
+def residual(alpha, s, g, op):
+    """r_0..r_N of A_0 s - sum_{i>=1} A_i Phi^i(s) - g, one term and one
+    candidate index at a time: r_n is the sum of alpha[0, j] * s_{n-j},
+    minus alpha[i, j] * s_k for every i >= 1 and every k <= n with
+    op^i(k) + j = n, minus g_n.  ``alpha`` maps (i, j) to ints or
+    Fractions; ``s`` and ``g`` list the terms 0..N; ``op`` is as in
+    ``recurrence``.  Nothing is reduced."""
+    N = len(s) - 1
+    images = {}
+    for i, _j in alpha:
+        row = list(range(N + 1))
+        for _ in range(i):
+            row = [op(k) for k in row]
+        images[i] = row
+    r = []
+    for n in range(N + 1):
+        acc = -g[n]
+        for (i, j), a in alpha.items():
+            if i == 0:
+                if j <= n:
+                    acc += a * s[n - j]
+                continue
+            for k in range(n + 1):
+                if images[i][k] + j == n:
+                    acc -= a * s[k]
+        r.append(acc)
+    return r
+
+
 def kernel_basis(rows, ncols, p=0):
     """Right-kernel basis by textbook Gauss-Jordan: each pivot row scaled
     to 1, the pivot column cleared in every other row.  Entries are

@@ -258,6 +258,14 @@ def test_polynomial_automaton(kind):
     assert weight(A, w).payload == 2
 
 
+def test_polynomial_automaton_base_above_ten():
+    # the one digit ten and the word 1 0 are two states, n10 and n1,0
+    coeffs = [0] * 10 + [1, 0, 1]
+    A = polynomial_automaton(coeffs, Base(12), INTEGERS)
+    assert {"n10", "n1,0"} <= set(A.states)
+    assert ints(sequence_prefix(A, Base(12), 12)) == coeffs
+
+
 def test_polynomial_automaton_zero():
     A = polynomial_automaton((), ZECKENDORF, INTEGERS)
     assert ints(sequence_prefix(A, ZECKENDORF, 6)) == [0] * 7

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import SHIPPED, equation_text, ints, zero_digit_counter
 from mahler import cli
-from mahler.automata import addition_automaton_base, addition_automaton_zeckendorf
+from mahler.automata import (addition_automaton_base, addition_automaton_zeckendorf,
+                             polynomial_automaton)
 from mahler.cli import MAX_N, main
 from mahler.equations import build_automaton_q, parse_equation, solve_series
 from mahler.numeration import ZECKENDORF, canonical, format_word
@@ -55,6 +56,20 @@ def test_solve_order_zero(eqfile, capsys):
     code, out, err = run(capsys, "solve", "-f", eqfile("fib_repr.eq"), "-N", "0")
     assert code == 0
     assert out == "0, 0, 1\n"
+
+
+# f = (1 + x) Phi(f) in base 12, where the one digit ten (n = 10) and the
+# word 1 0 (n = 12) are written with the same two characters unless a
+# comma tells them apart
+BASE12 = "ring Z\nnumeration base 12\nf0 1\nalpha 0 0 1\nalpha 1 0 1\nalpha 1 1 1\n"
+
+
+def test_solve_words_in_a_base_above_ten(capsys, tmp_path):
+    path = tmp_path / "b12.eq"
+    path.write_text(BASE12, encoding="utf-8")
+    code, out, err = run(capsys, "solve", "-f", str(path), "-N", "13")
+    assert code == 0
+    assert out.splitlines()[10:] == ["10, 10, 0", "11, 11, 0", "12, 1,0, 1", "13, 1,1, 1"]
 
 
 def test_solve_rejects_non_isolating(eqfile, capsys):
@@ -204,6 +219,19 @@ def test_verify_corrupted_automaton_fails(eqfile, capsys, tmp_path):
     assert found is not None, out
     n = int(found.group(1))
     assert found.group(2) == format_word(canonical(n))
+
+
+def test_verify_fail_word_in_a_base_above_ten(capsys, tmp_path):
+    path = tmp_path / "b12.eq"
+    path.write_text(BASE12, encoding="utf-8")
+    P = parse_equation(BASE12)
+    coeffs = list(solve_series(P, 12))
+    coeffs[12] = coeffs[12] + P.ring.one
+    bad = tmp_path / "bad.json"
+    bad.write_text(automaton_to_json(polynomial_automaton(coeffs, P.kind, P.ring)))
+    code, out, err = run(capsys, "verify", "-f", str(path), "-N", "13", "--automaton", str(bad))
+    assert code == 1
+    assert out == "FAIL at n = 12 (word 1,0): oracle 1, automaton 2\n"
 
 
 def test_verify_residual_mode(eqfile, capsys):

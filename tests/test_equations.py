@@ -46,7 +46,7 @@ from mahler.equations import (
 from mahler.numeration import ZECKENDORF, Base, NumerationError, canonical, value
 from mahler.rings import (INTEGERS, RATIONALS, MixedRingError, ModRing, PrimeField,
                           RingError, parse_ring)
-from mahler.serialize import automaton_to_json
+from mahler.serialize import automaton_from_json, automaton_to_json
 from mahler.wfa import (
     WeightedAutomaton,
     same_structure,
@@ -373,6 +373,17 @@ class TestResidual:
 ORACLE_RINGS = ("Z", "Q", "Zmod:6", "Zmod:12", "Fp:2", "Fp:7")
 
 
+def ring_entries(ring):
+    """Coefficients for ring: residues, mostly non-integer fractions, or
+    small integers."""
+    n = ring.characteristic
+    if n:
+        return st.integers(0, n - 1)
+    if ring == RATIONALS:
+        return st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    return st.integers(-3, 3)
+
+
 @st.composite
 def oracle_problems(draw):
     """(P, explicit g prefix or None, N, k, reference f_0..f_N) over every
@@ -382,12 +393,7 @@ def oracle_problems(draw):
     compatible.  k in 1..N is an index to perturb."""
     ring = parse_ring(draw(st.sampled_from(ORACLE_RINGS)))
     n = ring.characteristic
-    if n:
-        entry = st.integers(0, n - 1)
-    elif ring == RATIONALS:  # mostly non-integer fractions
-        entry = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
-    else:
-        entry = st.integers(-3, 3)
+    entry = ring_entries(ring)
     kind = draw(st.sampled_from((BASE2, Base(3), ZECKENDORF)))
     d, h, N = draw(st.integers(1, 3)), draw(st.integers(0, 4)), draw(st.integers(1, 60))
     alpha = {(i, j): draw(entry) for i in range(1, d + 1) for j in range(h + 1)}
@@ -434,6 +440,36 @@ def test_oracle_equals_plain_recurrence(problem):
     res = residual(P, bad, g=g)
     assert [bool(v) for v in res].index(True) == k
     assert res[k].is_one()
+    assert_canonical(res)
+
+
+@st.composite
+def residual_problems(draw):
+    """(P, s, g, reference residual) with an A_0 that has terms beyond
+    x^0 (so P is not isolating), random A_1..A_d (d <= 3), a random
+    prefix s and an explicit g, over every ring family, in base 2, base 3
+    and Zeckendorf."""
+    ring = parse_ring(draw(st.sampled_from(ORACLE_RINGS)))
+    n = ring.characteristic
+    entry = ring_entries(ring)
+    kind = draw(st.sampled_from((BASE2, Base(3), ZECKENDORF)))
+    d, h, N = draw(st.integers(1, 3)), draw(st.integers(0, 4)), draw(st.integers(0, 60))
+    alpha = {(i, j): draw(entry) for i in range(d + 1) for j in range(h + 1)}
+    alpha[0, draw(st.integers(1, 3))] = draw(entry.filter(bool))
+    s = [draw(entry) for _ in range(N + 1)]
+    g = [draw(entry) for _ in range(N + 1)]
+    P = MahlerEquation(ring=ring, kind=kind, alpha=alpha, f0=0)
+    op = oracles.phi_ref if kind == ZECKENDORF else (lambda k: kind.q * k)
+    want = oracles.residual(alpha, s, g, op)
+    return P, s, g, [r % n for r in want] if n else want
+
+
+@settings(max_examples=100)
+@given(residual_problems())
+def test_residual_equals_plain_sum(problem):
+    P, s, g, want = problem
+    res = residual(P, s, g=g)
+    assert [v.payload for v in res] == want
     assert_canonical(res)
 
 
@@ -831,6 +867,48 @@ class TestBuildAutomatonDumas:
     def test_rejects_incompatible_f0(self):
         with pytest.raises(EquationError, match="f0 = 1 is not compatible"):
             build_automaton_dumas(replace(shipped("dumas_twolayer.eq"), f0=1))
+
+
+@st.composite
+def automaton_g_problems(draw):
+    """(P, G, reference g_0..g_N) for a random G over {0, 1} with one to
+    three states and I mu(0) = I (state 0 alone starts, and its one
+    0-arrow is a loop of weight 1), and a random isolating Zeckendorf P
+    with d, h <= 2 whose constant terms sum to zero, so f0 = g_0 is
+    compatible.  g comes from path sums, not from the package; at most
+    two arrows leave a state on each digit, which keeps the paths of a
+    ten-digit word to 2^10."""
+    ring = parse_ring(draw(st.sampled_from(("Z", "Q", "Zmod:6", "Fp:5"))))
+    n = ring.characteristic
+    entry = ring_entries(ring)
+    size = draw(st.integers(1, 3))
+    initial = [draw(entry.filter(bool))] + [0] * (size - 1)
+    final = [draw(entry) for _ in range(size)]
+    arrows = {(0, 0, 0): 1}
+    for src in range(size):
+        for label in (0, 1) if src else (1,):
+            for _ in range(2):
+                arrows[src, label, draw(st.integers(0, size - 1))] = draw(entry)
+    arrows = {key: w for key, w in arrows.items() if w}
+    G = WeightedAutomaton(ring=ring, alphabet=(0, 1), states=tuple(f"g{k}" for k in range(size)),
+                          initial=initial, final=final, transitions=arrows)
+    g = [oracles.path_sum(initial, final, arrows, map(int, oracles.zeckendorf_greedy(m)))
+         for m in range(121)]
+    g = [x % n for x in g] if n else g
+    d, h = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    alpha = {(i, j): draw(entry) for i in range(1, d + 1) for j in range(h + 1)}
+    alpha[1, 0] = -sum(alpha[i, 0] for i in range(2, d + 1))
+    P = MahlerEquation(ring=ring, kind=ZECKENDORF, alpha={(0, 0): 1, **alpha}, f0=g[0])
+    return P, G, g
+
+
+@settings(max_examples=6)
+@given(automaton_g_problems())
+def test_zeckendorf_build_with_an_automaton_g(problem):
+    P, G, g = problem
+    A = build_automaton_dumas(P, G=G)
+    assert sequence_prefix(A, ZECKENDORF, 120) == list(solve_series(P, 120, g=g))
+    assert same_structure(automaton_from_json(automaton_to_json(A)), A)
 
 
 def test_builder_json_is_pinned():
