@@ -22,7 +22,7 @@ from functools import lru_cache
 from .numeration import Base, NumerationKind, _word_sep, canonical, word_alphabet
 from .rings import INTEGERS, Ring, RingValue
 from .wfa import (AutomatonError, DfaWithOutput, UnambiguousAutomaton,
-                  WeightedAutomaton, _dfa_table, explore, explore_automaton,
+                  WeightedAutomaton, explore, explore_automaton, explore_dfa,
                   reachable)
 
 
@@ -118,29 +118,20 @@ def defect_automaton_constructed() -> DfaWithOutput:
     alphabet = (-1, 0, 1)
     pairs, trans = _recognizer_cached((-1, 0, 1, 2), 0)
 
-    def successors(subset):
-        for bp in alphabet:
-            targets = set()
-            for s, x in subset:
-                t = trans.get((s, -bp))
+    def step(subset, bp):
+        targets = set()
+        for s, x in subset:
+            t = trans.get((s, -bp))
+            if t is not None:
+                targets.add((t, 0))
+            if x == 0:
+                t = trans.get((s, 1 - bp))
                 if t is not None:
-                    targets.add((t, 0))
-                if x == 0:
-                    t = trans.get((s, 1 - bp))
-                    if t is not None:
-                        targets.add((t, 1))
-            yield bp, frozenset(targets), None
+                    targets.add((t, 1))
+        return frozenset(targets)
 
-    order, arrows = explore([frozenset({(0, 0)})], successors)
-    outputs = [next((b for b in alphabet if any(pairs[s] == (0, -b) for s, _x in subset)), None)
-               for subset in order]
-    return DfaWithOutput(
-        alphabet=alphabet,
-        states=tuple(f"d{i}" for i in range(len(order))),
-        initial=0,
-        transitions=_dfa_table(arrows),
-        outputs=tuple(outputs),
-    )
+    return explore_dfa(alphabet, frozenset({(0, 0)}), step, lambda subset: next(
+        (b for b in alphabet if any(pairs[s] == (0, -b) for s, _x in subset)), None), "d")
 
 
 # ---------------------------------------------------------------------------

@@ -222,10 +222,13 @@ def cmd_eval(args) -> int:
     A = _load_wfa(args.automaton)
     kind = _parse_numeration(args.numeration)
     if args.word is not None:
-        if isinstance(kind, Base):
-            v = weight(A, args.word)
-        else:
-            v = weight_z(A, args.word)
+        word = args.word
+        if _word_sep(kind) and word.strip().isdecimal():  # one digit, as solve prints it
+            try:
+                word = (int(word),)
+            except ValueError:  # int() reads at most 4,300 digits
+                raise CliError(f"bad digit word {_quote(word)}") from None
+        v = (weight if isinstance(kind, Base) else weight_z)(A, word)
     else:
         if args.n < 0:
             raise CliError(f"need n >= 0, got {args.n}")

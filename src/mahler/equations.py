@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -265,6 +266,24 @@ def _g_payloads(P: MahlerEquation, g, N: int) -> list:
     return seq
 
 
+def _term_sums(ring: Ring, items: list, src, out: list, g, N: int) -> list:
+    """The term loop of solve_series and residual: appends to out, for n =
+    len(out)..N, g[n] + sum of a * src[pre_i[n - j]] over the items (j, a,
+    pre_i) whose index is >= 0, native ``+`` and ``*``, reduced once per
+    n.  src may be out itself, whose earlier terms it reads."""
+    reduce = ring._reduce
+    for n in range(len(out), N + 1):
+        acc = g[n]
+        for j, a, pre_i in items:
+            m = n - j
+            if m >= 0:
+                k = pre_i[m]
+                if k >= 0:
+                    acc += a * src[k]
+        out.append(reduce(acc))
+    return out
+
+
 def solve_series(P: MahlerEquation, N: int, g=None) -> SeriesPrefix:
     """f_0..f_N by the coefficient recurrence; the oracle for every builder.
 
@@ -274,29 +293,17 @@ def solve_series(P: MahlerEquation, N: int, g=None) -> SeriesPrefix:
     An explicit g prefix overrides the equation's polynomial part.  The
     k come from one preimage table per distinct i, all composed from one
     i = 1 table; the oracle uses numeration code only, never an
-    automaton.  The sums run on payloads with native ``+`` and ``*``,
-    each f_n is reduced once by ring._reduce, and the payload list
-    becomes the SeriesPrefix as it is.
+    automaton.  The sums are _term_sums, the loop residual shares, read
+    from the growing payload list, which becomes the SeriesPrefix as it is.
     """
     if N < 0:
         raise EquationError(f"need N >= 0, got {N}")
     ring = P.ring
     g_pay = _g_payloads(P, g, N)
-    f0 = _isolating_f0(P, RingValue(ring, g_pay[0]))
-    out = [f0.payload]
+    out = [_isolating_f0(P, RingValue(ring, g_pay[0])).payload]
     pre = preimages(P.kind, N, (i for (i, _) in P.alpha if i >= 1))
     items = [(j, a.payload, pre[i]) for (i, j), a in sorted(P.alpha.items()) if i >= 1]
-    reduce = ring._reduce
-    for n in range(1, N + 1):
-        acc = g_pay[n]
-        for j, a, pre_i in items:
-            m = n - j
-            if m >= 0:
-                k = pre_i[m]
-                if k >= 0:
-                    acc += a * out[k]
-        out.append(reduce(acc))
-    return _series(ring, out)
+    return _series(ring, _term_sums(ring, items, out, out, g_pay, N))
 
 
 def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
@@ -305,10 +312,10 @@ def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
     Identically zero exactly when s solves the equation up to its
     truncation order.  Works for non-isolating equations; needs no
     coefficients beyond the prefix because phi(k) >= k and q*k >= k.
-    The term loop is solve_series's, with A_0 in it: alpha[i, j] adds
-    +-alpha[i, j] * s_k for the k with op^i(k) + j = n, + for i = 0 (the
-    depth-0 table is the identity) and - for i >= 1.  A SeriesPrefix is
-    read from its payloads with no second check.
+    The term loop is solve_series's _term_sums, run on s and -g with A_0
+    in it: alpha[i, j] adds +-alpha[i, j] * s_k for the k with op^i(k) + j
+    = n, + for i = 0 (the depth-0 table is the identity) and - for i >= 1.
+    A SeriesPrefix is read from its payloads with no second check.
     """
     ring = P.ring
     seq = _payloads(ring, s, "series")
@@ -318,18 +325,8 @@ def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
     g_pay = _g_payloads(P, g, N)
     pre = preimages(P.kind, N, (i for (i, _) in P.alpha))
     items = [(j, (-a if i else a).payload, pre[i]) for (i, j), a in sorted(P.alpha.items())]
-    reduce = ring._reduce
-    out = []
-    for n in range(N + 1):
-        acc = -g_pay[n]
-        for j, a, pre_i in items:
-            m = n - j
-            if m >= 0:
-                k = pre_i[m]
-                if k >= 0:
-                    acc += a * seq[k]
-        out.append(reduce(acc))
-    return _series(ring, out)
+    neg_g = [-v if v else v for v in islice(g_pay, N + 1)]  # over Q, -0 is a new Fraction
+    return _series(ring, _term_sums(ring, items, seq, [], neg_g, N))
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,8 @@ def _word_sep(kind: NumerationKind) -> str:
 
 
 def parse_word(text: str) -> tuple[int, ...]:
-    """Inverse of ``format_word``."""
+    """Digits of a word text: comma-separated, else one per character, so
+    "10" is (1, 0) although format_word writes the word (10,) as "10"."""
     text = text.strip()
     if text == "":
         return ()
@@ -108,7 +109,7 @@ def parse_word(text: str) -> tuple[int, ...]:
             return tuple(int(part) for part in text.split(","))
         except ValueError:
             raise NumerationError(f"bad digit word {_quote(text)}") from None
-    if not text.isdigit():
+    if not text.isdecimal():  # isdigit() also passes "²", which int() refuses
         raise NumerationError(f"bad digit word {_quote(text)}")
     return tuple(int(ch) for ch in text)
 

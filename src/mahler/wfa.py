@@ -17,8 +17,10 @@ through explore(), which numbers the states reachable from a list of
 seeds breadth-first.  The weighted ones (the equation compilers,
 products, shifts, both adders and the polynomial machines) take the
 explored states straight to a trimmed machine through
-explore_automaton(), and none keeps a state index of its own.  Plain
-reachability without numbering (trimming) uses reachable().
+explore_automaton(), and none keeps a state index of its own.  The two
+machines with outputs built by subset construction, determinize and
+automata.defect_automaton_constructed, are assembled by explore_dfa().
+Plain reachability without numbering (trimming) uses reachable().
 
 A weighted machine keeps one arrow index, built with it: ``_arrows`` maps
 label -> {src: [(dst, weight payload), ...]} in the order of
@@ -99,19 +101,6 @@ def reachable(seeds: Iterable[Hashable], adj: Mapping) -> set:
                 seen.add(t)
                 todo.append(t)
     return seen
-
-
-def _dfa_table(trans: dict) -> dict:
-    """explore()'s arrows of a deterministic machine as a (src, label) -> dst
-    table, in the same order.  Empties ``trans`` one arrow at a time, so
-    each old key is freed as its replacement is made and the peak memory
-    of a large determinization stays that of one table."""
-    table = {}
-    while trans:
-        (src, label, dst), _w = trans.popitem()
-        table[src, label] = dst
-    trans.clear()  # popitem() leaves the emptied table allocated
-    return dict(reversed(table.items()))
 
 
 def _label_key(label):
@@ -456,6 +445,27 @@ def explore_automaton(ring: Ring, alphabet, seeds: Mapping,
     ))
 
 
+def explore_dfa(alphabet, seed: Hashable, step: Callable, output: Callable,
+                prefix: str) -> DfaWithOutput:
+    """The DfaWithOutput on the states explore() reaches from the seed,
+    ``step(state, label)`` giving the successor on each label in turn;
+    state i is named prefix + str(i) and outputs ``output`` of the i-th
+    state found.  The arrows are popped one at a time into the (src,
+    label) -> dst table, and that table is freed before the outputs are
+    computed, so a large determinization peaks at one table."""
+    alphabet = tuple(alphabet)
+    order, trans = explore([seed], lambda s: ((b, step(s, b), None) for b in alphabet))
+    table = {}
+    while trans:
+        (src, label, dst), _w = trans.popitem()
+        table[src, label] = dst
+    del trans  # popitem() leaves the emptied table allocated
+    table = dict(reversed(table.items()))  # the popped order, reversed; frees the old table
+    return DfaWithOutput(alphabet=alphabet, initial=0, transitions=table,
+                         states=tuple(f"{prefix}{i}" for i in range(len(order))),
+                         outputs=tuple(map(output, order)))
+
+
 def same_structure(A: WeightedAutomaton, B: WeightedAutomaton) -> bool:
     """Identical states, alphabet, vectors and transition table."""
     return (A.ring == B.ring and A.alphabet == B.alphabet and A.states == B.states
@@ -574,11 +584,8 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
             ring=A.ring, alphabet=A.alphabet, states=A.states,
             initial=A.final, final=A.initial,
             transitions={(d, b, s): w for (s, b, d), w in A.transitions.items()})
-    ring = A.ring
     n = len(A.states)
-    reduce = ring._reduce
-    labels = sorted(A.alphabet, key=_label_key)
-    start = tuple(v.payload for v in A.initial)
+    reduce = A.ring._reduce
     arrows = A._arrows
 
     def step_vec(vec, label):
@@ -590,12 +597,5 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
                     acc[dst] += a * w
         return tuple(map(reduce, acc))
 
-    order, trans = explore(
-        [start], lambda vec: ((label, step_vec(vec, label), None) for label in labels))
-    return DfaWithOutput(
-        alphabet=tuple(labels),
-        states=tuple(f"v{i}" for i in range(len(order))),
-        initial=0,
-        transitions=_dfa_table(trans),
-        outputs=tuple(_gather_payload(A, enumerate(v)) for v in order),
-    )
+    return explore_dfa(sorted(A.alphabet, key=_label_key), tuple(v.payload for v in A.initial),
+                       step_vec, lambda vec: _gather_payload(A, enumerate(vec)), "v")

@@ -1,5 +1,6 @@
 """CLI behavior through main(argv): outputs, exit codes, error paths."""
 
+import copy
 import json
 import random
 import re
@@ -70,6 +71,31 @@ def test_solve_words_in_a_base_above_ten(capsys, tmp_path):
     code, out, err = run(capsys, "solve", "-f", str(path), "-N", "13")
     assert code == 0
     assert out.splitlines()[10:] == ["10, 10, 0", "11, 11, 0", "12, 1,0, 1", "13, 1,1, 1"]
+
+
+def test_eval_word_in_a_base_above_ten(capsys, tmp_path):
+    # a comma-less digit text is one digit there, as solve prints it
+    eq, machine = tmp_path / "b12.eq", tmp_path / "b12.json"
+    eq.write_text(BASE12, encoding="utf-8")
+    assert run(capsys, "build", "-f", str(eq), "-o", str(machine))[0] == 0
+    for word, n in (("10", "10"), ("11", "11"), ("1,0", "12"), (" 11 ", "11")):
+        by_word = run(capsys, "eval", "-a", str(machine), "--numeration", "base-12",
+                      "--word", word)
+        by_index = run(capsys, "eval", "-a", str(machine), "--numeration", "base-12",
+                       "-n", n)
+        assert by_word == by_index and by_word[0] == 0, word
+    assert by_index[1] == "0\n"  # f_11, where the digit-by-digit reading gave f_13 = 1
+
+
+def test_eval_word_int_cannot_read_is_one_error_line(capsys, tmp_path):
+    eq, machine = tmp_path / "b12.eq", tmp_path / "b12.json"
+    eq.write_text(BASE12, encoding="utf-8")
+    run(capsys, "build", "-f", str(eq), "-o", str(machine))
+    for word in ("1" * 5000, "²"):  # int() refuses both
+        assert_one_short_error(*run(capsys, "eval", "-a", str(machine),
+                                    "--numeration", "base-12", "--word", word))
+    assert_one_short_error(*run(capsys, "eval", "-a", "builtin:count-ones",
+                                "--numeration", "base-2", "--word", "1²"))
 
 
 def test_solve_rejects_non_isolating(eqfile, capsys):
@@ -737,6 +763,73 @@ def _mutate(rng, text):
     return "".join(chars)
 
 
+# values of other JSON types, and huge, negative or boolean labels and weights
+ODD_VALUES = (None, True, False, 0, -1, 1.5, 10**30, "", "x", "1/0", "-1", [], {}, [0, 1],
+              {"0": "1"})
+HUGE_VALUES = (10**30, -(10**30), -1, True, False, "9" * 5000, "-1", [10**30, 0, 1])
+
+
+def _slots(doc):
+    """Every (container, key) of a parsed JSON document, depth first."""
+    out = []
+
+    def walk(node):
+        items = (list(node.items()) if isinstance(node, dict)
+                 else list(enumerate(node)) if isinstance(node, list) else ())
+        for key, value in items:
+            out.append((node, key))
+            walk(value)
+    walk(doc)
+    return out
+
+
+def _mutate_doc(rng, doc):
+    """One to three edits to a copy of a parsed machine, dumped again: a value
+    of another type, a dropped key or list entry, a duplicated list entry,
+    an arrow to an unknown state, an added type or unknown key, or a huge,
+    negative or boolean label, weight, alphabet entry or initial weight.
+    Unlike a character edit, the mutant is always valid JSON."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        edit, slots = rng.randrange(6), _slots(doc)
+        rows = doc.get("transitions")
+        rows = [r for r in rows if isinstance(r, dict)] if isinstance(rows, list) else []
+        lists = [(node, key) for node, key in slots if isinstance(node, list)]
+        if edit == 0 and slots:
+            node, key = rng.choice(slots)
+            node[key] = rng.choice(ODD_VALUES)
+        elif edit == 1 and slots:
+            node, key = rng.choice(slots)
+            del node[key]
+        elif edit == 2 and lists:
+            node, key = rng.choice(lists)
+            node.insert(key, copy.deepcopy(node[key]))
+        elif edit == 3 and rows:
+            rng.choice(rows)[rng.choice(("from", "to"))] = rng.choice(("nowhere", "", "0 "))
+        elif edit == 4:
+            doc[rng.choice(("type", "extra"))] = rng.choice(("wfa", "dfa", 1, None, []))
+        elif edit == 5:
+            where = rng.choice(("label", "weight", "alphabet", "initial"))
+            value = rng.choice(HUGE_VALUES)
+            if where in ("label", "weight") and rows:
+                rng.choice(rows)[where] = value
+            elif where == "alphabet" and isinstance(doc.get("alphabet"), list) and doc["alphabet"]:
+                doc["alphabet"][rng.randrange(len(doc["alphabet"]))] = value
+            elif isinstance(doc.get("initial"), dict) and doc["initial"]:
+                doc["initial"][rng.choice(list(doc["initial"]))] = value
+    return json.dumps(doc)
+
+
+def _json_commands(rng, path, fib, N):
+    return [
+        ["eval", "-a", path, "-n", N],
+        ["eval", "-a", path, "--word", rng.choice(["101", "1001", "0"])],
+        ["export", "-a", path, "--format", rng.choice(["dot", "json"])],
+        ["determinize", "-a", path, "--direction", rng.choice(["direct", "reverse"])],
+        ["product", "-a", path, "-b", rng.choice(["builtin:fib-repr", path])],
+        ["verify", "-f", fib, "-N", N, "--automaton", path]]
+
+
 def _directives(name):
     """A shipped equation file without its comment lines: they are most of
     its text, and a mutant that only edits them reaches the skip path."""
@@ -759,26 +852,34 @@ def test_mutated_inputs_end_in_an_answer_or_one_error_line(eqfile, capsys, tmp_p
         mutant_file.write_text(mutant, encoding="utf-8")
         N = str(rng.randint(0, 30))
         if is_json:
-            commands = [
-                ["eval", "-a", path, "-n", N],
-                ["eval", "-a", path, "--word", rng.choice(["101", "1001", "0"])],
-                ["export", "-a", path, "--format", rng.choice(["dot", "json"])],
-                ["determinize", "-a", path, "--direction", rng.choice(["direct", "reverse"])],
-                ["product", "-a", path, "-b", rng.choice(["builtin:fib-repr", path])],
-                ["verify", "-f", fib, "-N", N, "--automaton", path]]
+            commands = _json_commands(rng, path, fib, N)
         else:
             commands = [["solve", "-f", path, "-N", N], ["verify", "-f", path, "-N", N],
                         ["build", "-f", path]]
-        for argv in commands:
-            cases += 1
-            where = f"{argv[0]} on {mutant!r}"
-            try:
-                code = main(argv)
-            except Exception as e:  # a traceback out of main is the defect sought
-                pytest.fail(f"{where} raised {e!r}")
-            err = capsys.readouterr().err
-            assert code in (0, 1, 2), where
-            assert "Traceback" not in err, where
-            if code == 2:
-                errors = [line for line in err.splitlines() if line.startswith("error:")]
-                assert len(errors) == 1 and len(errors[0]) < 400, where
+        cases += len(commands)
+        _assert_answers_or_one_error_line(capsys, commands, mutant)
+    # token-level mutants reach the JSON loader's checks, which few
+    # character mutants do
+    docs = [json.loads(text) for text, is_json in sources if is_json]
+    for _ in range(32):
+        mutant = _mutate_doc(rng, rng.choice(docs))
+        mutant_file.write_text(mutant, encoding="utf-8")
+        N = str(rng.randint(0, 30))
+        commands = _json_commands(rng, path, fib, N) + [
+            ["relation", "-a", path, "--dmax", "1", "--hmax", "1", "-N", "10"]]
+        _assert_answers_or_one_error_line(capsys, commands, mutant)
+
+
+def _assert_answers_or_one_error_line(capsys, commands, mutant):
+    for argv in commands:
+        where = f"{argv[0]} on {mutant!r}"
+        try:
+            code = main(argv)
+        except Exception as e:  # a traceback out of main is the defect sought
+            pytest.fail(f"{where} raised {e!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), where
+        assert "Traceback" not in err, where
+        if code == 2:
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert len(errors) == 1 and len(errors[0]) < 400, where

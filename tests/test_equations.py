@@ -586,6 +586,32 @@ class TestEquationFiles:
 # ---------------------------------------------------------------------------
 # base-q compilation
 
+WIDE_RINGS = tuple(parse_ring(spec) for spec in ("Z", "Q", "Zmod:6", "Fp:5"))
+
+
+def wide_equation(rng, ring, kind, d_max, h_max, f0):
+    """A random isolating equation with 1 <= d <= d_max and 1 <= h <= h_max,
+    past the sizes c04 and c05 draw, with alpha[d, h] nonzero.  Over Q the
+    coefficients are mostly not integers.  f0 is 0 or 1; for f0 = 1 the
+    column-0 coefficients sum to one.  With f0 = 0 the machine trims to
+    empty, so callers pass it rarely."""
+    n = ring.characteristic
+
+    def coeff():
+        if n:
+            return rng.randrange(1, n)
+        c = rng.choice((-2, -1, 1, 2))
+        return Fraction(c, rng.randint(1, 3)) if ring == RATIONALS else c
+
+    d, h = rng.randint(1, d_max), rng.randint(1, h_max)
+    alpha = {(i, j): coeff() for i in range(1, d + 1) for j in range(h + 1)
+             if rng.random() < 0.45}
+    alpha[d, h] = coeff()
+    if f0:
+        alpha[1, 0] = 1 - sum(alpha.get((i, 0), 0) for i in range(2, d + 1))
+    return MahlerEquation(ring=ring, kind=kind, alpha={(0, 0): 1, **alpha}, f0=f0)
+
+
 # d = 2, h = 3, q = 2: the full 6-state grid of build_automaton_q
 TWO_LAYER = MahlerEquation(
     ring=INTEGERS, kind=BASE2,
@@ -658,6 +684,16 @@ class TestBuildAutomatonQ:
             assert len(A.states) <= bound
             assert list(sequence_prefix(A, P.kind, 600)) == \
                 list(solve_series(P, 600))
+
+    def test_widened_randomized_instances_match_oracle(self):
+        # bases 2, 3 and 5 with d <= 4 and h <= 6, each base over each ring
+        rng = random.Random(20)
+        for trial in range(12):
+            P = wide_equation(rng, WIDE_RINGS[trial % 4], Base((2, 3, 5)[trial % 3]), 4, 6,
+                              f0=int(trial != 5))
+            want = list(solve_series(P, 1000))
+            assert sequence_prefix(build_automaton_q(P), P.kind, 1000) == want, P
+            assert sequence_prefix(_build_q(P, 1, 3), P.kind, 1000) == want, P
 
     def test_degenerate_instances(self):
         P = MahlerEquation(ring=INTEGERS, kind=BASE2, alpha={(0, 0): 1}, f0=0)
@@ -745,6 +781,15 @@ class TestBuildAutomatonZ:
             A = build_automaton_z(P)
             assert list(sequence_prefix(A, ZECKENDORF, 400)) == \
                 list(solve_series(P, 400))
+
+    def test_widened_randomized_instances_match_oracle(self):
+        # d <= 3 and h <= 4, each ring twice
+        rng = random.Random(20)
+        for trial in range(8):
+            P = wide_equation(rng, WIDE_RINGS[trial % 4], ZECKENDORF, 3, 4, f0=int(trial != 6))
+            want = list(solve_series(P, 400))
+            assert sequence_prefix(build_automaton_z(P), ZECKENDORF, 400) == want, P
+            assert sequence_prefix(_build_z(P, None, 1, 3), ZECKENDORF, 400) == want, P
 
     def test_widened_grid_is_weight_identical(self):
         P = shipped("fib_repr.eq")

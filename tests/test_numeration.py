@@ -234,6 +234,14 @@ def test_parse_and_format_word():
             parse_word(bad)
 
 
+def test_parse_word_refuses_digits_int_cannot_read():
+    # "²" passes str.isdigit() but not int(); other decimal digits read as int() reads them
+    for bad in ("²", "1²0", "1,²"):
+        with pytest.raises(NumerationError):
+            parse_word(bad)
+    assert parse_word("١٠") == (1, 0)
+
+
 def test_digit_word_alphabet_enforced():
     assert has_adjacent_ones((0, 1, 1))
     assert not has_adjacent_ones((1, 0, 1))
