@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -49,7 +49,9 @@ from .numeration import (
 from .rings import Ring, RingError, RingValue, _quote, parse_ring
 from .wfa import (
     WeightedAutomaton,
+    _insert_row,
     _prefix_payloads,
+    _primitive,
     _reduce_by_init,
     eval_sequence,
     explore_automaton,
@@ -727,64 +729,40 @@ def build_automaton_dumas(P: MahlerEquation,
 def _kernel_basis(ring: Ring, rows: list, ncols: int) -> list:
     """Right-kernel basis of a matrix of ring payloads over a field.
 
-    Fraction-free Gauss-Jordan on Python ints.  Over Q each row is first
-    scaled by the lcm of its denominators; over Fp:p the payloads
-    already are ints.  Elimination sets row <- a*row - f*pivot_row, then
-    divides the row by its content over Q (where Bareiss, Math. Comp.
-    22, 1968, divides by the previous pivot) or reduces it mod p.  At
-    the end pivot row r is a multiple of row r of the reduced row
-    echelon form, which is unique, so each entry -m[r][free] / m[r][c]
-    is the value, as the same payload type, that Gauss-Jordan over the
-    field gives.  One basis vector per free column, emitted in
+    Fraction-free Gauss-Jordan on Python ints: the rows go one by one
+    through wfa._insert_row, the insert that determinize's span uses
+    too.  Over Q each row is first scaled by the lcm of its denominators
+    and divided by its content; over Fp:p the payloads already are ints.
+    Echelon row m with pivot column c is a multiple of its row of the
+    reduced row echelon form, which is unique, so each entry -m[free] /
+    m[c] is the value, as the same payload type, that Gauss-Jordan over
+    the field gives.  One basis vector per free column, emitted in
     ascending column order.
     """
     p = ring.characteristic
-    if p:
-        mat = list(rows)  # rows are replaced, never changed in place
-    else:
-        mat = []
-        for row in rows:
+    mat: list = []
+    pivots: list = []
+    for row in rows:
+        if len(pivots) == ncols:
+            break  # full rank: every further row is dependent
+        if not p:
             den = lcm(*(x.denominator for x in row))
-            mat.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        prow = next((rr for rr in range(r, len(mat)) if mat[rr][c]), None)
-        if prow is None:
-            continue
-        mat[r], mat[prow] = mat[prow], mat[r]
-        row_r = mat[r]
-        a = row_r[c]
-        for rr, row in enumerate(mat):
-            f = row[c]
-            if f and rr != r:
-                new = [a * x - f * y for x, y in zip(row, row_r)]
-                mat[rr] = [x % p for x in new] if p else _primitive(new)
-        pivots.append((r, c))
-        r += 1
-        if r == len(mat):
-            break
-    pivot_cols = {c for _, c in pivots}
+            row = _primitive([x.numerator * (den // x.denominator) for x in row])
+        _insert_row(mat, pivots, row, p)
     zero, one = ring.zero.payload, ring.one.payload
     basis = []
     for free in range(ncols):
-        if free in pivot_cols:
+        if free in pivots:
             continue
         v = [zero] * ncols
         v[free] = one
-        for rr, c in pivots:
+        for m, c in zip(mat, pivots):
             if p:
-                v[c] = -mat[rr][free] * pow(mat[rr][c], -1, p) % p
+                v[c] = -m[free] * pow(m[c], -1, p) % p
             else:
-                v[c] = Fraction(-mat[rr][free], mat[rr][c])
+                v[c] = Fraction(-m[free], m[c])
         basis.append(v)
     return basis
-
-
-def _primitive(row: list) -> list:
-    """An int row divided by its content (the gcd of its entries)."""
-    g = gcd(*row)
-    return row if g <= 1 else [x // g for x in row]
 
 
 def find_relation(A: WeightedAutomaton, kind: NumerationKind, d_max: int,

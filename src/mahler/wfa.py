@@ -26,9 +26,14 @@ A weighted machine keeps one arrow index, built with it: ``_arrows`` maps
 label -> {src: [(dst, weight payload), ...]} in the order of
 ``transitions``, i.e. each mu(b) stored row by row.  _step_payload (a
 row vector times mu(b)), _column_payload (mu(b) times a column vector),
-determinize, the determinism check of UnambiguousAutomaton,
-cauchy_product, automata._shift_once and the copies of g in
-equations._build_z read it.
+the determinism check of UnambiguousAutomaton, cauchy_product,
+automata._shift_once and the copies of g in equations._build_z read it.
+
+One Gauss-Jordan insert, _insert_row, keeps a reduced row echelon form
+over Fp:p or Q; it does every elimination in the package.  _span runs
+it on the vectors I mu(w) to get a basis of the subspace they span, and
+determinize steps each state as its coordinates in that basis;
+equations._kernel_basis runs it on the rows of find_relation's system.
 
 sequence_prefix meets in the middle of the tree of canonical words: rows
 I mu(u) stepped down its top levels, columns mu(v) F built up from its
@@ -38,6 +43,7 @@ bottom, and one dot product per deeper word (see _prefix_payloads).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from math import gcd
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Mapping, Union
 
@@ -565,6 +571,74 @@ def cauchy_product(A1: WeightedAutomaton, A2: WeightedAutomaton,
         lambda t: f"{AA.states[t[0]]}|{A1.states[t[1]]}|{A2.states[t[2]]}")
 
 
+def _primitive(row: list) -> list:
+    """An int row divided by its content (the gcd of its entries)."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _insert_row(rows: list, pivots: list, row: list, p: int) -> bool:
+    """Gauss-Jordan insert of an int row into a reduced row echelon form.
+
+    rows[k] pivots at column pivots[k], its first nonzero entry, where
+    every other row is zero.  Entries are ints mod p over Fp:p, or
+    primitive integer rows over Q (p = 0).  The row is cleared at each
+    pivot column; a nonzero rest becomes a row pivoting at its first
+    nonzero column, which is cleared from the others.  Each elimination
+    is row <- a*row - f*pivot_row, then reduced mod p or divided by its
+    content (Bareiss, Math. Comp. 22, 1968, divides by the previous
+    pivot instead), so every row stays a nonzero multiple of its row of
+    the unique reduced echelon form.  Rows are replaced, never changed
+    in place.  Returns whether the row was independent.
+    """
+    def eliminate(row, prow, c):
+        a, f = prow[c], row[c]
+        new = [a * x - f * y for x, y in zip(row, prow)]
+        return [x % p for x in new] if p else _primitive(new)
+
+    for prow, c in zip(rows, pivots):
+        if row[c]:
+            row = eliminate(row, prow, c)
+    c = next((c for c, x in enumerate(row) if x), None)
+    if c is None:
+        return False
+    rows[:] = [eliminate(prow, row, c) if prow[c] else prow for prow in rows]
+    rows.append(row)
+    pivots.append(c)
+    return True
+
+
+def _span(A: WeightedAutomaton) -> tuple[list, list]:
+    """A basis of the row vectors I mu(w): pivot columns P and sparse rows
+    R, with R_k[P_k] = 1 and every other row zero in column P_k, so a y
+    in the span of R is sum_k y[P_k] R_k.
+
+    Over Fp:p, R is the reduced row echelon form of the span, the least
+    mu-invariant subspace that holds I.  Breadth-first from I, each
+    vector I mu(w) is stepped by _step_payload and inserted by
+    _insert_row, and only an independent one has its successors queued.
+    The inserted vectors span the same space as R, so that space is
+    closed under every mu(b).  Over Zmod:n, which is not a field, R is
+    the unit vector of every state.
+    """
+    ring = A.ring
+    n = len(A.states)
+    if not ring.is_field:
+        return list(range(n)), [{s: ring.one.payload} for s in range(n)]
+    p = ring.characteristic
+    rows: list = []
+    pivots: list = []
+    todo = [_initial_payload(A)]
+    for vec in todo:
+        if vec and _insert_row(rows, pivots, [vec.get(s, 0) for s in range(n)], p):
+            todo.extend(_step_payload(A, vec, b) for b in A.alphabet)
+    basis = []
+    for row, c in zip(rows, pivots):
+        inv = ring._inv(row[c])
+        basis.append({s: ring._reduce(x * inv) for s, x in enumerate(row) if x})
+    return pivots, basis
+
+
 def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutput:
     """Weight-vector subset construction over a finite ring.
 
@@ -573,6 +647,16 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
     column vectors mu(w) * F, so the output after w is weight(A, reverse(w));
     that is the direct construction on the transposed machine (I and F
     swapped, arrows reversed).
+
+    A state is held as the coordinates c_k = y[P_k] of its vector y in
+    the basis R of _span: over Fp:p the reduced echelon rows of the span
+    of the vectors, over Zmod:n, which is not a field, the unit vector of
+    each state, so that c = y.  Label b maps c to c M_b, where row k of
+    M_b holds the coordinates of R_k mu(b), and the output of c is
+    c . (R F).  The coordinates are a linear bijection of the span onto
+    its coordinate space, so the states, their numbering, the arrows and
+    the outputs are those of the construction on the vectors, stepped in
+    the span's dimension instead of the state count.
     """
     if direction not in ("direct", "reverse"):
         raise AutomatonError(f"unknown direction {direction!r}")
@@ -584,18 +668,29 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
             ring=A.ring, alphabet=A.alphabet, states=A.states,
             initial=A.final, final=A.initial,
             transitions={(d, b, s): w for (s, b, d), w in A.transitions.items()})
-    n = len(A.states)
-    reduce = A.ring._reduce
-    arrows = A._arrows
+    ring = A.ring
+    reduce = ring._reduce
+    pivots, basis = _span(A)
+    where = {c: k for k, c in enumerate(pivots)}
 
-    def step_vec(vec, label):
-        acc = [0] * n
-        for src, out in arrows.get(label, {}).items():
-            a = vec[src]
+    def coords(vec):  # the nonzero coordinates (k, c_k) of a vector of the span
+        return [(where[s], a) for s, a in vec.items() if s in where]
+
+    r = len(basis)
+    alphabet = sorted(A.alphabet, key=_label_key)
+    mats = {b: [coords(_step_payload(A, row, b)) for row in basis] for b in alphabet}
+    row_outputs = [_gather_payload(A, row.items()).payload for row in basis]
+
+    def step(c, label):
+        acc = [0] * r
+        for a, row in zip(c, mats[label]):
             if a:
-                for dst, w in out:
-                    acc[dst] += a * w
+                for k, m in row:
+                    acc[k] += a * m
         return tuple(map(reduce, acc))
 
-    return explore_dfa(sorted(A.alphabet, key=_label_key), tuple(v.payload for v in A.initial),
-                       step_vec, lambda vec: _gather_payload(A, enumerate(vec)), "v")
+    def output(c):
+        return RingValue(ring, reduce(sum(a * f for a, f in zip(c, row_outputs))))
+
+    init = _initial_payload(A)
+    return explore_dfa(alphabet, tuple(init.get(c, 0) for c in pivots), step, output, "v")

@@ -132,6 +132,33 @@ def path_sum(initial, final, arrows, word):
     return sum(acc * final[s] for s, acc in paths)
 
 
+def subset_construction(initial, final, arrows, alphabet, n):
+    """Weight-vector subset construction mod n on dense vectors: states
+    are the vectors I * M_w with every entry reduced mod n, numbered
+    breadth-first from I, each state's labels taken in the order of
+    ``alphabet``.  ``arrows`` is a dict (src, label, dst) -> int.
+    Returns (transitions {(state, label): state}, outputs [I * M_w * F
+    mod n]); state 0 is I."""
+    size = len(initial)
+    start = tuple(x % n for x in initial)
+    index = {start: 0}
+    order = [start]
+    transitions = {}
+    for i, vec in enumerate(order):  # order grows as states are found
+        for b in alphabet:
+            acc = [0] * size
+            for (src, label, dst), w in arrows.items():
+                if label == b:
+                    acc[dst] += vec[src] * w
+            nxt = tuple(x % n for x in acc)
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            transitions[i, b] = index[nxt]
+    outputs = [sum(v * f for v, f in zip(vec, final)) % n for vec in order]
+    return transitions, outputs
+
+
 def recurrence(alpha, f0, g, op, N, mod=0):
     """f_0..f_N of the isolating equation f = sum alpha[i, j] x^j Phi^i(f) + g
     by its recurrence, one term and one candidate index at a time: f_n is

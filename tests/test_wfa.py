@@ -18,7 +18,8 @@ from mahler.automata import (
     defect_automaton,
     fibonacci_representation_automaton,
 )
-from mahler.equations import build_automaton_q, build_automaton_z, parse_equation, weight_z
+from mahler.equations import (_kernel_basis, build_automaton_q, build_automaton_z,
+                              parse_equation, weight_z)
 from mahler.numeration import ZECKENDORF, Base, canonical, fib, parse_word, word_alphabet
 from mahler.rings import (INTEGERS, RATIONALS, MixedRingError, PrimeField, RingError,
                           RingValue, parse_ring)
@@ -31,6 +32,7 @@ from mahler.wfa import (
     WeightedAutomaton,
     _column_payload,
     _initial_payload,
+    _span,
     _step_payload,
     cauchy_product,
     determinize,
@@ -713,6 +715,99 @@ def test_determinize_prerequisites():
         determinize(count_ones_automaton(INTEGERS))
     with pytest.raises(AutomatonError):
         determinize(count_ones_automaton(PrimeField(2)), "sideways")
+
+
+# ring spec -> most states, so that at most ring size ** states vectors exist
+DETERMINIZE_RINGS = {"Fp:2": 5, "Fp:5": 4, "Zmod:6": 4, "Zmod:12": 3}
+
+
+@st.composite
+def finite_ring_machines(draw):
+    """Random machines over prime fields and composite rings; a nilpotent
+    one (arrows only to higher states) and zero divisors in Zmod:n make
+    vectors that become zero."""
+    spec = draw(st.sampled_from(sorted(DETERMINIZE_RINGS)))
+    ring = parse_ring(spec)
+    m = ring.characteristic
+    n = draw(st.integers(1, DETERMINIZE_RINGS[spec]))
+    alphabet = draw(st.sampled_from(((0, 1), (1, 0), (0, 1, 2))))
+    arrows = draw(st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.sampled_from(alphabet), st.integers(0, n - 1)),
+        st.integers(1, m - 1), max_size=3 * n))
+    if draw(st.booleans()):
+        arrows = {(s, b, d): w for (s, b, d), w in arrows.items() if s < d}
+    entry = st.integers(0, m - 1)
+    return WeightedAutomaton(
+        ring=ring, alphabet=alphabet, states=tuple(f"s{i}" for i in range(n)),
+        initial=tuple(draw(st.lists(entry, min_size=n, max_size=n))),
+        final=tuple(draw(st.lists(entry, min_size=n, max_size=n))),
+        transitions=arrows)
+
+
+def transposed(A):
+    """I and F swapped, every arrow reversed: mu(w) F of A is I mu(reverse(w)) here."""
+    return WeightedAutomaton(
+        ring=A.ring, alphabet=A.alphabet, states=A.states, initial=A.final, final=A.initial,
+        transitions={(d, b, s): w for (s, b, d), w in A.transitions.items()})
+
+
+@settings(max_examples=150)
+@given(finite_ring_machines())
+def test_determinize_equals_the_dense_subset_construction(A):
+    for direction, M in (("direct", A), ("reverse", transposed(A))):
+        transitions, outputs = oracles.subset_construction(
+            [v.payload for v in M.initial], [v.payload for v in M.final],
+            {k: w.payload for k, w in M.transitions.items()}, sorted(M.alphabet),
+            M.ring.characteristic)
+        D = determinize(A, direction)
+        assert D.initial == 0
+        assert dict(D.transitions) == transitions
+        assert [v.payload for v in D.outputs] == outputs
+        assert D.states == tuple(f"v{i}" for i in range(len(outputs)))
+
+
+def test_span_of_fib_squared_over_f2():
+    f2 = fibonacci_representation_automaton(PrimeField(2))
+    P = cauchy_product(f2, f2, addition_automaton(ZECKENDORF))
+    n = P.n_states
+    assert n == 110
+    for M in (P, transposed(P)):
+        pivots, rows = _span(M)
+        assert len(pivots) == len(rows) == 32
+        vectors = [[v.payload for v in forward_vector(M, w)] for w in all_words((0, 1), 8)]
+        for vec in vectors:  # y = sum_k y[P_k] R_k
+            rebuilt = [0] * n
+            for c, row in zip(pivots, rows):
+                for s, x in row.items():
+                    rebuilt[s] = (rebuilt[s] + vec[c] * x) % 2
+            assert rebuilt == vec
+        assert len(pivots) == n - len(_kernel_basis(P.ring, vectors, n))
+
+
+def test_span_over_a_composite_ring_keeps_every_state():
+    # Zmod:6 is no field: every state is a coordinate, even where a field's
+    # span would be smaller (here it would be zero: I is zero)
+    A = WeightedAutomaton(ring=parse_ring("Zmod:6"), alphabet=(0, 1), states=("a", "b", "c"),
+                          initial=(0, 0, 0), final=(1, 2, 3),
+                          transitions={(0, 0, 1): 2, (1, 1, 2): 3, (2, 0, 0): 1})
+    for M in (A, transposed(A)):
+        assert _span(M) == ([0, 1, 2], [{0: 1}, {1: 1}, {2: 1}])
+
+
+def test_determinize_from_a_zero_initial_vector():
+    # pinned at the dense construction: direct has one looping state, reached
+    # through a span of dimension 0; reverse starts from F = (1, 1)
+    A = WeightedAutomaton(ring=PrimeField(2), alphabet=(0, 1), states=("a", "b"),
+                          initial=(0, 0), final=(1, 1), transitions={(0, 0, 1): 1, (1, 1, 0): 1})
+    assert _span(A) == ([], [])
+    D = determinize(A, "direct")
+    assert (D.states, D.initial, dict(D.transitions)) == (("v0",), 0, {(0, 0): 0, (0, 1): 0})
+    assert [v.payload for v in D.outputs] == [0]
+    R = determinize(A, "reverse")
+    assert (R.states, R.initial) == (("v0", "v1", "v2", "v3"), 0)
+    assert dict(R.transitions) == {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 2,
+                                   (2, 0): 1, (2, 1): 3, (3, 0): 3, (3, 1): 3}
+    assert [v.payload for v in R.outputs] == [0, 0, 0, 0]
 
 
 def test_dfa_run_and_missing_edge():
