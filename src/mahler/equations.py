@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
-from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -46,10 +45,11 @@ from .numeration import (
     phi,
     preimages,
 )
-from .rings import Ring, RingError, RingValue, _quote, parse_ring
+from .rings import Ring, RingError, RingValue, _decimal, _quote, parse_ring
 from .wfa import (
     WeightedAutomaton,
     _insert_row,
+    _integral,
     _prefix_payloads,
     _primitive,
     _reduce_by_init,
@@ -350,7 +350,7 @@ def parse_equation(text: str) -> MahlerEquation:
 
     def intval(tok, lineno, what):
         try:
-            return int(tok, 10)
+            return _decimal(tok)
         except ValueError:
             fail(lineno, f"{what} must be an integer, got {_quote(tok)}")
 
@@ -731,13 +731,14 @@ def _kernel_basis(ring: Ring, rows: list, ncols: int) -> list:
 
     Fraction-free Gauss-Jordan on Python ints: the rows go one by one
     through wfa._insert_row, the insert that determinize's span uses
-    too.  Over Q each row is first scaled by the lcm of its denominators
-    and divided by its content; over Fp:p the payloads already are ints.
-    Echelon row m with pivot column c is a multiple of its row of the
-    reduced row echelon form, which is unique, so each entry -m[free] /
-    m[c] is the value, as the same payload type, that Gauss-Jordan over
-    the field gives.  One basis vector per free column, emitted in
-    ascending column order.
+    too.  Over Q each row is first scaled to ints by the lcm of its
+    denominators (wfa._integral, the scaling of the prefix walk's
+    integer image) and divided by its content; over Fp:p the payloads
+    already are ints.  Echelon row m with pivot column c is a multiple
+    of its row of the reduced row echelon form, which is unique, so each
+    entry -m[free] / m[c] is the value, as the same payload type, that
+    Gauss-Jordan over the field gives.  One basis vector per free
+    column, emitted in ascending column order.
     """
     p = ring.characteristic
     mat: list = []
@@ -746,8 +747,7 @@ def _kernel_basis(ring: Ring, rows: list, ncols: int) -> list:
         if len(pivots) == ncols:
             break  # full rank: every further row is dependent
         if not p:
-            den = lcm(*(x.denominator for x in row))
-            row = _primitive([x.numerator * (den // x.denominator) for x in row])
+            row = _primitive(_integral(row)[1])
         _insert_row(mat, pivots, row, p)
     zero, one = ring.zero.payload, ring.one.payload
     basis = []

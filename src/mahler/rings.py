@@ -11,6 +11,7 @@ arithmetic rule: native ``+``, ``-``, ``*`` on the payloads, then
 
 from __future__ import annotations
 
+import re
 import reprlib
 from fractions import Fraction
 from math import gcd
@@ -21,6 +22,19 @@ def _quote(value) -> str:
     characters, arrays to 6 entries and 6 levels of nesting) so that
     hostile input cannot blow an error line up."""
     return reprlib.repr(value)
+
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _decimal(text: str) -> int:
+    """The int of a signed ASCII decimal, surrounding whitespace allowed.
+    int() alone also reads "1_0" as 10 and other scripts' digits ("١" as
+    1); those raise ValueError here."""
+    text = text.strip()
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {_quote(text)}")
+    return int(text)
 
 
 class RingError(ValueError):
@@ -111,14 +125,15 @@ class Ring:
         return RingValue(self, self._canon(x))
 
     def parse(self, text: str) -> "RingValue":
-        """Parse an element literal: signed decimal, `a/b` for rationals."""
+        """Parse an element literal: signed ASCII decimal, `a/b` for
+        rationals; anything else raises RingError."""
         try:
             return self.element(self._parse_payload(text.strip()))
         except (ValueError, ZeroDivisionError):
             raise RingError(f"bad {self.spec} element {_quote(text)}") from None
 
     def _parse_payload(self, text):
-        return int(text)
+        return _decimal(text)
 
     def format(self, payload) -> str:
         return str(payload)
@@ -234,8 +249,8 @@ class RationalRing(Ring):
     def _parse_payload(self, text):
         if "/" in text:
             num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+            return Fraction(_decimal(num), _decimal(den))
+        return Fraction(_decimal(text))
 
     def format(self, payload) -> str:
         if payload.denominator == 1:
@@ -298,12 +313,12 @@ def parse_ring(spec: str) -> Ring:
         return RATIONALS
     if spec.startswith("Zmod:"):
         try:
-            return ModRing(int(spec[5:]))
+            return ModRing(_decimal(spec[5:]))
         except ValueError:
             raise RingError(f"bad modulus in {_quote(spec)}") from None
     if spec.startswith("Fp:"):
         try:
-            p = int(spec[3:])
+            p = _decimal(spec[3:])
         except ValueError:
             raise RingError(f"bad prime in {_quote(spec)}") from None
         return PrimeField(p)

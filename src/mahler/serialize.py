@@ -7,8 +7,9 @@ The JSON schema for a weighted automaton:
       "transitions": [{"from": "name", "label": l, "weight": "w",
                        "to": "name"}, ...] }
 
-Weights are strings in the ring's own format (integers in decimal,
-rationals as "a/b"), so round-trips are exact over every ring.  Tuple
+Weights are strings in the ring's own format (integers in ASCII
+decimal with an optional sign, rationals as "a/b"), so round-trips are
+exact over every ring.  Tuple
 labels (addition automata read digit triples) are stored as JSON
 arrays.  Output ordering is deterministic: states as stored, initial
 and final entries in state order, transitions sorted by source, label,

@@ -27,7 +27,8 @@ label -> {src: [(dst, weight payload), ...]} in the order of
 ``transitions``, i.e. each mu(b) stored row by row.  _step_payload (a
 row vector times mu(b)), _column_payload (mu(b) times a column vector),
 the determinism check of UnambiguousAutomaton, cauchy_product,
-automata._shift_once and the copies of g in equations._build_z read it.
+_integer_image, automata._shift_once and the copies of g in
+equations._build_z read it.
 
 One Gauss-Jordan insert, _insert_row, keeps a reduced row echelon form
 over Fp:p or Q; it does every elimination in the package.  _span runs
@@ -38,17 +39,24 @@ equations._kernel_basis runs it on the rows of find_relation's system.
 sequence_prefix meets in the middle of the tree of canonical words: rows
 I mu(u) stepped down its top levels, columns mu(v) F built up from its
 bottom, and one dot product per deeper word (see _prefix_payloads).
+Over Q the walk runs on the machine's integer image: D mu(b), c_I I and
+c_F F, with D, c_I and c_F the lcms of the denominators of the arrows,
+I and F.  Every word of length L shares the denominator c_I c_F D^L, so
+each nonzero sum becomes one Fraction as it leaves the walk.  The one
+scaling rule, _integral, also makes the rows of find_relation's system
+integral (equations._kernel_basis).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from math import gcd
-from types import MappingProxyType
+from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType, SimpleNamespace
 from typing import Callable, Hashable, Iterable, Mapping, Union
 
 from .numeration import Base, NumerationKind, as_digits, canonical, fib
-from .rings import INTEGERS, Ring, RingError, RingValue, _quote
+from .rings import INTEGERS, RATIONALS, Ring, RingError, RingValue, _quote
 
 Label = Union[int, tuple]
 
@@ -315,6 +323,43 @@ def _column_payload(A: WeightedAutomaton, label, col: dict) -> dict:
     return out
 
 
+def _integral(xs: list) -> tuple[int, list]:
+    """(d, [d x for x in xs]) for a list of Fractions, d the lcm of their
+    denominators: the least d > 0 that makes every d x an int."""
+    d = lcm(*(x.denominator for x in xs))
+    return d, [x.numerator * (d // x.denominator) for x in xs]
+
+
+def _integer_image(A: WeightedAutomaton, length: int) -> tuple:
+    """The integer image of a Q machine for _prefix_payloads: (M, I', F',
+    exits).
+
+    D is the lcm of the denominators of the arrow weights, c_I and c_F
+    those of I and F (_integral).  M holds the ring Z and A's arrow
+    index with every weight times D, so it steps the int matrices
+    D mu(b) through _step_payload and _column_payload; I' = c_I I and
+    F' = c_F F are sparse int vectors.  A word w of length L then weighs
+    I' M(w) F' / (c_I c_F D^L), and exits[L] (L <= length) turns that
+    int sum into the Fraction; a zero sum gives Q's zero payload with
+    no division.  M is an exact scaling of a machine that was validated
+    when it was made, so it is not a WeightedAutomaton and is not
+    validated again.
+    """
+    weights = [w for by_src in A._arrows.values() for out in by_src.values() for _d, w in out]
+    D, scaled = _integral(weights)
+    it = iter(scaled)
+    arrows = {b: {s: [(d, next(it)) for d, _w in out] for s, out in by_src.items()}
+              for b, by_src in A._arrows.items()}
+    c_I, init = _integral([v.payload for v in A.initial])
+    c_F, final = _integral([v.payload for v in A.final])
+    zero = RATIONALS.zero.payload
+    exits = [lambda acc, den=c_I * c_F * D ** L: Fraction(acc, den) if acc else zero
+             for L in range(length + 1)]
+    return (SimpleNamespace(ring=INTEGERS, _arrows=arrows),
+            {s: a for s, a in enumerate(init) if a},
+            {s: f for s, f in enumerate(final) if f}, exits)
+
+
 def _prefix_payloads(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list:
     """The payloads of sequence_prefix(A, kind, N), sharing work across words.
 
@@ -337,43 +382,54 @@ def _prefix_payloads(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list
     2 b in Zeckendorf, so the walk never calls phi.  Digit b first
     occurs in canonical(b), so a digit b <= N missing from the
     machine's alphabet raises as eval_sequence would.
+
+    Every dot product is summed natively and leaves the walk through
+    the exit of its word length L = (depth of u) + j.  Over Q the walk
+    runs on the integer image of A (_integer_image): int rows, columns
+    and sums, and one Fraction per nonzero output, over the one
+    denominator c_I c_F D^L of its length.  Over the other rings the
+    exit of every length is ring._reduce.
     """
     if N < 0:
         raise AutomatonError(f"need N >= 0, got {N}")
     base = isinstance(kind, Base)
     q = kind.q if base else 2
     _word_labels(A, range(min(q, N + 1)))
-    zero = A.ring.zero.payload
-    reduce = A.ring._reduce
+    ring = A.ring
     step, column = _step_payload, _column_payload
-    out = [zero] * (N + 1)
+    out = [ring.zero.payload] * (N + 1)
     length = len(canonical(N, kind))
-    init = _initial_payload(A)
+    if ring == RATIONALS:
+        M, init, final, exits = _integer_image(A, length)
+    else:
+        M, init = A, _initial_payload(A)
+        final = {s: f.payload for s, f in enumerate(A.final) if f}
+        exits = [ring._reduce] * (length + 1)
     # forward: (I mu(u), value(u), value(u 0), last digit) per node u of depth_f
     level = [(init, 0, 0, 0)] if init else []
     depth_f = 0
     # backward: columns[j] lists (value(v), mu(v) F) by increasing value(v)
-    final = {s: f.payload for s, f in enumerate(A.final) if f}
     columns = [[(0, final)] if final else []]
 
     def meet(nodes, top):
         # out[value(u v)] = I mu(u) . mu(v) F for each node u, each v shorter than top
+        dones = exits[depth_f:depth_f + top]  # the exit of each length depth_f + j
         for row, val, shifted, last in nodes:
             items = row.items()
             at, here = shifted - val, val  # here = value(u 0^j)
-            for j in range(top):
+            for j, done in enumerate(dones):
                 if here > N:
                     break
                 cap = N - here if base or not last else min(N - here, fib(j - 1) - 1)
                 for v, col in columns[j]:
                     if v > cap:
                         break
-                    acc = zero
+                    acc = 0
                     for s, a in items:
                         c = col.get(s)
                         if c is not None:
                             acc += a * c
-                    out[here + v] = reduce(acc)
+                    out[here + v] = done(acc)
                 at, here = here, q * here if base else here + at
 
     while level and depth_f + len(columns) - 1 < length:
@@ -390,14 +446,16 @@ def _prefix_payloads(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list
             columns.append([(b * unit + v, c) for b in range(min(q, N // unit + 1))
                             for v, col in columns[j]
                             if b * unit + v <= N and (base or not b or v < fib(j - 1))
-                            if (c := column(A, b, col))])
+                            if (c := column(M, b, col))])
             continue
         meet(level, 1)
         level = [(row, val, shifted, b) for vec, b, val, shifted in children
-                 if (row := step(A, vec, b))]
+                 if (row := step(M, vec, b))]
         depth_f += 1
     meet(level, len(columns))
-    out[0] = weight(A, (0,)).payload  # the word 0, not the root's empty word
+    # the word 0, not the root's empty word: one step from the root, length 1
+    row = step(M, init, 0) if init else {}
+    out[0] = exits[1](sum(a * final[s] for s, a in row.items() if s in final))
     return out
 
 

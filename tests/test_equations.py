@@ -563,6 +563,22 @@ class TestEquationFiles:
         with pytest.raises(EquationFileError, match="line 4: bad alpha 1 0: bad Z element 'y'"):
             parse_equation(text)
 
+    @pytest.mark.parametrize("spec", ["Z", "Q", "Fp:7"])
+    def test_literals_are_ascii_decimal(self, spec):
+        # int() alone reads "1_0" as 10 and "١" (Arabic-Indic one) as 1
+        head = f"ring {spec}\nnumeration zeckendorf\n"
+        for bad in ("1_0", "١"):
+            with pytest.raises(EquationFileError,
+                               match=f"line 3: bad f0: bad {spec} element '{bad}'"):
+                parse_equation(f"{head}f0 {bad}\nalpha 0 0 1\n")
+            with pytest.raises(EquationFileError,
+                               match=f"line 4: bad alpha 1 0: bad {spec} element '{bad}'"):
+                parse_equation(f"{head}f0 1\nalpha 1 0 {bad}\nalpha 0 0 1\n")
+            with pytest.raises(EquationFileError, match="line 4: alpha index i must be an integer"):
+                parse_equation(f"{head}f0 1\nalpha {bad} 0 1\nalpha 0 0 1\n")
+        with pytest.raises(EquationFileError, match="line 3: bad g 0: bad Q element '1/2_0'"):
+            parse_equation("ring Q\nnumeration zeckendorf\ng 0 1/2_0\nf0 0\nalpha 0 0 1\n")
+
     def test_all_zero_alpha(self):
         with pytest.raises(EquationFileError, match="all alpha coefficients are zero"):
             parse_equation("ring Z\nnumeration base 2\nf0 0\nalpha 0 0 0\n")
@@ -915,15 +931,15 @@ class TestBuildAutomatonDumas:
 
 
 @st.composite
-def automaton_g_problems(draw):
+def automaton_g_problems(draw, rings=("Z", "Q", "Zmod:6", "Fp:5"), d_max=2, h_max=2):
     """(P, G, reference g_0..g_N) for a random G over {0, 1} with one to
     three states and I mu(0) = I (state 0 alone starts, and its one
     0-arrow is a loop of weight 1), and a random isolating Zeckendorf P
-    with d, h <= 2 whose constant terms sum to zero, so f0 = g_0 is
-    compatible.  g comes from path sums, not from the package; at most
-    two arrows leave a state on each digit, which keeps the paths of a
-    ten-digit word to 2^10."""
-    ring = parse_ring(draw(st.sampled_from(("Z", "Q", "Zmod:6", "Fp:5"))))
+    with d <= d_max, h <= h_max whose constant terms sum to zero, so f0 =
+    g_0 is compatible.  g comes from path sums, not from the package; at
+    most two arrows leave a state on each digit, which keeps the paths of
+    a ten-digit word to 2^10."""
+    ring = parse_ring(draw(st.sampled_from(rings)))
     n = ring.characteristic
     entry = ring_entries(ring)
     size = draw(st.integers(1, 3))
@@ -940,7 +956,7 @@ def automaton_g_problems(draw):
     g = [oracles.path_sum(initial, final, arrows, map(int, oracles.zeckendorf_greedy(m)))
          for m in range(121)]
     g = [x % n for x in g] if n else g
-    d, h = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    d, h = draw(st.integers(1, d_max)), draw(st.integers(0, h_max))
     alpha = {(i, j): draw(entry) for i in range(1, d + 1) for j in range(h + 1)}
     alpha[1, 0] = -sum(alpha[i, 0] for i in range(2, d + 1))
     P = MahlerEquation(ring=ring, kind=ZECKENDORF, alpha={(0, 0): 1, **alpha}, f0=g[0])
@@ -954,6 +970,16 @@ def test_zeckendorf_build_with_an_automaton_g(problem):
     A = build_automaton_dumas(P, G=G)
     assert sequence_prefix(A, ZECKENDORF, 120) == list(solve_series(P, 120, g=g))
     assert same_structure(automaton_from_json(automaton_to_json(A)), A)
+
+
+@settings(max_examples=20)
+@given(automaton_g_problems(rings=("Q", "Zmod:6", "Zmod:12"), d_max=3, h_max=4))
+def test_zeckendorf_build_with_an_automaton_g_past_d_h_2(problem):
+    # Q coefficients are mostly non-integer fractions, and over Q the
+    # check walks the machine's integer image; Zmod:n has zero divisors
+    P, G, g = problem
+    A = build_automaton_dumas(P, G=G)
+    assert sequence_prefix(A, ZECKENDORF, 120) == list(solve_series(P, 120, g=g))
 
 
 def test_builder_json_is_pinned():

@@ -254,3 +254,45 @@ def test_repr_and_str_round_trip():
             v = ring.element(x)
             assert ring.parse(str(v)) == v
     assert repr(PrimeField(5).element(3)) == "<Fp:5: 3>"
+
+
+# int() alone also reads "1_0" as 10 and other scripts' digits ("١", Arabic-Indic
+# one, as 1); a ring literal is ASCII decimal digits with an optional sign
+NOT_DECIMAL = ("1_0", "١", "٣", "1_000", "-1_0", "1١", "+ 1", "--1", "1.0", "0x10", "²")
+
+
+@pytest.mark.parametrize("text", NOT_DECIMAL)
+@pytest.mark.parametrize("ring", [INTEGERS, RATIONALS, PrimeField(5), ModRing(6)],
+                         ids=lambda r: r.spec)
+def test_parse_takes_only_ascii_decimal_literals(ring, text):
+    with pytest.raises(RingError, match=f"^bad {ring.spec} element "):
+        ring.parse(text)
+
+
+@pytest.mark.parametrize("text", ["1_0/3", "3/1_0", "١/2", "1/٢"])
+def test_parse_takes_only_ascii_decimal_fractions(text):
+    with pytest.raises(RingError, match="^bad Q element "):
+        RATIONALS.parse(text)
+
+
+@pytest.mark.parametrize("spec", ["Zmod:1_0", "Zmod:١٢", "Fp:1_1", "Fp:٧"])
+def test_ring_specs_take_only_ascii_decimal_moduli(spec):
+    with pytest.raises(RingError, match=r"^bad (modulus|prime) in "):
+        parse_ring(spec)
+
+
+def test_parse_keeps_signs_and_surrounding_whitespace():
+    assert INTEGERS.parse(" \t+12\n").payload == 12
+    assert INTEGERS.parse(" -12 ").payload == -12
+    assert RATIONALS.parse(" -3/4 ").payload == Fraction(-3, 4)
+    assert RATIONALS.parse("3/-4").payload == Fraction(-3, 4)
+    assert PrimeField(5).parse("-1").payload == 4
+    assert parse_ring(" Zmod: 12 ").spec == "Zmod:12"
+
+
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**12),
+       st.sampled_from([INTEGERS, RATIONALS, PrimeField(7), ModRing(12)]))
+def test_every_written_literal_parses_back(a, b, ring):
+    # the text of a value is what automaton_to_json and format_equation write
+    x = ring.element(Fraction(a, b) if ring == RATIONALS else a)
+    assert ring.parse(str(x)) == x

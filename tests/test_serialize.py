@@ -218,6 +218,22 @@ class TestJsonValidation:
         with pytest.raises(RingError, match="bad Z element 'x'"):
             reimport(doc)
 
+    @pytest.mark.parametrize("bad", ["1_0", "١"])
+    def test_weights_are_ascii_decimal(self, bad):
+        # int() alone reads "1_0" as 10 and "١" (Arabic-Indic one) as 1
+        doc = doc_of()
+        doc["initial"]["a"] = bad
+        with pytest.raises(RingError, match=f"bad Z element '{bad}'"):
+            reimport(doc)
+        doc = doc_of(small(RATIONALS, RATIONALS.parse("-2/3")))
+        doc["transitions"][0]["weight"] = f"1/{bad}"
+        with pytest.raises(RingError, match=f"bad Q element '1/{bad}'"):
+            reimport(doc)
+        doc = doc_of(small(PrimeField(7), 3))
+        doc["final"]["b"] = bad
+        with pytest.raises(RingError, match=f"bad Fp:7 element '{bad}'"):
+            reimport(doc)
+
     def test_unknown_ring(self):
         doc = doc_of()
         doc["ring"] = "Foo"

@@ -3,6 +3,7 @@ import hashlib
 import pickle
 import random
 import time
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -19,7 +20,7 @@ from mahler.automata import (
     fibonacci_representation_automaton,
 )
 from mahler.equations import (_kernel_basis, build_automaton_q, build_automaton_z,
-                              parse_equation, weight_z)
+                              parse_equation, residual, solve_series, weight_z)
 from mahler.numeration import ZECKENDORF, Base, canonical, fib, parse_word, word_alphabet
 from mahler.rings import (INTEGERS, RATIONALS, MixedRingError, PrimeField, RingError,
                           RingValue, parse_ring)
@@ -143,8 +144,8 @@ STEP_RINGS = ("Z", "Q", "Zmod:6", "Fp:5")
 
 
 @st.composite
-def plain_int_machines(draw, kinds=(ZECKENDORF, BASE2, Base(3))):
-    ring = parse_ring(draw(st.sampled_from(STEP_RINGS)))
+def plain_int_machines(draw, kinds=(ZECKENDORF, BASE2, Base(3)), rings=STEP_RINGS):
+    ring = parse_ring(draw(st.sampled_from(rings)))
     n = ring.characteristic
     kind = draw(st.sampled_from(kinds))
     alphabet = word_alphabet(kind)
@@ -247,6 +248,63 @@ def test_pruned_walk_matches_eval_and_never_steps_a_zero_vector(machine, data):
         assert got == expected[:N + 1]
         assert all(v is ring.zero for v in got if not v)
         assert len(stepped) <= N + 1  # one step per node: the word 0, then each n in 1..N
+
+
+# a fraction with a denominator up to 7, of either sign
+FRACTIONS = st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(1, 7))
+
+
+@settings(max_examples=60)
+@given(plain_int_machines((ZECKENDORF, BASE2, Base(3), Base(10)), rings=("Q",)), st.data())
+def test_q_walk_on_the_integer_image_matches_the_fraction_path_sum(machine, data):
+    # Q machines with the cancelling pairs of plain_int_machines, made
+    # fractional by a diagonal similarity S (I S, S^-1 mu(b) S, S^-1 F),
+    # a scale per label and one per vector: every pair still cancels, and
+    # the walk runs on an image with D, c_I and c_F above 1
+    _, kind, initial, final, arrows = machine
+    k = len(initial)
+    alphabet = word_alphabet(kind)
+    if data.draw(st.booleans()):  # loops keep rows and columns alive to full depth
+        arrows = {(s, b, s): 1 for s in range(k) for b in alphabet} | arrows
+    if data.draw(st.integers(0, 7)) == 0:
+        initial = [0] * k
+    sigma = data.draw(st.lists(FRACTIONS, min_size=k, max_size=k))
+    by_label = {b: data.draw(FRACTIONS) for b in alphabet}
+    c_init, c_final = data.draw(FRACTIONS), data.draw(FRACTIONS)
+    initial = [c_init * x * y for x, y in zip(initial, sigma)]
+    final = [c_final * x / y for x, y in zip(final, sigma)]
+    arrows = {(s, b, d): w * by_label[b] * sigma[d] / sigma[s]
+              for (s, b, d), w in arrows.items()}
+    A = WeightedAutomaton(ring=RATIONALS, alphabet=alphabet,
+                          states=tuple(f"s{i}" for i in range(k)),
+                          initial=initial, final=final, transitions=arrows)
+    points = _meeting_points(kind, 120)
+    expected = [Fraction(oracles.path_sum(initial, final, arrows, _digit_word(n, kind)))
+                for n in range(points[-1] + 1)]
+    for N in points:
+        payloads = wfa._prefix_payloads(A, kind, N)
+        assert payloads == expected[:N + 1]
+        assert all(type(x) is Fraction for x in payloads)
+        assert all(v is RATIONALS.zero for v in sequence_prefix(A, kind, N) if not v)
+
+
+def test_the_oracle_never_reaches_the_integer_image():
+    # solve_series and residual keep their own arithmetic: with the image
+    # refused, they still run, while the prefix walk over Q cannot
+    P = parse_equation("ring Q\nnumeration zeckendorf\nf0 1\n"
+                       "alpha 0 0 1\nalpha 1 0 1/3\nalpha 1 1 -2/5\nalpha 2 0 2/3\n")
+    A = build_automaton_z(P)
+
+    def refuse(*args):
+        raise AssertionError("the integer image was built")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(wfa, "_integer_image", refuse)
+        s = solve_series(P, 300)
+        assert residual(P, s).is_zero()
+        with pytest.raises(AssertionError, match="integer image"):
+            sequence_prefix(A, ZECKENDORF, 300)
+    assert sequence_prefix(A, ZECKENDORF, 300) == list(s)
 
 
 @pytest.mark.parametrize("q", [100000, 10])
