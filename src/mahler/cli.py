@@ -41,6 +41,7 @@ from .automata import (
 )
 from .equations import (
     EquationError,
+    _h_tilde,
     _series,
     build_automaton_dumas,
     build_automaton_q,
@@ -179,8 +180,7 @@ def _build_from_equation(P):
     _check_order(max(P.g_poly, default=0), "largest g exponent")
     if isinstance(P.kind, Base):
         _check_order(P.kind.q, "base q (the machine's alphabet)")
-        _check_order(max(P.d, 1) * max(1, -(-P.h // (P.kind.q - 1))),
-                     "base-q grid d(h~+1)")
+        _check_order(max(P.d, 1) * (_h_tilde(P.kind, P.h) + 1), "base-q grid d(h~+1)")
         return build_automaton_q(P)
     _check_order(z_state_space(P).grid_bound, "grid bound")
     return build_automaton_dumas(P)
@@ -222,8 +222,8 @@ def cmd_eval(args) -> int:
     A = _load_wfa(args.automaton)
     kind = _parse_numeration(args.numeration)
     if args.word is not None:
-        word = args.word
-        if _word_sep(kind) and word.strip().isdecimal():  # one digit, as solve prints it
+        word = args.word.strip()
+        if _word_sep(kind) and word.isascii() and word.isdecimal():  # one digit, as solve prints it
             try:
                 word = (int(word),)
             except ValueError:  # int() reads at most 4,300 digits

@@ -44,6 +44,7 @@ from .numeration import (
     pad,
     phi,
     preimages,
+    word_alphabet,
 )
 from .rings import Ring, RingError, RingValue, _decimal, _quote, parse_ring
 from .wfa import (
@@ -465,70 +466,15 @@ def format_equation(P: MahlerEquation) -> str:
 
 
 # ---------------------------------------------------------------------------
-# base-q compilation
+# compilation, one construction for both numerations
 
-def build_automaton_q(P: MahlerEquation) -> WeightedAutomaton:
-    """Weighted automaton computing f_n on base-q expansions of n: the
-    base-q construction (_build_q) on its cut grid."""
-    if not isinstance(P.kind, Base):
-        raise EquationError("build_automaton_q needs a base-q equation")
-    if P.g_poly:
-        raise EquationError(
-            "inhomogeneous equations are supported only over Zeckendorf "
-            "numeration (build_automaton_dumas)")
-    return _build_q(P, 0, 0)
+def _h_tilde(kind: NumerationKind, h: int) -> int:
+    """The largest grid offset h~ for exponent h: max(0, ceil(h/(q-1)) - 1)
+    in base q, floor((h+2)*phi) - 1 in Zeckendorf."""
+    if isinstance(kind, Base):
+        return max(0, -(-h // (kind.q - 1)) - 1)
+    return floor_phi(h + 2) - 1
 
-
-def _build_q(P: MahlerEquation, extra_i: int, extra_j: int) -> WeightedAutomaton:
-    """The base-q construction for a homogeneous base-q equation.
-
-    Grid states s_{i,j} with 0 <= i <= d-1 and 0 <= j <= h~ where
-    h~ = max(0, ceil(h/(q-1)) - 1); offsets above h~ cannot occur on a
-    path with nonzero weight and are cut.  Reading digit b from s_{i,j}
-    either descends one layer with weight 1, tracking the offset
-    j -> qj + b, or closes the block of layers with weight
-    alpha[i+1, qj+b-k] into s_{0,k}.  I = P.f0 on the whole j = 0 column,
-    F = 1 on s_{0,0}; the result is trimmed.  Leading zeros do not
-    change weights: compatibility of f0 makes the initial vector stable
-    under reading 0.  The whole grid is seeded in row order (initial
-    weight zero off the j = 0 column), so explore() numbers the states
-    i-major.
-
-    extra_i/extra_j widen the grid beyond the cutoffs; the extra states
-    never occur on a nonzero-weight path, so the evaluated sequence must
-    not change.  Only tests widen it, to check exactly that.
-    """
-    ring = P.ring
-    f0 = _isolating_f0(P, ring.zero)
-    q = P.kind.q
-    d = max(P.d, 1) + extra_i
-    ht = max(0, -(-P.h // (q - 1)) - 1) + extra_j
-    one = ring.one
-    zero = ring.zero
-    alpha = P.alpha
-
-    def moves(state):
-        i, j = state
-        # a digit past P.h + h~ - qj closes no block and descends nowhere
-        for b in range(min(q, P.h + ht - q * j + 1)):
-            m = q * j + b
-            if i + 1 < d and m <= ht:
-                yield b, (i + 1, m), one
-            for k in range(min(ht, m) + 1):
-                a = alpha.get((i + 1, m - k))
-                if a is not None:
-                    yield b, (0, k), a
-
-    seeds = {(i, j): f0 if j == 0 else zero
-             for i in range(d) for j in range(ht + 1)}
-    return explore_automaton(
-        ring, range(q), seeds, moves,
-        lambda state: one if state == (0, 0) else zero,
-        lambda state: f"s{state[0]}_{state[1]}")
-
-
-# ---------------------------------------------------------------------------
-# Zeckendorf compilation
 
 @dataclass(frozen=True)
 class ZSpaceInfo:
@@ -548,7 +494,7 @@ class ZSpaceInfo:
 def z_state_space(P: MahlerEquation) -> ZSpaceInfo:
     """Offsets run 0..h~ with h~ = floor((h+2)*phi) - 1; windows have
     length g = |canonical(h~)|."""
-    ht = floor_phi(P.h + 2) - 1
+    ht = _h_tilde(ZECKENDORF, P.h)
     g = len(canonical(ht))
     d = max(P.d, 1)
     return ZSpaceInfo(
@@ -559,43 +505,61 @@ def z_state_space(P: MahlerEquation) -> ZSpaceInfo:
     )
 
 
-def _build_z(P: MahlerEquation, G: Optional[WeightedAutomaton],
-             extra_i: int = 0, extra_j: int = 0) -> WeightedAutomaton:
-    """The Zeckendorf construction for f = sum_i A_i Phi^i(f) + g, where
-    G is an automaton for g, or None for g = 0.  extra_i/extra_j widen
-    the grid as in _build_q.
+def _build(P: MahlerEquation, G: Optional[WeightedAutomaton],
+           extra_i: int = 0, extra_j: int = 0) -> WeightedAutomaton:
+    """The construction for f = sum_i A_i Phi^i(f) + g in either
+    numeration; G is an automaton for g (Zeckendorf only), or None for
+    g = 0.
 
-    A grid state is (i, j, q, u): layer i, offset j, defect-automaton
-    state q, and the window u holding the last g input digits (the word
-    is implicitly padded with g leading zeros).  Running the defect
-    automaton from q over the digitwise difference u - (j)_Z gives the
-    linearity defect; the offset after consuming the next digit b is then
-    phi(j) + defect + b.  The run never takes the one missing defect
-    edge (q0 on -1): only digits of value below j would, and no offset
-    exceeds the value of the digits read (after n, ell = phi(n) -
-    phi(n - j) + b, k <= ell, and x^j g feeds offset j only from value
-    j on).  Consuming the oldest window digit u[0] moves the defect
-    state on, and the window becomes u[1:] + (b,).  The guess b = 1 is cut
-    when the window already ends in 1: no adjacent-ones-free word takes
-    that edge, so cutting it keeps weights intact on the whole contract
-    domain while keeping the explored grid small.
+    A grid state is (i, j, r, u): layer i <= d-1, offset j <= h~
+    (_h_tilde; offsets above it cannot occur on a path with nonzero
+    weight and are cut), and a context (r, u) that only Zeckendorf uses.
+    Reading digit b either descends one layer with weight 1, tracking the
+    offset j -> ell, or closes the block of layers with weight
+    alpha[i+1, ell-k] into s_{0,k}.  I = P.f0 on the j = 0 column, F = 1
+    exactly on layer-0 states with offset 0.  Leading zeros do not change
+    weights: compatibility of f0 makes the initial vector stable under
+    reading 0.  Only ell, the alphabet, the seeds and the state names
+    depend on the numeration:
 
-    The grid is explored from the seeds s_{i,0,q0,0^g} (initial weight
-    P.f0), and F = 1 exactly on layer-0 states with offset 0.  For a
-    nonzero g, each offset j <= h~ also gets a copy of the automaton B_j
-    for x^j g (x^(j-1) g shifted once more), run in lockstep with the
-    defect state and digit window of the grid: copy states are
-    ("g", j, b, q, u), state b of B_j, seeded from the initial states of
-    B_j and named g{j}n{t}, t counting them in order of discovery.  Each
-    copy state keeps the arrows of b, and on digit e gains one arrow into
-    the grid state s_{0,j,q,u} weighted sum w F[d] over the arrows
-    b -e-> d of B_j (when nonzero); this injects g_{n-j} into the
-    offset-j carrier exactly where the recurrence wants it.  The
-    empty-word mass of each B_j is dropped: canonical expansions are
-    never empty, and the n = 0 identity is instead enforced up front as
-    compatibility of f0 with g_0 (without it no automaton of this shape
-    can compute the series, since the weight of "0" always equals the
-    right-hand side of that identity).  The result is trimmed.
+    - Base q: the shift is linear, ell = qj + b, and (r, u) = (None, ()).
+      A digit past h + h~ - qj closes no block and descends nowhere, so
+      only digits below min(q, h + h~ - qj + 1) are read.  The whole grid
+      is seeded in row order (initial weight zero off the j = 0 column),
+      so explore() numbers the states i-major; names are s{i}_{j}.
+    - Zeckendorf: r is a defect-automaton state and the window u holds
+      the last g input digits (the word is implicitly padded with g
+      leading zeros).  Running the defect automaton from r over the
+      digitwise difference u - (j)_Z gives the linearity defect, and ell
+      = phi(j) + defect + b.  The run never takes the one missing defect
+      edge (q0 on -1): only digits of value below j would, and no offset
+      exceeds the value of the digits read (after n, ell = phi(n) -
+      phi(n - j) + b, k <= ell, and x^j g feeds offset j only from value
+      j on).  Consuming the oldest window digit u[0] moves the defect
+      state on, and the window becomes u[1:] + (b,).  The guess b = 1 is
+      cut when the window already ends in 1: no adjacent-ones-free word
+      takes that edge, so cutting it keeps weights intact on the whole
+      contract domain while keeping the explored grid small.  The seeds
+      are s_{i,0,q0,0^g}; names are s{i}_{j}_q{r}_u{u}.
+
+    For a nonzero g, each offset j <= h~ also gets a copy of the automaton
+    B_j for x^j g (x^(j-1) g shifted once more), run in lockstep with the
+    defect state and digit window of the grid: copy states are ("g", j,
+    b, r, u), state b of B_j, seeded from the initial states of B_j and
+    named g{j}n{t}, t counting them in order of discovery.  Each copy
+    state keeps the arrows of b, and on digit e gains one arrow into the
+    grid state s_{0,j,r,u} weighted sum w F[d] over the arrows b -e-> d of
+    B_j (when nonzero); this injects g_{n-j} into the offset-j carrier
+    exactly where the recurrence wants it.  The empty-word mass of each
+    B_j is dropped: canonical expansions are never empty, and the n = 0
+    identity is instead enforced up front as compatibility of f0 with g_0
+    (without it no automaton of this shape can compute the series, since
+    the weight of "0" always equals the right-hand side of that
+    identity).  The result is trimmed.
+
+    extra_i/extra_j widen the grid beyond the cutoffs; the extra states
+    never occur on a nonzero-weight path, so the evaluated sequence must
+    not change.  Only tests widen it, to check exactly that.
     """
     ring = P.ring
     f0 = _isolating_f0(
@@ -604,15 +568,21 @@ def _build_z(P: MahlerEquation, G: Optional[WeightedAutomaton],
     alpha = P.alpha
     d = max(P.d, 1) + extra_i
     h = P.h
-    ht = z_state_space(P).h_tilde + extra_j
-    g = len(canonical(ht))
-    dfa = defect_automaton()
-    dtrans = dict(dfa.transitions)
-    douts = dfa.outputs
-    phi_tab = [phi(j) for j in range(ht + 1)]
-    pad_tab = [pad(canonical(j), g) for j in range(ht + 1)]
-    u0 = (0,) * g
-    seeds = {(i, 0, dfa.initial, u0): f0 for i in range(d)}
+    ht = _h_tilde(P.kind, h) + extra_j
+    zeck = isinstance(P.kind, Zeckendorf)
+    if zeck:
+        g = len(canonical(ht))
+        dfa = defect_automaton()
+        dtrans = dict(dfa.transitions)
+        douts = dfa.outputs
+        phi_tab = [phi(j) for j in range(ht + 1)]
+        pad_tab = [pad(canonical(j), g) for j in range(ht + 1)]
+        u0 = (0,) * g
+        seeds = {(i, 0, dfa.initial, u0): f0 for i in range(d)}
+    else:
+        q = P.kind.q
+        seeds = {(i, j, None, ()): f0 if j == 0 else ring.zero
+                 for i in range(d) for j in range(ht + 1)}
     parts = []
     for j in range(ht + 1 if G is not None else 0):
         xg = G if j == 0 else shift_regular(xg, 1)   # x^j g
@@ -622,67 +592,85 @@ def _build_z(P: MahlerEquation, G: Optional[WeightedAutomaton],
                 seeds["g", j, sidx, dfa.initial, u0] = w
 
     def successors(state):
-        is_copy = state[0] == "g"
-        if is_copy:
-            _tag, j, bs, qs, u = state
+        if state[0] == "g":
+            _tag, j, bs, r, u = state
             Bj = parts[j]
-        else:
-            i, j, qs, u = state
-            s = qs
+            r = dtrans[r, u[0]]
+            for b in (0,) if u[-1] == 1 else (0, 1):
+                u2 = u[1:] + (b,)
+                into = ring.zero
+                for dst, w in Bj._arrows.get(b, {}).get(bs, ()):
+                    w = RingValue(ring, w)
+                    yield b, ("g", j, dst, r, u2), w
+                    into = into + w * Bj.final[dst]
+                if into:
+                    yield b, (0, j, r, u2), into
+            return
+        i, j, r, u = state
+        if zeck:
+            s = r
             pj = pad_tab[j]
             for t in range(g):
                 s = dtrans[s, u[t] - pj[t]]
             ell0 = phi_tab[j] + douts[s]   # the offset after digit b is ell0 + b
-        q2 = dtrans[(qs, u[0])]
-        for b in (0,) if u[-1] == 1 else (0, 1):
-            u2 = u[1:] + (b,)
-            if is_copy:
-                into = ring.zero
-                for dst, w in Bj._arrows.get(b, {}).get(bs, ()):
-                    w = RingValue(ring, w)
-                    yield b, ("g", j, dst, q2, u2), w
-                    into = into + w * Bj.final[dst]
-                if into:
-                    yield b, (0, j, q2, u2), into
-                continue
+            r = dtrans[r, u[0]]
+            digits = (0,) if u[-1] == 1 else (0, 1)
+        else:
+            ell0 = q * j
+            digits = range(min(q, h + ht - ell0 + 1))
+        for b in digits:
+            u2 = u and u[1:] + (b,)   # the window slides on; base q has none
             ell = ell0 + b
-            if i + 1 <= d - 1 and 0 <= ell <= ht:
-                yield b, (i + 1, ell, q2, u2), one
+            if i + 1 < d and 0 <= ell <= ht:
+                yield b, (i + 1, ell, r, u2), one
             if ell >= 0:
                 for k in range(max(0, ell - h), min(ht, ell) + 1):
                     a = alpha.get((i + 1, ell - k))
                     if a is not None:
-                        yield b, (0, k, q2, u2), a
+                        yield b, (0, k, r, u2), a
 
     part_size = [0] * len(parts)
 
     def name(state):
         if state[0] != "g":
-            i, j, qs, u = state
-            return f"s{i}_{j}_q{qs}_u{''.join(map(str, u))}"
+            i, j, r, u = state
+            return f"s{i}_{j}_q{r}_u{''.join(map(str, u))}" if zeck else f"s{i}_{j}"
         j = state[1]
         part_size[j] += 1
         return f"g{j}n{part_size[j] - 1}"
 
     return explore_automaton(
-        ring, (0, 1), seeds, successors,
+        ring, word_alphabet(P.kind), seeds, successors,
         lambda state: one if state[:2] == (0, 0) else ring.zero, name)
+
+
+def build_automaton_q(P: MahlerEquation) -> WeightedAutomaton:
+    """Weighted automaton computing f_n on base-q expansions of n: the
+    base-q case of the one construction (_build), g = 0, on its cut
+    grid."""
+    if not isinstance(P.kind, Base):
+        raise EquationError("build_automaton_q needs a base-q equation")
+    if P.g_poly:
+        raise EquationError(
+            "inhomogeneous equations are supported only over Zeckendorf "
+            "numeration (build_automaton_dumas)")
+    return _build(P, None)
 
 
 def build_automaton_z(P: MahlerEquation) -> WeightedAutomaton:
     """Weighted automaton computing f_n on Zeckendorf expansions of n.
 
-    The homogeneous case g = 0 of the one Zeckendorf construction
-    (_build_z): the grid alone, seeded with P.f0.  The contract covers
-    every adjacent-ones-free word, with leading zeros allowed; evaluate
-    through weight_z to get the adjacent-ones check.
+    The Zeckendorf case g = 0 of the one construction (_build): the grid
+    alone, seeded with P.f0.  The contract covers every adjacent-ones-free
+    word, with leading zeros allowed; evaluate through weight_z to get the
+    adjacent-ones check.
     """
     if not isinstance(P.kind, Zeckendorf):
         raise EquationError("build_automaton_z needs a Zeckendorf equation")
     if P.g_poly:
         raise EquationError(
             "inhomogeneous equations need build_automaton_dumas")
-    return _build_z(P, None)
+    return _build(P, None)
 
 
 def weight_z(A: WeightedAutomaton, word) -> RingValue:
@@ -699,11 +687,11 @@ def build_automaton_dumas(P: MahlerEquation,
                           G: WeightedAutomaton = None) -> WeightedAutomaton:
     """Solution automaton for f = sum_i A_i Phi^i(f) + g with regular g.
 
-    The one Zeckendorf construction (_build_z) with the automaton G for
-    g; G defaults to the polynomial automaton of the equation's g lines.
-    A homogeneous equation with no G is the case g = 0: no copies of g,
-    and the machine of build_automaton_z.  P.f0 must satisfy the n = 0
-    identity with the g_0 that G gives.
+    The Zeckendorf case of the one construction (_build) with the
+    automaton G for g; G defaults to the polynomial automaton of the
+    equation's g lines.  A homogeneous equation with no G is the case
+    g = 0: no copies of g, and the machine of build_automaton_z.  P.f0
+    must satisfy the n = 0 identity with the g_0 that G gives.
     """
     if not isinstance(P.kind, Zeckendorf):
         raise EquationError("build_automaton_dumas needs a Zeckendorf equation")
@@ -720,7 +708,7 @@ def build_automaton_dumas(P: MahlerEquation,
             raise EquationError("g automaton ring differs from the equation ring")
         if not set(G.alphabet) <= {0, 1}:
             raise EquationError("g automaton must read the digits {0, 1}")
-    return _build_z(P, G)
+    return _build(P, G)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from itertools import accumulate
 from math import isqrt
 from typing import Iterable, Sequence, Union
 
-from .rings import _quote
+from .rings import _decimal, _quote
 
 
 class NumerationError(ValueError):
@@ -100,16 +100,18 @@ def _word_sep(kind: NumerationKind) -> str:
 
 def parse_word(text: str) -> tuple[int, ...]:
     """Digits of a word text: comma-separated, else one per character, so
-    "10" is (1, 0) although format_word writes the word (10,) as "10"."""
+    "10" is (1, 0) although format_word writes the word (10,) as "10".
+    Every digit is ASCII decimal: int() alone also reads "1_0" as 10 and
+    other scripts' digits ("١" as 1)."""
     text = text.strip()
     if text == "":
         return ()
     if "," in text or "-" in text:
         try:
-            return tuple(int(part) for part in text.split(","))
+            return tuple(_decimal(part) for part in text.split(","))
         except ValueError:
             raise NumerationError(f"bad digit word {_quote(text)}") from None
-    if not text.isdecimal():  # isdigit() also passes "²", which int() refuses
+    if not (text.isascii() and text.isdecimal()):
         raise NumerationError(f"bad digit word {_quote(text)}")
     return tuple(int(ch) for ch in text)
 

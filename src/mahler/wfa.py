@@ -28,7 +28,7 @@ label -> {src: [(dst, weight payload), ...]} in the order of
 row vector times mu(b)), _column_payload (mu(b) times a column vector),
 the determinism check of UnambiguousAutomaton, cauchy_product,
 _integer_image, automata._shift_once and the copies of g in
-equations._build_z read it.
+equations._build read it.
 
 One Gauss-Jordan insert, _insert_row, keeps a reduced row echelon form
 over Fp:p or Q; it does every elimination in the package.  _span runs

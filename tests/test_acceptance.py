@@ -26,8 +26,7 @@ from mahler.automata import (
 from mahler.equations import (
     EquationError,
     SeriesPrefix,
-    _build_q,
-    _build_z,
+    _build,
     build_automaton_dumas,
     build_automaton_q,
     build_automaton_z,
@@ -367,13 +366,13 @@ def test_inv_tracked_window_and_defect_state_z():
 def test_inv_truncation_safety():
     P = shipped("hyperbinary.eq")
     A = build_automaton_q(P)
-    B = _build_q(P, 1, 3)
+    B = _build(P, None, 1, 3)
     assert list(sequence_prefix(A, BASE2, 1000)) == \
         list(sequence_prefix(B, BASE2, 1000))
 
     P = shipped("fib_repr.eq")
     A = build_automaton_z(P)
-    B = _build_z(P, None, 1, 3)
+    B = _build(P, None, 1, 3)
     assert (A.n_states, B.n_states) == (29, 47)
     assert list(sequence_prefix(A, ZECKENDORF, 1000)) == \
         list(sequence_prefix(B, ZECKENDORF, 1000))

@@ -96,6 +96,16 @@ def test_eval_word_int_cannot_read_is_one_error_line(capsys, tmp_path):
                                     "--numeration", "base-12", "--word", word))
     assert_one_short_error(*run(capsys, "eval", "-a", "builtin:count-ones",
                                 "--numeration", "base-2", "--word", "1²"))
+    # int() reads these too, but a digit is ASCII 0-9: in base 12 the
+    # one-digit path read "١٠" (Arabic-Indic) as the digit ten
+    for automaton, numeration, word in (
+            (machine, "base-12", "١٠"), (machine, "base-12", "1_0,2"),
+            (machine, "base-12", "١,0"), ("builtin:count-ones", "base-2", "١٠"),
+            ("builtin:count-ones", "base-2", "1_0,1"), ("builtin:fib-repr", "zeckendorf", "١٠")):
+        result = run(capsys, "eval", "-a", str(automaton), "--numeration", numeration,
+                     "--word", word)
+        assert_one_short_error(*result)
+        assert result[2].startswith("error: bad digit word "), word
 
 
 def test_solve_rejects_non_isolating(eqfile, capsys):
@@ -684,18 +694,31 @@ OVERSIZED = {
                        "g 100000000 1\n",
     "base-2 d = 10^8": "numeration base 2\nf0 1\nalpha 0 0 1\nalpha 100000000 0 1\n",
     "base 10^11": "numeration base 100000000000\nf0 1\nalpha 0 0 1\nalpha 1 0 1\n",
+    "base-2 grid": "numeration base 2\nf0 1\nalpha 0 0 1\nalpha 1 0 1\n"
+                   "alpha 1000 2000 1\n",
+    "zeckendorf grid": "numeration zeckendorf\nf0 1\nalpha 0 0 1\nalpha 1 0 1\n"
+                       "alpha 30 300 1\n",
+}
+# d, h and q are each below the ceiling here: only the grid rules refuse
+GRID_REFUSALS = {
+    "base-2 grid": "error: base-q grid d(h~+1) = 2000000 exceeds the ceiling 1000000\n",
+    "zeckendorf grid": "error: grid bound = 599654400 exceeds the ceiling 1000000\n",
 }
 
 
 @pytest.mark.parametrize("case", sorted(OVERSIZED))
-def test_oversized_equation_is_refused_before_building(case, capsys, tmp_path):
+def test_oversized_equation_is_refused_before_building(case, capsys, tmp_path, monkeypatch):
     path = tmp_path / "big.eq"
     path.write_text("ring Z\n" + OVERSIZED[case], encoding="utf-8")
+    for builder in ("build_automaton_q", "build_automaton_dumas"):
+        monkeypatch.setattr(cli, builder, lambda *args: pytest.fail("a builder ran"))
     start = time.perf_counter()
     result = run(capsys, "build", "-f", str(path))
     assert time.perf_counter() - start < 1.0
     assert_one_short_error(*result)
     assert "exceeds the ceiling" in result[2]
+    if case in GRID_REFUSALS:
+        assert result[2] == GRID_REFUSALS[case]
     # solve needs only O(N) work however large d, h or the g exponent are
     start = time.perf_counter()
     code, out, _err = run(capsys, "solve", "-f", str(path), "-N", "10")

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import itertools
 import pickle
 import random
 from dataclasses import replace
@@ -25,8 +26,7 @@ from mahler.equations import (
     MahlerEquation,
     SeriesPrefix,
     ZSpaceInfo,
-    _build_q,
-    _build_z,
+    _build,
     _kernel_basis,
     build_automaton_dumas,
     build_automaton_q,
@@ -709,7 +709,7 @@ class TestBuildAutomatonQ:
                               f0=int(trial != 5))
             want = list(solve_series(P, 1000))
             assert sequence_prefix(build_automaton_q(P), P.kind, 1000) == want, P
-            assert sequence_prefix(_build_q(P, 1, 3), P.kind, 1000) == want, P
+            assert sequence_prefix(_build(P, None, 1, 3), P.kind, 1000) == want, P
 
     def test_degenerate_instances(self):
         P = MahlerEquation(ring=INTEGERS, kind=BASE2, alpha={(0, 0): 1}, f0=0)
@@ -725,7 +725,7 @@ class TestBuildAutomatonQ:
     def test_widened_grid_is_weight_identical(self):
         P = shipped("hyperbinary.eq")
         A = build_automaton_q(P)
-        Ax = _build_q(P, 1, 3)
+        Ax = _build(P, None, 1, 3)
         assert len(Ax.states) == 2
         assert list(sequence_prefix(A, BASE2, 300)) == \
             list(sequence_prefix(Ax, BASE2, 300))
@@ -805,12 +805,12 @@ class TestBuildAutomatonZ:
             P = wide_equation(rng, WIDE_RINGS[trial % 4], ZECKENDORF, 3, 4, f0=int(trial != 6))
             want = list(solve_series(P, 400))
             assert sequence_prefix(build_automaton_z(P), ZECKENDORF, 400) == want, P
-            assert sequence_prefix(_build_z(P, None, 1, 3), ZECKENDORF, 400) == want, P
+            assert sequence_prefix(_build(P, None, 1, 3), ZECKENDORF, 400) == want, P
 
     def test_widened_grid_is_weight_identical(self):
         P = shipped("fib_repr.eq")
         A = build_automaton_z(P)
-        Ax = _build_z(P, None, 1, 3)
+        Ax = _build(P, None, 1, 3)
         assert len(A.states) == 29
         assert len(Ax.states) == 47
         assert list(sequence_prefix(A, ZECKENDORF, 300)) == \
@@ -989,11 +989,12 @@ def test_builder_json_is_pinned():
     plain = MahlerEquation(ring=dfib.ring, kind=dfib.kind,
                            alpha=dict(dfib.alpha), f0=dfib.f0)
     fib = shipped("fib_repr.eq")
+    twolayer = shipped("dumas_twolayer.eq")
     builds = {
         "z fib_repr": (build_automaton_z(fib),
                        "a2fbd86c864454e60e720363a9a6041b3f23dd7df9d354e2e9e365ba31c96339"),
         "z fib_repr widened": (
-            _build_z(fib, None, 1, 3),
+            _build(fib, None, 1, 3),
             "2f06c37a3be504bc864500ad3e24cd70676d224063a8c5945c8b575bd79918ff"),
         "dumas fib_repr": (build_automaton_dumas(fib),
                            "a2fbd86c864454e60e720363a9a6041b3f23dd7df9d354e2e9e365ba31c96339"),
@@ -1013,7 +1014,32 @@ def test_builder_json_is_pinned():
                           "c23cf552e700ad44f0bb0528835504d4c5733d6fdaee41c031cfcd64e9450c9e"),
         "q two-layer": (build_automaton_q(TWO_LAYER),
                         "42088ae60aa44c0a45f368287a346647c0fe4b07dddcdc7c7e8ed71b4cda96fe"),
+        "q hyperbinary widened": (
+            _build(shipped("hyperbinary.eq"), None, 1, 3),
+            "c23cf552e700ad44f0bb0528835504d4c5733d6fdaee41c031cfcd64e9450c9e"),
+        "q two-layer widened": (
+            _build(TWO_LAYER, None, 1, 3),
+            "42088ae60aa44c0a45f368287a346647c0fe4b07dddcdc7c7e8ed71b4cda96fe"),
+        "dumas dumas_twolayer widened": (
+            _build(twolayer, polynomial_automaton([twolayer.g(j) for j in range(4)],
+                                                  ZECKENDORF, INTEGERS), 1, 3),
+            "cbc416193ca84157e6f72a88eaef0d9b67af9d4397446f7822e710f17b060b4e"),
     }
+    # base-q draws with d <= 4 and h <= 6; the f0 = 0 one (base 3 over Fp:5) trims to empty
+    wide = iter((
+        "90316d47aed9ae2523fed2ef4e16095932e07c2262160b532380d7cbcf23a2c7",
+        "9ccbc639fa0a3c83a9cffaf42b0d85e3878a57116a4aa061f05722f1f2691f0b",
+        "19c6c6126cc2cc631d828dad591ec5442f64d5f96df4cbf9044f94a2eb1ff9e5",
+        "d67997f11637de5fe53544ebe9fa297256ee937d916d1876fde3a30e6064a5e2",
+        "c1609d3e1d816067d1893cead3d73d9675c10973d454946c99ca6ac2ef4034eb",
+        "891082fad7cd736be7c7cd653cc268762560983ebfb9eb50ff1c251b17e26090",
+    ))
+    rng = random.Random(23)
+    for t, (q, spec) in enumerate(itertools.product((3, 5), ("Q", "Zmod:6", "Fp:5"))):
+        P = wide_equation(rng, parse_ring(spec), Base(q), 4, 6, f0=int(t != 2))
+        digest = next(wide)
+        builds[f"q wide base {q} {spec}"] = (build_automaton_q(P), digest)
+        builds[f"q wide base {q} {spec} widened"] = (_build(P, None, 1, 3), digest)
     got = {name: hashlib.sha256(automaton_to_json(A).encode()).hexdigest()
            for name, (A, _) in builds.items()}
     assert got == {name: digest for name, (_, digest) in builds.items()}

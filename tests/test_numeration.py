@@ -235,11 +235,11 @@ def test_parse_and_format_word():
 
 
 def test_parse_word_refuses_digits_int_cannot_read():
-    # "²" passes str.isdigit() but not int(); other decimal digits read as int() reads them
-    for bad in ("²", "1²0", "1,²"):
-        with pytest.raises(NumerationError):
+    # "²" passes str.isdigit() but not int(); int() reads "1_0" as 10 and
+    # other scripts' digits ("١" as 1), and a word takes neither
+    for bad in ("²", "1²0", "1,²", "١٢", "١٠", "1١", "1_0,2", "1,٢", "٣,1", "1, 2_0", "١,-1"):
+        with pytest.raises(NumerationError, match="bad digit word"):
             parse_word(bad)
-    assert parse_word("١٠") == (1, 0)
 
 
 def test_digit_word_alphabet_enforced():
