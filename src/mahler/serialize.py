@@ -17,11 +17,18 @@ target.
 
 Machines with outputs (recognizers, the defect automaton, determinize
 results) serialize under "type": "dfa"; they are export-only.
+
+Both documents are written as json.dumps(doc, indent=1) writes them,
+byte for byte, but straight from the fixed schema: strings through
+json's ASCII string encoder, ints in decimal, arrays and objects one
+item a line.  Any indent sends json.dumps to its pure-Python encoder,
+which cost most of the time of a write.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _string
 
 from .rings import RingValue, _quote, parse_ring
 from .wfa import AutomatonError, DfaWithOutput, WeightedAutomaton, _label_key
@@ -32,10 +39,6 @@ def _sorted_transitions(M) -> list:
     keys of a machine with outputs end in the label, which breaks no tie)."""
     return sorted(M.transitions.items(),
                   key=lambda kv: (kv[0][0], _label_key(kv[0][1]), kv[0][-1]))
-
-
-def _encode_label(label):
-    return list(label) if isinstance(label, tuple) else label
 
 
 def _decode_label(raw):
@@ -51,20 +54,61 @@ def _decode_label(raw):
     raise AutomatonError(f"label {_quote(raw)} is neither an integer nor an array")
 
 
+def _json(value, pad: str) -> str:
+    """value as json.dumps(..., indent=1) writes it on a line indented by
+    ``pad``: strings through json's own ASCII encoder, ints in decimal,
+    tuples and lists as arrays one item a line, anything else (None,
+    true, false) by json.dumps itself."""
+    if isinstance(value, str):
+        return _string(value)
+    if isinstance(value, (tuple, list)):
+        return _block("[]", [_json(x, pad + " ") for x in value], pad)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+def _block(brackets: str, items: list, pad: str) -> str:
+    """Written items in brackets, one a line, a space deeper than ``pad``,
+    as json.dumps(..., indent=1) lays out an array or object."""
+    if not items:
+        return brackets
+    sep = "\n " + pad
+    return f"{brackets[0]}{sep}{(',' + sep).join(items)}\n{pad}{brackets[1]}"
+
+
+def _object(mapping: dict, pad: str) -> str:
+    """A JSON object of str keys and written values."""
+    return _block("{}", [f"{_string(k)}: {v}" for k, v in mapping.items()], pad)
+
+
+def _label_texts(M, pad: str) -> dict:
+    """Each label of M's transitions, written on a line indented by ``pad``."""
+    return {b: _json(b, pad) for b in {key[1] for key in M.transitions}}
+
+
 def automaton_to_json(A: WeightedAutomaton) -> str:
-    doc = {
-        "ring": A.ring.spec,
-        "alphabet": [_encode_label(b) for b in A.alphabet],
-        "states": list(A.states),
-        "initial": {A.states[i]: str(w) for i, w in enumerate(A.initial) if w},
-        "final": {A.states[i]: str(w) for i, w in enumerate(A.final) if w},
-        "transitions": [
-            {"from": A.states[s], "label": _encode_label(b),
-             "weight": str(w), "to": A.states[d]}
-            for (s, b, d), w in _sorted_transitions(A)
-        ],
-    }
-    return json.dumps(doc, indent=1)
+    """The schema above, byte for byte what json.dumps(doc, indent=1)
+    writes for it, without json's pure-Python indenting encoder."""
+    states = A.states
+    names = [_string(s) for s in states]
+    labels = _label_texts(A, "   ")
+    transitions = [
+        f'{{\n   "from": {names[s]},\n   "label": {labels[b]},\n'
+        f'   "weight": {_string(str(w))},\n   "to": {names[d]}\n  }}'
+        for (s, b, d), w in _sorted_transitions(A)]
+
+    def vector(v):
+        return _object({states[i]: _string(str(w)) for i, w in enumerate(v) if w}, " ")
+
+    return _block("{}", [
+        f'"ring": {_string(A.ring.spec)}',
+        f'"alphabet": {_json(A.alphabet, " ")}',
+        f'"states": {_block("[]", names, " ")}',
+        f'"initial": {vector(A.initial)}',
+        f'"final": {vector(A.final)}',
+        f'"transitions": {_block("[]", transitions, " ")}',
+    ], "")
 
 
 def automaton_from_json(text: str) -> WeightedAutomaton:
@@ -143,6 +187,7 @@ def automaton_from_json(text: str) -> WeightedAutomaton:
 
 
 def dfa_to_json(D: DfaWithOutput) -> str:
+    """The "dfa" document, written as automaton_to_json writes its own."""
     def out_value(v):
         if v is None or isinstance(v, (bool, int, str)):
             return v
@@ -150,18 +195,21 @@ def dfa_to_json(D: DfaWithOutput) -> str:
             return str(v)
         raise AutomatonError(f"cannot serialize output {_quote(v)}")
 
-    doc = {
-        "type": "dfa",
-        "alphabet": [_encode_label(b) for b in D.alphabet],
-        "states": list(D.states),
-        "initial": D.states[D.initial],
-        "outputs": {D.states[i]: out_value(v) for i, v in enumerate(D.outputs)},
-        "transitions": [
-            {"from": D.states[s], "label": _encode_label(b), "to": D.states[d]}
-            for (s, b), d in _sorted_transitions(D)
-        ],
-    }
-    return json.dumps(doc, indent=1)
+    states = D.states
+    names = [_string(s) for s in states]
+    labels = _label_texts(D, "   ")
+    transitions = [
+        f'{{\n   "from": {names[s]},\n   "label": {labels[b]},\n   "to": {names[d]}\n  }}'
+        for (s, b), d in _sorted_transitions(D)]
+    outputs = {states[i]: _json(out_value(v), "  ") for i, v in enumerate(D.outputs)}
+    return _block("{}", [
+        '"type": "dfa"',
+        f'"alphabet": {_json(D.alphabet, " ")}',
+        f'"states": {_block("[]", names, " ")}',
+        f'"initial": {names[D.initial]}',
+        f'"outputs": {_object(outputs, " ")}',
+        f'"transitions": {_block("[]", transitions, " ")}',
+    ], "")
 
 
 def _dot_escape(text: str) -> str:

@@ -17,9 +17,11 @@ through explore(), which numbers the states reachable from a list of
 seeds breadth-first.  The weighted ones (the equation compilers,
 products, shifts, both adders and the polynomial machines) take the
 explored states straight to a trimmed machine through
-explore_automaton(), and none keeps a state index of its own.  The two
-machines with outputs built by subset construction, determinize and
-automata.defect_automaton_constructed, are assembled by explore_dfa().
+explore_automaton(), which trims on state indices by the one rule that
+trim() also applies and assembles, and validates, one machine; none
+keeps a state index of its own.  The two machines with outputs built by
+subset construction, determinize and automata.defect_automaton_constructed,
+are assembled by explore_dfa().
 Plain reachability without numbering (trimming) uses reachable().
 
 A weighted machine keeps one arrow index, built with it: ``_arrows`` maps
@@ -33,8 +35,10 @@ equations._build read it.
 One Gauss-Jordan insert, _insert_row, keeps a reduced row echelon form
 over Fp:p or Q; it does every elimination in the package.  _span runs
 it on the vectors I mu(w) to get a basis of the subspace they span, and
-determinize steps each state as its coordinates in that basis;
-equations._kernel_basis runs it on the rows of find_relation's system.
+determinize steps each state as its coordinates in that basis, packed
+into one int and stepped a chunk of coordinates at a time through
+memoized chunk products; equations._kernel_basis runs it on the rows of
+find_relation's system.
 
 sequence_prefix meets in the middle of the tree of canonical words: rows
 I mu(u) stepped down its top levels, columns mu(v) F built up from its
@@ -459,30 +463,39 @@ def _prefix_payloads(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list
     return out
 
 
-def trim(A: WeightedAutomaton) -> WeightedAutomaton:
-    """Restrict to states both reachable from I and co-reachable to F."""
-    n = len(A.states)
+def _trimmed(ring: Ring, alphabet, states, initial, final,
+             transitions: Mapping) -> WeightedAutomaton | None:
+    """The one trimming rule, on indices: the machine restricted to the
+    states both reachable from I and co-reachable to F, or None when
+    that is every state.  ``transitions`` holds nonzero weights only."""
+    n = len(states)
     fwd_adj: dict = {}
     bwd_adj: dict = {}
-    for (src, _label, dst) in A.transitions:
+    for (src, _label, dst) in transitions:
         fwd_adj.setdefault(src, set()).add(dst)
         bwd_adj.setdefault(dst, set()).add(src)
-    fwd = reachable((i for i in range(n) if A.initial[i]), fwd_adj)
-    bwd = reachable((i for i in range(n) if A.final[i]), bwd_adj)
+    fwd = reachable((i for i in range(n) if initial[i]), fwd_adj)
+    bwd = reachable((i for i in range(n) if final[i]), bwd_adj)
     keep = sorted(fwd & bwd)
     if len(keep) == n:
-        return A
+        return None
     remap = {old: new for new, old in enumerate(keep)}
     return WeightedAutomaton(
-        ring=A.ring,
-        alphabet=A.alphabet,
-        states=tuple(A.states[i] for i in keep),
-        initial=tuple(A.initial[i] for i in keep),
-        final=tuple(A.final[i] for i in keep),
+        ring=ring,
+        alphabet=alphabet,
+        states=tuple(states[i] for i in keep),
+        initial=tuple(initial[i] for i in keep),
+        final=tuple(final[i] for i in keep),
         transitions={(remap[s], b, remap[d]): w
-                     for (s, b, d), w in A.transitions.items()
+                     for (s, b, d), w in transitions.items()
                      if s in remap and d in remap},
     )
+
+
+def trim(A: WeightedAutomaton) -> WeightedAutomaton:
+    """Restrict to states both reachable from I and co-reachable to F;
+    A itself when every state is."""
+    return _trimmed(A.ring, A.alphabet, A.states, A.initial, A.final, A.transitions) or A
 
 
 def explore_automaton(ring: Ring, alphabet, seeds: Mapping,
@@ -492,21 +505,23 @@ def explore_automaton(ring: Ring, alphabet, seeds: Mapping,
     """The trimmed weighted automaton on the states explore() finds.
 
     ``seeds`` maps each seed state to its initial weight; every other
-    state gets zero.  ``successors`` is as for explore().  ``final(state)``
-    and ``name(state)`` are each called once per state, in numbering
-    order, so a ``name`` may count the states it has seen
-    (build_automaton_dumas numbers its g{j}n{t} copy states that way).
+    state gets zero.  ``successors`` is as for explore().  ``name(state)``
+    and ``final(state)`` are each called once per explored state, trimmed
+    ones too, in numbering order, so a ``name`` may count the states it
+    has seen (build_automaton_dumas numbers its g{j}n{t} copy states that
+    way).  Arrows whose weights summed to zero are dropped, the states
+    are trimmed on their indices (the rule of trim()), and the machine
+    is assembled, and validated, once.
     """
     order, trans = explore(seeds, successors)
-    initial = list(seeds.values()) + [ring.zero] * (len(order) - len(seeds))
-    return trim(WeightedAutomaton(
-        ring=ring,
-        alphabet=tuple(alphabet),
-        states=tuple(name(s) for s in order),
-        initial=tuple(initial),
-        final=tuple(final(s) for s in order),
-        transitions=trans,
-    ))
+    states = tuple(map(name, order))
+    finals = tuple(map(final, order))
+    initial = (*seeds.values(), *[ring.zero] * (len(order) - len(seeds)))
+    trans = {k: w for k, w in trans.items() if w}
+    alphabet = tuple(alphabet)
+    return (_trimmed(ring, alphabet, states, initial, finals, trans)
+            or WeightedAutomaton(ring=ring, alphabet=alphabet, states=states,
+                                 initial=initial, final=finals, transitions=trans))
 
 
 def explore_dfa(alphabet, seed: Hashable, step: Callable, output: Callable,
@@ -715,6 +730,20 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
     its coordinate space, so the states, their numbering, the arrows and
     the outputs are those of the construction on the vectors, stepped in
     the span's dimension instead of the state count.
+
+    The r coordinates of a state are packed into one int, c_k in bits
+    [k W, (k + 1) W), with W = bit_length(nch (n - 1)) + 1 for the
+    ring's modulus n, and cut into nch chunks of S coordinates, S the
+    largest s >= 1 with n^s <= 256.  c M_b is the sum over the chunks of
+    each chunk's rows of M_b weighted by its coordinates; that
+    contribution, reduced and packed, is memoized per label and chunk
+    value on first use ("Four Russians": Arlazarov, Dinic, Kronrod and
+    Faradzev, 1970).  A summed field is at most nch (n - 1) < 2^(W - 1),
+    so its top bit is free as a guard: for t from bit_length(nch) - 1
+    down to 0, n 2^t is subtracted from every field that the guard shows
+    is at least n 2^t, all fields in one int operation, and every field
+    ends reduced mod n.  The outputs are the same memoized sums for the
+    one column R F, reduced once.
     """
     if direction not in ("direct", "reverse"):
         raise AutomatonError(f"unknown direction {direction!r}")
@@ -727,28 +756,61 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
             initial=A.final, final=A.initial,
             transitions={(d, b, s): w for (s, b, d), w in A.transitions.items()})
     ring = A.ring
-    reduce = ring._reduce
+    n = ring.characteristic
     pivots, basis = _span(A)
-    where = {c: k for k, c in enumerate(pivots)}
-
-    def coords(vec):  # the nonzero coordinates (k, c_k) of a vector of the span
-        return [(where[s], a) for s, a in vec.items() if s in where]
-
     r = len(basis)
+    S = 1
+    while n ** (S + 1) <= 256:
+        S += 1
+    nch = -(-r // S)
+    W = (nch * (n - 1)).bit_length() + 1
+    where = {c: k * W for k, c in enumerate(pivots)}  # pivot column -> field offset
+
+    def chunks(rows):  # per chunk: its S rows of (field offset, entry), and its memo
+        return [(rows[j:j + S], {}) for j in range(0, r, S)]
+
     alphabet = sorted(A.alphabet, key=_label_key)
-    mats = {b: [coords(_step_payload(A, row, b)) for row in basis] for b in alphabet}
-    row_outputs = [_gather_payload(A, row.items()).payload for row in basis]
+    tables = {b: chunks([[(where[s], a) for s, a in _step_payload(A, row, b).items()
+                          if s in where] for row in basis])
+              for b in alphabet}
+    outputs = chunks([[(0, _gather_payload(A, row.items()).payload)] for row in basis])
+    field, span = (1 << W) - 1, S * W
+    chunk = (1 << span) - 1
+    ones = sum(1 << k * W for k in range(r))
+    guard, top = ones << W - 1, W - 1
+    subtract = [(guard - (n << t) * ones, n << t) for t in reversed(range(nch.bit_length()))]
 
-    def step(c, label):
-        acc = [0] * r
-        for a, row in zip(c, mats[label]):
-            if a:
-                for k, m in row:
-                    acc[k] += a * m
-        return tuple(map(reduce, acc))
+    def gather(x, table):  # the sum of the chunks' memoized contributions
+        acc = 0
+        for rows, memo in table:
+            key = x & chunk
+            x >>= span
+            v = memo.get(key)
+            if v is None:
+                sums = {}
+                y = key
+                for row in rows:
+                    a = y & field
+                    y >>= W
+                    if a:
+                        for off, m in row:
+                            sums[off] = sums.get(off, 0) + a * m
+                v = 0
+                for off, s in sums.items():
+                    v |= s % n << off
+                memo[key] = v
+            acc += v
+        return acc
 
-    def output(c):
-        return RingValue(ring, reduce(sum(a * f for a, f in zip(c, row_outputs))))
+    def step(x, label):
+        acc = gather(x, tables[label])
+        for bias, k in subtract:
+            acc -= (((acc + bias) & guard) >> top) * k
+        return acc
+
+    def output(x):
+        return RingValue(ring, gather(x, outputs) % n)
 
     init = _initial_payload(A)
-    return explore_dfa(alphabet, tuple(init.get(c, 0) for c in pivots), step, output, "v")
+    return explore_dfa(alphabet, sum(init.get(c, 0) << off for c, off in where.items()),
+                       step, output, "v")

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import equation_text
 from mahler.automata import (
@@ -17,7 +19,8 @@ from mahler.automata import (
 )
 from mahler.equations import build_automaton_dumas, parse_equation
 from mahler.numeration import ZECKENDORF
-from mahler.rings import INTEGERS, RATIONALS, ModRing, PrimeField, RingError
+from mahler.rings import (INTEGERS, RATIONALS, ModRing, PrimeField, RingError, RingValue,
+                          parse_ring)
 from mahler.serialize import (
     automaton_from_json,
     automaton_to_dot,
@@ -29,6 +32,7 @@ from mahler.wfa import (
     AutomatonError,
     DfaWithOutput,
     WeightedAutomaton,
+    _label_key,
     cauchy_product,
     determinize,
     same_structure,
@@ -263,6 +267,90 @@ class TestDfaJson:
                           transitions={(0, 0): 0}, outputs=(1.5,))
         with pytest.raises(AutomatonError, match="cannot serialize output 1.5"):
             dfa_to_json(D)
+
+
+def reference_automaton_json(A):
+    """The document automaton_to_json writes, through json.dumps(indent=1)."""
+    def label(b):
+        return list(b) if isinstance(b, tuple) else b
+
+    return json.dumps({
+        "ring": A.ring.spec,
+        "alphabet": [label(b) for b in A.alphabet],
+        "states": list(A.states),
+        "initial": {A.states[i]: str(w) for i, w in enumerate(A.initial) if w},
+        "final": {A.states[i]: str(w) for i, w in enumerate(A.final) if w},
+        "transitions": [{"from": A.states[s], "label": label(b), "weight": str(w),
+                         "to": A.states[d]}
+                        for (s, b, d), w in sorted(A.transitions.items(),
+                                                   key=lambda kv: (kv[0][0], _label_key(kv[0][1]),
+                                                                   kv[0][2]))],
+    }, indent=1)
+
+
+def reference_dfa_json(D):
+    """The document dfa_to_json writes, through json.dumps(indent=1)."""
+    def label(b):
+        return list(b) if isinstance(b, tuple) else b
+
+    return json.dumps({
+        "type": "dfa",
+        "alphabet": [label(b) for b in D.alphabet],
+        "states": list(D.states),
+        "initial": D.states[D.initial],
+        "outputs": {D.states[i]: str(v) if isinstance(v, RingValue) else v
+                    for i, v in enumerate(D.outputs)},
+        "transitions": [{"from": D.states[s], "label": label(b), "to": D.states[d]}
+                        for (s, b), d in sorted(D.transitions.items(),
+                                                key=lambda kv: (kv[0][0], _label_key(kv[0][1])))],
+    }, indent=1)
+
+
+# names with quotes, backslashes, control and non-ASCII characters
+NAMES = st.text(st.sampled_from('az"\\/\n\t\x00\x7féß€𝔽😀') | st.characters(), max_size=5)
+# ints, and tuple labels of every length, the empty one too
+LABELS = st.integers(-3, 12) | st.lists(st.integers(-2, 3), max_size=3).map(tuple)
+JSON_RINGS = ("Z", "Q", "Zmod:6", "Fp:2305843009213693951")
+
+
+@st.composite
+def json_machines(draw):
+    ring = parse_ring(draw(st.sampled_from(JSON_RINGS)))
+    states = draw(st.lists(NAMES, unique=True, max_size=4))
+    alphabet = draw(st.lists(LABELS, unique=True, max_size=4))
+    n = len(states)
+    value = st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 9)) \
+        if ring == RATIONALS else st.integers(-10**20, 10**20)
+    vector = st.lists(value | st.just(0), min_size=n, max_size=n)
+    arrows = draw(st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.sampled_from(alphabet), st.integers(0, n - 1)),
+        value, max_size=6)) if n and alphabet else {}
+    return WeightedAutomaton(ring=ring, alphabet=tuple(alphabet), states=tuple(states),
+                             initial=tuple(draw(vector)), final=tuple(draw(vector)),
+                             transitions=arrows)
+
+
+@st.composite
+def json_dfas(draw):
+    states = draw(st.lists(NAMES, unique=True, min_size=1, max_size=4))
+    alphabet = draw(st.lists(LABELS, unique=True, max_size=3))
+    n = len(states)
+    ring = parse_ring(draw(st.sampled_from(JSON_RINGS)))
+    output = (st.none() | st.booleans() | st.integers(-10**20, 10**20) | NAMES
+              | st.integers(-5, 5).map(ring.element))
+    transitions = draw(st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.sampled_from(alphabet)),
+        st.integers(0, n - 1), max_size=6)) if alphabet else {}
+    return DfaWithOutput(alphabet=tuple(alphabet), states=tuple(states),
+                         initial=draw(st.integers(0, n - 1)), transitions=transitions,
+                         outputs=tuple(draw(st.lists(output, min_size=n, max_size=n))))
+
+
+@settings(max_examples=200)
+@given(json_machines(), json_dfas())
+def test_json_writers_equal_json_dumps_with_indent_1(A, D):
+    assert automaton_to_json(A) == reference_automaton_json(A)
+    assert dfa_to_json(D) == reference_dfa_json(D)
 
 
 # ---------------------------------------------------------------------------

@@ -438,12 +438,18 @@ def test_explore_sums_repeated_arrows():
 
 def test_explore_automaton_weights_names_and_trim():
     # "a" and "b" are seeds; "c" is found from "a"; the dead end "x" is
-    # found from "b" but reaches no final state, so trim removes it
+    # found from "b" but reaches no final state, so trim removes it.  The
+    # two arrows from "c" to the final state "y" cancel, so "y" is
+    # unreachable and trimmed too, after "d" is found from "c".  Every
+    # explored state is named and counted, trimmed ones too: "d" is the
+    # sixth.
     e = INTEGERS.element
     arrows = {"a": [(0, "c", e(2)), (1, "b", e(1))],
               "b": [(0, "a", e(3)), (1, "x", e(1))],
-              "c": [(1, "c", e(1))],
-              "x": [(0, "x", e(1))]}
+              "c": [(1, "c", e(1)), (0, "y", e(2)), (0, "y", e(-2)), (0, "d", e(1))],
+              "d": [],
+              "x": [(0, "x", e(1))],
+              "y": [(1, "c", e(4))]}
     named, finals = [], []
 
     def name(state):
@@ -452,17 +458,19 @@ def test_explore_automaton_weights_names_and_trim():
 
     def final(state):
         finals.append(state)
-        return e(5) if state == "c" else e(0)
+        return {"c": e(5), "d": e(1), "y": e(9)}.get(state, e(0))
 
     A = explore_automaton(INTEGERS, (0, 1), {"b": e(7), "a": e(0)},
                           lambda s: arrows[s], final, name)
-    assert named == finals == ["b", "a", "x", "c"]
-    assert A.states == ("b1", "a2", "c4")
-    assert A.initial == (e(7), e(0), e(0))
-    assert A.final == (e(0), e(0), e(5))
+    assert named == finals == ["b", "a", "x", "c", "y", "d"]
+    assert A.states == ("b1", "a2", "c4", "d6")
+    assert A.initial == (e(7), e(0), e(0), e(0))
+    assert A.final == (e(0), e(0), e(5), e(1))
     assert dict(A.transitions) == {(0, 0, 1): e(3), (1, 1, 0): e(1),
-                                   (1, 0, 2): e(2), (2, 1, 2): e(1)}
+                                   (1, 0, 2): e(2), (2, 1, 2): e(1), (2, 0, 3): e(1)}
     assert weight(A, (0, 0, 1)) == e(7 * 3 * 2 * 5)
+    assert weight(A, (0, 0, 1, 0)) == e(7 * 3 * 2 * 1)
+    assert trim(A) is A
 
 
 def test_reachable_closure():
@@ -743,7 +751,21 @@ def test_determinize_direct_and_reverse():
         assert R.run(w) == weight(A, tuple(reversed(w)))
 
 
-# sizes and sha256 of dfa_to_json, recorded before determinize summed native payloads
+def field_at_its_largest_sum():
+    """Zmod:6 packs S = 3 coordinates per chunk (6^3 <= 256 < 6^4); 7 states
+    make nch = 3 chunks, the last one short.  From I = (5, ..., 5) label 1
+    adds the rows 0, 3 and 6, the first of each chunk, into every field: 3
+    chunks of 5 * 1 = nch (n - 1) = 15, the most a field holds before
+    reduction.  Label 0 moves coordinate k to field k + 1."""
+    arrows = {(s, 1, d): 1 for s in (0, 3, 6) for d in range(7)}
+    arrows.update({(s, 0, s + 1): 1 for s in range(6)})
+    return WeightedAutomaton(
+        ring=parse_ring("Zmod:6"), alphabet=(0, 1), states=tuple(f"s{i}" for i in range(7)),
+        initial=(5,) * 7, final=(1, 0, 0, 0, 0, 0, 2), transitions=arrows)
+
+
+# sizes and sha256 of dfa_to_json, recorded before determinize summed native
+# payloads (the Zmod:6 machine: before it stepped packed coordinates)
 DFA_PINS = {
     ("fib@Fp:2 squared", "direct"): (
         379, "32499ba81d0fc3fe6d59de999f6f745b59baebfb47b7366f78bb3044bda2b197"),
@@ -753,13 +775,18 @@ DFA_PINS = {
         2, "3c6afdbc961d1b0fc393b8b41334fbdbd3caa19b9a573be66047622227833141"),
     ("builtin:thue-morse", "reverse"): (
         2, "3c6afdbc961d1b0fc393b8b41334fbdbd3caa19b9a573be66047622227833141"),
+    ("Zmod:6, a field at its largest sum", "direct"): (
+        29, "446166224ba616981ccde2bf6f0f6021d98bb16dd80eb0747f5d13a4ecc16e66"),
+    ("Zmod:6, a field at its largest sum", "reverse"): (
+        26, "470c966916d771c2f2909323d11db6c609c76a660bdedf31138b8d32e80e7ff5"),
 }
 
 
 def test_determinize_pinned_machines():
     f2 = fibonacci_representation_automaton(PrimeField(2))
     machines = {"fib@Fp:2 squared": cauchy_product(f2, f2, addition_automaton(ZECKENDORF)),
-                "builtin:thue-morse": cli._load_wfa("builtin:thue-morse")}
+                "builtin:thue-morse": cli._load_wfa("builtin:thue-morse"),
+                "Zmod:6, a field at its largest sum": field_at_its_largest_sum()}
     got = {}
     for name, direction in DFA_PINS:
         D = determinize(machines[name], direction)
@@ -777,6 +804,9 @@ def test_determinize_prerequisites():
 
 # ring spec -> most states, so that at most ring size ** states vectors exist
 DETERMINIZE_RINGS = {"Fp:2": 5, "Fp:5": 4, "Zmod:6": 4, "Zmod:12": 3}
+# large moduli (one coordinate per chunk): nilpotent machines only, whose
+# vectors are those of the words shorter than the state count
+NILPOTENT_RINGS = {"Fp:257": 4, "Fp:65537": 4, "Fp:2305843009213693951": 4, "Zmod:1000": 4}
 
 
 @st.composite
@@ -784,15 +814,15 @@ def finite_ring_machines(draw):
     """Random machines over prime fields and composite rings; a nilpotent
     one (arrows only to higher states) and zero divisors in Zmod:n make
     vectors that become zero."""
-    spec = draw(st.sampled_from(sorted(DETERMINIZE_RINGS)))
+    spec = draw(st.sampled_from(sorted(DETERMINIZE_RINGS) + sorted(NILPOTENT_RINGS)))
     ring = parse_ring(spec)
     m = ring.characteristic
-    n = draw(st.integers(1, DETERMINIZE_RINGS[spec]))
+    n = draw(st.integers(1, {**DETERMINIZE_RINGS, **NILPOTENT_RINGS}[spec]))
     alphabet = draw(st.sampled_from(((0, 1), (1, 0), (0, 1, 2))))
     arrows = draw(st.dictionaries(
         st.tuples(st.integers(0, n - 1), st.sampled_from(alphabet), st.integers(0, n - 1)),
         st.integers(1, m - 1), max_size=3 * n))
-    if draw(st.booleans()):
+    if spec in NILPOTENT_RINGS or draw(st.booleans()):
         arrows = {(s, b, d): w for (s, b, d), w in arrows.items() if s < d}
     entry = st.integers(0, m - 1)
     return WeightedAutomaton(
