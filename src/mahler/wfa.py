@@ -738,12 +738,12 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
     each chunk's rows of M_b weighted by its coordinates; that
     contribution, reduced and packed, is memoized per label and chunk
     value on first use ("Four Russians": Arlazarov, Dinic, Kronrod and
-    Faradzev, 1970).  A summed field is at most nch (n - 1) < 2^(W - 1),
-    so its top bit is free as a guard: for t from bit_length(nch) - 1
-    down to 0, n 2^t is subtracted from every field that the guard shows
-    is at least n 2^t, all fields in one int operation, and every field
-    ends reduced mod n.  The outputs are the same memoized sums for the
-    one column R F, reduced once.
+    Faradzev, 1970); a zero chunk adds nothing.  A summed field is at
+    most nch (n - 1) < 2^(W - 1), so its top bit is free as a guard: for
+    t from bit_length(nch) - 1 down to 0, n 2^t is subtracted from every
+    field that the guard shows is at least n 2^t, all fields in one int
+    operation, and every field ends reduced mod n.  The outputs are the
+    same memoized sums for the one column R F, reduced once.
     """
     if direction not in ("direct", "reverse"):
         raise AutomatonError(f"unknown direction {direction!r}")
@@ -785,6 +785,8 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
         for rows, memo in table:
             key = x & chunk
             x >>= span
+            if not key:
+                continue
             v = memo.get(key)
             if v is None:
                 sums = {}
