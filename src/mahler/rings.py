@@ -208,8 +208,8 @@ class RingValue:
     def __hash__(self):
         return hash((self.ring.spec, self.payload))
 
-    def __bool__(self):
-        return self.payload != self.ring.zero.payload
+    def __bool__(self):  # the canonical zero payloads are 0 and Fraction(0)
+        return bool(self.payload)
 
     def is_one(self) -> bool:
         return self.payload == self.ring.one.payload

@@ -9,7 +9,8 @@ The JSON schema for a weighted automaton:
 
 Weights are strings in the ring's own format (integers in ASCII
 decimal with an optional sign, rationals as "a/b"), so round-trips are
-exact over every ring.  Tuple
+exact over every ring.  A document repeats few distinct weight
+literals, and the loader parses each once.  Tuple
 labels (addition automata read digit triples) are stored as JSON
 arrays.  Output ordering is deterministic: states as stored, initial
 and final entries in state order, transitions sorted by source, label,
@@ -37,8 +38,8 @@ from .wfa import AutomatonError, DfaWithOutput, WeightedAutomaton, _label_key
 def _sorted_transitions(M) -> list:
     """M's transition items by source, label and target (the last key entry;
     keys of a machine with outputs end in the label, which breaks no tie)."""
-    return sorted(M.transitions.items(),
-                  key=lambda kv: (kv[0][0], _label_key(kv[0][1]), kv[0][-1]))
+    rank = {b: _label_key(b) for b in {key[1] for key in M.transitions}}
+    return sorted(M.transitions.items(), key=lambda kv: (kv[0][0], rank[kv[0][1]], kv[0][-1]))
 
 
 def _decode_label(raw):
@@ -93,9 +94,10 @@ def automaton_to_json(A: WeightedAutomaton) -> str:
     states = A.states
     names = [_string(s) for s in states]
     labels = _label_texts(A, "   ")
+    fmt = A.ring.format  # ASCII digits, sign and "/": nothing for JSON to escape
     transitions = [
         f'{{\n   "from": {names[s]},\n   "label": {labels[b]},\n'
-        f'   "weight": {_string(str(w))},\n   "to": {names[d]}\n  }}'
+        f'   "weight": "{fmt(w.payload)}",\n   "to": {names[d]}\n  }}'
         for (s, b, d), w in _sorted_transitions(A)]
 
     def vector(v):
@@ -112,6 +114,9 @@ def automaton_to_json(A: WeightedAutomaton) -> str:
 
 
 def automaton_from_json(text: str) -> WeightedAutomaton:
+    """The machine a "wfa" document describes; anything malformed raises
+    one AutomatonError or RingError line.  Each distinct weight literal
+    is parsed once per document, and its repeats share that value."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:  # also ints past the str limit
@@ -138,12 +143,16 @@ def automaton_from_json(text: str) -> WeightedAutomaton:
         index[name] = i
     if not isinstance(doc["alphabet"], list):
         raise AutomatonError("alphabet must be an array")
-    alphabet = tuple(_decode_label(b) for b in doc["alphabet"])
+    alphabet = tuple(b if type(b) is int else _decode_label(b) for b in doc["alphabet"])
+    parsed = {}  # literal -> its value, parsed on first sight
 
     def parse_weight(wtext, what):
         if not isinstance(wtext, str):
             raise AutomatonError(f"{what} weight {_quote(wtext)} is not a string")
-        return ring.parse(wtext)
+        w = parsed.get(wtext)
+        if w is None:
+            w = parsed[wtext] = ring.parse(wtext)
+        return w
 
     def vector(mapping, what):
         if not isinstance(mapping, dict):
@@ -171,7 +180,7 @@ def automaton_from_json(text: str) -> WeightedAutomaton:
                 and src in index and dst in index):
             raise AutomatonError(
                 f"transition endpoint unknown: {_quote(src)} -> {_quote(dst)}")
-        key = (index[src], _decode_label(label), index[dst])
+        key = (index[src], label if type(label) is int else _decode_label(label), index[dst])
         if key in trans:
             raise AutomatonError(
                 f"duplicate transition {_quote(src)} -{_quote(label)}-> {_quote(dst)}")

@@ -172,7 +172,9 @@ class WeightedAutomaton:
     (``transitions``: (src, label, dst) -> nonzero weight), and the arrow
     index ``_arrows``: label -> {src: [(dst, payload), ...]}, built once
     here; the module docstring lists the code that reads it.  The label
-    set ``_alphabet_set``, also built here, checks the words read."""
+    set ``_alphabet_set``, also built here, checks the words read.
+    Values of ``ring`` itself are kept as given; anything else passes
+    through ``ring.element``."""
 
     ring: Ring
     alphabet: tuple
@@ -191,8 +193,10 @@ class WeightedAutomaton:
             raise AutomatonError("duplicate alphabet labels")
         alpha_set = frozenset(alphabet)
         n = len(states)
-        initial = tuple(ring.element(v) for v in self.initial)
-        final = tuple(ring.element(v) for v in self.final)
+        element = ring.element  # ints, Fractions, values of another ring object
+        initial, final = (tuple([v if isinstance(v, RingValue) and v.ring is ring
+                                 else element(v) for v in vec])
+                          for vec in (self.initial, self.final))
         if len(initial) != n or len(final) != n:
             raise AutomatonError("initial/final vector length differs from state count")
         clean = {}
@@ -202,8 +206,9 @@ class WeightedAutomaton:
                 raise AutomatonError(f"transition endpoint out of range: {(src, label, dst)}")
             if label not in alpha_set:
                 raise AutomatonError(f"transition label {_quote(label)} not in alphabet")
-            w = ring.element(w)
-            if w:
+            if not (isinstance(w, RingValue) and w.ring is ring):
+                w = element(w)
+            if w.payload:
                 clean[(src, label, dst)] = w
                 arrows.setdefault(label, {}).setdefault(src, []).append((dst, w.payload))
         object.__setattr__(self, "states", states)

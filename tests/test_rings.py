@@ -296,3 +296,23 @@ def test_every_written_literal_parses_back(a, b, ring):
     # the text of a value is what automaton_to_json and format_equation write
     x = ring.element(Fraction(a, b) if ring == RATIONALS else a)
     assert ring.parse(str(x)) == x
+
+
+_P61 = PrimeField(2**61 - 1)
+
+
+@given(st.sampled_from([INTEGERS, RATIONALS, ModRing(6), PrimeField(7), _P61]),
+       st.integers(-10**30, 10**30), st.integers(1, 10**6))
+def test_truth_is_nonzero(ring, a, b):
+    # zeros made every way, negative fractions and residues near 2^61 among them
+    values = [ring.parse(t) for t in ("0", "-0", "+0", str(a))]
+    for x in (0, Fraction(0, b), a, -a, Fraction(a, b), Fraction(-a, b),
+              2**61 - 1 + a, 2**61 - 2, ring.characteristic * a):
+        try:
+            values.append(ring.element(x))
+        except RingError:  # a fraction whose denominator is no unit mod n
+            pass
+    values += [v - v for v in values] + [v * ring.zero for v in values]
+    for v in values:
+        assert bool(v) == (v != ring.zero)
+    assert not ring.zero and ring.one

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,9 @@ from mahler.automata import (
 from mahler.equations import build_automaton_dumas, parse_equation
 from mahler.numeration import ZECKENDORF
 from mahler.rings import (INTEGERS, RATIONALS, ModRing, PrimeField, RingError, RingValue,
-                          parse_ring)
+                          _quote, parse_ring)
 from mahler.serialize import (
+    _decode_label,
     automaton_from_json,
     automaton_to_dot,
     automaton_to_json,
@@ -314,13 +316,17 @@ JSON_RINGS = ("Z", "Q", "Zmod:6", "Fp:2305843009213693951")
 
 
 @st.composite
-def json_machines(draw):
+def json_machines(draw, pool_size=None):
+    """Random machines over JSON_RINGS; with a pool_size, every weight is one
+    of that many values, so the literals of a document repeat."""
     ring = parse_ring(draw(st.sampled_from(JSON_RINGS)))
     states = draw(st.lists(NAMES, unique=True, max_size=4))
     alphabet = draw(st.lists(LABELS, unique=True, max_size=4))
     n = len(states)
     value = st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 9)) \
         if ring == RATIONALS else st.integers(-10**20, 10**20)
+    if pool_size:
+        value = st.sampled_from(draw(st.lists(value, min_size=1, max_size=pool_size)))
     vector = st.lists(value | st.just(0), min_size=n, max_size=n)
     arrows = draw(st.dictionaries(
         st.tuples(st.integers(0, n - 1), st.sampled_from(alphabet), st.integers(0, n - 1)),
@@ -351,6 +357,193 @@ def json_dfas(draw):
 def test_json_writers_equal_json_dumps_with_indent_1(A, D):
     assert automaton_to_json(A) == reference_automaton_json(A)
     assert dfa_to_json(D) == reference_dfa_json(D)
+
+
+def reference_automaton_from_json(text: str) -> WeightedAutomaton:
+    """The loader as it was before it kept one value per distinct literal:
+    every weight parsed by Ring.parse, every label through _decode_label."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise AutomatonError(f"not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise AutomatonError("expected a JSON object")
+    if doc.get("type", "wfa") != "wfa":
+        raise AutomatonError(
+            f"cannot import automata of type {_quote(doc.get('type'))}; only "
+            "weighted automata round-trip")
+    for key in ("ring", "alphabet", "states", "initial", "final", "transitions"):
+        if key not in doc:
+            raise AutomatonError(f"missing key {key!r}")
+    if not isinstance(doc["ring"], str):
+        raise AutomatonError("ring must be a string")
+    ring = parse_ring(doc["ring"])
+    states = doc["states"]
+    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
+        raise AutomatonError("states must be an array of names")
+    index = {}
+    for i, name in enumerate(states):
+        if name in index:
+            raise AutomatonError(f"duplicate state name {_quote(name)}")
+        index[name] = i
+    if not isinstance(doc["alphabet"], list):
+        raise AutomatonError("alphabet must be an array")
+    alphabet = tuple(_decode_label(b) for b in doc["alphabet"])
+
+    def parse_weight(wtext, what):
+        if not isinstance(wtext, str):
+            raise AutomatonError(f"{what} weight {_quote(wtext)} is not a string")
+        return ring.parse(wtext)
+
+    def vector(mapping, what):
+        if not isinstance(mapping, dict):
+            raise AutomatonError(f"{what} must be an object")
+        vec = [ring.zero] * len(states)
+        for name, wtext in mapping.items():
+            if name not in index:
+                raise AutomatonError(f"{what} names unknown state {_quote(name)}")
+            vec[index[name]] = parse_weight(wtext, what)
+        return tuple(vec)
+
+    initial = vector(doc["initial"], "initial")
+    final = vector(doc["final"], "final")
+    trans = {}
+    if not isinstance(doc["transitions"], list):
+        raise AutomatonError("transitions must be an array")
+    for row in doc["transitions"]:
+        if not isinstance(row, dict):
+            raise AutomatonError("each transition must be an object")
+        try:
+            src, label, wtext, dst = row["from"], row["label"], row["weight"], row["to"]
+        except KeyError as e:
+            raise AutomatonError(f"transition missing key {_quote(e.args[0])}") from None
+        if not (isinstance(src, str) and isinstance(dst, str)
+                and src in index and dst in index):
+            raise AutomatonError(
+                f"transition endpoint unknown: {_quote(src)} -> {_quote(dst)}")
+        key = (index[src], _decode_label(label), index[dst])
+        if key in trans:
+            raise AutomatonError(
+                f"duplicate transition {_quote(src)} -{_quote(label)}-> {_quote(dst)}")
+        trans[key] = parse_weight(wtext, "transition")
+    return WeightedAutomaton(ring=ring, alphabet=alphabet, states=tuple(states),
+                             initial=initial, final=final, transitions=trans)
+
+
+def load_outcome(load, text):
+    """The machine load(text) returns, or the type and message it raises."""
+    try:
+        return load(text)
+    except Exception as e:  # every error type counts, not only AutomatonError
+        return type(e), str(e)
+
+
+def assert_loads_like_the_reference(text):
+    got = load_outcome(automaton_from_json, text)
+    want = load_outcome(reference_automaton_from_json, text)
+    if isinstance(want, WeightedAutomaton):
+        assert isinstance(got, WeightedAutomaton) and same_structure(got, want)
+    else:
+        assert got == want
+    return got
+
+
+# one JSON scalar: a string, a number or a literal
+SCALAR = re.compile(r'"(?:[^"\\]|\\.)*"|-?[0-9]+|true|false|null')
+# what a mutant puts in a scalar's place: weights repeated, made zero, bad or
+# of another JSON type, labels and names of the wrong kind
+SUBSTITUTES = ('"1"', '"-1"', '"0"', '"-0"', '"0/7"', '"1/2"', '"2/4"', '"x"', '"1_0"',
+               '"1/0"', '""', "0", "1", "true", "null", "[2]", "[1, 2]", "[true]",
+               '{"a": 1}', "{}", "[]")
+
+
+@settings(max_examples=150)
+@given(json_machines(pool_size=3), st.data())
+def test_loader_matches_the_literal_by_literal_loader(A, data):
+    text = automaton_to_json(A)
+    B = assert_loads_like_the_reference(text)
+    assert same_structure(A, B) and automaton_to_json(B) == text
+    # every scalar but the object keys, each of which the writer follows by ":"
+    tokens = [m.span() for m in SCALAR.finditer(text) if text[m.end()] != ":"]
+    for _ in range(4):
+        i, j = data.draw(st.sampled_from(tokens))
+        other = data.draw(st.sampled_from(tokens))
+        sub = data.draw(st.sampled_from(SUBSTITUTES) | st.just(text[other[0]:other[1]]))
+        assert_loads_like_the_reference(text[:i] + sub + text[j:])
+
+
+def two_arrow_doc(ring="Z"):
+    """A two-state document whose arrows both weigh "2"."""
+    return {"ring": ring, "alphabet": [0, 1], "states": ["a", "b"],
+            "initial": {"a": "1"}, "final": {"b": "1"},
+            "transitions": [{"from": "a", "label": 0, "weight": "2", "to": "b"},
+                            {"from": "a", "label": 1, "weight": "2", "to": "b"}]}
+
+
+NON_STRINGS = [([2], "[2]"), ({"a": 1}, "{'a': 1}"), (3, "3"), (None, "None"),
+               (True, "True")]
+
+
+@pytest.mark.parametrize("bad, shown", NON_STRINGS, ids=[s for _, s in NON_STRINGS])
+def test_non_string_weights_are_refused_before_and_after_a_literal(bad, shown):
+    doc = two_arrow_doc()
+    doc["initial"]["a"] = bad
+    first = json.dumps(doc)
+    doc = two_arrow_doc()
+    doc["transitions"][1]["weight"] = bad  # after "2" was read at that key
+    again = json.dumps(doc)
+    doc = two_arrow_doc()
+    doc["final"]["b"] = bad  # after "1" was read at the same state's initial weight
+    doc["initial"] = {"b": "1"}
+    vector = json.dumps(doc)
+    for text, what in ((first, "initial"), (again, "transition"), (vector, "final")):
+        assert assert_loads_like_the_reference(text) == (
+            AutomatonError, f"{what} weight {shown} is not a string")
+
+
+def test_bool_labels_are_refused_in_arrows_too():
+    doc = two_arrow_doc()
+    doc["transitions"][1]["label"] = True  # equal to the label 1 as a dict key
+    assert assert_loads_like_the_reference(json.dumps(doc)) == (
+        AutomatonError, "label True is neither an integer nor an array")
+
+
+def test_a_bad_literal_seen_twice_fails_as_before():
+    doc = two_arrow_doc()
+    doc["initial"]["a"] = doc["transitions"][0]["weight"] = "x"
+    assert assert_loads_like_the_reference(json.dumps(doc)) == (
+        RingError, "bad Z element 'x'")
+    doc = two_arrow_doc()
+    doc["transitions"][0]["weight"] = doc["transitions"][1]["weight"] = "1/0"
+    assert assert_loads_like_the_reference(json.dumps(doc)) == (
+        RingError, "bad Z element '1/0'")
+
+
+@pytest.mark.parametrize("ring, zeros", [("Z", ["0", "-0", "+0"]),
+                                         ("Q", ["0", "-0", "0/7"]),
+                                         ("Fp:5", ["0", "-0", "5"])])
+def test_zero_literals_are_dropped(ring, zeros):
+    doc = two_arrow_doc(ring)
+    doc["transitions"] = [{"from": "a", "label": b, "weight": z, "to": "b"}
+                          for b, z in zip((0, 1), zeros)] + [
+        {"from": "b", "label": 0, "weight": zeros[-1], "to": "a"},
+        {"from": "a", "label": 1, "weight": "1", "to": "a"}]
+    doc["final"] = {"a": zeros[0], "b": "1"}
+    B = assert_loads_like_the_reference(json.dumps(doc))
+    assert dict(B.transitions) == {(0, 1, 0): B.ring.one}
+    assert B.final == (B.ring.zero, B.ring.one)
+
+
+def test_a_literal_means_what_its_own_document_ring_says():
+    doc = two_arrow_doc("Q")
+    doc["transitions"][0]["weight"] = doc["final"]["b"] = "1/2"
+    B = assert_loads_like_the_reference(json.dumps(doc))
+    assert B.transitions[0, 0, 1].payload == B.final[1].payload == Fraction(1, 2)
+    doc["ring"] = "Fp:5"  # a modular literal is a decimal integer
+    assert assert_loads_like_the_reference(json.dumps(doc)) == (
+        RingError, "bad Fp:5 element '1/2'")
+    doc["ring"] = "Q"
+    assert same_structure(assert_loads_like_the_reference(json.dumps(doc)), B)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from mahler.automata import (
 from mahler.equations import (_kernel_basis, build_automaton_q, build_automaton_z,
                               parse_equation, residual, solve_series, weight_z)
 from mahler.numeration import ZECKENDORF, Base, canonical, fib, parse_word, word_alphabet
-from mahler.rings import (INTEGERS, RATIONALS, MixedRingError, PrimeField, RingError,
-                          RingValue, parse_ring)
+from mahler.rings import (INTEGERS, RATIONALS, MixedRingError, ModRing, PrimeField,
+                          RingError, RingValue, parse_ring)
 from mahler.serialize import dfa_to_json
 from mahler.wfa import (
     AutomatonError,
@@ -948,6 +948,26 @@ def test_automaton_validation():
         WeightedAutomaton(ring=INTEGERS, alphabet=(0,), states=("a",),
                           initial=(one,), final=(one,),
                           transitions={(0, 0, 0): PrimeField(5).one})
+
+
+def test_constructor_takes_values_of_an_equal_ring_and_wraps_ints():
+    machine_ring, other = ModRing(6), ModRing(6)
+    assert machine_ring == other and machine_ring is not other
+    e = other.element
+    A = WeightedAutomaton(ring=machine_ring, alphabet=(0, 1), states=("a", "b"),
+                          initial=(e(1), 0), final=(0, e(5)),
+                          transitions={(0, 0, 1): e(7), (1, 1, 0): 4, (0, 1, 0): e(6)})
+    assert A.initial == (machine_ring.one, machine_ring.zero)
+    assert A.final[1].payload == 5 and A.final[0].payload == 0
+    assert dict(A.transitions) == {(0, 0, 1): machine_ring.one,
+                                   (1, 1, 0): machine_ring.element(4)}
+    assert A._arrows == {0: {0: [(1, 1)]}, 1: {1: [(0, 4)]}}
+    for bad in ({"initial": (PrimeField(5).one, 0)}, {"final": (0, ModRing(12).one)},
+                {"transitions": {(0, 0, 1): INTEGERS.one}}):
+        args = dict(ring=machine_ring, alphabet=(0, 1), states=("a", "b"),
+                    initial=(1, 0), final=(0, 1), transitions={}) | bad
+        with pytest.raises(MixedRingError):
+            WeightedAutomaton(**args)
 
 
 def test_automaton_repr():
