@@ -10,10 +10,7 @@ automaton).
 
 from .automata import (
     addition_automaton,
-    addition_automaton_base,
-    addition_automaton_zeckendorf,
     all_ones_automaton,
-    constant_recognizer,
     count_ones_automaton,
     defect_automaton,
     defect_automaton_constructed,
@@ -93,7 +90,6 @@ from .wfa import (
     cauchy_product,
     determinize,
     eval_sequence,
-    forward_vector,
     same_structure,
     sequence_prefix,
     trim,

@@ -63,7 +63,7 @@ from .numeration import (
     _word_sep,
     canonical,
 )
-from .rings import INTEGERS, PrimeField, RingError, _quote, parse_ring
+from .rings import INTEGERS, PrimeField, RingError, _decimal, _quote, parse_ring
 from .serialize import (
     automaton_from_json,
     automaton_to_dot,
@@ -104,7 +104,7 @@ def _integer(text: str) -> int:
     """argparse type for integer options; a bad value is quoted short
     (its text, since repr of an int past 4,300 digits raises)."""
     try:
-        return int(text)
+        return _decimal(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
 
@@ -157,7 +157,7 @@ def _parse_numeration(text: str):
         return ZECKENDORF
     if text.startswith("base-"):
         try:
-            return Base(int(text[len("base-"):], 10))
+            return Base(_decimal(text[len("base-"):]))
         except ValueError:
             raise CliError(f"bad base in numeration {_quote(text)}") from None
     raise CliError(

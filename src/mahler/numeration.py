@@ -250,13 +250,6 @@ def delta(m: int, n: int) -> int:
     return phi(m + n) - phi(m) - phi(n)
 
 
-def support(n: int) -> frozenset[int]:
-    """Indices i with b_i = 1 in the canonical expansion of n."""
-    w = canonical(n, ZECKENDORF)
-    k = len(w)
-    return frozenset(k - 1 - pos for pos, d in enumerate(w) if d == 1)
-
-
 # Exact golden-ratio floor formulas.  floor(k * phi) for k >= 0 equals
 # (k + isqrt(5 k^2)) // 2 because 5 k^2 is never a perfect square for
 # k >= 1, so isqrt(5 k^2) = floor(k * sqrt(5)) exactly.

@@ -225,9 +225,6 @@ class WeightedAutomaton:
     def n_states(self) -> int:
         return len(self.states)
 
-    def weight(self, w) -> RingValue:
-        return weight(self, w)
-
     def __repr__(self):
         return (f"<WeightedAutomaton {len(self.states)} states over "
                 f"{self.ring.spec}, {len(self.transitions)} transitions>")
@@ -280,26 +277,15 @@ def _gather_payload(A: WeightedAutomaton, entries: Iterable[tuple]) -> RingValue
     return RingValue(ring, ring._reduce(acc))
 
 
-def _fold(A: WeightedAutomaton, w) -> dict:
-    """The sparse row vector I * mu(w)."""
+def weight(A: WeightedAutomaton, w) -> RingValue:
+    """Weight of a digit word under the automaton: the sparse row vector
+    I * mu(w), gathered against F."""
     vec = _initial_payload(A)
     for label in _word_labels(A, w):
         if not vec:
             break
         vec = _step_payload(A, vec, label)
-    return vec
-
-
-def weight(A: WeightedAutomaton, w) -> RingValue:
-    """Weight of a digit word under the automaton."""
-    return _gather_payload(A, _fold(A, w).items())
-
-
-def forward_vector(A: WeightedAutomaton, w) -> tuple:
-    """Accumulated in-weight per state after reading the word."""
-    vec = _fold(A, w)
-    zero = A.ring.zero.payload
-    return tuple(RingValue(A.ring, vec.get(i, zero)) for i in range(len(A.states)))
+    return _gather_payload(A, vec.items())
 
 
 def eval_sequence(A: WeightedAutomaton, kind: NumerationKind, n: int) -> RingValue:
@@ -534,17 +520,11 @@ def explore_dfa(alphabet, seed: Hashable, step: Callable, output: Callable,
     """The DfaWithOutput on the states explore() reaches from the seed,
     ``step(state, label)`` giving the successor on each label in turn;
     state i is named prefix + str(i) and outputs ``output`` of the i-th
-    state found.  The arrows are popped one at a time into the (src,
-    label) -> dst table, and that table is freed before the outputs are
-    computed, so a large determinization peaks at one table."""
+    state found."""
     alphabet = tuple(alphabet)
     order, trans = explore([seed], lambda s: ((b, step(s, b), None) for b in alphabet))
-    table = {}
-    while trans:
-        (src, label, dst), _w = trans.popitem()
-        table[src, label] = dst
-    del trans  # popitem() leaves the emptied table allocated
-    table = dict(reversed(table.items()))  # the popped order, reversed; frees the old table
+    table = {(src, label): dst for src, label, dst in trans}
+    del trans  # its arrow tuples go before the outputs are computed
     return DfaWithOutput(alphabet=alphabet, initial=0, transitions=table,
                          states=tuple(f"{prefix}{i}" for i in range(len(order))),
                          outputs=tuple(map(output, order)))
@@ -588,10 +568,6 @@ class UnambiguousAutomaton:
                     raise AutomatonError(
                         f"ambiguous: state {_quote(A.states[src])} has "
                         f"{len(out)} arrows on label {_quote(label)}")
-
-    @property
-    def alphabet(self):
-        return self.automaton.alphabet
 
 
 def cauchy_product(A1: WeightedAutomaton, A2: WeightedAutomaton,

@@ -132,6 +132,23 @@ def path_sum(initial, final, arrows, word):
     return sum(acc * final[s] for s, acc in paths)
 
 
+def forward_vector(A, word):
+    """I * M_{w_1} * ... * M_{w_k}, the weight reaching each state after
+    reading the word, summed arrow by arrow from ``A.initial`` and
+    ``A.transitions`` in the arithmetic of their values."""
+    by_label = {}
+    for (src, label, dst), w in A.transitions.items():
+        by_label.setdefault(label, []).append((src, dst, w))
+    vec = list(A.initial)
+    for label in word:
+        nxt = [A.ring.zero] * len(vec)
+        for src, dst, w in by_label.get(label, ()):
+            if vec[src]:
+                nxt[dst] = nxt[dst] + vec[src] * w
+        vec = nxt
+    return tuple(vec)
+
+
 def subset_construction(initial, final, arrows, alphabet, n):
     """Weight-vector subset construction mod n on dense vectors: states
     are the vectors I * M_w with every entry reduced mod n, numbered

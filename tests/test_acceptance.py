@@ -43,7 +43,6 @@ from mahler.rings import INTEGERS, RATIONALS, PrimeField, parse_ring
 from mahler.wfa import (
     cauchy_product,
     determinize,
-    forward_vector,
     sequence_prefix,
     weight,
 )
@@ -326,7 +325,7 @@ def test_inv_per_state_weights_base_q():
                 n = 0
                 for b in w:
                     n = q * n + b
-                for (i, j), v in zip(coords, ints(forward_vector(A, w))):
+                for (i, j), v in zip(coords, ints(oracles.forward_vector(A, w))):
                     k, rem = divmod(n - j, q ** i)
                     assert v == (f[k] if rem == 0 and k >= 0 else 0)
 
@@ -351,7 +350,7 @@ def test_inv_tracked_window_and_defect_state_z():
             for b in padded[:L]:
                 q_state = D.transitions[(q_state, b)]
             carriers = 0
-            for name, v, fin in zip(A.states, ints(forward_vector(A, w)),
+            for name, v, fin in zip(A.states, ints(oracles.forward_vector(A, w)),
                                     finals):
                 if v == 0:
                     continue

@@ -243,7 +243,7 @@ def test_constructed_machines_json_is_pinned():
 def test_addition_dispatcher():
     assert addition_automaton(BASE2) is addition_automaton_base(2)
     z = addition_automaton(ZECKENDORF)
-    assert all(len(lab) == 3 for lab in z.alphabet)
+    assert all(len(lab) == 3 for lab in z.automaton.alphabet)
 
 
 # --- series automata -------------------------------------------------------
@@ -327,7 +327,7 @@ def test_count_ones_both_readings():
         assert eval_sequence(A, ZECKENDORF, n).payload == oracles.zeckendorf_ones(n)
     F = count_ones_automaton(PrimeField(2))
     for n in range(50):
-        assert F.weight(canonical(n, BASE2)).payload == oracles.digit_ones(n) % 2
+        assert weight(F, canonical(n, BASE2)).payload == oracles.digit_ones(n) % 2
 
 
 def test_fibonacci_representation_automaton():

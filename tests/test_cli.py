@@ -686,6 +686,28 @@ def test_integer_past_the_str_limit_is_not_echoed_whole(capsys):
     assert all(len(line) <= 200 for line in captured.err.splitlines())
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (("eval", "-a", "builtin:count-ones", "--numeration", "base-1_0", "-n", "1"), "base-1_0"),
+    (("eval", "-a", "builtin:count-ones", "--numeration", "base-٢", "-n", "5"), "base-٢"),
+    (("solve", "-f", "fib_repr.eq", "-N", "٣"), "٣"),
+    (("growth", "-N", "100", "--kmax", "1_0"), "1_0"),
+    (("relation", "-a", "builtin:fib-repr@Q", "--dmax", "١", "--hmax", "1"), "١"),
+])
+def test_integer_options_take_ascii_decimals_only(argv, bad, eqfile, capsys):
+    # int() alone reads "1_0" as 10 and other scripts' digits as digits
+    argv = [eqfile(a) if a.endswith(".eq") else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a bad option type
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and repr(bad) in errors[0]
+
+
 OVERSIZED = {
     "d = 10^8": "numeration zeckendorf\nf0 1\nalpha 0 0 1\nalpha 100000000 0 1\n",
     "h = 10^8": "numeration zeckendorf\nf0 1\nalpha 0 0 1\nalpha 1 0 1\n"

@@ -24,7 +24,6 @@ from mahler.numeration import (
     phi_preimage,
     phi_via_floor,
     preimages,
-    support,
     value,
     word_alphabet,
 )
@@ -206,15 +205,6 @@ def test_delta_range_and_oracle():
             d = delta(m, n)
             assert d in (-1, 0, 1)
             assert d == oracles.delta_ref(m, n)
-
-
-def test_support():
-    assert support(0) == frozenset()
-    assert support(7) == frozenset({1, 3})  # 7 = 2 + 5
-    for n in range(500):
-        idx = support(n)
-        assert sum(fib(i) for i in idx) == n
-        assert all(i + 1 not in idx for i in idx)
 
 
 def test_pad():
