@@ -57,8 +57,7 @@ def _recognizer_cached(digits: tuple, c: int):
     bound = 8 * (max(max(abs(d) for d in digits), abs(c)) + 1)
     core = _recognizer_core(digits, c, bound)
     if core != _recognizer_core(digits, c, 4 * bound):
-        raise AutomatonError(
-            f"recognizer bound {bound} too small for digits {digits}, c={c}")
+        raise AutomatonError(f"recognizer bound {bound} too small for digits {digits}, c={c}")
     return core
 
 
@@ -130,8 +129,9 @@ def defect_automaton_constructed() -> DfaWithOutput:
                     targets.add((t, 1))
         return frozenset(targets)
 
-    return explore_dfa(alphabet, frozenset({(0, 0)}), step, lambda subset: next(
-        (b for b in alphabet if any(pairs[s] == (0, -b) for s, _x in subset)), None), "d")
+    return explore_dfa(alphabet, frozenset({(0, 0)}), lambda subset: (
+        [step(subset, bp) for bp in alphabet],
+        next((b for b in alphabet if any(pairs[s] == (0, -b) for s, _x in subset)), None)), "d")
 
 
 # ---------------------------------------------------------------------------

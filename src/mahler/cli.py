@@ -250,8 +250,7 @@ def cmd_verify(args) -> int:
             "pass --automaton to check its sequence against the equation")
     A = _load_wfa(args.automaton) if args.automaton else _build_from_equation(P)
     if A.ring != P.ring:
-        raise CliError(
-            f"automaton ring {A.ring.spec} differs from equation ring {P.ring.spec}")
+        raise CliError(f"automaton ring {A.ring.spec} differs from equation ring {P.ring.spec}")
     fmt = P.ring.format
     if isolating:
         oracle = solve_series(P, N).payloads
@@ -345,6 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Compile Mahler-type functional equations to weighted "
                     "automata over base-q or Zeckendorf numeration.")
     sub = parser.add_subparsers(dest="command", required=True)
+    automaton = dict(required=True, help="automaton JSON path or builtin:<name>")
+    numeration = dict(default="zeckendorf", help="zeckendorf (default) or base-<q>")
 
     p = sub.add_parser("solve", help="coefficient table of an isolating equation")
     p.add_argument("-f", "--file", required=True, help="equation file")
@@ -358,13 +359,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("eval", help="evaluate an automaton")
-    p.add_argument("-a", "--automaton", required=True,
-                   help="automaton JSON path or builtin:<name>")
+    p.add_argument("-a", "--automaton", **automaton)
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("-n", type=_integer, help="index, evaluated on its canonical expansion")
     grp.add_argument("--word", help="explicit digit word, e.g. '10100', '1,0,2' or '-1,0'")
-    p.add_argument("--numeration", default="zeckendorf",
-                   help="zeckendorf (default) or base-<q>")
+    p.add_argument("--numeration", **numeration)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="check an automaton against the equation")
@@ -376,8 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("relation", help="search for an annihilating equation")
-    p.add_argument("-a", "--automaton", required=True,
-                   help="automaton JSON path or builtin:<name>")
+    p.add_argument("-a", "--automaton", **automaton)
     p.add_argument("--dmax", type=_integer, required=True,
                    help=f"largest Phi power ((dmax+1)(hmax+1)(N+1) at most {MAX_N})")
     p.add_argument("--hmax", type=_integer, required=True,
@@ -386,21 +384,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"linear system rows (default 500, at most {MAX_N})")
     p.add_argument("--ncheck", type=_integer, default=None,
                    help=f"re-verification order (default 4N, at most {MAX_N})")
-    p.add_argument("--numeration", default="zeckendorf",
-                   help="zeckendorf (default) or base-<q>")
+    p.add_argument("--numeration", **numeration)
     p.set_defaults(func=cmd_relation)
 
     p = sub.add_parser("product", help="Cauchy product of two automata")
     p.add_argument("-a", "--automaton", required=True, help="first factor")
     p.add_argument("-b", "--other", required=True, help="second factor")
-    p.add_argument("--numeration", default="zeckendorf",
-                   help="zeckendorf (default) or base-<q>")
+    p.add_argument("--numeration", **numeration)
     p.add_argument("-o", "--output", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("determinize", help="finite-ring automaton to output DFA")
-    p.add_argument("-a", "--automaton", required=True,
-                   help="automaton JSON path or builtin:<name>")
+    p.add_argument("-a", "--automaton", **automaton)
     p.add_argument("--direction", choices=("direct", "reverse"), default="direct")
     p.add_argument("-o", "--output", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_determinize)
@@ -418,8 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("export", help="write an automaton as DOT or JSON")
-    p.add_argument("-a", "--automaton", required=True,
-                   help="automaton JSON path or builtin:<name>")
+    p.add_argument("-a", "--automaton", **automaton)
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("-o", "--output", help="output path (default stdout)")
     p.set_defaults(func=cmd_export)

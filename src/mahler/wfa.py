@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import count, repeat
 from math import gcd, lcm
 from types import MappingProxyType, SimpleNamespace
 from typing import Callable, Hashable, Iterable, Mapping, Union
@@ -201,16 +202,23 @@ class WeightedAutomaton:
             raise AutomatonError("initial/final vector length differs from state count")
         clean = {}
         arrows: dict = {}
-        for (src, label, dst), w in dict(self.transitions).items():
-            if not (0 <= src < n and 0 <= dst < n):
-                raise AutomatonError(f"transition endpoint out of range: {(src, label, dst)}")
-            if label not in alpha_set:
-                raise AutomatonError(f"transition label {_quote(label)} not in alphabet")
-            if not (isinstance(w, RingValue) and w.ring is ring):
-                w = element(w)
-            if w.payload:
-                clean[(src, label, dst)] = w
-                arrows.setdefault(label, {}).setdefault(src, []).append((dst, w.payload))
+        try:  # one loop validates and indexes; each key tuple is kept as given
+            for key, w in self.transitions.items():
+                src, label, dst = key
+                if not (0 <= src < n and 0 <= dst < n):
+                    raise AutomatonError(f"transition endpoint out of range: {key}")
+                if label not in alpha_set:
+                    raise AutomatonError(f"transition label {_quote(label)} not in alphabet")
+                if not (isinstance(w, RingValue) and w.ring is ring):
+                    w = element(w)
+                if p := w.payload:
+                    clean[key] = w
+                    by_src = arrows.get(label) or arrows.setdefault(label, {})
+                    (by_src.get(src) or by_src.setdefault(src, [])).append((dst, p))
+        except (AutomatonError, RingError):
+            raise
+        except (TypeError, ValueError):  # a key that is no (src, label, dst) of state indices
+            raise AutomatonError(f"bad transition key {_quote(key)}") from None
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "initial", initial)
@@ -454,39 +462,37 @@ def _prefix_payloads(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list
     return out
 
 
-def _trimmed(ring: Ring, alphabet, states, initial, final,
-             transitions: Mapping) -> WeightedAutomaton | None:
+def _trimmed(ring: Ring, alphabet, states, initial, final, transitions: Mapping,
+             reached: bool) -> WeightedAutomaton | None:
     """The one trimming rule, on indices: the machine restricted to the
     states both reachable from I and co-reachable to F, or None when
-    that is every state.  ``transitions`` holds nonzero weights only."""
+    that is every state.  ``transitions`` holds nonzero weights only;
+    ``reached`` says every state is reachable from I: no closure from I."""
     n = len(states)
-    fwd_adj: dict = {}
-    bwd_adj: dict = {}
-    for (src, _label, dst) in transitions:
-        fwd_adj.setdefault(src, set()).add(dst)
-        bwd_adj.setdefault(dst, set()).add(src)
-    fwd = reachable((i for i in range(n) if initial[i]), fwd_adj)
-    bwd = reachable((i for i in range(n) if final[i]), bwd_adj)
-    keep = sorted(fwd & bwd)
+
+    def closure(seeds, pairs):  # the seeds and all the pairs (s, t) lead to from them
+        adj: dict = {}
+        for s, t in pairs:
+            (adj.get(s) or adj.setdefault(s, [])).append(t)
+        return reachable((i for i in range(n) if seeds[i]), adj)
+
+    keep = closure(final, ((d, s) for s, _b, d in transitions))
+    if not reached:
+        keep &= closure(initial, ((s, d) for s, _b, d in transitions))
     if len(keep) == n:
         return None
-    remap = {old: new for new, old in enumerate(keep)}
+    remap = {old: new for new, old in enumerate(sorted(keep))}  # in index order
     return WeightedAutomaton(
-        ring=ring,
-        alphabet=alphabet,
-        states=tuple(states[i] for i in keep),
-        initial=tuple(initial[i] for i in keep),
-        final=tuple(final[i] for i in keep),
-        transitions={(remap[s], b, remap[d]): w
-                     for (s, b, d), w in transitions.items()
-                     if s in remap and d in remap},
-    )
+        ring=ring, alphabet=alphabet, states=tuple(states[i] for i in remap),
+        initial=tuple(initial[i] for i in remap), final=tuple(final[i] for i in remap),
+        transitions={(remap[s], b, remap[d]): w for (s, b, d), w in transitions.items()
+                     if s in remap and d in remap})
 
 
 def trim(A: WeightedAutomaton) -> WeightedAutomaton:
     """Restrict to states both reachable from I and co-reachable to F;
     A itself when every state is."""
-    return _trimmed(A.ring, A.alphabet, A.states, A.initial, A.final, A.transitions) or A
+    return _trimmed(A.ring, A.alphabet, A.states, A.initial, A.final, A.transitions, False) or A
 
 
 def explore_automaton(ring: Ring, alphabet, seeds: Mapping,
@@ -502,32 +508,41 @@ def explore_automaton(ring: Ring, alphabet, seeds: Mapping,
     has seen (build_automaton_dumas numbers its g{j}n{t} copy states that
     way).  Arrows whose weights summed to zero are dropped, the states
     are trimmed on their indices (the rule of trim()), and the machine
-    is assembled, and validated, once.
+    is assembled, and validated, once.  Every explored state was found
+    along an arrow from a seed, so when no arrow is dropped and no seed
+    weighs zero, all are reachable from I and the trim takes only the
+    closure to F.
     """
     order, trans = explore(seeds, successors)
     states = tuple(map(name, order))
     finals = tuple(map(final, order))
     initial = (*seeds.values(), *[ring.zero] * (len(order) - len(seeds)))
-    trans = {k: w for k, w in trans.items() if w}
-    alphabet = tuple(alphabet)
-    return (_trimmed(ring, alphabet, states, initial, finals, trans)
+    kept = {k: w for k, w in trans.items() if w.payload}
+    reached = len(kept) == len(trans) and all(seeds.values())
+    del order, trans
+    return (_trimmed(ring, alphabet, states, initial, finals, kept, reached)
             or WeightedAutomaton(ring=ring, alphabet=alphabet, states=states,
-                                 initial=initial, final=finals, transitions=trans))
+                                 initial=initial, final=finals, transitions=kept))
 
 
-def explore_dfa(alphabet, seed: Hashable, step: Callable, output: Callable,
-                prefix: str) -> DfaWithOutput:
-    """The DfaWithOutput on the states explore() reaches from the seed,
-    ``step(state, label)`` giving the successor on each label in turn;
-    state i is named prefix + str(i) and outputs ``output`` of the i-th
-    state found."""
+def explore_dfa(alphabet, seed: Hashable, expand: Callable, prefix: str) -> DfaWithOutput:
+    """The DfaWithOutput on the states explore() reaches from the seed.
+    ``expand(state)`` gives (its successors, one per label in alphabet
+    order, its output), called once per state as explore() reaches it;
+    state i is named prefix + str(i)."""
     alphabet = tuple(alphabet)
-    order, trans = explore([seed], lambda s: ((b, step(s, b), None) for b in alphabet))
-    table = {(src, label): dst for src, label, dst in trans}
-    del trans  # its arrow tuples go before the outputs are computed
+    outputs: list = []
+
+    def successors(state):
+        targets, out = expand(state)
+        outputs.append(out)
+        return zip(alphabet, targets, repeat(None))
+
+    # explore's arrow dict lives only while the table is built from it
+    table = {(src, label): dst for src, label, dst in explore([seed], successors)[1]}
     return DfaWithOutput(alphabet=alphabet, initial=0, transitions=table,
-                         states=tuple(f"{prefix}{i}" for i in range(len(order))),
-                         outputs=tuple(map(output, order)))
+                         states=tuple(f"{prefix}{i}" for i in range(len(outputs))),
+                         outputs=tuple(outputs))
 
 
 def same_structure(A: WeightedAutomaton, B: WeightedAutomaton) -> bool:
@@ -583,8 +598,7 @@ def cauchy_product(A1: WeightedAutomaton, A2: WeightedAutomaton,
     some of those are invariant by a longer argument.
     """
     if A1.ring != A2.ring:
-        raise AutomatonError(
-            f"factor rings differ: {A1.ring.spec} vs {A2.ring.spec}")
+        raise AutomatonError(f"factor rings differ: {A1.ring.spec} vs {A2.ring.spec}")
     for which, A in (("first", A1), ("second", A2)):
         init = _initial_payload(A)
         if _step_payload(A, init, 0) != init:
@@ -715,22 +729,22 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
     The r coordinates of a state are packed into one int, c_k in bits
     [k W, (k + 1) W), with W = bit_length(nch (n - 1)) + 1 for the
     ring's modulus n, and cut into nch chunks of S coordinates, S the
-    largest s >= 1 with n^s <= 256.  c M_b is the sum over the chunks of
-    each chunk's rows of M_b weighted by its coordinates; that
-    contribution, reduced and packed, is memoized per label and chunk
-    value on first use ("Four Russians": Arlazarov, Dinic, Kronrod and
-    Faradzev, 1970); a zero chunk adds nothing.  A summed field is at
-    most nch (n - 1) < 2^(W - 1), so its top bit is free as a guard: for
-    t from bit_length(nch) - 1 down to 0, n 2^t is subtracted from every
-    field that the guard shows is at least n 2^t, all fields in one int
-    operation, and every field ends reduced mod n.  The outputs are the
-    same memoized sums for the one column R F, reduced once.
+    largest s >= 1 with n^s <= 256.  One int of m r + 1 such fields, m
+    the alphabet size, holds a state's whole step: a block of r fields
+    per label in _label_key order, c M_b, then one field, c . (R F).
+    It is the sum of the chunks' contributions, each memoized, reduced,
+    per chunk and chunk value on first use ("Four Russians": Arlazarov,
+    Dinic, Kronrod and Faradzev, 1970); a zero chunk adds nothing.  So
+    a state costs one walk over its chunks and one reduction: a summed
+    field is at most nch (n - 1) < 2^(W - 1), so its top bit is free as
+    a guard, and for t from bit_length(nch) - 1 down to 0, n 2^t is
+    subtracted from every field that the guard shows is at least n 2^t,
+    all fields in one int operation.
     """
     if direction not in ("direct", "reverse"):
         raise AutomatonError(f"unknown direction {direction!r}")
     if A.ring.cardinality is None:
-        raise RingError(
-            f"determinization needs a finite ring, not {A.ring.spec}")
+        raise RingError(f"determinization needs a finite ring, not {A.ring.spec}")
     if direction == "reverse":
         A = WeightedAutomaton(
             ring=A.ring, alphabet=A.alphabet, states=A.states,
@@ -740,30 +754,28 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
     n = ring.characteristic
     pivots, basis = _span(A)
     r = len(basis)
-    S = 1
-    while n ** (S + 1) <= 256:
-        S += 1
+    S = next(s for s in count(1) if n ** (s + 1) > 256)
     nch = -(-r // S)
     W = (nch * (n - 1)).bit_length() + 1
-    where = {c: k * W for k, c in enumerate(pivots)}  # pivot column -> field offset
-
-    def chunks(rows):  # per chunk: its S rows of (field offset, entry), and its memo
-        return [(rows[j:j + S], {}) for j in range(0, r, S)]
-
     alphabet = sorted(A.alphabet, key=_label_key)
-    tables = {b: chunks([[(where[s], a) for s, a in _step_payload(A, row, b).items()
-                          if s in where] for row in basis])
-              for b in alphabet}
-    outputs = chunks([[(0, _gather_payload(A, row.items()).payload)] for row in basis])
+    block = r * W  # the bits of one label's successor
+    *starts, out_at = [i * block for i in range(len(alphabet) + 1)]  # the blocks, the output
+    where = {c: k * W for k, c in enumerate(pivots)}  # pivot column -> field offset
+    # row k of every M_b, each at its label's block, and R_k . F in the output field
+    rows = [[(i * block + where[s], a) for i, b in enumerate(alphabet)
+             for s, a in _step_payload(A, row, b).items() if s in where]
+            + [(out_at, _gather_payload(A, row.items()).payload)] for row in basis]
+    chunks = [(rows[j:j + S], {}) for j in range(0, r, S)]  # each chunk's rows and memo
     field, span = (1 << W) - 1, S * W
-    chunk = (1 << span) - 1
-    ones = sum(1 << k * W for k in range(r))
+    chunk, mask = (1 << span) - 1, (1 << block) - 1
+    ones = sum(1 << k * W for k in range(len(alphabet) * r + 1))
     guard, top = ones << W - 1, W - 1
     subtract = [(guard - (n << t) * ones, n << t) for t in reversed(range(nch.bit_length()))]
+    values: dict = {}
 
-    def gather(x, table):  # the sum of the chunks' memoized contributions
+    def expand(x):  # the successors, label by label, and the output of state x
         acc = 0
-        for rows, memo in table:
+        for rows, memo in chunks:
             key = x & chunk
             x >>= span
             if not key:
@@ -783,17 +795,11 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
                     v |= s % n << off
                 memo[key] = v
             acc += v
-        return acc
-
-    def step(x, label):
-        acc = gather(x, tables[label])
         for bias, k in subtract:
             acc -= (((acc + bias) & guard) >> top) * k
-        return acc
+        out = acc >> out_at  # one RingValue per distinct output
+        return ([acc >> at & mask for at in starts],
+                values.get(out) or values.setdefault(out, RingValue(ring, out)))
 
-    def output(x):
-        return RingValue(ring, gather(x, outputs) % n)
-
-    init = _initial_payload(A)
-    return explore_dfa(alphabet, sum(init.get(c, 0) << off for c, off in where.items()),
-                       step, output, "v")
+    seed = sum(A.initial[c].payload << off for c, off in where.items())
+    return explore_dfa(alphabet, seed, expand, "v")

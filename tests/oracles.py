@@ -149,6 +149,52 @@ def forward_vector(A, word):
     return tuple(vec)
 
 
+def trimmed_assembly(make, ring, alphabet, seeds, successors, final, name):
+    """A weighted machine assembled the long way round: the states found
+    breadth-first from the seeds (seeds first, in order, then in order of
+    discovery), repeated arrows summed, arrows that sum to zero dropped,
+    then the states both reachable from a nonzero initial weight and
+    co-reachable to a nonzero final weight kept, each closure over
+    adjacency sets.  The kept states keep their order; ``make`` is the
+    machine's constructor.  ``name`` and ``final`` are called once per
+    state found, in order, as the package calls them."""
+    order = list(seeds)
+    index = {s: i for i, s in enumerate(order)}
+    sums = {}
+    for i, state in enumerate(order):  # order grows as states are found
+        for label, target, w in successors(state):
+            if target not in index:
+                index[target] = len(order)
+                order.append(target)
+            key = (i, label, index[target])
+            sums[key] = sums[key] + w if key in sums else w
+    names = [name(s) for s in order]
+    finals = [final(s) for s in order]
+    initial = [seeds.get(s, ring.zero) for s in order]
+    arrows = {key: w for key, w in sums.items() if w}
+    forward, backward = {}, {}
+    for src, _label, dst in arrows:
+        forward.setdefault(src, set()).add(dst)
+        backward.setdefault(dst, set()).add(src)
+
+    def closure(vector, adjacency):
+        seen = {i for i, v in enumerate(vector) if v}
+        todo = list(seen)
+        while todo:
+            for t in adjacency.get(todo.pop(), ()):
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        return seen
+
+    keep = sorted(closure(initial, forward) & closure(finals, backward))
+    new = {old: k for k, old in enumerate(keep)}
+    return make(ring=ring, alphabet=tuple(alphabet), states=tuple(names[i] for i in keep),
+                initial=tuple(initial[i] for i in keep), final=tuple(finals[i] for i in keep),
+                transitions={(new[s], b, new[d]): w for (s, b, d), w in arrows.items()
+                             if s in new and d in new})
+
+
 def subset_construction(initial, final, arrows, alphabet, n):
     """Weight-vector subset construction mod n on dense vectors: states
     are the vectors I * M_w with every entry reduced mod n, numbered

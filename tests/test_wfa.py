@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import product
@@ -471,6 +472,36 @@ def test_explore_automaton_weights_names_and_trim():
     assert trim(A) is A
 
 
+@st.composite
+def explorations(draw):
+    """A ring, seeds with their weights, successors of the states 0..k and
+    final weights.  Weights may be zero (seeds, finals and lone arrows);
+    cancelling pairs of arrows sum to zero, and state k is reached only
+    through such a pair, so it is dropped with it; states without
+    arrows or final weight are dead ends."""
+    ring = parse_ring(draw(st.sampled_from(("Z", "Zmod:6", "Fp:5"))))
+    k = draw(st.integers(1, 6))
+    weight = st.integers(-4, 4).map(ring.element)
+    arrow = st.tuples(st.sampled_from((0, 1)), st.integers(0, k - 1), weight)
+    out = {s: draw(st.lists(arrow, max_size=4)) for s in range(k + 1)}
+    for s, (b, t, w) in draw(st.lists(st.tuples(
+            st.integers(0, k - 1), st.tuples(st.sampled_from((0, 1)), st.integers(0, k), weight)),
+            max_size=3)):
+        out[s] += [(b, t, w), (b, t, -w)]
+    seeds = draw(st.dictionaries(st.integers(0, k - 1), weight, min_size=1, max_size=3))
+    finals = draw(st.lists(weight, min_size=k + 1, max_size=k + 1))
+    return ring, seeds, out, finals
+
+
+@settings(max_examples=300)
+@given(explorations())
+def test_explore_automaton_matches_the_reference_assembly(case):
+    ring, seeds, out, finals = case
+    args = (ring, (0, 1), seeds, out.__getitem__, finals.__getitem__, "q{}".format)
+    assert same_structure(explore_automaton(*args),
+                          oracles.trimmed_assembly(WeightedAutomaton, *args))
+
+
 def test_reachable_closure():
     adj = {0: {1}, 1: {2}, 2: {0}, 3: {0}, 4: set()}
     assert reachable([1], adj) == {0, 1, 2}
@@ -762,8 +793,24 @@ def field_at_its_largest_sum():
         initial=(5,) * 7, final=(1, 0, 0, 0, 0, 0, 2), transitions=arrows)
 
 
+def three_labels_at_their_largest_sums():
+    """field_at_its_largest_sum with a third label and a new F: in the one
+    int that steps every label and the output at once, each of the three
+    blocks and the output field hold 3 chunks of 5 = nch (n - 1) = 15 for
+    I.  Label 2 adds the rows 2, 5 and 6, the last of each chunk, into
+    every field, and F is 1 on the first state of each chunk, so
+    I . F = 15 before reduction."""
+    arrows = {(s, b, d): 1 for b, rows in ((1, (0, 3, 6)), (2, (2, 5, 6)))
+              for s in rows for d in range(7)}
+    arrows.update({(s, 0, s + 1): 1 for s in range(6)})
+    return WeightedAutomaton(
+        ring=parse_ring("Zmod:6"), alphabet=(0, 1, 2), states=tuple(f"s{i}" for i in range(7)),
+        initial=(5,) * 7, final=(1, 0, 0, 1, 0, 0, 1), transitions=arrows)
+
+
 # sizes and sha256 of dfa_to_json, recorded before determinize summed native
-# payloads (the Zmod:6 machine: before it stepped packed coordinates)
+# payloads (the Zmod:6 machines: before it stepped packed coordinates, and
+# before it stepped every label and the output in one int)
 DFA_PINS = {
     ("fib@Fp:2 squared", "direct"): (
         379, "32499ba81d0fc3fe6d59de999f6f745b59baebfb47b7366f78bb3044bda2b197"),
@@ -777,6 +824,10 @@ DFA_PINS = {
         29, "446166224ba616981ccde2bf6f0f6021d98bb16dd80eb0747f5d13a4ecc16e66"),
     ("Zmod:6, a field at its largest sum", "reverse"): (
         26, "470c966916d771c2f2909323d11db6c609c76a660bdedf31138b8d32e80e7ff5"),
+    ("Zmod:6, three labels and the output at their largest sums", "direct"): (
+        29, "a6a7a9a54048383eb025a73fd0aa9dc95d17b13c1cd6bd1b70b5e2db07ba5d89"),
+    ("Zmod:6, three labels and the output at their largest sums", "reverse"): (
+        53, "1c2e90a3dbea97781d1fda5fb1289bda339ed23c3ac4b2d5c4acfde143019507"),
 }
 
 
@@ -784,7 +835,9 @@ def test_determinize_pinned_machines():
     f2 = fibonacci_representation_automaton(PrimeField(2))
     machines = {"fib@Fp:2 squared": cauchy_product(f2, f2, addition_automaton(ZECKENDORF)),
                 "builtin:thue-morse": cli._load_wfa("builtin:thue-morse"),
-                "Zmod:6, a field at its largest sum": field_at_its_largest_sum()}
+                "Zmod:6, a field at its largest sum": field_at_its_largest_sum(),
+                "Zmod:6, three labels and the output at their largest sums":
+                    three_labels_at_their_largest_sums()}
     got = {}
     for name, direction in DFA_PINS:
         D = determinize(machines[name], direction)
@@ -946,6 +999,16 @@ def test_automaton_validation():
         WeightedAutomaton(ring=INTEGERS, alphabet=(0,), states=("a",),
                           initial=(one,), final=(one,),
                           transitions={(0, 0, 0): PrimeField(5).one})
+
+
+@pytest.mark.parametrize("key", [(0, 0), ("0", 0, 0), (0, 0, 0, 0), 7])
+def test_malformed_transition_keys_raise_automaton_error(key):
+    # a key too short to unpack, a state index that is no int, a key too
+    # long, and a key that is no tuple: one AutomatonError naming the key
+    one = INTEGERS.one
+    with pytest.raises(AutomatonError, match=f"bad transition key {re.escape(repr(key))}"):
+        WeightedAutomaton(ring=INTEGERS, alphabet=(0,), states=("a",),
+                          initial=(one,), final=(one,), transitions={key: 1})
 
 
 def test_constructor_takes_values_of_an_equal_ring_and_wraps_ints():
