@@ -69,13 +69,9 @@ def constant_recognizer(C, c: int) -> DfaWithOutput:
     pairs, trans = _recognizer_cached(digits, c)
     dead = len(pairs)  # no arrows leave it in the core, so it loops to itself
     return DfaWithOutput(
-        alphabet=digits,
-        states=tuple(f"p{p}q{q}" for p, q in pairs) + ("dead",),
-        initial=0,
-        transitions={(s, d): trans.get((s, d), dead)
-                     for s in range(dead + 1) for d in digits},
-        outputs=tuple(p == c for p, _q in pairs) + (False,),
-    )
+        alphabet=digits, states=tuple(f"p{p}q{q}" for p, q in pairs) + ("dead",), initial=0,
+        transitions={(s, d): trans.get((s, d), dead) for s in range(dead + 1) for d in digits},
+        outputs=tuple(p == c for p, _q in pairs) + (False,))
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +87,8 @@ def defect_automaton() -> DfaWithOutput:
         (3, -1): 2, (3, 0): 1, (3, 1): 4,
         (4, -1): 3, (4, 0): 3, (4, 1): 2,
     }
-    return DfaWithOutput(
-        alphabet=(-1, 0, 1),
-        states=("q0", "q1", "q2", "q3", "q4"),
-        initial=0,
-        transitions=trans,
-        outputs=(0, 0, 0, -1, 1),
-    )
+    return DfaWithOutput(alphabet=(-1, 0, 1), states=("q0", "q1", "q2", "q3", "q4"),
+                         initial=0, transitions=trans, outputs=(0, 0, 0, -1, 1))
 
 
 @lru_cache(maxsize=None)

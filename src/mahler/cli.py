@@ -164,13 +164,15 @@ def _parse_numeration(text: str):
         f"unknown numeration {_quote(text)}; expected 'zeckendorf' or 'base-<q>'")
 
 
-def _emit(text: str, path):
+def _emit(path, *parts: str):
+    """Write the parts one after another: a large document and its newline
+    are never joined into one more copy."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         print(f"wrote {path}", file=sys.stderr)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _build_from_equation(P):
@@ -214,7 +216,7 @@ def cmd_build(args) -> int:
               f"built {A.n_states} after trimming", file=sys.stderr)
     else:
         print(f"built {A.n_states} states", file=sys.stderr)
-    _emit(automaton_to_json(A) + "\n", args.output)
+    _emit(args.output, automaton_to_json(A), "\n")
     return 0
 
 
@@ -295,14 +297,14 @@ def cmd_product(args) -> int:
     A = _load_wfa(args.automaton)
     B = _load_wfa(args.other)
     C = cauchy_product(A, B, addition_automaton(kind))
-    _emit(automaton_to_json(C) + "\n", args.output)
+    _emit(args.output, automaton_to_json(C), "\n")
     return 0
 
 
 def cmd_determinize(args) -> int:
     A = _load_wfa(args.automaton)
     D = determinize(A, args.direction)
-    _emit(dfa_to_json(D) + "\n", args.output)
+    _emit(args.output, dfa_to_json(D), "\n")
     return 0
 
 
@@ -334,7 +336,8 @@ def cmd_export(args) -> int:
     obj = maker() if maker else _load_wfa(spec)
     to_json, to_dot = ((dfa_to_json, dfa_to_dot) if isinstance(obj, DfaWithOutput)
                        else (automaton_to_json, automaton_to_dot))
-    _emit(to_json(obj) + "\n" if args.format == "json" else to_dot(obj), args.output)
+    parts = (to_json(obj), "\n") if args.format == "json" else (to_dot(obj),)
+    _emit(args.output, *parts)
     return 0
 
 

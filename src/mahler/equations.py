@@ -46,11 +46,10 @@ from .numeration import (
     preimages,
     word_alphabet,
 )
-from .rings import Ring, RingError, RingValue, _decimal, _quote, parse_ring
+from .rings import RATIONALS, Ring, RingError, RingValue, _decimal, _integral, _quote, parse_ring
 from .wfa import (
     WeightedAutomaton,
     _insert_row,
-    _integral,
     _prefix_payloads,
     _primitive,
     _reduce_by_init,
@@ -269,12 +268,11 @@ def _g_payloads(P: MahlerEquation, g, N: int) -> list:
     return seq
 
 
-def _term_sums(ring: Ring, items: list, src, out: list, g, N: int) -> list:
+def _term_sums(reduce, items: list, src, out: list, g, N: int) -> list:
     """The term loop of solve_series and residual: appends to out, for n =
     len(out)..N, g[n] + sum of a * src[pre_i[n - j]] over the items (j, a,
-    pre_i) whose index is >= 0, native ``+`` and ``*``, reduced once per
-    n.  src may be out itself, whose earlier terms it reads."""
-    reduce = ring._reduce
+    pre_i) whose index is >= 0, native ``+`` and ``*``, one reduce per n.
+    src may be out itself, whose earlier terms it reads."""
     for n in range(len(out), N + 1):
         acc = g[n]
         for j, a, pre_i in items:
@@ -287,6 +285,25 @@ def _term_sums(ring: Ring, items: list, src, out: list, g, N: int) -> list:
     return out
 
 
+def _oracle(ring: Ring, items: list, src, out: list, g, N: int, depth: int) -> SeriesPrefix:
+    """_term_sums as a SeriesPrefix; out is src or empty.  Over Q it runs on
+    ints: with D and c the lcms of the denominators of the items and of
+    src and g_0..g_N (rings._integral), and S = c D^depth, it sums D a, S s
+    and D S g, so each sum is D S times its entry, and // D is exact when
+    every S times an entry is an int.  Each leaves as one Fraction(x, S)."""
+    if ring != RATIONALS:
+        return _series(ring, _term_sums(ring._reduce, items, src, out, g, N))
+    D, alphas = _integral([a for _j, a, _pre in items])
+    c, ints = _integral([*src, *islice(g, N + 1)])
+    scale, n = D ** depth, len(src)
+    src = [x * scale for x in ints[:n]]
+    g = [x * scale * D for x in ints[n:]]
+    items = [(j, a, pre) for (j, _a, pre), a in zip(items, alphas)]
+    sums = _term_sums(lambda x: x // D, items, src, src if out else [], g, N)
+    S, zero = c * scale, ring.zero.payload
+    return _series(ring, [Fraction(x, S) if x else zero for x in sums])
+
+
 def solve_series(P: MahlerEquation, N: int, g=None) -> SeriesPrefix:
     """f_0..f_N by the coefficient recurrence; the oracle for every builder.
 
@@ -297,7 +314,9 @@ def solve_series(P: MahlerEquation, N: int, g=None) -> SeriesPrefix:
     k come from one preimage table per distinct i, all composed from one
     i = 1 table; the oracle uses numeration code only, never an
     automaton.  The sums are _term_sums, the loop residual shares, read
-    from the growing payload list, which becomes the SeriesPrefix as it is.
+    from the growing payload list; over Q on ints (_oracle, depth E =
+    len(canonical(N))): a k with op^i(k) + j = n, i >= 1, has fewer digits
+    than n, so by induction f_n c D^len(canonical(n)) is an int.
     """
     if N < 0:
         raise EquationError(f"need N >= 0, got {N}")
@@ -306,7 +325,7 @@ def solve_series(P: MahlerEquation, N: int, g=None) -> SeriesPrefix:
     out = [_isolating_f0(P, RingValue(ring, g_pay[0])).payload]
     pre = preimages(P.kind, N, (i for (i, _) in P.alpha if i >= 1))
     items = [(j, a.payload, pre[i]) for (i, j), a in sorted(P.alpha.items()) if i >= 1]
-    return _series(ring, _term_sums(ring, items, out, out, g_pay, N))
+    return _oracle(ring, items, out, out, g_pay, N, len(canonical(N, P.kind)))
 
 
 def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
@@ -318,7 +337,8 @@ def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
     The term loop is solve_series's _term_sums, run on s and -g with A_0
     in it: alpha[i, j] adds +-alpha[i, j] * s_k for the k with op^i(k) + j
     = n, + for i = 0 (the depth-0 table is the identity) and - for i >= 1.
-    A SeriesPrefix is read from its payloads with no second check.
+    A SeriesPrefix is read from its payloads with no second check.  Over
+    Q it runs on ints (_oracle, depth 1: S r_n is an int).
     """
     ring = P.ring
     seq = _payloads(ring, s, "series")
@@ -329,7 +349,7 @@ def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
     pre = preimages(P.kind, N, (i for (i, _) in P.alpha))
     items = [(j, (-a if i else a).payload, pre[i]) for (i, j), a in sorted(P.alpha.items())]
     neg_g = [-v if v else v for v in islice(g_pay, N + 1)]  # over Q, -0 is a new Fraction
-    return _series(ring, _term_sums(ring, items, seq, [], neg_g, N))
+    return _oracle(ring, items, seq, [], neg_g, N, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +438,10 @@ def parse_equation(text: str) -> MahlerEquation:
             g_entries[j] = (lineno, toks[2])
         else:
             fail(lineno, f"unknown directive {_quote(key)}")
-    if ring is None:
-        raise EquationFileError("missing ring line")
-    if kind is None:
-        raise EquationFileError("missing numeration line")
-    if f0_entry is None:
-        raise EquationFileError("missing f0 line")
-    if not alpha_entries:
-        raise EquationFileError("missing alpha lines")
+    for what, seen in (("ring line", ring), ("numeration line", kind),
+                       ("f0 line", f0_entry), ("alpha lines", alpha_entries)):
+        if not seen:
+            raise EquationFileError(f"missing {what}")
 
     def element(entry, what):
         lineno, tok = entry
@@ -450,18 +466,10 @@ def parse_equation(text: str) -> MahlerEquation:
 
 def format_equation(P: MahlerEquation) -> str:
     """Inverse of parse_equation, with coefficients in lexicographic order."""
-    lines = [f"ring {P.ring.spec}"]
-    if isinstance(P.kind, Base):
-        lines.append(f"numeration base {P.kind.q}")
-    else:
-        lines.append("numeration zeckendorf")
-    lines.append(f"d {P.d}")
-    lines.append(f"h {P.h}")
-    lines.append(f"f0 {P.f0}")
-    for (i, j) in sorted(P.alpha):
-        lines.append(f"alpha {i} {j} {P.alpha[(i, j)]}")
-    for j in sorted(P.g_poly):
-        lines.append(f"g {j} {P.g_poly[j]}")
+    kind = f"base {P.kind.q}" if isinstance(P.kind, Base) else "zeckendorf"
+    lines = [f"ring {P.ring.spec}", f"numeration {kind}", f"d {P.d}", f"h {P.h}", f"f0 {P.f0}"]
+    lines += [f"alpha {i} {j} {P.alpha[(i, j)]}" for (i, j) in sorted(P.alpha)]
+    lines += [f"g {j} {P.g_poly[j]}" for j in sorted(P.g_poly)]
     return "\n".join(lines) + "\n"
 
 
@@ -497,12 +505,8 @@ def z_state_space(P: MahlerEquation) -> ZSpaceInfo:
     ht = _h_tilde(ZECKENDORF, P.h)
     g = len(canonical(ht))
     d = max(P.d, 1)
-    return ZSpaceInfo(
-        h_tilde=ht,
-        window=g,
-        grid_bound=d * (ht + 1) * 5 * (2 ** g),
-        trim_bound=320 * d * P.h * P.h,
-    )
+    return ZSpaceInfo(h_tilde=ht, window=g, grid_bound=d * (ht + 1) * 5 * (2 ** g),
+                      trim_bound=320 * d * P.h * P.h)
 
 
 def _build(P: MahlerEquation, G: Optional[WeightedAutomaton],
@@ -720,7 +724,7 @@ def _kernel_basis(ring: Ring, rows: list, ncols: int) -> list:
     Fraction-free Gauss-Jordan on Python ints: the rows go one by one
     through wfa._insert_row, the insert that determinize's span uses
     too.  Over Q each row is first scaled to ints by the lcm of its
-    denominators (wfa._integral, the scaling of the prefix walk's
+    denominators (rings._integral, the scaling of the prefix walk's
     integer image) and divided by its content; over Fp:p the payloads
     already are ints.  Echelon row m with pivot column c is a multiple
     of its row of the reduced row echelon form, which is unique, so each
@@ -745,10 +749,7 @@ def _kernel_basis(ring: Ring, rows: list, ncols: int) -> list:
         v = [zero] * ncols
         v[free] = one
         for m, c in zip(mat, pivots):
-            if p:
-                v[c] = -m[free] * pow(m[c], -1, p) % p
-            else:
-                v[c] = Fraction(-m[free], m[c])
+            v[c] = -m[free] * pow(m[c], -1, p) % p if p else Fraction(-m[free], m[c])
         basis.append(v)
     return basis
 
@@ -785,12 +786,8 @@ def find_relation(A: WeightedAutomaton, kind: NumerationKind, d_max: int,
     pre = preimages(kind, N, range(d_max + 1))
     rows = []
     for n in range(N + 1):
-        row = []
-        for (i, j) in cols:
-            m = n - j
-            k = pre[i][m] if m >= 0 else -1
-            row.append(sp[k] if k >= 0 else zero)
-        rows.append(row)
+        ks = (pre[i][n - j] if n >= j else -1 for (i, j) in cols)
+        rows.append([sp[k] if k >= 0 else zero for k in ks])
     for v in _kernel_basis(ring, rows, len(cols)):
         alpha = {}
         for (i, j), payload in zip(cols, v):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 import reprlib
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _quote(value) -> str:
@@ -35,6 +35,13 @@ def _decimal(text: str) -> int:
     if not _DECIMAL.fullmatch(text):
         raise ValueError(f"not a decimal integer: {_quote(text)}")
     return int(text)
+
+
+def _integral(xs) -> tuple[int, list]:
+    """(d, [d x for x in xs]), d the lcm of the denominators of xs: the one
+    integer-scaling rule for Q (the walk's image, the oracle, find_relation)."""
+    d = lcm(*(x.denominator for x in xs))
+    return d, [x.numerator * (d // x.denominator) for x in xs]
 
 
 class RingError(ValueError):

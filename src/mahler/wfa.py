@@ -46,9 +46,9 @@ bottom, and one dot product per deeper word (see _prefix_payloads).
 Over Q the walk runs on the machine's integer image: D mu(b), c_I I and
 c_F F, with D, c_I and c_F the lcms of the denominators of the arrows,
 I and F.  Every word of length L shares the denominator c_I c_F D^L, so
-each nonzero sum becomes one Fraction as it leaves the walk.  The one
-scaling rule, _integral, also makes the rows of find_relation's system
-integral (equations._kernel_basis).
+each nonzero sum becomes one Fraction as it leaves the walk.  The
+scaling is rings._integral, Q's one integer-scaling rule, which also
+serves the oracle and find_relation's rows (equations._kernel_basis).
 """
 
 from __future__ import annotations
@@ -56,12 +56,12 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import count, repeat
-from math import gcd, lcm
+from math import gcd
 from types import MappingProxyType, SimpleNamespace
 from typing import Callable, Hashable, Iterable, Mapping, Union
 
 from .numeration import Base, NumerationKind, as_digits, canonical, fib
-from .rings import INTEGERS, RATIONALS, Ring, RingError, RingValue, _quote
+from .rings import INTEGERS, RATIONALS, Ring, RingError, RingValue, _integral, _quote
 
 Label = Union[int, tuple]
 
@@ -326,19 +326,12 @@ def _column_payload(A: WeightedAutomaton, label, col: dict) -> dict:
     return out
 
 
-def _integral(xs: list) -> tuple[int, list]:
-    """(d, [d x for x in xs]) for a list of Fractions, d the lcm of their
-    denominators: the least d > 0 that makes every d x an int."""
-    d = lcm(*(x.denominator for x in xs))
-    return d, [x.numerator * (d // x.denominator) for x in xs]
-
-
 def _integer_image(A: WeightedAutomaton, length: int) -> tuple:
     """The integer image of a Q machine for _prefix_payloads: (M, I', F',
     exits).
 
     D is the lcm of the denominators of the arrow weights, c_I and c_F
-    those of I and F (_integral).  M holds the ring Z and A's arrow
+    those of I and F (rings._integral).  M holds the ring Z and A's arrow
     index with every weight times D, so it steps the int matrices
     D mu(b) through _step_payload and _column_payload; I' = c_I I and
     F' = c_F F are sparse int vectors.  A word w of length L then weighs

@@ -473,6 +473,86 @@ def test_residual_equals_plain_sum(problem):
     assert_canonical(res)
 
 
+# denominators far past ring_entries' 1..4: over Q the oracle runs on ints
+# over one common denominator, which these make hundreds of bits long
+M61 = 2**61 - 1
+BIG_ALPHA = {(1, 1): Fraction(1, M61), (1, 2): Fraction(-7, 1000003),
+             (2, 0): Fraction(7, 1000003), (2, 1): Fraction(3, 4)}
+
+
+def kind_op(kind):
+    return oracles.phi_ref if kind == ZECKENDORF else (lambda k: kind.q * k)
+
+
+@pytest.mark.parametrize("kind", [BASE2, Base(3), ZECKENDORF], ids=["base2", "base3", "zeck"])
+@pytest.mark.parametrize("mode", ["none", "polynomial", "prefix"])
+def test_q_oracle_with_large_denominators(kind, mode):
+    N = 500
+    f0 = Fraction(-5, 1000003)
+    alpha = {(1, 0): Fraction(1, 2), **BIG_ALPHA}
+    if mode == "none":
+        alpha[1, 0] = 1 - alpha[2, 0]  # the constant terms sum to 1: f0 is compatible
+        g = [Fraction(0)] * (N + 1)
+    elif mode == "polynomial":
+        g = [Fraction(0)] * (N + 1)
+        g[2], g[5] = Fraction(3, M61), Fraction(-1, 1000003)
+    else:
+        g = [Fraction(n % 7 - 3, M61) + Fraction(n % 3, 1000003) for n in range(N + 1)]
+    g[0] = f0 * (1 - alpha[1, 0] - alpha[2, 0])
+    g_poly = {j: v for j, v in enumerate(g) if v} if mode == "polynomial" else {}
+    P = MahlerEquation(ring=RATIONALS, kind=kind, alpha={(0, 0): 1, **alpha}, f0=f0,
+                       g_poly=g_poly)
+    explicit = g if mode == "prefix" else None
+    s = solve_series(P, N, g=explicit)
+    assert [v.payload for v in s] == oracles.recurrence(alpha, f0, g, kind_op(kind), N)
+    assert_canonical(s)
+    res = residual(P, s, g=explicit)
+    assert res.is_zero() and len(res) == N + 1
+    assert all(p is RATIONALS.zero.payload for p in res.payloads)
+    bad = [v.payload for v in s]
+    bad[N // 3] += Fraction(1, 1000033)
+    res = residual(P, bad, g=explicit)
+    assert [v.payload for v in res] == oracles.residual(
+        {(0, 0): 1, **alpha}, bad, g, kind_op(kind))
+    assert_canonical(res)
+
+
+@pytest.mark.parametrize("kind", [BASE2, Base(3), ZECKENDORF], ids=["base2", "base3", "zeck"])
+def test_q_residual_on_a_prefix_whose_denominators_share_nothing_with_the_equation(kind):
+    # A_0 = 1 + x^2/M61 makes the equation non-isolating; s and g are over
+    # 11, 13^2 and 1000033, primes the equation's denominators do not hold
+    N = 300
+    alpha = {(0, 0): Fraction(1), (0, 2): Fraction(1, M61), **BIG_ALPHA}
+    s = [Fraction(n % 5 - 2, (11, 169, 1000033)[n % 3]) for n in range(N + 1)]
+    g = [Fraction(n % 4, 1000033 * 11) for n in range(N + 1)]
+    P = MahlerEquation(ring=RATIONALS, kind=kind, alpha=alpha, f0=0)
+    res = residual(P, s, g=g)
+    assert [v.payload for v in res] == oracles.residual(alpha, s, g, kind_op(kind))
+    assert_canonical(res)
+
+
+@pytest.mark.parametrize("kind", [BASE2, Base(3), ZECKENDORF], ids=["base2", "base3", "zeck"])
+def test_q_oracle_at_order_zero_and_with_no_phi_term(kind):
+    # N = 0: f_0 alone; alpha[0, 0] = 1 alone: f = g, and nothing to scale by
+    P = MahlerEquation(ring=RATIONALS, kind=kind, alpha={(0, 0): 1, **BIG_ALPHA},
+                       f0=Fraction(2, M61), g_poly={0: Fraction(2, M61) * (1 - BIG_ALPHA[2, 0])})
+    s = solve_series(P, 0)
+    assert s.payloads == (Fraction(2, M61),)
+    assert_canonical(s)
+    assert residual(P, s).is_zero()
+    g = {0: Fraction(3, 1000003), 4: Fraction(-1, M61), 9: Fraction(5, 7)}
+    P = MahlerEquation(ring=RATIONALS, kind=kind, alpha={(0, 0): 1}, f0=g[0], g_poly=g)
+    for N in (0, 1, 9, 40):
+        want = [g.get(n, Fraction(0)) for n in range(N + 1)]
+        s = solve_series(P, N)
+        assert [v.payload for v in s] == want == oracles.recurrence(
+            {}, g[0], want, kind_op(kind), N)
+        assert_canonical(s)
+        res = residual(P, s)
+        assert res.is_zero() and len(res) == N + 1
+        assert_canonical(res)
+
+
 # ---------------------------------------------------------------------------
 # equation files
 
