@@ -42,10 +42,8 @@ def _recognizer_core(digits: tuple, c: int, bound: int):
                 yield d, (p2, q2), None
 
     order, trans = explore([(0, 0)], successors)
-    rev: dict = {}
-    for src, _d, dst in trans:
-        rev.setdefault(dst, set()).add(src)
-    live = reachable((i for i, (p, _q) in enumerate(order) if p == c), rev)
+    live = reachable((i for i, (p, _q) in enumerate(order) if p == c),
+                     ((dst, src) for src, _d, dst in trans))
     keep = sorted(live | {0})
     remap = {old: new for new, old in enumerate(keep)}
     return ([order[i] for i in keep],

@@ -95,9 +95,7 @@ MAX_N = 10**6
 
 def _check_order(N: int, what: str = "-N") -> None:
     if N > MAX_N:
-        # _quote cuts the digits short; past 4,300 digits repr(N) itself raises
-        shown = _quote(N) if N.bit_length() < 14_000 else f"a {N.bit_length()}-bit number"
-        raise CliError(f"{what} = {shown} exceeds the ceiling {MAX_N}")
+        raise CliError(f"{what} = {_quote(N)} exceeds the ceiling {MAX_N}")
 
 
 def _integer(text: str) -> int:

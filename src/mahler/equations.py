@@ -132,6 +132,12 @@ def _series(ring: Ring, payloads) -> SeriesPrefix:
     return s
 
 
+def _index(x) -> bool:
+    """x can index alpha or a polynomial: an int >= 0, not a bool, which
+    an equation file could not spell."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 @dataclass(frozen=True, eq=False)
 class MahlerEquation:
     """A_0(x) y = sum_{i=1}^{d} A_i(x) Phi^i(y) + g(x), sparse coefficients.
@@ -155,29 +161,23 @@ class MahlerEquation:
     def __post_init__(self):
         ring = self.ring
         if not isinstance(self.kind, (Base, Zeckendorf)):
-            raise EquationError(f"unknown numeration kind: {self.kind!r}")
+            raise EquationError(f"unknown numeration kind: {_quote(self.kind)}")
         clean = {}
         for key, val in dict(self.alpha).items():
             try:
                 i, j = key
             except (TypeError, ValueError):
                 raise EquationError(f"alpha key {_quote(key)} is not an (i, j) pair") from None
-            if not (isinstance(i, int) and isinstance(j, int)) or i < 0 or j < 0:
+            if not (_index(i) and _index(j)):
                 raise EquationError(f"alpha index {_quote(key)} out of range")
             v = ring.element(val)
             if v:
                 clean[(i, j)] = v
         if not clean:
             raise EquationError("equation has no nonzero coefficient")
-        gp = {}
-        for j, val in dict(self.g_poly or {}).items():
-            if not isinstance(j, int) or j < 0:
-                raise EquationError(f"g exponent {_quote(j)} out of range")
-            v = ring.element(val)
-            if v:
-                gp[j] = v
         object.__setattr__(self, "alpha", MappingProxyType(clean))
-        object.__setattr__(self, "g_poly", MappingProxyType(gp))
+        object.__setattr__(self, "g_poly",
+                           MappingProxyType(_poly_from(ring, dict(self.g_poly or {}), "g")))
         object.__setattr__(self, "f0", ring.element(self.f0))
         object.__setattr__(self, "d", max(i for i, _ in clean))
         object.__setattr__(self, "h", max(j for _, j in clean))
@@ -806,13 +806,14 @@ def find_relation(A: WeightedAutomaton, kind: NumerationKind, d_max: int,
 # ---------------------------------------------------------------------------
 # isolating normalization over prime fields
 
-def _poly_from(ring: Ring, poly) -> dict:
-    """Sparse coefficient dict from a list/tuple or exponent mapping."""
+def _poly_from(ring: Ring, poly, what: str) -> dict:
+    """Sparse coefficient dict from a list/tuple or exponent mapping, the
+    one polynomial reader; a bad exponent is named a ``what`` exponent."""
     items = poly.items() if isinstance(poly, Mapping) else enumerate(poly)
     out = {}
     for j, v in items:
-        if not isinstance(j, int) or j < 0:
-            raise EquationError(f"polynomial exponent {j!r} out of range")
+        if not _index(j):
+            raise EquationError(f"{what} exponent {_quote(j)} out of range")
         v = ring.element(v)
         if v:
             out[j] = v
@@ -863,7 +864,7 @@ def christol_isolate(ore: Sequence, q: int, ring: Ring):
         raise RingError(
             f"christol_isolate needs a prime field of characteristic q = {q}, "
             f"got {ring.spec}")
-    polys = [_poly_from(ring, p) for p in ore]
+    polys = [_poly_from(ring, p, "polynomial") for p in ore]
     while polys and not polys[-1]:
         polys.pop()
     d = len(polys) - 1

@@ -126,7 +126,7 @@ def word_alphabet(kind: NumerationKind) -> tuple[int, ...]:
 def canonical(n: int, kind: NumerationKind = ZECKENDORF) -> tuple[int, ...]:
     """Canonical expansion of n >= 0; the single digit 0 for n = 0."""
     if not isinstance(n, int) or n < 0:
-        raise NumerationError(f"canonical expansion needs n >= 0, got {n!r}")
+        raise NumerationError(f"canonical expansion needs n >= 0, got {_quote(n)}")
     if n == 0:
         return (0,)
     if isinstance(kind, Base):
@@ -157,23 +157,20 @@ def _canonical_fold(kind: NumerationKind, N: int, start, extend) -> list:
     Index order, so each word costs one extend(shorter word's result,
     digit) instead of an expansion of its own: extend(w, b) with w = (),
     and canonical(n) is read back; with w = "" and str(b) appended, its
-    text.  start stands for the empty word.  In base q, canonical(n) is
-    canonical(n // q) followed by n % q.  In Zeckendorf it is
-    canonical(k) followed by 0 when the shift table has phi(k) = n, and
-    else canonical(k) followed by 1 with phi(k) = n - 1.
+    text.  start stands for the empty word.  Both numerations follow one
+    rule on the one i = 1 preimage table: canonical(n) is canonical(k)
+    followed by the digit n - op(k), for the largest op(k) <= n, with
+    the empty word for k = 0.  In base q that is n // q and n % q; in
+    Zeckendorf the gaps of phi are 1 or 2, so the digit is 0 or 1.
     """
     if N < 0:
         raise NumerationError(f"canonical words need N >= 0, got {N}")
-    out = [extend(start, 0)] + [None] * N
-    if isinstance(kind, Base):
-        q = kind.q
-        for n in range(1, N + 1):
-            out[n] = extend(out[n // q] if n >= q else start, n % q)
-        return out
-    one = preimages(kind, N, (1,))[1]
-    for n in range(1, N + 1):
-        k = one[n]
-        out[n] = extend(out[k], 0) if k >= 0 else extend(out[one[n - 1]] if n > 1 else start, 1)
+    out = [None] * (N + 1)
+    w, m = start, 0  # out[k] (start for k = 0) for the largest op(k) = m <= n
+    for n, k in enumerate(preimages(kind, N, (1,))[1]):
+        if k > 0:
+            w, m = out[k], n
+        out[n] = extend(w, n - m)
     return out
 
 
@@ -290,7 +287,7 @@ def preimages(kind: NumerationKind, N: int, depths: Iterable[int]) -> dict:
     phi(k + 1) - phi(k) = floor((k + 2) phi) - floor((k + 1) phi), which
     spell the Fibonacci word 2122121221... (the Beatty sequence of the
     golden ratio), so no square root is taken.  Each deeper table
-    composes it with the one above.
+    composes it with the one above; depth 0 is made only when asked for.
     Once op^i(1) > N only 0 has a preimage, and every deeper table is
     that one, so a huge i costs no more than a small one.
     """
@@ -310,11 +307,11 @@ def preimages(kind: NumerationKind, N: int, depths: Iterable[int]) -> dict:
             if m > N:
                 break
             one[m] = k
-    tables = {}
-    pre = list(range(N + 1))
-    for i in range(max(depths, default=-1) + 1):
-        if i:
-            pre = one if i == 1 else [one[m] if m >= 0 else -1 for m in pre]
+    tables = {0: list(range(N + 1))} if 0 in depths else {}
+    pre = one
+    for i in range(1, max(depths, default=0) + 1):
+        if i > 1:
+            pre = [one[m] if m >= 0 else -1 for m in pre]
         if i in depths:
             tables[i] = pre
         if pre.count(-1) == N:  # only 0 has a preimage, at this depth and below

@@ -17,11 +17,19 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def _quote(value) -> str:
+class _Quoter(reprlib.Repr):
     """repr(value) for an error message, cut short (strings to 30
-    characters, arrays to 6 entries and 6 levels of nesting) so that
-    hostile input cannot blow an error line up."""
-    return reprlib.repr(value)
+    characters, arrays to 6 entries and 6 levels of nesting, an int of
+    14,000 bits or more named by its size: repr() raises past 4,300
+    digits) so that hostile input cannot blow an error line up."""
+
+    def repr_int(self, x, level):
+        if x.bit_length() < 14_000:
+            return super().repr_int(x, level)
+        return f"a {'negative ' if x < 0 else ''}{x.bit_length()}-bit number"
+
+
+_quote = _Quoter().repr  # the one value quoter of every error line
 
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")

@@ -22,7 +22,7 @@ trim() also applies and assembles, and validates, one machine; none
 keeps a state index of its own.  The two machines with outputs built by
 subset construction, determinize and automata.defect_automaton_constructed,
 are assembled by explore_dfa().
-Plain reachability without numbering (trimming) uses reachable().
+Plain reachability without numbering (trimming) uses reachable(), on (s, t) arrows.
 
 A weighted machine keeps one arrow index, built with it: ``_arrows`` maps
 label -> {src: [(dst, weight payload), ...]} in the order of
@@ -109,9 +109,11 @@ def explore(seeds: Iterable[Hashable],
     return order, trans
 
 
-def reachable(seeds: Iterable[Hashable], adj: Mapping) -> set:
-    """The seeds and every state reachable from them; ``adj`` maps a
-    state to its successors (absent key: none)."""
+def reachable(seeds: Iterable[Hashable], arrows: Iterable[tuple]) -> set:
+    """The seeds and every state that the (s, t) arrows lead to from them."""
+    adj: dict = {}
+    for s, t in arrows:
+        (adj.get(s) or adj.setdefault(s, [])).append(t)
     seen = set(seeds)
     todo = list(seen)
     while todo:
@@ -462,16 +464,10 @@ def _trimmed(ring: Ring, alphabet, states, initial, final, transitions: Mapping,
     that is every state.  ``transitions`` holds nonzero weights only;
     ``reached`` says every state is reachable from I: no closure from I."""
     n = len(states)
-
-    def closure(seeds, pairs):  # the seeds and all the pairs (s, t) lead to from them
-        adj: dict = {}
-        for s, t in pairs:
-            (adj.get(s) or adj.setdefault(s, [])).append(t)
-        return reachable((i for i in range(n) if seeds[i]), adj)
-
-    keep = closure(final, ((d, s) for s, _b, d in transitions))
+    keep = reachable((i for i in range(n) if final[i]), ((d, s) for s, _b, d in transitions))
     if not reached:
-        keep &= closure(initial, ((s, d) for s, _b, d in transitions))
+        keep &= reachable((i for i in range(n) if initial[i]),
+                          ((s, d) for s, _b, d in transitions))
     if len(keep) == n:
         return None
     remap = {old: new for new, old in enumerate(sorted(keep))}  # in index order
@@ -542,7 +538,7 @@ def same_structure(A: WeightedAutomaton, B: WeightedAutomaton) -> bool:
     """Identical states, alphabet, vectors and transition table."""
     return (A.ring == B.ring and A.alphabet == B.alphabet and A.states == B.states
             and A.initial == B.initial and A.final == B.final
-            and dict(A.transitions) == dict(B.transitions))
+            and A.transitions == B.transitions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -735,7 +731,7 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
     all fields in one int operation.
     """
     if direction not in ("direct", "reverse"):
-        raise AutomatonError(f"unknown direction {direction!r}")
+        raise AutomatonError(f"unknown direction {_quote(direction)}")
     if A.ring.cardinality is None:
         raise RingError(f"determinization needs a finite ring, not {A.ring.spec}")
     if direction == "reverse":

@@ -672,6 +672,14 @@ def test_hostile_argument_gives_one_short_error_line(case, capsys):
     assert_one_short_error(*result)
 
 
+def test_order_past_the_str_limit_is_named_by_its_size(capsys):
+    nines = "9" * 4000
+    assert run(capsys, "relation", "-a", "builtin:fib-repr@Q", "--dmax", nines,
+               "--hmax", nines, "-N", "5") == (
+        2, "", "error: linear system size (dmax+1)(hmax+1)(N+1) = a 26579-bit number "
+               "exceeds the ceiling 1000000\n")
+
+
 def test_integer_past_the_str_limit_is_not_echoed_whole(capsys):
     # argparse refuses it; its error line quotes the text short
     start = time.perf_counter()

@@ -177,6 +177,31 @@ class TestMahlerEquation:
                            alpha={(0, 0): 1, (1, 0): 1}, f0=0, g_poly={2: 0})
         assert P.is_homogeneous
 
+    def test_bools_are_not_indices(self):
+        # True == 1, but format_equation would write "True", which no file can spell
+        with pytest.raises(EquationError, match=r"alpha index \(True, False\) out of range"):
+            MahlerEquation(ring=INTEGERS, kind=BASE2, alpha={(0, 0): 1, (True, False): 1}, f0=0)
+        with pytest.raises(EquationError, match="g exponent True out of range"):
+            MahlerEquation(ring=INTEGERS, kind=ZECKENDORF,
+                           alpha={(0, 0): 1}, f0=0, g_poly={True: 2})
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda: canonical(-10**5000), NumerationError),
+        (lambda: Base(-10**5000), NumerationError),
+        (lambda: ModRing(-10**5000), RingError),
+        (lambda: PrimeField(10**5000), RingError),
+        (lambda: MahlerEquation(ring=INTEGERS, kind=BASE2, alpha={(-10**5000, 0): 1}, f0=0),
+         EquationError),
+        (lambda: MahlerEquation(ring=INTEGERS, kind=BASE2, alpha={(0, 0): 1}, f0=0,
+                                g_poly={-10**5000: 1}), EquationError),
+        (lambda: christol_isolate([{-10**5000: 1}, [1]], 2, PrimeField(2)), EquationError),
+    ], ids=["canonical", "Base", "ModRing", "PrimeField", "alpha", "g_poly", "christol_isolate"])
+    def test_an_int_past_the_str_limit_is_named_by_its_size(self, make, error):
+        with pytest.raises(error) as exc:
+            make()
+        line = str(exc.value)
+        assert "16610-bit number" in line and len(line) < 120 and "\n" not in line
+
     def test_tables_are_immutable(self):
         P = shipped("fib_repr.eq")
         with pytest.raises(TypeError):
@@ -566,6 +591,11 @@ class TestEquationFiles:
             assert Q.alpha == P.alpha, name
             assert Q.f0 == P.f0, name
             assert Q.g_poly == P.g_poly, name
+
+    def test_format_is_a_fixed_point_of_parse_then_format(self):
+        for name in SHIPPED:
+            text = format_equation(parse_equation(equation_text(name)))
+            assert format_equation(parse_equation(text)) == text, name
 
     def test_format_declares_true_exponents(self):
         txt = format_equation(shipped("hyperbinary.eq"))

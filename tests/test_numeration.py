@@ -8,6 +8,7 @@ from mahler.numeration import (
     Base,
     NumerationError,
     _canonical_fold,
+    _word_sep,
     canonical,
     delta,
     fib,
@@ -280,17 +281,18 @@ def test_delta_pointwise(m, n):
     assert delta(m, n) == phi(m + n) - phi(m) - phi(n)
 
 
-@pytest.mark.parametrize("kind", [ZECKENDORF, BASE2, BASE3, Base(10)])
+@pytest.mark.parametrize("kind", [ZECKENDORF, BASE2, BASE3, Base(10), Base(12)])
 def test_canonical_walk_gives_every_word(kind):
     N = 10**5
     words = _canonical_fold(kind, N, (), lambda w, b: w + (b,))
     assert words == [canonical(n, kind) for n in range(N + 1)]
-    # the text fold solve prints from; digits up to 9 need no commas
-    texts = _canonical_fold(kind, N, "", lambda text, b: text + str(b))
-    assert texts[::7] == [format_word(w) for w in words[::7]]
+    # the text fold solve prints from: digits joined by commas above base 10
+    sep = _word_sep(kind)
+    texts = _canonical_fold(kind, N, "", lambda text, b: f"{text}{sep}{b}" if text else str(b))
+    assert texts[::7] == [sep.join(map(str, w)) for w in words[::7]]
 
 
-@pytest.mark.parametrize("kind", [ZECKENDORF, BASE2, Base(12)])
+@pytest.mark.parametrize("kind", [ZECKENDORF, BASE2, Base(12), BASE3, Base(10)])
 def test_canonical_walk_small_orders(kind):
     for N in range(14):
         assert _canonical_fold(kind, N, (), lambda w, b: w + (b,)) == [

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import reprlib
 from fractions import Fraction
 from math import isqrt
 
@@ -15,6 +16,7 @@ from mahler.rings import (
     RingError,
     _PRIME_LIMIT,
     _is_prime,
+    _quote,
     parse_ring,
 )
 
@@ -48,6 +50,15 @@ def _trial_division_prime(n):
 def test_is_prime_matches_trial_division():
     assert [n for n in range(20_000) if _is_prime(n)] == \
         [n for n in range(20_000) if _trial_division_prime(n)]
+
+
+def test_quote_names_an_int_past_the_str_limit_by_its_size():
+    # repr() of an int past 4,300 digits raises ValueError; at any depth _quote does not
+    big = 10**4999
+    assert _quote(big) == "a 16607-bit number"
+    assert _quote(-big) == "a negative 16607-bit number"
+    assert _quote((1, (-big, "x"))) == "(1, (a negative 16607-bit number, 'x'))"
+    assert _quote(2**13_998) == reprlib.repr(2**13_998)  # 13,999 bits: cut short
 
 
 def test_large_moduli():

@@ -503,11 +503,11 @@ def test_explore_automaton_matches_the_reference_assembly(case):
 
 
 def test_reachable_closure():
-    adj = {0: {1}, 1: {2}, 2: {0}, 3: {0}, 4: set()}
-    assert reachable([1], adj) == {0, 1, 2}
-    assert reachable([3], adj) == {0, 1, 2, 3}
-    assert reachable([4, 5], adj) == {4, 5}
-    assert reachable([], adj) == set()
+    arrows = [(0, 1), (1, 2), (2, 0), (3, 0)]
+    assert reachable([1], arrows) == {0, 1, 2}
+    assert reachable([3], arrows) == {0, 1, 2, 3}
+    assert reachable([4, 5], arrows) == {4, 5}
+    assert reachable([], arrows) == set()
 
 
 def test_trim_drops_unreachable_and_dead():
