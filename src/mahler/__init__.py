@@ -21,10 +21,8 @@ from .automata import (
 from .equations import (
     EquationError,
     EquationFileError,
-    GrowthReport,
     MahlerEquation,
     SeriesPrefix,
-    ZSpaceInfo,
     build_automaton_dumas,
     build_automaton_q,
     build_automaton_z,
@@ -64,11 +62,9 @@ from .numeration import (
 from .rings import (
     INTEGERS,
     RATIONALS,
-    IntegerRing,
     MixedRingError,
     ModRing,
     PrimeField,
-    RationalRing,
     Ring,
     RingError,
     RingValue,

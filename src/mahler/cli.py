@@ -15,13 +15,12 @@ Subcommands:
 
 Automaton arguments accept either a JSON file path or "builtin:<name>";
 ring-parameterized builtins also take "builtin:<name>@<ring>", e.g.
-builtin:fib-repr@Q.  See BUILTIN_WFA / BUILTIN_DFA.  Exit codes: 0
-success or PASS, 1
-verification FAIL (or no relation found), 2 usage, parse, or
-precondition errors, an order -N above MAX_N, an equation whose d, h,
-g exponents, base or state grid pass MAX_N (build, verify), a base-q
-adder of more than MAX_N digit triples (product), or running out of
-memory.
+builtin:fib-repr@Q.  See BUILTIN_WFA / BUILTIN_DFA (export alone reads
+the latter).  Exit codes: 0 success or PASS, 1 verification FAIL (or
+no relation found), 2 usage, parse, or precondition errors, an order
+-N above MAX_N, an equation whose d, h, g exponents, base or state grid
+pass MAX_N (build, verify), a base-q adder of more than MAX_N digit
+triples (product), or running out of memory.
 """
 
 from __future__ import annotations
@@ -119,30 +118,31 @@ BUILTIN_WFA = {
 }
 
 BUILTIN_DFA = {
-    "defect": defect_automaton,
-    "defect-constructed": defect_automaton_constructed,
+    "defect": (defect_automaton, False),
+    "defect-constructed": (defect_automaton_constructed, False),
 }
 
 
+def _load_machine(spec: str):
+    """The weighted automaton, or BUILTIN_DFA machine with outputs, of an -a spec."""
+    if not spec.startswith("builtin:"):
+        with open(spec, "r", encoding="utf-8") as fh:
+            return automaton_from_json(fh.read())
+    name, at, ring_spec = spec[len("builtin:"):].partition("@")
+    ring = parse_ring(ring_spec) if at else None
+    maker, takes_ring = BUILTIN_WFA.get(name) or BUILTIN_DFA.get(name) or (None, False)
+    if maker is None:
+        raise CliError(f"unknown builtin automaton {_quote(name)}; available: "
+                       + ", ".join(sorted([*BUILTIN_WFA, *BUILTIN_DFA])))
+    if ring is not None and not takes_ring:
+        raise CliError(f"builtin {_quote(name)} does not take a ring suffix")
+    return maker(ring) if takes_ring else maker()
+
+
 def _load_wfa(spec: str):
-    if spec.startswith("builtin:"):
-        name = spec[len("builtin:"):]
-        ring = None
-        if "@" in name:
-            name, _, ring_spec = name.partition("@")
-            ring = parse_ring(ring_spec)
-        if name not in BUILTIN_WFA:
-            raise CliError(
-                f"unknown builtin automaton {_quote(name)}; available: "
-                + ", ".join(sorted(BUILTIN_WFA)))
-        maker, takes_ring = BUILTIN_WFA[name]
-        if takes_ring:
-            return maker(ring)
-        if ring is not None:
-            raise CliError(f"builtin {_quote(name)} does not take a ring suffix")
-        return maker()
-    with open(spec, "r", encoding="utf-8") as fh:
-        return automaton_from_json(fh.read())
+    if isinstance(A := _load_machine(spec), DfaWithOutput):
+        raise CliError(f"{_quote(spec)} is a machine with outputs; only export reads it")
+    return A
 
 
 def _load_equation(path: str):
@@ -174,16 +174,20 @@ def _emit(path, *parts: str):
 
 
 def _build_from_equation(P):
-    # every one of these sizes a list or a loop of the build: refuse first
+    """P's machine and its report line, after refusing sizes the build would loop over."""
     _check_order(P.d, "d")
     _check_order(P.h, "h")
     _check_order(max(P.g_poly, default=0), "largest g exponent")
     if isinstance(P.kind, Base):
         _check_order(P.kind.q, "base q (the machine's alphabet)")
         _check_order(max(P.d, 1) * (_h_tilde(P.kind, P.h) + 1), "base-q grid d(h~+1)")
-        return build_automaton_q(P)
-    _check_order(z_state_space(P).grid_bound, "grid bound")
-    return build_automaton_dumas(P)
+        A = build_automaton_q(P)
+        return A, f"built {A.n_states} states"
+    info = z_state_space(P)
+    _check_order(info.grid_bound, "grid bound")
+    A = build_automaton_dumas(P)
+    return A, (f"grid bound {info.grid_bound} states (h~ = {info.h_tilde}, "
+               f"window {info.window}); built {A.n_states} after trimming")
 
 
 def cmd_solve(args) -> int:
@@ -205,15 +209,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_build(args) -> int:
-    P = _load_equation(args.file)
-    A = _build_from_equation(P)
-    if not isinstance(P.kind, Base):
-        info = z_state_space(P)
-        print(f"grid bound {info.grid_bound} states "
-              f"(h~ = {info.h_tilde}, window {info.window}); "
-              f"built {A.n_states} after trimming", file=sys.stderr)
-    else:
-        print(f"built {A.n_states} states", file=sys.stderr)
+    A, report = _build_from_equation(_load_equation(args.file))
+    print(report, file=sys.stderr)
     _emit(args.output, automaton_to_json(A), "\n")
     return 0
 
@@ -248,7 +245,7 @@ def cmd_verify(args) -> int:
         raise CliError(
             "equation is not isolating, so there is no oracle to build from; "
             "pass --automaton to check its sequence against the equation")
-    A = _load_wfa(args.automaton) if args.automaton else _build_from_equation(P)
+    A = _load_wfa(args.automaton) if args.automaton else _build_from_equation(P)[0]
     if A.ring != P.ring:
         raise CliError(f"automaton ring {A.ring.spec} differs from equation ring {P.ring.spec}")
     fmt = P.ring.format
@@ -329,9 +326,7 @@ def cmd_growth(args) -> int:
 
 
 def cmd_export(args) -> int:
-    spec = args.automaton
-    maker = BUILTIN_DFA.get(spec[len("builtin:"):]) if spec.startswith("builtin:") else None
-    obj = maker() if maker else _load_wfa(spec)
+    obj = _load_machine(args.automaton)
     to_json, to_dot = ((dfa_to_json, dfa_to_dot) if isinstance(obj, DfaWithOutput)
                        else (automaton_to_json, automaton_to_dot))
     parts = (to_json(obj), "\n") if args.format == "json" else (to_dot(obj),)

@@ -355,6 +355,11 @@ def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
 # ---------------------------------------------------------------------------
 # equation files
 
+# directive -> usage line, one word per token (numeration checks its two forms)
+_USAGE = {"ring": "ring <spec>", "d": "d <int>", "h": "h <int>", "f0": "f0 <element>",
+          "alpha": "alpha <i> <j> <element>", "g": "g <j> <element>"}
+
+
 def parse_equation(text: str) -> MahlerEquation:
     """Parse the line-oriented equation format.
 
@@ -392,9 +397,9 @@ def parse_equation(text: str) -> MahlerEquation:
             if key in singles:
                 fail(lineno, f"duplicate {key} line")
             singles.add(key)
+        if (usage := _USAGE.get(key)) and len(toks) != len(usage.split()):
+            fail(lineno, f"expected: {usage}")
         if key == "ring":
-            if len(toks) != 2:
-                fail(lineno, "expected: ring <spec>")
             try:
                 ring = parse_ring(toks[1])
             except RingError as e:
@@ -410,16 +415,10 @@ def parse_equation(text: str) -> MahlerEquation:
             else:
                 fail(lineno, "expected: numeration base <q>  or  numeration zeckendorf")
         elif key in ("d", "h"):
-            if len(toks) != 2:
-                fail(lineno, f"expected: {key} <int>")
             decl[key] = (lineno, intval(toks[1], lineno, key))
         elif key == "f0":
-            if len(toks) != 2:
-                fail(lineno, "expected: f0 <element>")
             f0_entry = (lineno, toks[1])
         elif key == "alpha":
-            if len(toks) != 4:
-                fail(lineno, "expected: alpha <i> <j> <element>")
             i = intval(toks[1], lineno, "alpha index i")
             j = intval(toks[2], lineno, "alpha index j")
             if i < 0 or j < 0:
@@ -428,8 +427,6 @@ def parse_equation(text: str) -> MahlerEquation:
                 fail(lineno, f"duplicate alpha {_quote((i, j))}")
             alpha_entries[(i, j)] = (lineno, toks[3])
         elif key == "g":
-            if len(toks) != 3:
-                fail(lineno, "expected: g <j> <element>")
             j = intval(toks[1], lineno, "g exponent")
             if j < 0:
                 fail(lineno, f"g exponent must be nonnegative, got {_quote(j)}")

@@ -163,8 +163,6 @@ def _canonical_fold(kind: NumerationKind, N: int, start, extend) -> list:
     the empty word for k = 0.  In base q that is n // q and n % q; in
     Zeckendorf the gaps of phi are 1 or 2, so the digit is 0 or 1.
     """
-    if N < 0:
-        raise NumerationError(f"canonical words need N >= 0, got {N}")
     out = [None] * (N + 1)
     w, m = start, 0  # out[k] (start for k = 0) for the largest op(k) = m <= n
     for n, k in enumerate(preimages(kind, N, (1,))[1]):

@@ -150,7 +150,20 @@ class DfaWithOutput:
     outputs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "transitions", MappingProxyType(dict(self.transitions)))
+        n, labels, seen = len(self.states), frozenset(self.alphabet), set()
+        if len(set(self.states)) != n:  # name the first repeated one
+            raise AutomatonError("duplicate state name "
+                                 + _quote(next(s for s in self.states if s in seen or seen.add(s))))
+        if self.initial not in range(n):
+            raise AutomatonError(f"initial state {_quote(self.initial)} is no state index")
+        if len(self.outputs) != n:
+            raise AutomatonError(f"{len(self.outputs)} outputs for {n} states")
+        table = dict(self.transitions)
+        for key, dst in table.items():  # every arrow joins two states by a label
+            src, label = key
+            if not (0 <= src < n and 0 <= dst < n and label in labels):
+                raise AutomatonError(f"bad transition {_quote(key)} -> {_quote(dst)}")
+        object.__setattr__(self, "transitions", MappingProxyType(table))
 
     __reduce__ = _reduce_by_init
 

@@ -406,6 +406,31 @@ def test_unknown_builtin(capsys):
     assert "fib-repr" in err
 
 
+def test_unknown_builtin_lists_every_name(capsys):
+    code, out, err = run(capsys, "export", "-a", "builtin:nope")
+    assert (code, out) == (2, "")
+    assert err == ("error: unknown builtin automaton 'nope'; available: addition-base2, "
+                   "addition-zeckendorf, all-ones, count-ones, defect, defect-constructed, "
+                   "fib-repr, thue-morse\n")
+
+
+def test_machine_with_outputs_takes_no_ring_suffix(capsys):
+    code, out, err = run(capsys, "export", "-a", "builtin:defect@Z")
+    assert (code, out, err) == (2, "", "error: builtin 'defect' does not take a ring suffix\n")
+
+
+def test_machine_with_outputs_is_read_by_export_only(capsys):
+    code, out, err = run(capsys, "eval", "-a", "builtin:defect", "-n", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: 'builtin:defect' is a machine with outputs; only export reads it\n"
+
+
+@pytest.mark.parametrize("name", ["nope", "addition-zeckendorf"])
+def test_ring_suffix_is_read_before_the_name(capsys, name):
+    code, out, err = run(capsys, "eval", "-a", f"builtin:{name}@Foo", "-n", "0")
+    assert (code, out, err) == (2, "", "error: unknown ring spec 'Foo'\n")
+
+
 def test_missing_automaton_file(capsys):
     code, out, err = run(capsys, "eval", "-a", "/nonexistent/x.json", "-n", "0")
     assert code == 2

@@ -625,6 +625,14 @@ class TestEquationFiles:
         with pytest.raises(EquationFileError, match="line 3: expected: f0 <element>"):
             parse_equation("ring Z\nnumeration zeckendorf\nf0 1 2\n")
 
+    def test_arity_after_duplicate_and_for_each_directive(self):
+        with pytest.raises(EquationFileError, match="line 2: duplicate h line"):
+            parse_equation("h 1\nh 1 2\n")
+        with pytest.raises(EquationFileError, match="line 1: expected: h <int>"):
+            parse_equation("h 1 2\nbeta\n")
+        with pytest.raises(EquationFileError, match="line 1: expected: numeration base <q>  or"):
+            parse_equation("numeration base\n")
+
     def test_non_integer_index(self):
         with pytest.raises(EquationFileError,
                            match="line 1: alpha index i must be an integer, got 'x'"):

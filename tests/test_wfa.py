@@ -949,6 +949,31 @@ def test_determinize_from_a_zero_initial_vector():
     assert [v.payload for v in R.outputs] == [0, 0, 0, 0]
 
 
+DFA_FIELDS = dict(alphabet=(0, 1), states=("x", "y"), initial=0,
+                  transitions={(0, 1): 1, (1, 0): 0}, outputs=("even", "odd"))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("states", ("x", "y", "x"), "duplicate state name 'x'"),
+    ("initial", 2, "initial state 2 is no state index"),
+    ("outputs", ("even",), "1 outputs for 2 states"),
+    ("transitions", {(0, 1): 1, (2, 0): 0}, r"bad transition \(2, 0\) -> 0"),
+    ("transitions", {(0, 1): 1, (1, 0): 5}, r"bad transition \(1, 0\) -> 5"),
+    ("transitions", {(0, 1): 1, (1, 7): 0}, r"bad transition \(1, 7\) -> 0"),
+], ids=["state-names", "initial", "outputs", "arrow-source", "arrow-target", "arrow-label"])
+def test_dfa_checks_its_shape(field, value, message):
+    with pytest.raises(AutomatonError, match=message):
+        DfaWithOutput(**{**DFA_FIELDS, field: value})
+
+
+def test_dfa_of_malformed_fields_is_refused_before_any_reader():
+    # accepted unchecked, this machine made run, dfa_to_json and dfa_to_dot
+    # each raise a bare IndexError
+    with pytest.raises(AutomatonError, match="initial state 3 is no state index"):
+        DfaWithOutput(alphabet=(0,), states=("a",), initial=3,
+                      transitions={(0, 5): 9}, outputs=())
+
+
 def test_dfa_run_and_missing_edge():
     D = DfaWithOutput(
         alphabet=(0, 1),
