@@ -47,7 +47,6 @@ from .numeration import (
     delta,
     fib,
     floor_phi,
-    floor_phi2,
     format_word,
     has_adjacent_ones,
     lam,
@@ -55,8 +54,6 @@ from .numeration import (
     phi,
     phi_iter,
     phi_preimage,
-    phi_via_floor,
-    phi2_via_floor,
     value,
 )
 from .rings import (

@@ -13,10 +13,11 @@ Conventions used throughout:
   two adjacent ones, and canonical(0) is the single digit 0.
 
 The shift map ``phi`` appends a zero digit to the Zeckendorf expansion.
-It is defined here by digit manipulation; the closed forms using the
-golden ratio are provided separately (``phi_via_floor``) so the two can
-be checked against each other, and are computed exactly with integer
-square roots, never with floats.
+It is defined here by digit manipulation.  Its closed forms with the
+golden ratio, floor(phi (n + 1)) - 1 and the double shift's, belong to
+the test suite, which checks phi against them; ``floor_phi``, exact by
+an integer square root and never a float, stays here for the h~ bound
+of the Zeckendorf construction.
 
 Bulk paths do not call ``phi`` per index.  ``preimages(kind, N, depths)``
 gives, for each i in depths, one O(N) table answering "which k has
@@ -26,7 +27,7 @@ Zeckendorf); the oracle, the residual, the relation search and
 their preimages up there, and carry no value pairs.  The automaton
 prefix walk in wfa.py is the one walk down the tree of canonical words.
 The digit-level ``phi``, ``phi_iter`` and ``phi_preimage`` stay as the
-independent witnesses the table and the floor formulas are checked against.
+independent witnesses the table is checked against.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ def delta(m: int, n: int) -> int:
     return phi(m + n) - phi(m) - phi(n)
 
 
-# Exact golden-ratio floor formulas.  floor(k * phi) for k >= 0 equals
+# The exact golden-ratio floor.  floor(k * phi) for k >= 0 equals
 # (k + isqrt(5 k^2)) // 2 because 5 k^2 is never a perfect square for
 # k >= 1, so isqrt(5 k^2) = floor(k * sqrt(5)) exactly.
 
@@ -254,21 +255,6 @@ def floor_phi(k: int) -> int:
     if k < 0:
         raise NumerationError(f"floor_phi needs k >= 0, got {k}")
     return (k + isqrt(5 * k * k)) // 2
-
-
-def floor_phi2(k: int) -> int:
-    """floor(k * phi^2) = k + floor(k * phi), using phi^2 = phi + 1."""
-    return k + floor_phi(k)
-
-
-def phi_via_floor(n: int) -> int:
-    """Closed form floor(phi*n + phi - 1) for the shift map."""
-    return floor_phi(n + 1) - 1
-
-
-def phi2_via_floor(n: int) -> int:
-    """Closed form floor(phi^2*n + phi - 1) for the double shift."""
-    return n + phi_via_floor(n)
 
 
 # Preimage tables.  op (n -> q n, or phi) is strictly increasing with

@@ -160,8 +160,8 @@ class RingValue:
     __slots__ = ("ring", "payload")
 
     def __init__(self, ring: Ring, payload):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "payload", payload)
+        _set_ring(self, ring)  # the slots' own setters: __setattr__ refuses
+        _set_payload(self, payload)
 
     def __setattr__(self, name, value):
         raise AttributeError("RingValue is immutable")
@@ -234,6 +234,9 @@ class RingValue:
 
     def __repr__(self):
         return f"<{self.ring.spec}: {self}>"
+
+
+_set_ring, _set_payload = RingValue.ring.__set__, RingValue.payload.__set__
 
 
 class IntegerRing(Ring):

@@ -49,12 +49,20 @@ I and F.  Every word of length L shares the denominator c_I c_F D^L, so
 each nonzero sum becomes one Fraction as it leaves the walk.  The
 scaling is rings._integral, Q's one integer-scaling rule, which also
 serves the oracle and find_relation's rows (equations._kernel_basis).
+
+A bulk producer makes one value per distinct output, through one memo
+per call (_memo): the walk's exits on the reduced int sum (over Q, one
+memo per word length on the int sum: a Fraction is never hashed),
+cauchy_product on each arrow weight and final product (over Q each is
+made anew), and determinize on each state's output.  A zero is the
+ring's zero itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from itertools import count, repeat
 from math import gcd
 from types import MappingProxyType, SimpleNamespace
@@ -159,10 +167,13 @@ class DfaWithOutput:
         if len(self.outputs) != n:
             raise AutomatonError(f"{len(self.outputs)} outputs for {n} states")
         table = dict(self.transitions)
-        for key, dst in table.items():  # every arrow joins two states by a label
-            src, label = key
-            if not (0 <= src < n and 0 <= dst < n and label in labels):
-                raise AutomatonError(f"bad transition {_quote(key)} -> {_quote(dst)}")
+        try:  # every arrow joins two states by a label
+            for key, dst in table.items():
+                src, label = key
+                if not (0 <= src < n and 0 <= dst < n and label in labels):
+                    raise ValueError
+        except (TypeError, ValueError):  # also a key that is no (state index, label) pair
+            raise AutomatonError(f"bad transition {_quote(key)} -> {_quote(dst)}") from None
         object.__setattr__(self, "transitions", MappingProxyType(table))
 
     __reduce__ = _reduce_by_init
@@ -319,10 +330,23 @@ def eval_sequence(A: WeightedAutomaton, kind: NumerationKind, n: int) -> RingVal
 def sequence_prefix(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list:
     """[weight(canonical(n)) for n = 0..N] from one walk of the tree of
     canonical words (_prefix_payloads); agrees with eval_sequence entry by
-    entry, and every zero entry is ring.zero itself."""
-    ring = A.ring
-    zero = ring.zero
-    return [RingValue(ring, p) if p else zero for p in _prefix_payloads(A, kind, N)]
+    entry, every zero entry is ring.zero itself, and equal entries are
+    one value (over Q, equal entries of one word length)."""
+    return _prefix_payloads(A, kind, N, values=True)
+
+
+def _memo(make: Callable, zero) -> Callable:
+    """key -> make(key), made on first use and kept, and 0 -> zero: an
+    equal key gives the same object back for one dict lookup."""
+    made = {0: zero}
+    get = made.get
+
+    def memo(key):
+        out = get(key)
+        if out is None:  # inline: a dict's __missing__ would add about 150 ns per miss
+            out = made[key] = make(key)
+        return out
+    return memo
 
 
 def _column_payload(A: WeightedAutomaton, label, col: dict) -> dict:
@@ -343,18 +367,16 @@ def _column_payload(A: WeightedAutomaton, label, col: dict) -> dict:
 
 def _integer_image(A: WeightedAutomaton, length: int) -> tuple:
     """The integer image of a Q machine for _prefix_payloads: (M, I', F',
-    exits).
+    dens).
 
     D is the lcm of the denominators of the arrow weights, c_I and c_F
     those of I and F (rings._integral).  M holds the ring Z and A's arrow
     index with every weight times D, so it steps the int matrices
     D mu(b) through _step_payload and _column_payload; I' = c_I I and
     F' = c_F F are sparse int vectors.  A word w of length L then weighs
-    I' M(w) F' / (c_I c_F D^L), and exits[L] (L <= length) turns that
-    int sum into the Fraction; a zero sum gives Q's zero payload with
-    no division.  M is an exact scaling of a machine that was validated
-    when it was made, so it is not a WeightedAutomaton and is not
-    validated again.
+    I' M(w) F' / (c_I c_F D^L), and dens[L] = c_I c_F D^L (L <= length).
+    M is an exact scaling of a machine that was validated when it was
+    made, so it is not a WeightedAutomaton and is not validated again.
     """
     weights = [w for by_src in A._arrows.values() for out in by_src.values() for _d, w in out]
     D, scaled = _integral(weights)
@@ -363,16 +385,16 @@ def _integer_image(A: WeightedAutomaton, length: int) -> tuple:
               for b, by_src in A._arrows.items()}
     c_I, init = _integral([v.payload for v in A.initial])
     c_F, final = _integral([v.payload for v in A.final])
-    zero = RATIONALS.zero.payload
-    exits = [lambda acc, den=c_I * c_F * D ** L: Fraction(acc, den) if acc else zero
-             for L in range(length + 1)]
     return (SimpleNamespace(ring=INTEGERS, _arrows=arrows),
             {s: a for s, a in enumerate(init) if a},
-            {s: f for s, f in enumerate(final) if f}, exits)
+            {s: f for s, f in enumerate(final) if f},
+            [c_I * c_F * D ** L for L in range(length + 1)])
 
 
-def _prefix_payloads(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list:
-    """The payloads of sequence_prefix(A, kind, N), sharing work across words.
+def _prefix_payloads(A: WeightedAutomaton, kind: NumerationKind, N: int,
+                     values: bool = False) -> list:
+    """The payloads of sequence_prefix(A, kind, N), sharing work across
+    words; with ``values``, sequence_prefix itself.
 
     weight(u v) = (I mu(u)) . (mu(v) F) for every cut of a word, so the
     walk meets in the middle of the tree of canonical words.  Forward, it
@@ -397,9 +419,10 @@ def _prefix_payloads(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list
     Every dot product is summed natively and leaves the walk through
     the exit of its word length L = (depth of u) + j.  Over Q the walk
     runs on the integer image of A (_integer_image): int rows, columns
-    and sums, and one Fraction per nonzero output, over the one
-    denominator c_I c_F D^L of its length.  Over the other rings the
-    exit of every length is ring._reduce.
+    and sums, and one Fraction per output, over the one denominator
+    c_I c_F D^L of its length.  Over the other rings the exit of every
+    length is ring._reduce.  An exit that makes a Fraction or a value
+    makes each output once (see the module docstring).
     """
     if N < 0:
         raise AutomatonError(f"need N >= 0, got {N}")
@@ -408,14 +431,24 @@ def _prefix_payloads(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list
     _word_labels(A, range(min(q, N + 1)))
     ring = A.ring
     step, column = _step_payload, _column_payload
-    out = [ring.zero.payload] * (N + 1)
+    zero = ring.zero if values else ring.zero.payload
+    out = [zero] * (N + 1)
     length = len(canonical(N, kind))
     if ring == RATIONALS:
-        M, init, final, exits = _integer_image(A, length)
+        M, init, final, dens = _integer_image(A, length)
+        if values:
+            makes = [lambda acc, den=den: RingValue(ring, Fraction(acc, den)) for den in dens]
+        else:
+            makes = [lambda acc, den=den: Fraction(acc, den) for den in dens]
+        exits = [_memo(make, zero) for make in makes]
     else:
         M, init = A, _initial_payload(A)
         final = {s: f.payload for s, f in enumerate(A.final) if f}
-        exits = [ring._reduce] * (length + 1)
+        reduce = exit = ring._reduce
+        if values:  # over Z the sum is the payload
+            value = _memo(partial(RingValue, ring), ring.zero)
+            exit = (lambda acc: value(reduce(acc))) if ring.characteristic else value
+        exits = [exit] * (length + 1)
     # forward: (I mu(u), value(u), value(u 0), last digit) per node u of depth_f
     level = [(init, 0, 0, 0)] if init else []
     depth_f = 0
@@ -618,6 +651,10 @@ def cauchy_product(A1: WeightedAutomaton, A2: WeightedAutomaton,
     add_arrows = [(lab, AA._arrows[lab]) for lab in AA.alphabet if lab in AA._arrows]
     arrows1, arrows2 = A1._arrows, A2._arrows
     reduce = ring._reduce
+    # one value per distinct weight; over Q each is made anew
+    made = partial(RingValue, ring)
+    if ring != RATIONALS:
+        made = _memo(made, ring.zero)
 
     seeds = {(qa, s1, s2): v1 * v2
              for qa in range(len(AA.states)) if AA.initial[qa]
@@ -630,11 +667,12 @@ def cauchy_product(A1: WeightedAutomaton, A2: WeightedAutomaton,
             for qa2, _w in by_src.get(qa, ()):
                 for d1, w1 in arrows1.get(b1, {}).get(s1, ()):
                     for d2, w2 in arrows2.get(b2, {}).get(s2, ()):
-                        yield b3, (qa2, d1, d2), RingValue(ring, reduce(w1 * w2))
+                        yield b3, (qa2, d1, d2), made(reduce(w1 * w2))
 
     def final(triple):
         qa, s1, s2 = triple
-        return A1.final[s1] * A2.final[s2] if AA.final[qa] else ring.zero
+        return (made(reduce(A1.final[s1].payload * A2.final[s2].payload))
+                if AA.final[qa] else ring.zero)
 
     return explore_automaton(
         ring, out_labels, seeds, successors, final,
@@ -773,7 +811,7 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
     ones = sum(1 << k * W for k in range(len(alphabet) * r + 1))
     guard, top = ones << W - 1, W - 1
     subtract = [(guard - (n << t) * ones, n << t) for t in reversed(range(nch.bit_length()))]
-    values: dict = {}
+    value = _memo(partial(RingValue, ring), ring.zero)  # one per distinct output
 
     def expand(x):  # the successors, label by label, and the output of state x
         acc = 0
@@ -799,9 +837,7 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
             acc += v
         for bias, k in subtract:
             acc -= (((acc + bias) & guard) >> top) * k
-        out = acc >> out_at  # one RingValue per distinct output
-        return ([acc >> at & mask for at in starts],
-                values.get(out) or values.setdefault(out, RingValue(ring, out)))
+        return [acc >> at & mask for at in starts], value(acc >> out_at)
 
     seed = sum(A.initial[c].payload << off for c, off in where.items())
     return explore_dfa(alphabet, seed, expand, "v")

@@ -10,6 +10,7 @@ were produced by them.
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 getcontext().prec = 80
 
@@ -321,6 +322,29 @@ def phi_floor(n):
 def phi_ref(n):
     """Zeckendorf shift: floor(phi*n + phi - 1) = floor(phi*(n+1)) - 1."""
     return phi_floor(n + 1) - 1
+
+
+# The paper's closed forms, exact by an integer square root: for k >= 0,
+# floor(k * phi) = (k + isqrt(5 k^2)) // 2, since 5 k^2 is never a
+# perfect square for k >= 1.
+
+def _floor_phi(k):
+    return (k + isqrt(5 * k * k)) // 2
+
+
+def floor_phi2(k):
+    """floor(k * phi^2) = k + floor(k * phi), using phi^2 = phi + 1."""
+    return k + _floor_phi(k)
+
+
+def phi_via_floor(n):
+    """Closed form floor(phi*n + phi - 1) for the shift map."""
+    return _floor_phi(n + 1) - 1
+
+
+def phi2_via_floor(n):
+    """Closed form floor(phi^2*n + phi - 1) for the double shift."""
+    return n + phi_via_floor(n)
 
 
 def delta_ref(m, n):

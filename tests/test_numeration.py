@@ -13,17 +13,14 @@ from mahler.numeration import (
     delta,
     fib,
     floor_phi,
-    floor_phi2,
     format_word,
     has_adjacent_ones,
     lam,
     pad,
     parse_word,
     phi,
-    phi2_via_floor,
     phi_iter,
     phi_preimage,
-    phi_via_floor,
     preimages,
     value,
     word_alphabet,
@@ -86,15 +83,15 @@ def test_phi_iter_edges():
 def test_floor_formulas_against_decimal():
     for k in range(3000):
         assert floor_phi(k) == oracles.phi_floor(k)
-        assert floor_phi2(k) == k + oracles.phi_floor(k)
+        assert oracles.floor_phi2(k) == k + oracles.phi_floor(k)
     with pytest.raises(NumerationError):
         floor_phi(-1)
 
 
 def test_phi_closed_forms():
     for n in range(3000):
-        assert phi_via_floor(n) == phi(n)
-        assert phi2_via_floor(n) == phi_iter(n, 2)
+        assert oracles.phi_via_floor(n) == phi(n)
+        assert oracles.phi2_via_floor(n) == phi_iter(n, 2)
 
 
 def test_phi_preimage():
@@ -149,11 +146,16 @@ def test_preimage_tables_compose_one_shift_table(kind, monkeypatch):
     expected = {i: preimages(kind, N, (i,))[i] for i in range(6)}
     calls = []
 
-    def counted(k):
-        calls.append(k)
-        return phi_via_floor(k)
+    def counted(name, f):
+        def call(*args):
+            calls.append(name)
+            return f(*args)
+        return call
 
-    monkeypatch.setattr(numeration, "phi_via_floor", counted)
+    # what a table could fall back on: the shift, a preimage query, an
+    # expansion, the floor formula and its square root
+    for name in ("phi", "phi_preimage", "canonical", "floor_phi", "isqrt"):
+        monkeypatch.setattr(numeration, name, counted(name, getattr(numeration, name)))
     assert preimages(kind, N, [4, 0, 2, 5, 2, 1, 3]) == expected
     # the i = 1 table is filled once, not once per depth, and in
     # Zeckendorf from the Fibonacci word, without the floor formula
@@ -168,7 +170,7 @@ def test_zeckendorf_shift_table_is_the_floor_formula(N):
     # every k at phi_via_floor(k) <= N and -1 everywhere else
     expected = [-1] * (N + 1)
     k = 0
-    while (m := phi_via_floor(k)) <= N:
+    while (m := oracles.phi_via_floor(k)) <= N:
         expected[m] = k
         k += 1
     assert preimages(ZECKENDORF, N, (1,))[1] == expected

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import ints, make_random_equation, zero_digit_counter
+from conftest import equation_text, ints, make_random_equation, zero_digit_counter
 from mahler import cli, wfa
 from mahler.automata import (
     addition_automaton,
@@ -247,6 +247,12 @@ def test_pruned_walk_matches_eval_and_never_steps_a_zero_vector(machine, data):
         assert got == expected[:N + 1]
         assert all(v is ring.zero for v in got if not v)
         assert len(stepped) <= N + 1  # one step per node: the word 0, then each n in 1..N
+        # one value per distinct output, also where unequal sums reduce
+        # to one residue (over Q, per word length); the payload walk
+        # gives the same payloads
+        lengths = [len(canonical(n, kind)) if ring == RATIONALS else 0 for n in range(N + 1)]
+        assert len({id(v) for v in got}) <= len(set(zip(lengths, (v.payload for v in got))))
+        assert wfa._prefix_payloads(A, kind, N) == [v.payload for v in got]
 
 
 # a fraction with a denominator up to 7, of either sign
@@ -280,11 +286,17 @@ def test_q_walk_on_the_integer_image_matches_the_fraction_path_sum(machine, data
     points = _meeting_points(kind, 120)
     expected = [Fraction(oracles.path_sum(initial, final, arrows, _digit_word(n, kind)))
                 for n in range(points[-1] + 1)]
+    evaluated = [eval_sequence(A, kind, n) for n in range(points[-1] + 1)]
     for N in points:
         payloads = wfa._prefix_payloads(A, kind, N)
         assert payloads == expected[:N + 1]
         assert all(type(x) is Fraction for x in payloads)
-        assert all(v is RATIONALS.zero for v in sequence_prefix(A, kind, N) if not v)
+        got = sequence_prefix(A, kind, N)
+        assert got == evaluated[:N + 1]
+        assert all(v is RATIONALS.zero for v in got if not v)
+        # one value per distinct output of each word length, the zero included
+        assert len({id(v) for v in got}) <= len(
+            {(len(canonical(n, kind)), v.payload) for n, v in enumerate(got)})
 
 
 def test_the_oracle_never_reaches_the_integer_image():
@@ -373,6 +385,23 @@ def test_step_drops_an_entry_that_cancels(spec, pair):
     assert _step_payload(A, _initial_payload(A), 1) == {}
     assert _step_payload(A, _initial_payload(A), 0) == {2: ring.element(pair[0]).payload}
     assert not weight(A, (1,)) and weight(A, (0,)) == ring.element(pair[0])
+
+
+def test_sequence_prefix_makes_one_value_per_distinct_output(monkeypatch):
+    # fib_repr takes 52 distinct values to N = 4000; each nonzero one is
+    # made once, not once per entry
+    A = build_automaton_z(parse_equation(equation_text("fib_repr.eq")))
+    expected = sequence_prefix(A, ZECKENDORF, 4000)
+    made = []
+
+    def counted(ring, payload):
+        made.append(payload)
+        return RingValue(ring, payload)
+
+    monkeypatch.setattr(wfa, "RingValue", counted)
+    got = sequence_prefix(A, ZECKENDORF, 4000)
+    assert got == expected
+    assert len(made) <= len({v.payload for v in got if v}) < 100
 
 
 def test_sequence_prefix_rejects_digits_outside_the_alphabet():
@@ -960,7 +989,11 @@ DFA_FIELDS = dict(alphabet=(0, 1), states=("x", "y"), initial=0,
     ("transitions", {(0, 1): 1, (2, 0): 0}, r"bad transition \(2, 0\) -> 0"),
     ("transitions", {(0, 1): 1, (1, 0): 5}, r"bad transition \(1, 0\) -> 5"),
     ("transitions", {(0, 1): 1, (1, 7): 0}, r"bad transition \(1, 7\) -> 0"),
-], ids=["state-names", "initial", "outputs", "arrow-source", "arrow-target", "arrow-label"])
+    ("transitions", {0: 0}, "bad transition 0 -> 0"),
+    ("transitions", {(0, 0, 0): 0}, r"bad transition \(0, 0, 0\) -> 0"),
+    ("transitions", {("a", 0): 0}, r"bad transition \('a', 0\) -> 0"),
+], ids=["state-names", "initial", "outputs", "arrow-source", "arrow-target", "arrow-label",
+        "key-not-a-pair", "key-of-three", "key-source-not-an-index"])
 def test_dfa_checks_its_shape(field, value, message):
     with pytest.raises(AutomatonError, match=message):
         DfaWithOutput(**{**DFA_FIELDS, field: value})
