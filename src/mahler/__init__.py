@@ -3,9 +3,8 @@
 Compiles isolating Mahler equations over base-q or Zeckendorf
 numeration into weighted finite automata, with an independent series
 recurrence as the oracle, plus the reverse direction (relation search),
-Cauchy products, determinization over finite rings, and the arithmetic
-of the Zeckendorf shift (phi, lambda, the linearity defect and its
-automaton).
+Cauchy products, determinization over finite rings, and the Zeckendorf
+shift phi with the automata of its linearity defect.
 """
 
 from .automata import (
@@ -26,7 +25,6 @@ from .equations import (
     build_automaton_dumas,
     build_automaton_q,
     build_automaton_z,
-    christol_isolate,
     compatible_f0,
     find_relation,
     format_equation,
@@ -44,12 +42,10 @@ from .numeration import (
     NumerationError,
     Zeckendorf,
     canonical,
-    delta,
     fib,
     floor_phi,
     format_word,
     has_adjacent_ones,
-    lam,
     parse_word,
     phi,
     phi_iter,

@@ -74,7 +74,7 @@ def constant_recognizer(C, c: int) -> DfaWithOutput:
 
 # ---------------------------------------------------------------------------
 # The shift-defect machine: reading (m)_Z digitwise-minus (n)_Z it outputs
-# delta(m - n, n).  The five-state table is fixed; q0 deliberately has no
+# phi(m) - phi(m - n) - phi(n).  The five-state table is fixed; q0 has no
 # -1 transition because no valid difference word starts that way.
 
 def defect_automaton() -> DfaWithOutput:

@@ -23,11 +23,11 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .automata import defect_automaton, polynomial_automaton, shift_regular
 from .numeration import (
@@ -138,6 +138,14 @@ def _index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
+def _table(x, name: str) -> dict:
+    """dict(x); a field that is neither a mapping nor pairs is named."""
+    try:
+        return dict(x)
+    except (TypeError, ValueError):
+        raise EquationError(f"{name} {_quote(x)} is not a mapping") from None
+
+
 @dataclass(frozen=True, eq=False)
 class MahlerEquation:
     """A_0(x) y = sum_{i=1}^{d} A_i(x) Phi^i(y) + g(x), sparse coefficients.
@@ -163,21 +171,25 @@ class MahlerEquation:
         if not isinstance(self.kind, (Base, Zeckendorf)):
             raise EquationError(f"unknown numeration kind: {_quote(self.kind)}")
         clean = {}
-        for key, val in dict(self.alpha).items():
+        for key, val in _table(self.alpha, "alpha").items():
             try:
                 i, j = key
             except (TypeError, ValueError):
                 raise EquationError(f"alpha key {_quote(key)} is not an (i, j) pair") from None
             if not (_index(i) and _index(j)):
                 raise EquationError(f"alpha index {_quote(key)} out of range")
-            v = ring.element(val)
-            if v:
+            if v := ring.element(val):
                 clean[(i, j)] = v
         if not clean:
             raise EquationError("equation has no nonzero coefficient")
+        g = {}
+        for j, val in _table(self.g_poly or {}, "g_poly").items():
+            if not _index(j):
+                raise EquationError(f"g exponent {_quote(j)} out of range")
+            if v := ring.element(val):
+                g[j] = v
         object.__setattr__(self, "alpha", MappingProxyType(clean))
-        object.__setattr__(self, "g_poly",
-                           MappingProxyType(_poly_from(ring, dict(self.g_poly or {}), "g")))
+        object.__setattr__(self, "g_poly", MappingProxyType(g))
         object.__setattr__(self, "f0", ring.element(self.f0))
         object.__setattr__(self, "d", max(i for i, _ in clean))
         object.__setattr__(self, "h", max(j for _, j in clean))
@@ -211,12 +223,8 @@ def is_isolating(P: MahlerEquation) -> bool:
 
 def _compat_sides(P: MahlerEquation, g0: RingValue):
     """Both sides of the n = 0 coefficient identity for P.f0 and g_0 = g0."""
-    lhs = P.coefficient(0, 0) * P.f0
-    rhs = g0
-    for (i, j), a in P.alpha.items():
-        if i >= 1 and j == 0:
-            rhs = rhs + a * P.f0
-    return lhs, rhs
+    rhs = sum((a * P.f0 for (i, j), a in P.alpha.items() if i >= 1 and j == 0), g0)
+    return P.coefficient(0, 0) * P.f0, rhs
 
 
 def compatible_f0(P: MahlerEquation) -> bool:
@@ -798,92 +806,6 @@ def find_relation(A: WeightedAutomaton, kind: NumerationKind, d_max: int,
         if residual(cand, s).is_zero():
             return cand
     return None
-
-
-# ---------------------------------------------------------------------------
-# isolating normalization over prime fields
-
-def _poly_from(ring: Ring, poly, what: str) -> dict:
-    """Sparse coefficient dict from a list/tuple or exponent mapping, the
-    one polynomial reader; a bad exponent is named a ``what`` exponent."""
-    items = poly.items() if isinstance(poly, Mapping) else enumerate(poly)
-    out = {}
-    for j, v in items:
-        if not _index(j):
-            raise EquationError(f"{what} exponent {_quote(j)} out of range")
-        v = ring.element(v)
-        if v:
-            out[j] = v
-    return out
-
-
-def _poly_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for ja, va in a.items():
-        for jb, vb in b.items():
-            j = ja + jb
-            cur = out.get(j)
-            p = va * vb
-            out[j] = p if cur is None else cur + p
-    return {j: v for j, v in out.items() if v}
-
-
-def _poly_pow(ring: Ring, a: dict, e: int) -> dict:
-    result = {0: ring.one}
-    base = dict(a)
-    while e:
-        if e & 1:
-            result = _poly_mul(result, base)
-        base = _poly_mul(base, base)
-        e >>= 1
-    return result
-
-
-def christol_isolate(ore: Sequence, q: int, ring: Ring):
-    """Rewrite an annihilating operator into isolating form by substitution.
-
-    ore lists the polynomials A_0..A_d of an operator
-    sum_{i=0}^d A_i Phi^i annihilating f, over a prime field whose
-    characteristic equals q.  Substituting f = A_0 * g and using
-    A_0(x)^{q^i} = A_0(x^{q^i}) (Frobenius) turns the relation into
-    A_0^2 * (g + sum_{i>=1} B_i Phi^i(g)) = 0 with
-    B_i = A_i * A_0^{q^i - 2}, so g satisfies the isolating equation
-    with stored coefficients alpha[i, j] = -(B_i)_j.  Returns that
-    equation together with the dense coefficient tuple of the multiplier
-    A_0; the caller recovers f as the Cauchy product of A_0 and g, with
-    g_0 = f_0 / A_0(0).
-
-    The stored f0 of the returned equation is a compatible default (1
-    when the constant terms allow a free choice, else 0); for the g_0
-    you actually want, build from dataclasses.replace(Q, f0=...).
-    """
-    if not ring.is_field or ring.characteristic != q:
-        raise RingError(
-            f"christol_isolate needs a prime field of characteristic q = {q}, "
-            f"got {ring.spec}")
-    polys = [_poly_from(ring, p, "polynomial") for p in ore]
-    while polys and not polys[-1]:
-        polys.pop()
-    d = len(polys) - 1
-    if d < 1:
-        raise EquationError("operator needs d >= 1 (some Phi term)")
-    a0 = polys[0]
-    if not a0:
-        raise EquationError("A_0 = 0 cannot be normalized away")
-    if 0 not in a0:
-        raise EquationError("A_0(0) = 0: the multiplier has no series inverse")
-    alpha = {(0, 0): ring.one}
-    for i in range(1, d + 1):
-        if not polys[i]:
-            continue
-        bi = _poly_mul(polys[i], _poly_pow(ring, a0, q ** i - 2))
-        for j, v in bi.items():
-            alpha[(i, j)] = -v
-    Q = MahlerEquation(ring=ring, kind=Base(q), alpha=alpha, f0=ring.one)
-    if not compatible_f0(Q):
-        Q = replace(Q, f0=ring.zero)
-    a0_dense = tuple(a0.get(j, ring.zero) for j in range(max(a0) + 1))
-    return Q, a0_dense
 
 
 # ---------------------------------------------------------------------------

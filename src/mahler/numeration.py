@@ -231,21 +231,6 @@ def phi_preimage(m: int, i: int = 1) -> int | None:
     return k if phi_iter(k, i) == m else None
 
 
-def lam(n: int) -> int:
-    """Drop the least significant Zeckendorf digit and reindex.
-
-    Writing n = sum b_i F_i, returns sum over i >= 1 of b_i F_{i-1}.
-    A left inverse of phi: lam(phi(n)) == n for all n >= 0.
-    """
-    w = canonical(n, ZECKENDORF)
-    return value(w[:-1], ZECKENDORF)
-
-
-def delta(m: int, n: int) -> int:
-    """Shift defect phi(m + n) - phi(m) - phi(n); always in {-1, 0, 1}."""
-    return phi(m + n) - phi(m) - phi(n)
-
-
 # The exact golden-ratio floor.  floor(k * phi) for k >= 0 equals
 # (k + isqrt(5 k^2)) // 2 because 5 k^2 is never a perfect square for
 # k >= 1, so isqrt(5 k^2) = floor(k * sqrt(5)) exactly.

@@ -66,12 +66,10 @@ from functools import partial
 from itertools import count, repeat
 from math import gcd
 from types import MappingProxyType, SimpleNamespace
-from typing import Callable, Hashable, Iterable, Mapping, Union
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .numeration import Base, NumerationKind, as_digits, canonical, fib
 from .rings import INTEGERS, RATIONALS, Ring, RingError, RingValue, _integral, _quote
-
-Label = Union[int, tuple]
 
 
 class AutomatonError(ValueError):

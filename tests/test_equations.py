@@ -31,7 +31,6 @@ from mahler.equations import (
     build_automaton_dumas,
     build_automaton_q,
     build_automaton_z,
-    christol_isolate,
     compatible_f0,
     find_relation,
     format_equation,
@@ -185,6 +184,24 @@ class TestMahlerEquation:
             MahlerEquation(ring=INTEGERS, kind=ZECKENDORF,
                            alpha={(0, 0): 1}, f0=0, g_poly={True: 2})
 
+    @pytest.mark.parametrize("name, bad, line", [
+        ("alpha", [1, 2], "alpha [1, 2] is not a mapping"),
+        ("alpha", 5, "alpha 5 is not a mapping"),
+        ("g_poly", [0, 1], "g_poly [0, 1] is not a mapping"),
+        ("g_poly", 7, "g_poly 7 is not a mapping"),
+        ("g_poly", "ab", "g_poly 'ab' is not a mapping"),
+    ])
+    def test_a_table_that_is_no_mapping_is_one_line(self, name, bad, line):
+        # a sequence of pairs is still read as a table; anything else dict
+        # refuses is named through _quote, not a bare TypeError or ValueError
+        args = dict(ring=INTEGERS, kind=ZECKENDORF, alpha={(0, 0): 1, (1, 1): 1}, f0=0)
+        pairs = {"alpha": [((0, 0), 1), ((1, 1), 1)], "g_poly": [(0, 1)]}[name]
+        P = MahlerEquation(**{**args, name: pairs})
+        assert dict(getattr(P, name)) == {k: INTEGERS.one for k, _ in pairs}
+        with pytest.raises(EquationError) as exc:
+            MahlerEquation(**{**args, name: bad})
+        assert str(exc.value) == line
+
     @pytest.mark.parametrize("make, error", [
         (lambda: canonical(-10**5000), NumerationError),
         (lambda: Base(-10**5000), NumerationError),
@@ -194,8 +211,7 @@ class TestMahlerEquation:
          EquationError),
         (lambda: MahlerEquation(ring=INTEGERS, kind=BASE2, alpha={(0, 0): 1}, f0=0,
                                 g_poly={-10**5000: 1}), EquationError),
-        (lambda: christol_isolate([{-10**5000: 1}, [1]], 2, PrimeField(2)), EquationError),
-    ], ids=["canonical", "Base", "ModRing", "PrimeField", "alpha", "g_poly", "christol_isolate"])
+    ], ids=["canonical", "Base", "ModRing", "PrimeField", "alpha", "g_poly"])
     def test_an_int_past_the_str_limit_is_named_by_its_size(self, make, error):
         with pytest.raises(error) as exc:
             make()
@@ -1285,79 +1301,6 @@ class TestFindRelation:
             find_relation(A, ZECKENDORF, 1, 1, 0)
         with pytest.raises(EquationError, match="N_check must exceed N, got 50 <= 50"):
             find_relation(A, ZECKENDORF, 1, 1, 50, N_check=50)
-
-
-# ---------------------------------------------------------------------------
-# isolating normalization over prime fields
-
-class TestChristolIsolate:
-    def test_frozen_normalization(self):
-        Q, a0 = christol_isolate([[1, 1], [1], [0, 1]], 2, F2)
-        assert {k: str(v) for k, v in sorted(Q.alpha.items())} == \
-            {(0, 0): "1", (1, 0): "1", (2, 1): "1", (2, 3): "1"}
-        assert tuple(str(v) for v in a0) == ("1", "1")
-        assert Q.f0.is_one()
-        assert Q.kind == BASE2
-        assert is_isolating(Q)
-
-    def test_identity_multiplier_passes_through(self):
-        Q, a0 = christol_isolate([[1], [1, 1]], 2, F2)
-        assert a0 == (F2.one,)
-        assert {k: str(v) for k, v in Q.alpha.items()} == \
-            {(0, 0): "1", (1, 0): "1", (1, 1): "1"}
-
-    def test_pipeline_solves_the_original_operator(self):
-        # f = A_0 * g with g the solution of the isolating rewrite must
-        # satisfy the original operator.
-        Q, a0 = christol_isolate([[1, 1], [1], [0, 1]], 2, F2)
-        g = solve_series(replace(Q, f0=1), 300)
-        f = []
-        for n in range(260):
-            acc = F2.zero
-            for j, c in enumerate(a0):
-                if n - j >= 0:
-                    acc = acc + c * g[n - j]
-            f.append(acc)
-        original = MahlerEquation(
-            ring=F2, kind=BASE2,
-            alpha={(0, 0): 1, (0, 1): 1, (1, 0): 1, (2, 1): 1}, f0=f[0])
-        assert residual(original, f).is_zero()
-
-    def test_zero_middle_layer_adds_no_coefficient(self):
-        Q, a0 = christol_isolate([[1], [0], [0, 1]], 2, F2)
-        assert {k: str(v) for k, v in Q.alpha.items()} == {(0, 0): "1", (2, 1): "1"}
-        assert a0 == (F2.one,)
-        assert Q.d == 2 and not Q.f0
-
-    def test_odd_characteristic(self):
-        Q, a0 = christol_isolate([[1], [2]], 5, F5)
-        assert {k: str(v) for k, v in Q.alpha.items()} == \
-            {(0, 0): "1", (1, 0): "3"}
-        assert not Q.f0
-
-    def test_rejects_zero_a0(self):
-        with pytest.raises(EquationError, match="A_0 = 0 cannot be normalized away"):
-            christol_isolate([[0], [1]], 2, F2)
-
-    def test_rejects_vanishing_constant_term(self):
-        with pytest.raises(EquationError, match=r"A_0\(0\) = 0"):
-            christol_isolate([[0, 1], [1]], 2, F2)
-
-    def test_rejects_missing_phi_terms(self):
-        with pytest.raises(EquationError, match="needs d >= 1"):
-            christol_isolate([[1]], 2, F2)
-        with pytest.raises(EquationError, match="needs d >= 1"):
-            christol_isolate([[1], [0]], 2, F2)
-
-    def test_rejects_wrong_ring(self):
-        with pytest.raises(RingError, match="characteristic q = 2, got Q"):
-            christol_isolate([[1], [1]], 2, RATIONALS)
-        with pytest.raises(RingError, match="characteristic q = 2, got Fp:3"):
-            christol_isolate([[1], [1]], 2, PrimeField(3))
-
-    def test_rejects_bad_exponent(self):
-        with pytest.raises(EquationError, match="polynomial exponent -1 out of range"):
-            christol_isolate([{-1: 1}, [1]], 2, F2)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,10 @@ from mahler.numeration import (
     _canonical_fold,
     _word_sep,
     canonical,
-    delta,
     fib,
     floor_phi,
     format_word,
     has_adjacent_ones,
-    lam,
     pad,
     parse_word,
     phi,
@@ -195,21 +193,6 @@ def test_canonical_around_fibonacci_numbers():
             assert set(w) <= {0, 1}
 
 
-def test_lam():
-    assert lam(0) == 0
-    assert lam(4) == 2  # "101" -> "10"
-    for n in range(300):
-        assert lam(phi(n)) == n
-
-
-def test_delta_range_and_oracle():
-    for m in range(40):
-        for n in range(40):
-            d = delta(m, n)
-            assert d in (-1, 0, 1)
-            assert d == oracles.delta_ref(m, n)
-
-
 def test_pad():
     w = pad(canonical(4), 6)
     assert w == (0, 0, 0, 1, 0, 1)
@@ -276,11 +259,6 @@ def test_canonical_of_value_strips_leading_zeros(w):
     trimmed = tuple(cleaned[next(
         (i for i, d in enumerate(cleaned) if d), len(cleaned)):])
     assert canonical(n) == (trimmed if trimmed else (0,))
-
-
-@given(st.integers(0, 5000), st.integers(0, 5000))
-def test_delta_pointwise(m, n):
-    assert delta(m, n) == phi(m + n) - phi(m) - phi(n)
 
 
 @pytest.mark.parametrize("kind", [ZECKENDORF, BASE2, BASE3, Base(10), Base(12)])
