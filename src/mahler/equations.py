@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -51,7 +52,6 @@ from .wfa import (
     WeightedAutomaton,
     _insert_row,
     _prefix_payloads,
-    _primitive,
     _reduce_by_init,
     eval_sequence,
     explore_automaton,
@@ -168,6 +168,8 @@ class MahlerEquation:
 
     def __post_init__(self):
         ring = self.ring
+        if not isinstance(ring, Ring):
+            raise EquationError(f"ring must be a Ring, not {_quote(ring)}")
         if not isinstance(self.kind, (Base, Zeckendorf)):
             raise EquationError(f"unknown numeration kind: {_quote(self.kind)}")
         clean = {}
@@ -723,40 +725,48 @@ def build_automaton_dumas(P: MahlerEquation,
 # ---------------------------------------------------------------------------
 # reverse direction: from automaton to equation
 
+def _kernel_vectors(echelon: dict, ncols: int) -> tuple[int, list]:
+    """(L, V): sparse int vectors V spanning the right kernel of an
+    echelon form of wfa._insert_row, one per free column f in ascending
+    order, with L at f and -m[f] L / m[c] at the pivot c of each row m;
+    L is the lcm of the pivot entries (1 over Fp:p)."""
+    L = lcm(*(m[c] for c, m in echelon.items()))
+    return L, [{f: L, **{c: -m[f] * (L // m[c]) for c, m in echelon.items() if f in m}}
+               for f in range(ncols) if f not in echelon]
+
+
 def _kernel_basis(ring: Ring, rows: list, ncols: int) -> list:
     """Right-kernel basis of a matrix of ring payloads over a field.
 
-    Fraction-free Gauss-Jordan on Python ints: the rows go one by one
-    through wfa._insert_row, the insert that determinize's span uses
-    too.  Over Q each row is first scaled to ints by the lcm of its
-    denominators (rings._integral, the scaling of the prefix walk's
-    integer image) and divided by its content; over Fp:p the payloads
-    already are ints.  Echelon row m with pivot column c is a multiple
-    of its row of the reduced row echelon form, which is unique, so each
-    entry -m[free] / m[c] is the value, as the same payload type, that
-    Gauss-Jordan over the field gives.  One basis vector per free
-    column, emitted in ascending column order.
+    Fraction-free Gauss-Jordan on Python ints: the rows go one by one,
+    as sparse rows, through wfa._insert_row, the insert of determinize's
+    span.  Over Q each row is first scaled to ints (rings._integral, the
+    scaling of the prefix walk's integer image).  Echelon row m with
+    pivot column c is a multiple of its row of the reduced row echelon
+    form, which is unique, so -m[free] / m[c] is the entry that
+    Gauss-Jordan over the field gives (_kernel_vectors), as the same
+    payload type.  One basis vector per free column, in ascending order.
+
+    Over a field the row space is exactly the orthogonal complement of
+    the kernel.  So once a row was dependent, a later row orthogonal to
+    the kernel vectors of the echelon form so far is dependent too and
+    skips the insert; any other row is independent, and its insert
+    drops that screen until the next dependent row.
     """
     p = ring.characteristic
-    mat: list = []
-    pivots: list = []
+    echelon: dict = {}
+    screen = None  # kernel vectors of the echelon form, since the last dependent row
     for row in rows:
-        if len(pivots) == ncols:
+        if len(echelon) == ncols:
             break  # full rank: every further row is dependent
-        if not p:
-            row = _primitive(_integral(row)[1])
-        _insert_row(mat, pivots, row, p)
-    zero, one = ring.zero.payload, ring.one.payload
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
+        row = {c: x for c, x in enumerate(row if p else _integral(row)[1]) if x}
+        dots = (sum(x * row.get(c, 0) for c, x in v.items()) for v in screen or ())
+        if screen is not None and not any(d % p if p else d for d in dots):
             continue
-        v = [zero] * ncols
-        v[free] = one
-        for m, c in zip(mat, pivots):
-            v[c] = -m[free] * pow(m[c], -1, p) % p if p else Fraction(-m[free], m[c])
-        basis.append(v)
-    return basis
+        screen = None if _insert_row(echelon, row, p) else _kernel_vectors(echelon, ncols)[1]
+    L, kernel = _kernel_vectors(echelon, ncols)
+    entry = (lambda x: x % p) if p else (lambda x: Fraction(x, L))
+    return [[entry(v.get(c, 0)) for c in range(ncols)] for v in kernel]
 
 
 def find_relation(A: WeightedAutomaton, kind: NumerationKind, d_max: int,

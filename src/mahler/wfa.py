@@ -33,12 +33,15 @@ _integer_image, automata._shift_once and the copies of g in
 equations._build read it.
 
 One Gauss-Jordan insert, _insert_row, keeps a reduced row echelon form
-over Fp:p or Q; it does every elimination in the package.  _span runs
-it on the vectors I mu(w) to get a basis of the subspace they span, and
-determinize steps each state as its coordinates in that basis, packed
-into one int and stepped a chunk of coordinates at a time through
-memoized chunk products; equations._kernel_basis runs it on the rows of
-find_relation's system.
+of sparse rows (column -> nonzero int) over Fp:p or Q; it does every
+elimination in the package, and each elimination touches only the
+nonzeros of its two rows.  _span runs it on the vectors I mu(w) to get
+a basis of the subspace they span, and determinize steps each state as
+its coordinates in that basis, packed into one int and stepped a chunk
+of coordinates at a time through memoized chunk products;
+equations._kernel_basis runs it on the rows of find_relation's system
+that can change the echelon form: once a row was dependent, a row
+orthogonal to the kernel so far is dependent too and is skipped.
 
 sequence_prefix meets in the middle of the tree of canonical words: rows
 I mu(u) stepped down its top levels, columns mu(v) F built up from its
@@ -210,6 +213,8 @@ class WeightedAutomaton:
 
     def __post_init__(self):
         ring = self.ring
+        if not isinstance(ring, Ring):
+            raise AutomatonError(f"ring must be a Ring, not {_quote(ring)}")
         states = tuple(self.states)
         if len(set(states)) != len(states):
             raise AutomatonError("duplicate state names")
@@ -677,40 +682,54 @@ def cauchy_product(A1: WeightedAutomaton, A2: WeightedAutomaton,
         lambda t: f"{AA.states[t[0]]}|{A1.states[t[1]]}|{A2.states[t[2]]}")
 
 
-def _primitive(row: list) -> list:
-    """An int row divided by its content (the gcd of its entries)."""
-    g = gcd(*row)
-    return row if g <= 1 else [x // g for x in row]
+def _primitive(row: dict) -> dict:
+    """A sparse int row divided by its content (the gcd of its entries)."""
+    g = gcd(*row.values())
+    return row if g <= 1 else {c: x // g for c, x in row.items()}
 
 
-def _insert_row(rows: list, pivots: list, row: list, p: int) -> bool:
-    """Gauss-Jordan insert of an int row into a reduced row echelon form.
+def _insert_row(echelon: dict, row: dict, p: int) -> bool:
+    """Gauss-Jordan insert of a sparse int row (column -> nonzero int,
+    pivot at its least column) into echelon, a reduced row echelon form
+    that maps each pivot column, in order of insertion, to its row.
 
-    rows[k] pivots at column pivots[k], its first nonzero entry, where
-    every other row is zero.  Entries are ints mod p over Fp:p, or
-    primitive integer rows over Q (p = 0).  The row is cleared at each
-    pivot column; a nonzero rest becomes a row pivoting at its first
-    nonzero column, which is cleared from the others.  Each elimination
-    is row <- a*row - f*pivot_row, then reduced mod p or divided by its
-    content (Bareiss, Math. Comp. 22, 1968, divides by the previous
-    pivot instead), so every row stays a nonzero multiple of its row of
-    the unique reduced echelon form.  Rows are replaced, never changed
-    in place.  Returns whether the row was independent.
+    Over Fp:p entries are ints mod p and each row is scaled so its pivot
+    is 1; over Q (p = 0) rows are primitive integer rows (_primitive
+    raises TypeError on a Fraction).  The row is cleared at each pivot
+    column it holds; a nonzero rest becomes a new row, cleared from the
+    others.  An elimination, row <- a*row - f*pivot_row reduced mod p or
+    divided by its content (Bareiss, Math. Comp. 22, 1968, divides by
+    the previous pivot instead), touches only the nonzeros of its two
+    rows (over Fp:p, where a = 1, only those of the pivot row, in place)
+    and keeps each row a multiple of its row of the unique reduced
+    echelon form.  The given row is copied once, not changed.  Returns
+    whether the row was independent.
     """
-    def eliminate(row, prow, c):
+    def eliminate(row, prow, c):  # in place when the pivot entry a is 1
         a, f = prow[c], row[c]
-        new = [a * x - f * y for x, y in zip(row, prow)]
-        return [x % p for x in new] if p else _primitive(new)
+        new = row if a == 1 else {k: a * x for k, x in row.items()}
+        for k, y in prow.items():  # x is 0 only at a column that row holds
+            x = new.get(k, 0) - f * y
+            if p:
+                x %= p
+            if x:
+                new[k] = x
+            else:
+                del new[k]
+        return new if p else _primitive(new)
 
-    for prow, c in zip(rows, pivots):
-        if row[c]:
-            row = eliminate(row, prow, c)
-    c = next((c for c, x in enumerate(row) if x), None)
-    if c is None:
+    row = dict(row)  # the caller's row stays as it is
+    for c in [c for c in row if c in echelon]:
+        row = eliminate(row, echelon[c], c)
+    if not row:
         return False
-    rows[:] = [eliminate(prow, row, c) if prow[c] else prow for prow in rows]
-    rows.append(row)
-    pivots.append(c)
+    c = min(row)
+    if p:
+        inv = pow(row[c], -1, p)
+    row = {k: x * inv % p for k, x in row.items()} if p else _primitive(row)
+    for k in [k for k, prow in echelon.items() if c in prow]:
+        echelon[k] = eliminate(echelon[k], row, c)
+    echelon[c] = row
     return True
 
 
@@ -721,28 +740,27 @@ def _span(A: WeightedAutomaton) -> tuple[list, list]:
 
     Over Fp:p, R is the reduced row echelon form of the span, the least
     mu-invariant subspace that holds I.  Breadth-first from I, each
-    vector I mu(w) is stepped by _step_payload and inserted by
-    _insert_row, and only an independent one has its successors queued.
-    The inserted vectors span the same space as R, so that space is
-    closed under every mu(b).  Over Zmod:n, which is not a field, R is
-    the unit vector of every state.
+    vector I mu(w) is stepped by _step_payload and inserted, as the
+    sparse row it is, by _insert_row, and only an independent one has
+    its successors queued.  The inserted vectors span the same space as
+    R, so that space is closed under every mu(b).  Over Zmod:n, which is
+    not a field, R is the unit vector of every state.  Over Q the
+    insert raises TypeError on the Fraction payloads.  There is no
+    kernel screen as in equations._kernel_basis: here the kernel has
+    dimension n - rank (78 of 110 on fib@Fp:2 squared), so its dot
+    products would cost more than the sparse eliminations they spare.
     """
     ring = A.ring
     n = len(A.states)
     if not ring.is_field:
         return list(range(n)), [{s: ring.one.payload} for s in range(n)]
     p = ring.characteristic
-    rows: list = []
-    pivots: list = []
+    echelon: dict = {}
     todo = [_initial_payload(A)]
     for vec in todo:
-        if vec and _insert_row(rows, pivots, [vec.get(s, 0) for s in range(n)], p):
+        if vec and _insert_row(echelon, vec, p):
             todo.extend(_step_payload(A, vec, b) for b in A.alphabet)
-    basis = []
-    for row, c in zip(rows, pivots):
-        inv = ring._inv(row[c])
-        basis.append({s: ring._reduce(x * inv) for s, x in enumerate(row) if x})
-    return pivots, basis
+    return list(echelon), list(echelon.values())
 
 
 def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutput:

@@ -276,11 +276,11 @@ def residual(alpha, s, g, op):
     return r
 
 
-def kernel_basis(rows, ncols, p=0):
-    """Right-kernel basis by textbook Gauss-Jordan: each pivot row scaled
-    to 1, the pivot column cleared in every other row.  Entries are
-    Fractions (p = 0) or ints mod the prime p.  One vector per free
-    column, in ascending column order, with 1 at the free column."""
+def reduced_echelon(rows, ncols, p=0):
+    """Textbook Gauss-Jordan: (pivots, R), the pivot columns in ascending
+    order and the nonzero rows of the reduced row echelon form, each
+    pivot row scaled to 1 and its pivot column cleared in every other
+    row.  Entries are Fractions (p = 0) or ints mod the prime p."""
     def red(x):
         return x % p if p else Fraction(x)
 
@@ -302,6 +302,16 @@ def kernel_basis(rows, ncols, p=0):
             if i != r and f != 0:
                 mat[i] = [red(x - f * y) for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
+    return pivots, mat[:len(pivots)]
+
+
+def kernel_basis(rows, ncols, p=0):
+    """Right-kernel basis read off reduced_echelon: one vector per free
+    column, in ascending column order, with 1 at the free column."""
+    def red(x):
+        return x % p if p else Fraction(x)
+
+    pivots, mat = reduced_echelon(rows, ncols, p)
     basis = []
     for free in range(ncols):
         if free in pivots:

@@ -202,6 +202,16 @@ class TestMahlerEquation:
             MahlerEquation(**{**args, name: bad})
         assert str(exc.value) == line
 
+    @pytest.mark.parametrize("ring, line", [
+        ("Z", "ring must be a Ring, not 'Z'"),
+        (None, "ring must be a Ring, not None"),
+    ])
+    def test_a_ring_that_is_no_ring_is_one_line(self, ring, line):
+        # a ring spec or None is named through _quote, not a bare AttributeError
+        with pytest.raises(EquationError) as exc:
+            MahlerEquation(ring=ring, kind=ZECKENDORF, alpha={(0, 0): 1, (1, 1): 1}, f0=0)
+        assert str(exc.value) == line
+
     @pytest.mark.parametrize("make, error", [
         (lambda: canonical(-10**5000), NumerationError),
         (lambda: Base(-10**5000), NumerationError),
@@ -1188,18 +1198,21 @@ KERNEL_RINGS = ("Q", "Fp:2", "Fp:3", "Fp:101")
 @st.composite
 def kernel_systems(draw):
     """(ring, rows, ncols): random, all-zero, wide (more columns than
-    rows), rank-deficient products L*R, and matrices with no rows."""
+    rows), rank-deficient products L*R, tall products of 20 to 40 rows
+    and rank at most 3, and matrices with no rows."""
     ring = parse_ring(draw(st.sampled_from(KERNEL_RINGS)))
     p = ring.characteristic
     # over Q mostly non-integer fractions
     entry = (st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)) if not p
              else st.integers(0, p - 1))
-    shape = draw(st.sampled_from(("random", "zero", "wide", "product", "no rows")))
+    shape = draw(st.sampled_from(("random", "zero", "wide", "product", "tall", "no rows")))
     if shape == "no rows":
         ncols, nrows = draw(st.integers(0, 7)), 0
     elif shape == "wide":
         ncols = draw(st.integers(2, 7))
         nrows = draw(st.integers(1, ncols - 1))
+    elif shape == "tall":  # rows past the rank go through _kernel_basis's screen
+        ncols, nrows = draw(st.integers(1, 7)), draw(st.integers(20, 40))
     else:
         ncols, nrows = draw(st.integers(1, 7)), draw(st.integers(1, 8))
 
@@ -1208,8 +1221,8 @@ def kernel_systems(draw):
 
     if shape == "zero":
         rows = [[0] * ncols for _ in range(nrows)]
-    elif shape == "product":
-        k = draw(st.integers(0, min(nrows, ncols)))
+    elif shape in ("product", "tall"):
+        k = draw(st.integers(0, min(nrows, ncols) if shape == "product" else min(ncols, 3)))
         L, R = matrix(nrows, k), matrix(k, ncols)
         rows = [[sum((L[i][t] * R[t][j] for t in range(k)), 0) for j in range(ncols)]
                 for i in range(nrows)]
@@ -1277,6 +1290,19 @@ class TestFindRelation:
             "ring Q\nnumeration zeckendorf\nd 1\nh 1\nf0 1\n"
             "alpha 0 0 1\nalpha 1 0 1\nalpha 1 1 1\n")),
     }
+
+    @pytest.mark.parametrize("name, most", [("count-ones", 40), ("fib-repr", 10)])
+    def test_the_kernel_screen_spares_the_dependent_rows(self, name, most, monkeypatch):
+        # each system has 201 rows and rank at most 29: a row orthogonal to
+        # the kernel of the echelon form so far never reaches the insert
+        calls = []
+        insert = equations._insert_row
+        monkeypatch.setattr(equations, "_insert_row",
+                            lambda *args: calls.append(1) or insert(*args))
+        machine, d_max, h_max, text = self.BENCH_RELATIONS[name]
+        R = find_relation(machine(RATIONALS), ZECKENDORF, d_max, h_max, 200)
+        assert format_equation(R) == text
+        assert 0 < len(calls) <= most
 
     @pytest.mark.parametrize("name", sorted(BENCH_RELATIONS))
     def test_bench_relations_are_pinned(self, name):

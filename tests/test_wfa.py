@@ -95,6 +95,18 @@ def test_weight_rejects_foreign_labels():
         weight(hand_automaton(), (2,))
 
 
+@pytest.mark.parametrize("ring, line", [
+    ("Z", "ring must be a Ring, not 'Z'"),
+    (None, "ring must be a Ring, not None"),
+])
+def test_a_ring_that_is_no_ring_is_one_line(ring, line):
+    # a ring spec or None is named through _quote, not a bare AttributeError
+    with pytest.raises(AutomatonError) as exc:
+        WeightedAutomaton(ring=ring, alphabet=(0, 1), states=("a",), initial=(1,),
+                          final=(1,), transitions={(0, 1, 0): 1})
+    assert str(exc.value) == line
+
+
 def test_forward_vector_gathers_to_weight():
     A = fibonacci_representation_automaton()
     for w in all_words((0, 1), 7):
@@ -950,6 +962,43 @@ def test_span_of_fib_squared_over_f2():
                     rebuilt[s] = (rebuilt[s] + vec[c] * x) % 2
             assert rebuilt == vec
         assert len(pivots) == n - len(_kernel_basis(P.ring, vectors, n))
+
+
+@st.composite
+def span_machines(draw):
+    """Random machines of up to five states over Fp:2, Fp:3 and Fp:2^61-1."""
+    ring = parse_ring(draw(st.sampled_from(("Fp:2", "Fp:3", "Fp:2305843009213693951"))))
+    p = ring.characteristic
+    n = draw(st.integers(1, 5))
+    entry = st.integers(0, p - 1)
+    arrows = draw(st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.sampled_from((0, 1)), st.integers(0, n - 1)),
+        st.integers(1, p - 1), max_size=3 * n))
+    return WeightedAutomaton(
+        ring=ring, alphabet=(0, 1), states=tuple(f"s{i}" for i in range(n)),
+        initial=tuple(draw(st.lists(entry, min_size=n, max_size=n))),
+        final=(0,) * n, transitions=arrows)
+
+
+@settings(max_examples=150)
+@given(span_machines())
+def test_span_is_the_reduced_echelon_form_of_the_forward_vectors(A):
+    # the words shorter than the state count already span every I mu(w)
+    n, p = A.n_states, A.ring.characteristic
+    vectors = [[v.payload for v in oracles.forward_vector(A, w)]
+               for w in all_words(A.alphabet, n - 1)]
+    pivots, rows = oracles.reduced_echelon(vectors, n, p)
+    got_pivots, basis = _span(A)
+    assert sorted(got_pivots) == pivots
+    assert dict(zip(got_pivots, basis)) == {
+        c: {s: x for s, x in enumerate(row) if x} for c, row in zip(pivots, rows)}
+
+
+def test_span_over_q_refuses_fraction_payloads():
+    # _span takes int rows only: over Q the insert meets the Fractions
+    for A in (count_ones_automaton(RATIONALS), fibonacci_representation_automaton(RATIONALS)):
+        with pytest.raises(TypeError):
+            _span(A)
 
 
 def test_span_over_a_composite_ring_keeps_every_state():
