@@ -735,17 +735,16 @@ def _kernel_vectors(echelon: dict, ncols: int) -> tuple[int, list]:
                for f in range(ncols) if f not in echelon]
 
 
-def _kernel_basis(ring: Ring, rows: list, ncols: int) -> list:
-    """Right-kernel basis of a matrix of ring payloads over a field.
+def _kernel_basis(ring: Ring, rows, ncols: int) -> list:
+    """Right-kernel basis of a matrix over a field, from sparse int rows
+    (column -> nonzero int, possibly lazy): ints mod p over Fp:p, over Q
+    the rows of one integer multiple of the matrix, which has its kernel.
 
-    Fraction-free Gauss-Jordan on Python ints: the rows go one by one,
-    as sparse rows, through wfa._insert_row, the insert of determinize's
-    span.  Over Q each row is first scaled to ints (rings._integral, the
-    scaling of the prefix walk's integer image).  Echelon row m with
-    pivot column c is a multiple of its row of the reduced row echelon
-    form, which is unique, so -m[free] / m[c] is the entry that
-    Gauss-Jordan over the field gives (_kernel_vectors), as the same
-    payload type.  One basis vector per free column, in ascending order.
+    Fraction-free Gauss-Jordan on ints, row by row through
+    wfa._insert_row.  Echelon row m with pivot column c is a multiple of
+    its row of the unique reduced row echelon form, so -m[f] / m[c] is the
+    entry Gauss-Jordan over the field gives (_kernel_vectors): a Fraction
+    over Q, an int mod p; one vector per free column f, ascending.
 
     Over a field the row space is exactly the orthogonal complement of
     the kernel.  So once a row was dependent, a later row orthogonal to
@@ -759,7 +758,6 @@ def _kernel_basis(ring: Ring, rows: list, ncols: int) -> list:
     for row in rows:
         if len(echelon) == ncols:
             break  # full rank: every further row is dependent
-        row = {c: x for c, x in enumerate(row if p else _integral(row)[1]) if x}
         dots = (sum(x * row.get(c, 0) for c, x in v.items()) for v in screen or ())
         if screen is not None and not any(d % p if p else d for d in dots):
             continue
@@ -783,35 +781,32 @@ def find_relation(A: WeightedAutomaton, kind: NumerationKind, d_max: int,
     or None.  The choice of basis vectors follows ascending free
     columns, so a zero sequence yields the single coefficient
     alpha[0, 0] = 1.
+
+    Entry (n, (i, j)) of the system is the s_k with op^i(k) + j = n, so
+    k <= N: over Q s_0..s_N is scaled to ints once (rings._integral), and
+    each row is read off the preimage tables as _kernel_basis takes it.
     """
     ring = A.ring
     if not ring.is_field:
         raise RingError(f"find_relation needs a field ring, got {ring.spec}")
-    if d_max < 0 or h_max < 0:
+    if not (_index(d_max) and _index(h_max)):
         raise EquationError("d_max and h_max must be nonnegative")
-    if N < 1:
-        raise EquationError(f"need N >= 1, got {N}")
+    if not (_index(N) and N >= 1):
+        raise EquationError(f"need N >= 1, got {_quote(N)}")
     N_check = 4 * N if N_check is None else N_check
-    if N_check <= N:
-        raise EquationError(f"N_check must exceed N, got {N_check} <= {N}")
+    if not (_index(N_check) and N_check > N):
+        raise EquationError(f"N_check must exceed N, got {_quote(N_check)} <= {N}")
     s = _series(ring, _prefix_payloads(A, kind, N_check))
-    sp = s.payloads
-    zero = ring.zero.payload
+    ints = s.payloads if ring.characteristic else _integral(s.payloads[:N + 1])[1]
     cols = [(i, j) for i in range(d_max + 1) for j in range(h_max + 1)]
     pre = preimages(kind, N, range(d_max + 1))
-    rows = []
-    for n in range(N + 1):
-        ks = (pre[i][n - j] if n >= j else -1 for (i, j) in cols)
-        rows.append([sp[k] if k >= 0 else zero for k in ks])
+    tabs = [(c, j, pre[i]) for c, (i, j) in enumerate(cols)]
+    rows = ({c: x for c, j, pre_i in tabs if n >= j and (k := pre_i[n - j]) >= 0 and (x := ints[k])}
+            for n in range(N + 1))
     for v in _kernel_basis(ring, rows, len(cols)):
-        alpha = {}
-        for (i, j), payload in zip(cols, v):
-            if payload == zero:
-                continue
-            val = RingValue(ring, payload)
-            alpha[(i, j)] = val if i == 0 else -val
-        u = alpha[min(alpha)].inverse()
-        alpha = {key: u * val for key, val in alpha.items()}
+        alpha = {(i, j): -x if i else x for (i, j), x in zip(cols, v) if x}
+        u = ring._inv(alpha[min(alpha)])  # the first coefficient becomes 1
+        alpha = {key: u * x for key, x in alpha.items()}  # reduced by MahlerEquation
         cand = MahlerEquation(ring=ring, kind=kind, alpha=alpha, f0=s[0])
         if residual(cand, s).is_zero():
             return cand

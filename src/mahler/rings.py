@@ -46,8 +46,8 @@ def _decimal(text: str) -> int:
 
 
 def _integral(xs) -> tuple[int, list]:
-    """(d, [d x for x in xs]), d the lcm of the denominators of xs: the one
-    integer-scaling rule for Q (the walk's image, the oracle, find_relation)."""
+    """(d, [d x for x in xs]), d the lcm of the denominators of xs: Q's one
+    integer-scaling rule (the walk's image, the oracle, find_relation's prefix)."""
     d = lcm(*(x.denominator for x in xs))
     return d, [x.numerator * (d // x.denominator) for x in xs]
 

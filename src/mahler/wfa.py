@@ -39,9 +39,9 @@ nonzeros of its two rows.  _span runs it on the vectors I mu(w) to get
 a basis of the subspace they span, and determinize steps each state as
 its coordinates in that basis, packed into one int and stepped a chunk
 of coordinates at a time through memoized chunk products;
-equations._kernel_basis runs it on the rows of find_relation's system
-that can change the echelon form: once a row was dependent, a row
-orthogonal to the kernel so far is dependent too and is skipped.
+equations._kernel_basis runs it on find_relation's sparse int rows (over
+Q on the prefix scaled once), skipping a row orthogonal to the kernel so
+far once a row was dependent: that row is dependent too.
 
 sequence_prefix meets in the middle of the tree of canonical words: rows
 I mu(u) stepped down its top levels, columns mu(v) F built up from its
@@ -51,7 +51,7 @@ c_F F, with D, c_I and c_F the lcms of the denominators of the arrows,
 I and F.  Every word of length L shares the denominator c_I c_F D^L, so
 each nonzero sum becomes one Fraction as it leaves the walk.  The
 scaling is rings._integral, Q's one integer-scaling rule, which also
-serves the oracle and find_relation's rows (equations._kernel_basis).
+serves the oracle and find_relation, once on s_0..s_N for its system.
 
 A bulk producer makes one value per distinct output, through one memo
 per call (_memo): the walk's exits on the reduced int sum (over Q, one
@@ -63,13 +63,13 @@ ring's zero itself.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from itertools import count, repeat
 from math import gcd
 from types import MappingProxyType, SimpleNamespace
-from typing import Callable, Hashable, Iterable, Mapping
 
 from .numeration import Base, NumerationKind, as_digits, canonical, fib
 from .rings import INTEGERS, RATIONALS, Ring, RingError, RingValue, _integral, _quote
@@ -167,6 +167,8 @@ class DfaWithOutput:
             raise AutomatonError(f"initial state {_quote(self.initial)} is no state index")
         if len(self.outputs) != n:
             raise AutomatonError(f"{len(self.outputs)} outputs for {n} states")
+        if not isinstance(self.transitions, Mapping):
+            raise AutomatonError(f"transitions {_quote(self.transitions)} is not a mapping")
         table = dict(self.transitions)
         try:  # every arrow joins two states by a label
             for key, dst in table.items():
@@ -229,6 +231,8 @@ class WeightedAutomaton:
                           for vec in (self.initial, self.final))
         if len(initial) != n or len(final) != n:
             raise AutomatonError("initial/final vector length differs from state count")
+        if not isinstance(self.transitions, Mapping):
+            raise AutomatonError(f"transitions {_quote(self.transitions)} is not a mapping")
         clean = {}
         arrows: dict = {}
         try:  # one loop validates and indexes; each key tuple is kept as given

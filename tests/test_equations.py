@@ -42,8 +42,8 @@ from mahler.equations import (
     weight_z,
     z_state_space,
 )
-from mahler.numeration import ZECKENDORF, Base, NumerationError, canonical, value
-from mahler.rings import (INTEGERS, RATIONALS, MixedRingError, ModRing, PrimeField,
+from mahler.numeration import ZECKENDORF, Base, NumerationError, canonical, preimages, value
+from mahler.rings import (INTEGERS, RATIONALS, MixedRingError, ModRing, PrimeField, _integral,
                           RingError, parse_ring)
 from mahler.serialize import automaton_from_json, automaton_to_json
 from mahler.wfa import (
@@ -1231,17 +1231,75 @@ def kernel_systems(draw):
     return ring, [[ring.element(x).payload for x in row] for row in rows], ncols
 
 
+def sparse_int_rows(ring, rows):
+    """rows of payloads as _kernel_basis takes them: sparse dicts of the
+    nonzero ints, over Q all scaled by one common denominator."""
+    d = 1 if ring.characteristic else _integral([x for row in rows for x in row])[0]
+    return [{c: int(x * d) for c, x in enumerate(row) if x} for row in rows]
+
+
 @settings(max_examples=300)
 @given(kernel_systems())
 def test_kernel_basis_equals_textbook_gauss_jordan(system):
     ring, rows, ncols = system
-    got = _kernel_basis(ring, rows, ncols)
+    got = _kernel_basis(ring, sparse_int_rows(ring, rows), ncols)
     want = oracles.kernel_basis(rows, ncols, ring.characteristic)
     assert got == want
     assert [[type(x) for x in v] for v in got] == [[type(x) for x in v] for v in want]
 
 
+@st.composite
+def fractional_q_machines(draw):
+    """Random machines over Q of one to three states on {0, 1}, each with
+    a weight whose denominator is not 1, and a small relation system."""
+    n = draw(st.integers(1, 3))
+    weight = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    arrows = draw(st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.sampled_from((0, 1)), st.integers(0, n - 1)),
+        weight, max_size=3 * n))
+    initial, final = (draw(st.lists(weight, min_size=n, max_size=n)) for _ in "IF")
+    proper = st.builds(Fraction, st.sampled_from((1, -1, 3, -3)), st.sampled_from((2, 5, 7)))
+    initial[0], final[0] = draw(proper), draw(proper)
+    A = WeightedAutomaton(ring=RATIONALS, alphabet=(0, 1), states=tuple(map(str, range(n))),
+                          initial=tuple(initial), final=tuple(final), transitions=arrows)
+    kind = draw(st.sampled_from((ZECKENDORF, BASE2)))
+    return A, kind, draw(st.integers(0, 2)), draw(st.integers(0, 3)), draw(st.integers(1, 40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fractional_q_machines())
+def test_kernel_of_the_once_scaled_system_is_that_of_the_fraction_system(problem):
+    # find_relation's rows: entry (n, (i, j)) is the s_k with op^i(k) + j = n,
+    # over Q taken from s_0..s_N scaled to ints once for the whole system
+    A, kind, d_max, h_max, N = problem
+    s = [v.payload for v in sequence_prefix(A, kind, N)]
+    cols = [(i, j) for i in range(d_max + 1) for j in range(h_max + 1)]
+    pre = preimages(kind, N, range(d_max + 1))
+    ks = [[pre[i][n - j] if n >= j else -1 for i, j in cols] for n in range(N + 1)]
+    fractions = [[s[k] if k >= 0 else Fraction(0) for k in row] for row in ks]
+    ints = _integral(s)[1]
+    rows = [{c: ints[k] for c, k in enumerate(row) if k >= 0 and ints[k]} for row in ks]
+    got = _kernel_basis(RATIONALS, iter(rows), len(cols))
+    assert got == oracles.kernel_basis(fractions, len(cols))
+    assert all(type(x) is Fraction for v in got for x in v)
+
+
 class TestFindRelation:
+    # CI's Q equation in Zeckendorf: its sequence has denominators other than
+    # 1, so find_relation's one scaling of the prefix is no identity there
+    Q_ZECK = ("ring Q\nnumeration zeckendorf\nf0 1\nalpha 0 0 1\nalpha 1 0 1/3\n"
+              "alpha 1 1 -2/5\nalpha 2 0 2/3\n")
+
+    @pytest.mark.parametrize("d_max, h_max, N", [(2, 1, 120), (3, 3, 200)])
+    def test_recovers_the_fractional_zeckendorf_equation(self, d_max, h_max, N):
+        P = parse_equation(self.Q_ZECK)
+        A = build_automaton_dumas(P)
+        assert A.n_states == 38
+        s = sequence_prefix(A, ZECKENDORF, 3)
+        assert [v.payload for v in s] == [1, Fraction(-2, 5), Fraction(-2, 15), Fraction(-34, 225)]
+        R = find_relation(A, ZECKENDORF, d_max, h_max, N)
+        assert format_equation(R) == format_equation(P)
+
     def test_recovers_fib_equation(self):
         A = fibonacci_representation_automaton(RATIONALS)
         R = find_relation(A, ZECKENDORF, 1, 1, 80)
@@ -1327,6 +1385,20 @@ class TestFindRelation:
             find_relation(A, ZECKENDORF, 1, 1, 0)
         with pytest.raises(EquationError, match="N_check must exceed N, got 50 <= 50"):
             find_relation(A, ZECKENDORF, 1, 1, 50, N_check=50)
+        # an argument that is no int, or is a bool, is refused the same way,
+        # not with a bare TypeError from a comparison or a range
+        for args, kwargs, message in [
+                ((1.5, 1, 20), {}, "must be nonnegative"),
+                (("2", 1, 20), {}, "must be nonnegative"),
+                ((1, 2.0, 20), {}, "must be nonnegative"),
+                ((True, 1, 20), {}, "must be nonnegative"),
+                ((1, 1, 20.0), {}, "need N >= 1, got 20.0"),
+                ((1, 1, "20"), {}, "need N >= 1, got '20'"),
+                ((1, 1, True), {}, "need N >= 1, got True"),
+                ((1, 1, 20), {"N_check": 80.5}, "N_check must exceed N, got 80.5"),
+                ((1, 1, 20), {"N_check": "80"}, "N_check must exceed N, got '80'")]:
+            with pytest.raises(EquationError, match=message):
+                find_relation(A, ZECKENDORF, *args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -961,7 +961,8 @@ def test_span_of_fib_squared_over_f2():
                 for s, x in row.items():
                     rebuilt[s] = (rebuilt[s] + vec[c] * x) % 2
             assert rebuilt == vec
-        assert len(pivots) == n - len(_kernel_basis(P.ring, vectors, n))
+        sparse = [{s: x for s, x in enumerate(vec) if x} for vec in vectors]
+        assert len(pivots) == n - len(_kernel_basis(P.ring, sparse, n))
 
 
 @st.composite
@@ -1041,8 +1042,11 @@ DFA_FIELDS = dict(alphabet=(0, 1), states=("x", "y"), initial=0,
     ("transitions", {0: 0}, "bad transition 0 -> 0"),
     ("transitions", {(0, 0, 0): 0}, r"bad transition \(0, 0, 0\) -> 0"),
     ("transitions", {("a", 0): 0}, r"bad transition \('a', 0\) -> 0"),
+    ("transitions", [1, 2], r"transitions \[1, 2\] is not a mapping"),
+    ("transitions", None, "transitions None is not a mapping"),
 ], ids=["state-names", "initial", "outputs", "arrow-source", "arrow-target", "arrow-label",
-        "key-not-a-pair", "key-of-three", "key-source-not-an-index"])
+        "key-not-a-pair", "key-of-three", "key-source-not-an-index", "table-a-list",
+        "table-none"])
 def test_dfa_checks_its_shape(field, value, message):
     with pytest.raises(AutomatonError, match=message):
         DfaWithOutput(**{**DFA_FIELDS, field: value})
@@ -1116,6 +1120,16 @@ def test_malformed_transition_keys_raise_automaton_error(key):
     with pytest.raises(AutomatonError, match=f"bad transition key {re.escape(repr(key))}"):
         WeightedAutomaton(ring=INTEGERS, alphabet=(0,), states=("a",),
                           initial=(one,), final=(one,), transitions={key: 1})
+
+
+@pytest.mark.parametrize("transitions, shown", [([(0, 0, 0)], "[(0, 0, 0)]"), (None, "None"),
+                                               (((0, 0, 0), 1), "((0, 0, 0), 1)")])
+def test_transitions_that_are_no_mapping_raise_automaton_error(transitions, shown):
+    # not a bare AttributeError from .items()
+    one = INTEGERS.one
+    with pytest.raises(AutomatonError, match=f"transitions {re.escape(shown)} is not a mapping"):
+        WeightedAutomaton(ring=INTEGERS, alphabet=(0,), states=("a",),
+                          initial=(one,), final=(one,), transitions=transitions)
 
 
 def test_constructor_takes_values_of_an_equal_ring_and_wraps_ints():
