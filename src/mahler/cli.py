@@ -41,7 +41,6 @@ from .automata import (
 from .equations import (
     EquationError,
     _h_tilde,
-    _series,
     build_automaton_dumas,
     build_automaton_q,
     find_relation,
@@ -74,10 +73,10 @@ from .wfa import (
     AutomatonError,
     DfaWithOutput,
     MissingTransitionError,
-    _prefix_payloads,
     cauchy_product,
     determinize,
     eval_sequence,
+    sequence_prefix,
     weight,
 )
 
@@ -251,7 +250,7 @@ def cmd_verify(args) -> int:
     fmt = P.ring.format
     if isolating:
         oracle = solve_series(P, N).payloads
-        got = _prefix_payloads(A, P.kind, N)
+        got = sequence_prefix(A, P.kind, N).payloads
         n = next((n for n in range(N + 1) if got[n] != oracle[n]), None)
         if n is not None:
             word = _word_sep(P.kind).join(map(str, canonical(n, P.kind)))
@@ -260,7 +259,7 @@ def cmd_verify(args) -> int:
             return 1
         print(f"PASS: automaton matches the recurrence oracle for all n <= {N}")
         return 0
-    res = residual(P, _series(P.ring, _prefix_payloads(A, P.kind, N))).payloads
+    res = residual(P, sequence_prefix(A, P.kind, N)).payloads
     n = next((n for n, v in enumerate(res) if v), None)
     if n is not None:
         print(f"FAIL at n = {n}: residual {fmt(res[n])}")

@@ -47,14 +47,15 @@ from .numeration import (
     preimages,
     word_alphabet,
 )
-from .rings import RATIONALS, Ring, RingError, RingValue, _decimal, _integral, _quote, parse_ring
+from .rings import (RATIONALS, Ring, RingError, RingValue, SeriesPrefix, _decimal, _integral,
+                    _quote, _series, parse_ring)
 from .wfa import (
     WeightedAutomaton,
     _insert_row,
-    _prefix_payloads,
     _reduce_by_init,
     eval_sequence,
     explore_automaton,
+    sequence_prefix,
     weight,
 )
 
@@ -67,75 +68,17 @@ class EquationFileError(EquationError):
     """Malformed equation file; the message names the offending line."""
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class SeriesPrefix:
-    """Truncated power series: coefficients f_0 .. f_N in one ring.
-
-    It holds its ring and the tuple of reduced payloads, and wraps a
-    RingValue only when a coefficient is read.  The coefficients a
-    caller passes (ring values of this ring, ints, Fractions) each go
-    through ring.element; the oracle hands its payloads over unchecked
-    (_series).  Equality compares ring and payloads; the hash is that
-    of (ring, coeffs).
-    """
-
-    ring: Ring
-    payloads: tuple
-
-    def __init__(self, ring: Ring, coeffs):
-        payloads = tuple(ring.element(c).payload for c in coeffs)
-        if not payloads:
-            raise EquationError("a series prefix holds at least f_0")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "payloads", payloads)
-
-    @property
-    def coeffs(self) -> tuple:
-        """The coefficients as ring values."""
-        return tuple(self)
-
-    @property
-    def order(self) -> int:
-        """The truncation order N."""
-        return len(self.payloads) - 1
-
-    def is_zero(self) -> bool:
-        return not any(self.payloads)
-
-    def __len__(self):
-        return len(self.payloads)
-
-    def __iter__(self):
-        ring = self.ring
-        return (RingValue(ring, p) for p in self.payloads)
-
-    def __getitem__(self, n):
-        if isinstance(n, slice):
-            ring = self.ring
-            return tuple(RingValue(ring, p) for p in self.payloads[n])
-        return RingValue(self.ring, self.payloads[n])
-
-    def __hash__(self):
-        return hash((self.ring, self.coeffs))
-
-    def __repr__(self):
-        head = ", ".join(map(self.ring.format, self.payloads[:8]))
-        tail = ", ..." if len(self.payloads) > 8 else ""
-        return f"<SeriesPrefix over {self.ring.spec} to order {self.order}: {head}{tail}>"
-
-
-def _series(ring: Ring, payloads) -> SeriesPrefix:
-    """A SeriesPrefix on payloads already reduced in ring; no check."""
-    s = object.__new__(SeriesPrefix)
-    object.__setattr__(s, "ring", ring)
-    object.__setattr__(s, "payloads", tuple(payloads))
-    return s
-
-
 def _index(x) -> bool:
     """x can index alpha or a polynomial: an int >= 0, not a bool, which
     an equation file could not spell."""
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _int(name: str, x) -> int:
+    """x when it is an int and not a bool; else one EquationError naming x."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise EquationError(f"{name} must be an int, not {type(x).__name__} {_quote(x)}")
+    return x
 
 
 def _table(x, name: str) -> dict:
@@ -789,14 +732,14 @@ def find_relation(A: WeightedAutomaton, kind: NumerationKind, d_max: int,
     ring = A.ring
     if not ring.is_field:
         raise RingError(f"find_relation needs a field ring, got {ring.spec}")
-    if not (_index(d_max) and _index(h_max)):
+    if _int("d_max", d_max) < 0 or _int("h_max", h_max) < 0:
         raise EquationError("d_max and h_max must be nonnegative")
-    if not (_index(N) and N >= 1):
+    if _int("N", N) < 1:
         raise EquationError(f"need N >= 1, got {_quote(N)}")
     N_check = 4 * N if N_check is None else N_check
-    if not (_index(N_check) and N_check > N):
+    if _int("N_check", N_check) <= N:
         raise EquationError(f"N_check must exceed N, got {_quote(N_check)} <= {N}")
-    s = _series(ring, _prefix_payloads(A, kind, N_check))
+    s = sequence_prefix(A, kind, N_check)
     ints = s.payloads if ring.characteristic else _integral(s.payloads[:N + 1])[1]
     cols = [(i, j) for i in range(d_max + 1) for j in range(h_max + 1)]
     pre = preimages(kind, N, range(d_max + 1))

@@ -7,13 +7,18 @@ float.  Values are immutable and remember their ring, so accidentally
 mixing rings raises instead of silently coercing.  There is one
 arithmetic rule: native ``+``, ``-``, ``*`` on the payloads, then
 ``Ring._reduce`` (mod n over Zmod:n and Fp:p, nothing over Z and Q).
+SeriesPrefix is the one type of a sequence prefix f_0..f_N, read from an
+equation or from an automaton: a ring and a tuple of payloads.
 """
 
 from __future__ import annotations
 
 import re
 import reprlib
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 
@@ -237,6 +242,84 @@ class RingValue:
 
 
 _set_ring, _set_payload = RingValue.ring.__set__, RingValue.payload.__set__
+
+
+def _memo(make: Callable, zero) -> Callable:
+    """key -> make(key), made on first use and kept, and 0 -> zero: an
+    equal key gives the same object back for one dict lookup."""
+    made = {0: zero}
+    get = made.get
+
+    def memo(key):
+        out = get(key)
+        if out is None:  # inline: a dict's __missing__ would add about 150 ns per miss
+            out = made[key] = make(key)
+        return out
+    return memo
+
+
+@dataclass(frozen=True, init=False, repr=False)
+class SeriesPrefix:
+    """Truncated power series: coefficients f_0 .. f_N in one ring.
+
+    It holds its ring and the tuple of reduced payloads; reading makes
+    the values: indexing one, iterating one per distinct payload (_memo)
+    and ring.zero for a zero.  A caller's coefficients go through
+    ring.element; the oracle and the walk hand their payloads over
+    unchecked (_series).  Equality compares ring and payloads; the hash
+    is that of (ring, coeffs).
+    """
+
+    ring: Ring
+    payloads: tuple
+
+    def __init__(self, ring: Ring, coeffs):
+        payloads = tuple(ring.element(c).payload for c in coeffs)
+        if not payloads:
+            raise RingError("a series prefix holds at least f_0")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "payloads", payloads)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as ring values."""
+        return tuple(self)
+
+    @property
+    def order(self) -> int:
+        """The truncation order N."""
+        return len(self.payloads) - 1
+
+    def is_zero(self) -> bool:
+        return not any(self.payloads)
+
+    def __len__(self):
+        return len(self.payloads)
+
+    def __iter__(self):
+        return map(_memo(partial(RingValue, self.ring), self.ring.zero), self.payloads)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            ring = self.ring
+            return tuple(RingValue(ring, p) for p in self.payloads[n])
+        return RingValue(self.ring, self.payloads[n])
+
+    def __hash__(self):
+        return hash((self.ring, self.coeffs))
+
+    def __repr__(self):
+        head = ", ".join(map(self.ring.format, self.payloads[:8]))
+        tail = ", ..." if len(self.payloads) > 8 else ""
+        return f"<SeriesPrefix over {self.ring.spec} to order {self.order}: {head}{tail}>"
+
+
+def _series(ring: Ring, payloads) -> SeriesPrefix:
+    """A SeriesPrefix on payloads already reduced in ring; no check."""
+    s = object.__new__(SeriesPrefix)
+    object.__setattr__(s, "ring", ring)
+    object.__setattr__(s, "payloads", tuple(payloads))
+    return s
 
 
 class IntegerRing(Ring):

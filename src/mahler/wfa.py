@@ -45,20 +45,20 @@ far once a row was dependent: that row is dependent too.
 
 sequence_prefix meets in the middle of the tree of canonical words: rows
 I mu(u) stepped down its top levels, columns mu(v) F built up from its
-bottom, and one dot product per deeper word (see _prefix_payloads).
-Over Q the walk runs on the machine's integer image: D mu(b), c_I I and
-c_F F, with D, c_I and c_F the lcms of the denominators of the arrows,
-I and F.  Every word of length L shares the denominator c_I c_F D^L, so
-each nonzero sum becomes one Fraction as it leaves the walk.  The
-scaling is rings._integral, Q's one integer-scaling rule, which also
-serves the oracle and find_relation, once on s_0..s_N for its system.
+bottom, and one dot product per deeper word.  It makes payloads only,
+returned as the oracle's rings.SeriesPrefix.  Over Q the walk runs on
+the machine's integer image: D mu(b), c_I I and c_F F, with D, c_I and
+c_F the lcms of the denominators of the arrows, I and F.  Every word of
+length L shares the denominator c_I c_F D^L, so each nonzero sum
+becomes one Fraction as it leaves the walk.  The scaling is
+rings._integral, Q's one integer-scaling rule, which also serves the
+oracle and find_relation, once on s_0..s_N for its system.
 
-A bulk producer makes one value per distinct output, through one memo
-per call (_memo): the walk's exits on the reduced int sum (over Q, one
-memo per word length on the int sum: a Fraction is never hashed),
-cauchy_product on each arrow weight and final product (over Q each is
-made anew), and determinize on each state's output.  A zero is the
-ring's zero itself.
+A bulk producer makes one object per distinct output, through one memo
+per call (rings._memo): the walk's Q exits, per word length on the int
+sum (a Fraction is never hashed), cauchy_product on each arrow weight
+and final product (over Q each is made anew), and determinize on each
+state's output.  A zero is the ring's zero itself.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ from math import gcd
 from types import MappingProxyType, SimpleNamespace
 
 from .numeration import Base, NumerationKind, as_digits, canonical, fib
-from .rings import INTEGERS, RATIONALS, Ring, RingError, RingValue, _integral, _quote
+from .rings import (INTEGERS, RATIONALS, Ring, RingError, RingValue, SeriesPrefix, _integral,
+                    _memo, _quote, _series)
 
 
 class AutomatonError(ValueError):
@@ -334,28 +335,6 @@ def eval_sequence(A: WeightedAutomaton, kind: NumerationKind, n: int) -> RingVal
     return weight(A, canonical(n, kind))
 
 
-def sequence_prefix(A: WeightedAutomaton, kind: NumerationKind, N: int) -> list:
-    """[weight(canonical(n)) for n = 0..N] from one walk of the tree of
-    canonical words (_prefix_payloads); agrees with eval_sequence entry by
-    entry, every zero entry is ring.zero itself, and equal entries are
-    one value (over Q, equal entries of one word length)."""
-    return _prefix_payloads(A, kind, N, values=True)
-
-
-def _memo(make: Callable, zero) -> Callable:
-    """key -> make(key), made on first use and kept, and 0 -> zero: an
-    equal key gives the same object back for one dict lookup."""
-    made = {0: zero}
-    get = made.get
-
-    def memo(key):
-        out = get(key)
-        if out is None:  # inline: a dict's __missing__ would add about 150 ns per miss
-            out = made[key] = make(key)
-        return out
-    return memo
-
-
 def _column_payload(A: WeightedAutomaton, label, col: dict) -> dict:
     """The sparse column vector mu(label) * col, read from the same arrow
     index as _step_payload, each entry reduced once, zeros dropped."""
@@ -373,7 +352,7 @@ def _column_payload(A: WeightedAutomaton, label, col: dict) -> dict:
 
 
 def _integer_image(A: WeightedAutomaton, length: int) -> tuple:
-    """The integer image of a Q machine for _prefix_payloads: (M, I', F',
+    """The integer image of a Q machine for sequence_prefix: (M, I', F',
     dens).
 
     D is the lcm of the denominators of the arrow weights, c_I and c_F
@@ -398,10 +377,9 @@ def _integer_image(A: WeightedAutomaton, length: int) -> tuple:
             [c_I * c_F * D ** L for L in range(length + 1)])
 
 
-def _prefix_payloads(A: WeightedAutomaton, kind: NumerationKind, N: int,
-                     values: bool = False) -> list:
-    """The payloads of sequence_prefix(A, kind, N), sharing work across
-    words; with ``values``, sequence_prefix itself.
+def sequence_prefix(A: WeightedAutomaton, kind: NumerationKind, N: int) -> SeriesPrefix:
+    """weight(canonical(n)) for n = 0..N, as a SeriesPrefix made by one
+    walk of the tree of canonical words; agrees with eval_sequence.
 
     weight(u v) = (I mu(u)) . (mu(v) F) for every cut of a word, so the
     walk meets in the middle of the tree of canonical words.  Forward, it
@@ -424,12 +402,10 @@ def _prefix_payloads(A: WeightedAutomaton, kind: NumerationKind, N: int,
     machine's alphabet raises as eval_sequence would.
 
     Every dot product is summed natively and leaves the walk through
-    the exit of its word length L = (depth of u) + j.  Over Q the walk
-    runs on the integer image of A (_integer_image): int rows, columns
-    and sums, and one Fraction per output, over the one denominator
-    c_I c_F D^L of its length.  Over the other rings the exit of every
-    length is ring._reduce.  An exit that makes a Fraction or a value
-    makes each output once (see the module docstring).
+    the exit of its word length L = (depth of u) + j: over Q, one
+    Fraction per distinct int sum, over the one denominator c_I c_F D^L
+    of its length (the walk runs on A's _integer_image), over the other
+    rings ring._reduce.  The walk makes no ring value.
     """
     if N < 0:
         raise AutomatonError(f"need N >= 0, got {N}")
@@ -438,24 +414,16 @@ def _prefix_payloads(A: WeightedAutomaton, kind: NumerationKind, N: int,
     _word_labels(A, range(min(q, N + 1)))
     ring = A.ring
     step, column = _step_payload, _column_payload
-    zero = ring.zero if values else ring.zero.payload
+    zero = ring.zero.payload
     out = [zero] * (N + 1)
     length = len(canonical(N, kind))
     if ring == RATIONALS:
         M, init, final, dens = _integer_image(A, length)
-        if values:
-            makes = [lambda acc, den=den: RingValue(ring, Fraction(acc, den)) for den in dens]
-        else:
-            makes = [lambda acc, den=den: Fraction(acc, den) for den in dens]
-        exits = [_memo(make, zero) for make in makes]
+        exits = [_memo(lambda acc, den=den: Fraction(acc, den), zero) for den in dens]
     else:
         M, init = A, _initial_payload(A)
         final = {s: f.payload for s, f in enumerate(A.final) if f}
-        reduce = exit = ring._reduce
-        if values:  # over Z the sum is the payload
-            value = _memo(partial(RingValue, ring), ring.zero)
-            exit = (lambda acc: value(reduce(acc))) if ring.characteristic else value
-        exits = [exit] * (length + 1)
+        exits = [ring._reduce] * (length + 1)
     # forward: (I mu(u), value(u), value(u 0), last digit) per node u of depth_f
     level = [(init, 0, 0, 0)] if init else []
     depth_f = 0
@@ -507,7 +475,7 @@ def _prefix_payloads(A: WeightedAutomaton, kind: NumerationKind, N: int,
     # the word 0, not the root's empty word: one step from the root, length 1
     row = step(M, init, 0) if init else {}
     out[0] = exits[1](sum(a * final[s] for s, a in row.items() if s in final))
-    return out
+    return _series(ring, out)
 
 
 def _trimmed(ring: Ring, alphabet, states, initial, final, transitions: Mapping,

@@ -328,7 +328,7 @@ REL = ["relation", "-a", "builtin:fib-repr@Q", "--dmax", "1", "--hmax", "1"]
 def test_order_ceiling(argv, what, bad, eqfile, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the ceiling must be checked before any work")
-    for name in ("solve_series", "_prefix_payloads", "residual", "find_relation",
+    for name in ("solve_series", "sequence_prefix", "residual", "find_relation",
                  "growth_analysis", "_build_from_equation", "_load_wfa"):
         monkeypatch.setattr(cli, name, never)
     argv = [eqfile(a) if a.endswith(".eq") else a for a in argv]
@@ -793,7 +793,7 @@ def test_large_base_costs_the_digits_used_not_the_base(capsys, tmp_path):
     assert time.perf_counter() - start < 5.0
     assert code == 0 and out.startswith("PASS")
     P = parse_equation(path.read_text(encoding="utf-8"))
-    assert sequence_prefix(build_automaton_q(P), P.kind, 3000) == list(solve_series(P, 3000))
+    assert sequence_prefix(build_automaton_q(P), P.kind, 3000) == solve_series(P, 3000)
 
 
 def test_verify_rejects_an_automaton_missing_base_digits(capsys, tmp_path):

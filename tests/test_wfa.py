@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import equation_text, ints, make_random_equation, zero_digit_counter
-from mahler import cli, wfa
+from mahler import cli, rings, wfa
 from mahler.automata import (
     addition_automaton,
     all_ones_automaton,
@@ -20,8 +20,9 @@ from mahler.automata import (
     defect_automaton,
     fibonacci_representation_automaton,
 )
-from mahler.equations import (_kernel_basis, build_automaton_q, build_automaton_z,
-                              parse_equation, residual, solve_series, weight_z)
+from mahler.equations import (_kernel_basis, build_automaton_dumas, build_automaton_q,
+                              build_automaton_z, parse_equation, residual, solve_series,
+                              weight_z)
 from mahler.numeration import ZECKENDORF, Base, canonical, fib, parse_word, word_alphabet
 from mahler.rings import (INTEGERS, RATIONALS, MixedRingError, ModRing, PrimeField,
                           RingError, RingValue, parse_ring)
@@ -142,7 +143,7 @@ def test_zeckendorf_prefix_walk_matches_eval(seed, ring):
     A = build_automaton_z(P)
     N = 150
     pref = sequence_prefix(A, ZECKENDORF, N)
-    assert pref == [eval_sequence(A, ZECKENDORF, n) for n in range(N + 1)]
+    assert list(pref) == [eval_sequence(A, ZECKENDORF, n) for n in range(N + 1)]
 
 
 # Random machines over Z, Q, Zmod:6 and Fp:5, given as plain ints: weights
@@ -256,15 +257,14 @@ def test_pruned_walk_matches_eval_and_never_steps_a_zero_vector(machine, data):
             m.setattr(wfa, "_step_payload", step)
             m.setattr(wfa, "_column_payload", column)
             got = sequence_prefix(A, kind, N)
-        assert got == expected[:N + 1]
-        assert all(v is ring.zero for v in got if not v)
+        values = list(got)
+        assert values == expected[:N + 1]
+        assert all(v is ring.zero for v in values if not v)
         assert len(stepped) <= N + 1  # one step per node: the word 0, then each n in 1..N
-        # one value per distinct output, also where unequal sums reduce
-        # to one residue (over Q, per word length); the payload walk
-        # gives the same payloads
-        lengths = [len(canonical(n, kind)) if ring == RATIONALS else 0 for n in range(N + 1)]
-        assert len({id(v) for v in got}) <= len(set(zip(lengths, (v.payload for v in got))))
-        assert wfa._prefix_payloads(A, kind, N) == [v.payload for v in got]
+        # reading makes one value per distinct output, also where unequal
+        # sums reduce to one residue; the values are those of the payloads
+        assert len({id(v) for v in values}) <= len(set(got.payloads))
+        assert got.payloads == tuple(v.payload for v in values)
 
 
 # a fraction with a denominator up to 7, of either sign
@@ -300,15 +300,18 @@ def test_q_walk_on_the_integer_image_matches_the_fraction_path_sum(machine, data
                 for n in range(points[-1] + 1)]
     evaluated = [eval_sequence(A, kind, n) for n in range(points[-1] + 1)]
     for N in points:
-        payloads = wfa._prefix_payloads(A, kind, N)
-        assert payloads == expected[:N + 1]
-        assert all(type(x) is Fraction for x in payloads)
         got = sequence_prefix(A, kind, N)
-        assert got == evaluated[:N + 1]
-        assert all(v is RATIONALS.zero for v in got if not v)
-        # one value per distinct output of each word length, the zero included
-        assert len({id(v) for v in got}) <= len(
-            {(len(canonical(n, kind)), v.payload) for n, v in enumerate(got)})
+        payloads = got.payloads
+        assert list(payloads) == expected[:N + 1]
+        assert all(type(x) is Fraction for x in payloads)
+        # one Fraction per distinct output of each word length, the zero included
+        assert len({id(x) for x in payloads}) <= len(
+            {(len(canonical(n, kind)), x) for n, x in enumerate(payloads)})
+        values = list(got)
+        assert values == evaluated[:N + 1]
+        assert all(v is RATIONALS.zero for v in values if not v)
+        # reading makes one value per distinct output, and the zero is ring.zero
+        assert len({id(v) for v in values}) <= len(set(payloads))
 
 
 def test_the_oracle_never_reaches_the_integer_image():
@@ -327,7 +330,7 @@ def test_the_oracle_never_reaches_the_integer_image():
         assert residual(P, s).is_zero()
         with pytest.raises(AssertionError, match="integer image"):
             sequence_prefix(A, ZECKENDORF, 300)
-    assert sequence_prefix(A, ZECKENDORF, 300) == list(s)
+    assert sequence_prefix(A, ZECKENDORF, 300) == s
 
 
 @pytest.mark.parametrize("q", [100000, 10])
@@ -358,7 +361,7 @@ def test_large_base_walk_makes_no_column_past_N(q):
         start = time.perf_counter()
         got = sequence_prefix(A, kind, N)
         elapsed = time.perf_counter() - start
-    assert got == [eval_sequence(A, kind, n) for n in range(N + 1)]
+    assert list(got) == [eval_sequence(A, kind, n) for n in range(N + 1)]
     assert all(value <= N for value, _ in made.values())
     assert made or q > N  # base 10 meets in the middle; base 10^5 has one level
     assert elapsed < 1.0
@@ -399,21 +402,53 @@ def test_step_drops_an_entry_that_cancels(spec, pair):
     assert not weight(A, (1,)) and weight(A, (0,)) == ring.element(pair[0])
 
 
-def test_sequence_prefix_makes_one_value_per_distinct_output(monkeypatch):
-    # fib_repr takes 52 distinct values to N = 4000; each nonzero one is
-    # made once, not once per entry
-    A = build_automaton_z(parse_equation(equation_text("fib_repr.eq")))
-    expected = sequence_prefix(A, ZECKENDORF, 4000)
-    made = []
-
+def _counting_ring_values(m, made):
+    """Patch the RingValue constructor that wfa and rings call so that it
+    records each payload it is given in made."""
     def counted(ring, payload):
         made.append(payload)
         return RingValue(ring, payload)
 
-    monkeypatch.setattr(wfa, "RingValue", counted)
-    got = sequence_prefix(A, ZECKENDORF, 4000)
-    assert got == expected
-    assert len(made) <= len({v.payload for v in got if v}) < 100
+    m.setattr(wfa, "RingValue", counted)
+    m.setattr(rings, "RingValue", counted)
+
+
+def test_sequence_prefix_makes_one_value_per_distinct_output():
+    # fib_repr takes 52 distinct values to N = 4000: iterating the prefix
+    # makes each nonzero one once, not once per entry, and each zero is
+    # ring.zero itself (over Fp:5, 985 entries)
+    for ring in (INTEGERS, PrimeField(5), RATIONALS):
+        s = sequence_prefix(fibonacci_representation_automaton(ring), ZECKENDORF, 4000)
+        made = []
+        with pytest.MonkeyPatch.context() as m:
+            _counting_ring_values(m, made)
+            values = list(s)
+        assert [v.payload for v in values] == list(s.payloads)
+        assert all(v is ring.zero for v in values if not v)
+        assert len(made) <= len({x for x in s.payloads if x}) < 100
+
+
+def test_sequence_prefix_makes_no_ring_value():
+    # count-ones times all-ones in base 2: every h_n to N = 4000 is
+    # distinct, and the walk makes payloads only, no value per entry
+    H = cauchy_product(count_ones_automaton(INTEGERS), all_ones_automaton(INTEGERS),
+                       addition_automaton(BASE2))
+    made = []
+    with pytest.MonkeyPatch.context() as m:
+        _counting_ring_values(m, made)
+        s = sequence_prefix(H, BASE2, 4000)
+    assert made == []
+    assert len(set(s.payloads)) == 4001
+
+
+@pytest.mark.parametrize("name", ["fib_repr", "hyperbinary", "dumas_fib", "dumas_twolayer"])
+def test_sequence_prefix_of_a_build_is_the_oracle_prefix(name):
+    # one type of sequence prefix: the walk of a build of a shipped
+    # isolating equation equals solve_series as a SeriesPrefix
+    P = parse_equation(equation_text(f"{name}.eq"))
+    A = (build_automaton_dumas if P.g_poly else build_automaton_q
+         if isinstance(P.kind, Base) else build_automaton_z)(P)
+    assert sequence_prefix(A, P.kind, 2000) == solve_series(P, 2000)
 
 
 def test_sequence_prefix_rejects_digits_outside_the_alphabet():
@@ -421,7 +456,7 @@ def test_sequence_prefix_rejects_digits_outside_the_alphabet():
     # prefix raises exactly when some eval_sequence up to N would
     A = count_ones_automaton(INTEGERS)
     kind = Base(3)
-    assert sequence_prefix(A, kind, 1) == [eval_sequence(A, kind, n) for n in range(2)]
+    assert list(sequence_prefix(A, kind, 1)) == [eval_sequence(A, kind, n) for n in range(2)]
     for N in (2, 8):
         with pytest.raises(AutomatonError, match="label 2 outside automaton alphabet"):
             sequence_prefix(A, kind, N)
@@ -436,7 +471,7 @@ def test_base_prefix_walk_below_the_base():
         initial=(INTEGERS.one,), final=(INTEGERS.one,),
         transitions={(0, d, 0): d + 1 for d in range(5)})
     for N in range(6):
-        assert sequence_prefix(A, Base(5), N) == \
+        assert list(sequence_prefix(A, Base(5), N)) == \
             [eval_sequence(A, Base(5), n) for n in range(N + 1)]
 
 
