@@ -32,12 +32,16 @@ import json
 from json.encoder import encode_basestring_ascii as _string
 
 from .rings import RingValue, _quote, parse_ring
-from .wfa import AutomatonError, DfaWithOutput, WeightedAutomaton, _label_key
+from .wfa import AutomatonError, DfaWithOutput, WeightedAutomaton, _flat, _label_key
 
 
 def _sorted_transitions(M) -> list:
-    """M's transition items by source, label and target (the last key entry;
-    keys of a machine with outputs end in the label, which breaks no tie)."""
+    """M's arrows by source, label and target: (s, b, d, payload) read from
+    a weighted machine's index, ((s, b), d) items of a machine with outputs
+    (the key's last entry is the label, which breaks no tie)."""
+    if isinstance(M, WeightedAutomaton):
+        rank = {b: _label_key(b) for b in M._arrows}
+        return sorted(_flat(M._arrows), key=lambda a: (a[0], rank[a[1]], a[2]))
     rank = {b: _label_key(b) for b in {key[1] for key in M.transitions}}
     return sorted(M.transitions.items(), key=lambda kv: (kv[0][0], rank[kv[0][1]], kv[0][-1]))
 
@@ -83,9 +87,9 @@ def _object(mapping: dict, pad: str) -> str:
     return _block("{}", [f"{_string(k)}: {v}" for k, v in mapping.items()], pad)
 
 
-def _label_texts(M, pad: str) -> dict:
-    """Each label of M's transitions, written on a line indented by ``pad``."""
-    return {b: _json(b, pad) for b in {key[1] for key in M.transitions}}
+def _label_texts(labels, pad: str) -> dict:
+    """Each of the labels, written on a line indented by ``pad``."""
+    return {b: _json(b, pad) for b in labels}
 
 
 def automaton_to_json(A: WeightedAutomaton) -> str:
@@ -93,12 +97,12 @@ def automaton_to_json(A: WeightedAutomaton) -> str:
     writes for it, without json's pure-Python indenting encoder."""
     states = A.states
     names = [_string(s) for s in states]
-    labels = _label_texts(A, "   ")
+    labels = _label_texts(A._arrows, "   ")  # the labels that have arrows
     fmt = A.ring.format  # ASCII digits, sign and "/": nothing for JSON to escape
     transitions = [
         f'{{\n   "from": {names[s]},\n   "label": {labels[b]},\n'
-        f'   "weight": "{fmt(w.payload)}",\n   "to": {names[d]}\n  }}'
-        for (s, b, d), w in _sorted_transitions(A)]
+        f'   "weight": "{fmt(p)}",\n   "to": {names[d]}\n  }}'
+        for s, b, d, p in _sorted_transitions(A)]
 
     def vector(v):
         return _object({states[i]: _string(str(w)) for i, w in enumerate(v) if w}, " ")
@@ -206,7 +210,7 @@ def dfa_to_json(D: DfaWithOutput) -> str:
 
     states = D.states
     names = [_string(s) for s in states]
-    labels = _label_texts(D, "   ")
+    labels = _label_texts({key[1] for key in D.transitions}, "   ")
     transitions = [
         f'{{\n   "from": {names[s]},\n   "label": {labels[b]},\n   "to": {names[d]}\n  }}'
         for (s, b), d in _sorted_transitions(D)]
@@ -261,7 +265,8 @@ def automaton_to_dot(A: WeightedAutomaton) -> str:
             parts.append(f"F={f}")
             attrs.append("peripheries=2")
         nodes.append((parts, attrs))
-    edges = ((s, d, f"{_label_text(b)}:{w}") for (s, b, d), w in _sorted_transitions(A))
+    edges = ((s, d, f"{_label_text(b)}:{A.ring.format(p)}")
+             for s, b, d, p in _sorted_transitions(A))
     return _dot(A.states, nodes, edges)
 
 

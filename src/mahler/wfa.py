@@ -18,19 +18,19 @@ seeds breadth-first.  The weighted ones (the equation compilers,
 products, shifts, both adders and the polynomial machines) take the
 explored states straight to a trimmed machine through
 explore_automaton(), which trims on state indices by the one rule that
-trim() also applies and assembles, and validates, one machine; none
+trim() also applies and streams the arrows into one machine's index; none
 keeps a state index of its own.  The two machines with outputs built by
 subset construction, determinize and automata.defect_automaton_constructed,
 are assembled by explore_dfa().
 Plain reachability without numbering (trimming) uses reachable(), on (s, t) arrows.
 
-A weighted machine keeps one arrow index, built with it: ``_arrows`` maps
-label -> {src: [(dst, weight payload), ...]} in the order of
-``transitions``, i.e. each mu(b) stored row by row.  _step_payload (a
-row vector times mu(b)), _column_payload (mu(b) times a column vector),
-the determinism check of UnambiguousAutomaton, cauchy_product,
-_integer_image, automata._shift_once and the copies of g in
-equations._build read it.
+A weighted machine stores its arrows once, in the index ``_arrows``:
+label -> {src: [(dst, weight payload), ...]}, each mu(b) row by row, each
+list in the order its arrows were given; ``transitions`` is a view of
+it.  _step_payload (a row vector times mu(b)), _column_payload (mu(b)
+times a column vector), UnambiguousAutomaton, cauchy_product, the
+writers, _integer_image, determinize's transpose, automata._shift_once
+and the copies of g in equations._build read the index.
 
 One Gauss-Jordan insert, _insert_row, keeps a reduced row echelon form
 of sparse rows (column -> nonzero int) over Fp:p or Q; it does every
@@ -63,7 +63,7 @@ state's output.  A zero is the ring's zero itself.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Mapping
+from collections.abc import Callable, Hashable, ItemsView, Iterable, Iterator, Mapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
@@ -144,9 +144,49 @@ def _label_key(label):
 def _reduce_by_init(obj):
     """__reduce__ of a frozen dataclass that holds read-only mappings:
     pickle and copy rebuild it through its constructor, which validates
-    again, from its init fields with each mapping as a plain dict."""
-    return type(obj), tuple(dict(v) if isinstance(v, MappingProxyType) else v
+    again, from its init fields with each mapping (a view too) as a dict."""
+    return type(obj), tuple(dict(v) if isinstance(v, Mapping) else v
                             for v in (getattr(obj, f.name) for f in fields(obj) if f.init))
+
+
+def _flat(arrows: dict) -> Iterator[tuple]:
+    """(src, label, dst, payload) per arrow of an index, by label, then source."""
+    return ((s, b, d, p) for b, by_src in arrows.items()
+            for s, out in by_src.items() for d, p in out)
+
+
+class _ArrowView(Mapping):
+    """A weighted machine's ``transitions``, read from its index in _flat's
+    order: each RingValue made as it is read, each lookup a scan of its
+    source's arrows, the length counted when the index was built."""
+
+    def __init__(self, ring: Ring, arrows: dict, size: int):
+        self._ring, self._arrows, self._len = ring, arrows, size
+
+    def __getitem__(self, key):
+        try:
+            src, label, dst = key
+            for d, p in self._arrows[label][src]:
+                if d == dst:
+                    return RingValue(self._ring, p)
+        except (TypeError, ValueError, KeyError):  # no (src, label, dst), or none held
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        return ((s, b, d) for s, b, d, _p in _flat(self._arrows))
+
+    def __len__(self):
+        return self._len
+
+    def items(self):
+        return _ArrowItems(self)
+
+
+class _ArrowItems(ItemsView):
+    def __iter__(self):  # each value from its payload, without a lookup
+        ring = self._mapping._ring
+        return (((s, b, d), RingValue(ring, p)) for s, b, d, p in _flat(self._mapping._arrows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,10 +239,10 @@ class DfaWithOutput:
 
 @dataclass(frozen=True, eq=False)
 class WeightedAutomaton:
-    """Weighted automaton: ring, alphabet, named states, I/F vectors, arrows
-    (``transitions``: (src, label, dst) -> nonzero weight), and the arrow
-    index ``_arrows``: label -> {src: [(dst, payload), ...]}, built once
-    here; the module docstring lists the code that reads it.  The label
+    """Weighted automaton: ring, alphabet, named states, I/F vectors and
+    arrows (``transitions``: (src, label, dst) -> weight), stored once, in
+    the index ``_arrows``: label -> {src: [(dst, nonzero payload), ...]},
+    built here; ``transitions`` becomes its read-only view.  The label
     set ``_alphabet_set``, also built here, checks the words read.
     Values of ``ring`` itself are kept as given; anything else passes
     through ``ring.element``."""
@@ -224,20 +264,27 @@ class WeightedAutomaton:
         alphabet = tuple(self.alphabet)
         if len(set(alphabet)) != len(alphabet):
             raise AutomatonError("duplicate alphabet labels")
-        alpha_set = frozenset(alphabet)
-        n = len(states)
-        element = ring.element  # ints, Fractions, values of another ring object
         initial, final = (tuple([v if isinstance(v, RingValue) and v.ring is ring
-                                 else element(v) for v in vec])
+                                 else ring.element(v) for v in vec])
                           for vec in (self.initial, self.final))
-        if len(initial) != n or len(final) != n:
+        if len(initial) != len(states) or len(final) != len(states):
             raise AutomatonError("initial/final vector length differs from state count")
         if not isinstance(self.transitions, Mapping):
             raise AutomatonError(f"transitions {_quote(self.transitions)} is not a mapping")
-        clean = {}
-        arrows: dict = {}
-        try:  # one loop validates and indexes; each key tuple is kept as given
-            for key, w in self.transitions.items():
+        for name, v in (("states", states), ("alphabet", alphabet), ("initial", initial),
+                        ("final", final), ("_alphabet_set", frozenset(alphabet))):
+            object.__setattr__(self, name, v)
+        self._index(self.transitions.items())
+
+    def _index(self, arrows: Iterable[tuple]) -> None:
+        """The one loop that checks (key, weight) arrows, drops zeros and
+        indexes the rest in their order: the constructor's, and _assembled's."""
+        ring, n, alpha_set = self.ring, len(self.states), self._alphabet_set
+        element = ring.element  # ints, Fractions, values of another ring object
+        index: dict = {}
+        size = 0
+        try:  # each key tuple is unpacked, not kept
+            for key, w in arrows:
                 src, label, dst = key
                 if not (0 <= src < n and 0 <= dst < n):
                     raise AutomatonError(f"transition endpoint out of range: {key}")
@@ -246,20 +293,15 @@ class WeightedAutomaton:
                 if not (isinstance(w, RingValue) and w.ring is ring):
                     w = element(w)
                 if p := w.payload:
-                    clean[key] = w
-                    by_src = arrows.get(label) or arrows.setdefault(label, {})
+                    size += 1
+                    by_src = index.get(label) or index.setdefault(label, {})
                     (by_src.get(src) or by_src.setdefault(src, [])).append((dst, p))
         except (AutomatonError, RingError):
             raise
         except (TypeError, ValueError):  # a key that is no (src, label, dst) of state indices
             raise AutomatonError(f"bad transition key {_quote(key)}") from None
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "final", final)
-        object.__setattr__(self, "transitions", MappingProxyType(clean))
-        object.__setattr__(self, "_arrows", arrows)
-        object.__setattr__(self, "_alphabet_set", alpha_set)
+        object.__setattr__(self, "_arrows", index)
+        object.__setattr__(self, "transitions", _ArrowView(ring, index, size))
 
     __reduce__ = _reduce_by_init
 
@@ -364,8 +406,7 @@ def _integer_image(A: WeightedAutomaton, length: int) -> tuple:
     M is an exact scaling of a machine that was validated when it was
     made, so it is not a WeightedAutomaton and is not validated again.
     """
-    weights = [w for by_src in A._arrows.values() for out in by_src.values() for _d, w in out]
-    D, scaled = _integral(weights)
+    D, scaled = _integral([p for *_k, p in _flat(A._arrows)])
     it = iter(scaled)
     arrows = {b: {s: [(d, next(it)) for d, _w in out] for s, out in by_src.items()}
               for b, by_src in A._arrows.items()}
@@ -481,22 +522,33 @@ def sequence_prefix(A: WeightedAutomaton, kind: NumerationKind, N: int) -> Serie
 def _trimmed(ring: Ring, alphabet, states, initial, final, transitions: Mapping,
              reached: bool) -> WeightedAutomaton | None:
     """The one trimming rule, on indices: the machine restricted to the
-    states both reachable from I and co-reachable to F, or None when
-    that is every state.  ``transitions`` holds nonzero weights only;
-    ``reached`` says every state is reachable from I: no closure from I."""
+    states both reachable from I and co-reachable to F, its arrows
+    renumbered as they stream into its index, or None when that is every
+    state.  An arrow of zero weight joins nothing; ``reached`` says every
+    state is reachable from I: no closure from I."""
     n = len(states)
-    keep = reachable((i for i in range(n) if final[i]), ((d, s) for s, _b, d in transitions))
+    keep = reachable((i for i in range(n) if final[i]),
+                     ((d, s) for (s, _b, d), w in transitions.items() if w.payload))
     if not reached:
         keep &= reachable((i for i in range(n) if initial[i]),
-                          ((s, d) for s, _b, d in transitions))
+                          ((s, d) for (s, _b, d), w in transitions.items() if w.payload))
     if len(keep) == n:
         return None
     remap = {old: new for new, old in enumerate(sorted(keep))}  # in index order
-    return WeightedAutomaton(
-        ring=ring, alphabet=alphabet, states=tuple(states[i] for i in remap),
-        initial=tuple(initial[i] for i in remap), final=tuple(final[i] for i in remap),
-        transitions={(remap[s], b, remap[d]): w for (s, b, d), w in transitions.items()
-                     if s in remap and d in remap})
+    return _assembled(ring, alphabet, tuple(states[i] for i in remap),
+                      tuple(initial[i] for i in remap), tuple(final[i] for i in remap),
+                      (((remap[s], b, remap[d]), w) for (s, b, d), w in transitions.items()
+                       if s in remap and d in remap))
+
+
+def _assembled(ring: Ring, alphabet, states, initial, final,
+               arrows: Iterable[tuple]) -> WeightedAutomaton:
+    """The public constructor on no arrows, then its checked loop on the
+    streamed (key, weight) arrows: no per-arrow mapping is made."""
+    A = WeightedAutomaton(ring=ring, alphabet=alphabet, states=states,
+                          initial=initial, final=final, transitions={})
+    A._index(arrows)
+    return A
 
 
 def trim(A: WeightedAutomaton) -> WeightedAutomaton:
@@ -516,23 +568,21 @@ def explore_automaton(ring: Ring, alphabet, seeds: Mapping,
     and ``final(state)`` are each called once per explored state, trimmed
     ones too, in numbering order, so a ``name`` may count the states it
     has seen (build_automaton_dumas numbers its g{j}n{t} copy states that
-    way).  Arrows whose weights summed to zero are dropped, the states
-    are trimmed on their indices (the rule of trim()), and the machine
-    is assembled, and validated, once.  Every explored state was found
-    along an arrow from a seed, so when no arrow is dropped and no seed
-    weighs zero, all are reachable from I and the trim takes only the
-    closure to F.
+    way).  The states are trimmed on their indices (the rule of trim()),
+    and the explored arrows stream, renumbered, into the machine's index,
+    assembled, and checked, once; arrows whose weights summed to zero are
+    dropped.  Every explored state was found along an arrow from a seed,
+    so when none sums to zero and no seed weighs zero, all are reachable
+    from I and the trim takes only the closure to F.
     """
     order, trans = explore(seeds, successors)
     states = tuple(map(name, order))
     finals = tuple(map(final, order))
     initial = (*seeds.values(), *[ring.zero] * (len(order) - len(seeds)))
-    kept = {k: w for k, w in trans.items() if w.payload}
-    reached = len(kept) == len(trans) and all(seeds.values())
-    del order, trans
-    return (_trimmed(ring, alphabet, states, initial, finals, kept, reached)
-            or WeightedAutomaton(ring=ring, alphabet=alphabet, states=states,
-                                 initial=initial, final=finals, transitions=kept))
+    reached = all(seeds.values()) and all(w.payload for w in trans.values())
+    del order
+    return (_trimmed(ring, alphabet, states, initial, finals, trans, reached)
+            or _assembled(ring, alphabet, states, initial, finals, trans.items()))
 
 
 def explore_dfa(alphabet, seed: Hashable, expand: Callable, prefix: str) -> DfaWithOutput:
@@ -578,9 +628,8 @@ class UnambiguousAutomaton:
         A = self.automaton
         if A.ring != INTEGERS:
             raise AutomatonError("unambiguous automata are kept over the integers")
-        vals = set(A.transitions.values()) | set(A.initial) | set(A.final)
-        allowed = {INTEGERS.zero, INTEGERS.one}
-        if not vals <= allowed:
+        weights = {p for *_k, p in _flat(A._arrows)} | {v.payload for v in A.initial + A.final}
+        if not weights <= {0, 1}:
             raise AutomatonError("weights outside {0, 1}")
         starts = [s for s, v in enumerate(A.initial) if v]
         if len(starts) > 1:
@@ -773,11 +822,9 @@ def determinize(A: WeightedAutomaton, direction: str = "direct") -> DfaWithOutpu
         raise AutomatonError(f"unknown direction {_quote(direction)}")
     if A.ring.cardinality is None:
         raise RingError(f"determinization needs a finite ring, not {A.ring.spec}")
-    if direction == "reverse":
-        A = WeightedAutomaton(
-            ring=A.ring, alphabet=A.alphabet, states=A.states,
-            initial=A.final, final=A.initial,
-            transitions={(d, b, s): w for (s, b, d), w in A.transitions.items()})
+    if direction == "reverse":  # the transpose, streamed from A's index
+        A = _assembled(A.ring, A.alphabet, A.states, A.final, A.initial,
+                       (((d, b, s), RingValue(A.ring, p)) for s, b, d, p in _flat(A._arrows)))
     ring = A.ring
     n = ring.characteristic
     pivots, basis = _span(A)

@@ -4,6 +4,7 @@ import pickle
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -12,13 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import equation_text, ints, make_random_equation, zero_digit_counter
-from mahler import cli, rings, wfa
+from mahler import automata, cli, rings, wfa
 from mahler.automata import (
     addition_automaton,
     all_ones_automaton,
     count_ones_automaton,
     defect_automaton,
     fibonacci_representation_automaton,
+    shift_regular,
 )
 from mahler.equations import (_kernel_basis, build_automaton_dumas, build_automaton_q,
                               build_automaton_z, parse_equation, residual, solve_series,
@@ -26,7 +28,7 @@ from mahler.equations import (_kernel_basis, build_automaton_dumas, build_automa
 from mahler.numeration import ZECKENDORF, Base, canonical, fib, parse_word, word_alphabet
 from mahler.rings import (INTEGERS, RATIONALS, MixedRingError, ModRing, PrimeField,
                           RingError, RingValue, parse_ring)
-from mahler.serialize import dfa_to_json
+from mahler.serialize import automaton_from_json, automaton_to_json, dfa_to_json
 from mahler.wfa import (
     AutomatonError,
     DfaWithOutput,
@@ -376,6 +378,7 @@ def test_machines_pickle_and_deep_copy(spec):
     A = cauchy_product(rep, rep, addition_automaton(ZECKENDORF))
     for back in (pickle.loads(pickle.dumps(A)), copy.deepcopy(A), copy.copy(A)):
         assert same_structure(back, A) and back._arrows == A._arrows
+        assert back.transitions == A.transitions
         assert sequence_prefix(back, ZECKENDORF, 60) == sequence_prefix(A, ZECKENDORF, 60)
     if ring.cardinality:
         D = determinize(count_ones_automaton(ring))
@@ -574,8 +577,96 @@ def explorations(draw):
 def test_explore_automaton_matches_the_reference_assembly(case):
     ring, seeds, out, finals = case
     args = (ring, (0, 1), seeds, out.__getitem__, finals.__getitem__, "q{}".format)
-    assert same_structure(explore_automaton(*args),
-                          oracles.trimmed_assembly(WeightedAutomaton, *args))
+    A = explore_automaton(*args)
+    reference = oracles.trimmed_assembly(WeightedAutomaton, *args)
+    # the index too, each (label, source) list in the same order
+    assert same_structure(A, reference) and A._arrows == reference._arrows
+
+
+def test_streamed_assembly_equals_the_constructor_on_a_dict(monkeypatch):
+    # every machine whose arrows stream into its index (the shipped
+    # builds, both adders, a shift, a product of the builtins and the
+    # trims inside them) equals the public constructor on the same
+    # arrows given as a dict, index order included
+    pairs = []
+
+    def recorded(ring, alphabet, states, initial, final, arrows):
+        arrows = list(arrows)
+        pairs.append((streamed(ring, alphabet, states, initial, final, iter(arrows)),
+                      WeightedAutomaton(ring=ring, alphabet=alphabet, states=states,
+                                        initial=initial, final=final,
+                                        transitions=dict(arrows))))
+        return pairs[-1][0]
+
+    streamed = wfa._assembled
+    monkeypatch.setattr(wfa, "_assembled", recorded)
+    built = []
+    for name in ("fib_repr", "hyperbinary", "dumas_fib", "dumas_twolayer"):
+        P = parse_equation(equation_text(f"{name}.eq"))
+        built.append((build_automaton_dumas if P.g_poly else build_automaton_q
+                       if isinstance(P.kind, Base) else build_automaton_z)(P))
+    # the adders are cached: built afresh, under the recorder
+    add = automata.addition_automaton_zeckendorf.__wrapped__()
+    built += [add.automaton, automata.addition_automaton_base.__wrapped__(2).automaton,
+              shift_regular(fibonacci_representation_automaton(INTEGERS), 2),
+              cauchy_product(fibonacci_representation_automaton(INTEGERS),
+                             all_ones_automaton(INTEGERS), add)]
+    assert len(pairs) >= len(built)
+    assert all(any(A is S for S, _ in pairs) for A in built)
+    for S, C in pairs:
+        assert same_structure(S, C) and S._arrows == C._arrows
+        assert list(S.transitions) == list(C.transitions)
+
+
+def _from_index(A):
+    return {(s, b, d): RingValue(A.ring, p) for b, by_src in A._arrows.items()
+            for s, out in by_src.items() for d, p in out}
+
+
+def test_transitions_is_a_read_only_view_of_the_index():
+    rep = fibonacci_representation_automaton(INTEGERS)
+    square = cauchy_product(rep, rep, addition_automaton(ZECKENDORF))
+    built = build_automaton_z(parse_equation(equation_text("fib_repr.eq")))
+    loaded = automaton_from_json(automaton_to_json(square))
+    for A in (rep, square, built, loaded):
+        arrows = _from_index(A)
+        assert dict(A.transitions.items()) == arrows and A.transitions == arrows
+        assert len(A.transitions) == len(arrows) == len(list(A.transitions))
+        assert all(A.transitions[key] == w and key in A.transitions for key, w in arrows.items())
+        assert list(A.transitions.values()) == list(arrows.values())
+        s, b, d = next(iter(A.transitions))
+        for key in ((s, b, len(A.states)), (s, "x", d), (s, [b], d), (s, b), 7, None, "abc"):
+            assert key not in A.transitions
+            with pytest.raises(KeyError):
+                A.transitions[key]
+        with pytest.raises(TypeError):
+            A.transitions[s, b, d] = INTEGERS.one
+    # label by label, then source by source, each in order of first
+    # arrow; a loaded machine indexes its arrows in the file's sorted order
+    A = WeightedAutomaton(ring=INTEGERS, alphabet=(0, 1), states=("a", "b"), initial=(1, 0),
+                          final=(0, 1), transitions={(1, 1, 1): 2, (0, 0, 1): 3, (0, 1, 0): 0,
+                                                     (1, 0, 0): 4, (0, 1, 1): 5})
+    assert list(A.transitions) == [(1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 0)]
+    assert list(automaton_from_json(automaton_to_json(A)).transitions) == [
+        (0, 0, 1), (1, 0, 0), (0, 1, 1), (1, 1, 1)]
+
+
+def test_a_product_keeps_its_arrows_once():
+    # the bytes a product keeps, per arrow: one index entry and its share
+    # of the states (216 B with a per-arrow mapping beside the index,
+    # about 116 B without, on Python 3.11)
+    rep = fibonacci_representation_automaton(INTEGERS)
+    add = addition_automaton(ZECKENDORF)
+    square = cauchy_product(rep, rep, add)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        P = cauchy_product(square, rep, add)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(P.transitions) == 15315
+    assert kept / len(P.transitions) < 160
 
 
 def test_reachable_closure():
