@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -221,38 +221,39 @@ def _g_payloads(P: MahlerEquation, g, N: int) -> list:
     return seq
 
 
-def _term_sums(reduce, items: list, src, out: list, g, N: int) -> list:
-    """The term loop of solve_series and residual: appends to out, for n =
-    len(out)..N, g[n] + sum of a * src[pre_i[n - j]] over the items (j, a,
-    pre_i) whose index is >= 0, native ``+`` and ``*``, one reduce per n.
-    src may be out itself, whose earlier terms it reads."""
-    for n in range(len(out), N + 1):
+def _term_sums(reduce, items: list, vals: list, out: list, g, n0: int) -> list:
+    """The term loop of solve_series and residual: out[n] = g[n] + native
+    sum of a * vals[pre_i[n - j]] over the items (j, a, pre_i), n = n0..N,
+    reduced unless reduce is None.  Each table is read shifted by j (a -1
+    for n < j), and a -1 reads the zero at vals[N + 1]: no branch per term."""
+    N = len(vals) - 2
+    terms = [(a, [-1] * min(j, N + 1) + pre_i[:max(N + 1 - j, 0)]) for j, a, pre_i in items]
+    for n in range(n0, N + 1):
         acc = g[n]
-        for j, a, pre_i in items:
-            m = n - j
-            if m >= 0:
-                k = pre_i[m]
-                if k >= 0:
-                    acc += a * src[k]
-        out.append(reduce(acc))
+        for a, tab in terms:
+            acc += a * vals[tab[n]]
+        out[n] = acc if reduce is None else reduce(acc)
     return out
 
 
-def _oracle(ring: Ring, items: list, src, out: list, g, N: int, depth: int) -> SeriesPrefix:
-    """_term_sums as a SeriesPrefix; out is src or empty.  Over Q it runs on
-    ints: with D and c the lcms of the denominators of the items and of
-    src and g_0..g_N (rings._integral), and S = c D^depth, it sums D a, S s
-    and D S g, so each sum is D S times its entry, and // D is exact when
-    every S times an entry is an int.  Each leaves as one Fraction(x, S)."""
+def _oracle(ring: Ring, items: list, src, g, N: int, depth: int, n0: int) -> SeriesPrefix:
+    """_term_sums as a SeriesPrefix, on [f_0], each f_n written where it is
+    read (n0 = 1), or on a copy of s_0..s_N (n0 = 0).  Over Q on ints: D, c the
+    lcms of the denominators of the items, of src and g_0..g_N (_integral),
+    S = c D^depth: a sum of D a, S s, D S g is D S times its entry, // D exact
+    when S times each entry is an int, and it leaves as one Fraction(x, S)."""
+    reduce = ring._reduce if ring.characteristic else None
+    if ring == RATIONALS:
+        D, alphas = _integral([a for _j, a, _pre in items])
+        c, ints = _integral([*src, *islice(g, N + 1)])
+        scale, n = D ** depth, len(src)
+        src, g = [x * scale for x in ints[:n]], [x * scale * D for x in ints[n:]]
+        items = [(j, a, pre) for (j, _a, pre), a in zip(items, alphas)]
+        reduce = (lambda x: x // D) if D > 1 else None
+    vals = [*src, *repeat(0, N + 2 - len(src))]
+    sums = islice(_term_sums(reduce, items, vals, vals if n0 else [0] * (N + 1), g, n0), N + 1)
     if ring != RATIONALS:
-        return _series(ring, _term_sums(ring._reduce, items, src, out, g, N))
-    D, alphas = _integral([a for _j, a, _pre in items])
-    c, ints = _integral([*src, *islice(g, N + 1)])
-    scale, n = D ** depth, len(src)
-    src = [x * scale for x in ints[:n]]
-    g = [x * scale * D for x in ints[n:]]
-    items = [(j, a, pre) for (j, _a, pre), a in zip(items, alphas)]
-    sums = _term_sums(lambda x: x // D, items, src, src if out else [], g, N)
+        return _series(ring, sums)
     S, zero = c * scale, ring.zero.payload
     return _series(ring, [Fraction(x, S) if x else zero for x in sums])
 
@@ -266,19 +267,18 @@ def solve_series(P: MahlerEquation, N: int, g=None) -> SeriesPrefix:
     An explicit g prefix overrides the equation's polynomial part.  The
     k come from one preimage table per distinct i, all composed from one
     i = 1 table; the oracle uses numeration code only, never an
-    automaton.  The sums are _term_sums, the loop residual shares, read
-    from the growing payload list; over Q on ints (_oracle, depth E =
+    automaton.  The sums are _term_sums, the loop residual shares, each
+    f_n written where it is read; over Q on ints (_oracle, depth E =
     len(canonical(N))): a k with op^i(k) + j = n, i >= 1, has fewer digits
     than n, so by induction f_n c D^len(canonical(n)) is an int.
     """
     if N < 0:
         raise EquationError(f"need N >= 0, got {N}")
-    ring = P.ring
     g_pay = _g_payloads(P, g, N)
-    out = [_isolating_f0(P, RingValue(ring, g_pay[0])).payload]
+    f0 = _isolating_f0(P, RingValue(P.ring, g_pay[0])).payload
     pre = preimages(P.kind, N, (i for (i, _) in P.alpha if i >= 1))
     items = [(j, a.payload, pre[i]) for (i, j), a in sorted(P.alpha.items()) if i >= 1]
-    return _oracle(ring, items, out, out, g_pay, N, len(canonical(N, P.kind)))
+    return _oracle(P.ring, items, [f0], g_pay, N, len(canonical(N, P.kind)), 1)
 
 
 def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
@@ -302,7 +302,7 @@ def residual(P: MahlerEquation, s, g=None) -> SeriesPrefix:
     pre = preimages(P.kind, N, (i for (i, _) in P.alpha))
     items = [(j, (-a if i else a).payload, pre[i]) for (i, j), a in sorted(P.alpha.items())]
     neg_g = [-v if v else v for v in islice(g_pay, N + 1)]  # over Q, -0 is a new Fraction
-    return _oracle(ring, items, seq, [], neg_g, N, 1)
+    return _oracle(ring, items, seq, neg_g, N, 1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -442,11 +442,10 @@ def sequence_prefix(A: WeightedAutomaton, kind: NumerationKind, N: int) -> Serie
     occurs in canonical(b), so a digit b <= N missing from the
     machine's alphabet raises as eval_sequence would.
 
-    Every dot product is summed natively and leaves the walk through
-    the exit of its word length L = (depth of u) + j: over Q, one
-    Fraction per distinct int sum, over the one denominator c_I c_F D^L
-    of its length (the walk runs on A's _integer_image), over the other
-    rings ring._reduce.  The walk makes no ring value.
+    Every dot product is stored as its native sum; after the walk each word
+    length L's outputs go through exit L by one map: over Q one Fraction per
+    distinct int sum over c_I c_F D^L (the walk runs on A's _integer_image),
+    over Zmod and Fp ring._reduce, over Z none.  The walk makes no ring value.
     """
     if N < 0:
         raise AutomatonError(f"need N >= 0, got {N}")
@@ -455,16 +454,15 @@ def sequence_prefix(A: WeightedAutomaton, kind: NumerationKind, N: int) -> Serie
     _word_labels(A, range(min(q, N + 1)))
     ring = A.ring
     step, column = _step_payload, _column_payload
-    zero = ring.zero.payload
-    out = [zero] * (N + 1)
+    out = [0] * (N + 1)
     length = len(canonical(N, kind))
     if ring == RATIONALS:
         M, init, final, dens = _integer_image(A, length)
-        exits = [_memo(lambda acc, den=den: Fraction(acc, den), zero) for den in dens]
+        exits = [_memo(lambda acc, den=den: Fraction(acc, den), ring.zero.payload) for den in dens]
     else:
         M, init = A, _initial_payload(A)
         final = {s: f.payload for s, f in enumerate(A.final) if f}
-        exits = [ring._reduce] * (length + 1)
+        exits = [ring._reduce] * (length + 1) if ring.characteristic else []
     # forward: (I mu(u), value(u), value(u 0), last digit) per node u of depth_f
     level = [(init, 0, 0, 0)] if init else []
     depth_f = 0
@@ -473,11 +471,10 @@ def sequence_prefix(A: WeightedAutomaton, kind: NumerationKind, N: int) -> Serie
 
     def meet(nodes, top):
         # out[value(u v)] = I mu(u) . mu(v) F for each node u, each v shorter than top
-        dones = exits[depth_f:depth_f + top]  # the exit of each length depth_f + j
         for row, val, shifted, last in nodes:
             items = row.items()
             at, here = shifted - val, val  # here = value(u 0^j)
-            for j, done in enumerate(dones):
+            for j in range(top):
                 if here > N:
                     break
                 cap = N - here if base or not last else min(N - here, fib(j - 1) - 1)
@@ -489,7 +486,7 @@ def sequence_prefix(A: WeightedAutomaton, kind: NumerationKind, N: int) -> Serie
                         c = col.get(s)
                         if c is not None:
                             acc += a * c
-                    out[here + v] = done(acc)
+                    out[here + v] = acc
                 at, here = here, q * here if base else here + at
 
     while level and depth_f + len(columns) - 1 < length:
@@ -515,7 +512,10 @@ def sequence_prefix(A: WeightedAutomaton, kind: NumerationKind, N: int) -> Serie
     meet(level, len(columns))
     # the word 0, not the root's empty word: one step from the root, length 1
     row = step(M, init, 0) if init else {}
-    out[0] = exits[1](sum(a * final[s] for s, a in row.items() if s in final))
+    out[0] = sum(a * final[s] for s, a in row.items() if s in final)
+    for L in range(1, len(exits)):  # length L: n from q^(L-1) resp. F_(L-1), or 0
+        lo, hi = (q ** (L - 1) if base else fib(L - 1)) if L > 1 else 0, q ** L if base else fib(L)
+        out[lo:hi] = map(exits[L], out[lo:hi])
     return _series(ring, out)
 
 

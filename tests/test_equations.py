@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import pickle
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -602,6 +603,57 @@ def test_q_oracle_at_order_zero_and_with_no_phi_term(kind):
         res = residual(P, s)
         assert res.is_zero() and len(res) == N + 1
         assert_canonical(res)
+
+
+@pytest.mark.parametrize("spec", ORACLE_RINGS)
+@pytest.mark.parametrize("kind", [BASE2, Base(3), ZECKENDORF], ids=["base2", "base3", "zeck"])
+def test_a_term_with_no_preimage_reads_zero_not_the_last_term(spec, kind):
+    # each table is read shifted by j, and a -1 in it (no preimage, or
+    # n < j) reads the zero kept past s_N.  Every term i >= 1 here has no
+    # preimage at n = N, nor has j = N + 3 anywhere, while s_N = 1: a -1
+    # that read s_N would add a term to r_N
+    ring, op, N = parse_ring(spec), kind_op(kind), 41
+    alpha, row = {(0, 0): 1, (0, 2): 2, (1, N + 3): 5}, range(N + 1)
+    for i in (1, 2, 3):
+        row = [op(k) for k in row]  # op^i(k), k = 0..N
+        alpha |= {(i, j): i + j + 1 for j in range(6) if N - j not in row}
+    assert sum(i >= 1 and j <= N for i, j in alpha) >= 4
+    if ring == RATIONALS:
+        alpha = {key: Fraction(a, key[1] % 3 + 2) for key, a in alpha.items()}
+        s = [Fraction(n % 7 - 3, n % 4 + 1) for n in range(N)] + [Fraction(1)]
+    else:
+        s = [n % 7 - 3 for n in range(N)] + [1]
+    P = MahlerEquation(ring=ring, kind=kind, alpha=alpha, f0=0)
+    n = ring.characteristic
+    want = oracles.residual(alpha, s, [0] * (N + 1), op)
+    res = residual(P, s)
+    assert [v.payload for v in res] == [r % n if n else r for r in want]
+    assert_canonical(res)
+
+
+@pytest.mark.parametrize("spec", ["Z", "Q", "Zmod:6", "Fp:7"])
+@pytest.mark.parametrize("kind", [BASE2, Base(3), ZECKENDORF], ids=["base2", "base3", "zeck"])
+def test_a_term_far_past_the_prefix_changes_nothing_and_costs_nothing(spec, kind):
+    # a table is shifted by min(j, N + 1): alpha at j = 10^12 adds nothing
+    # to N = 100, and no table of 10^12 entries is made
+    ring, N = parse_ring(spec), 100
+    third = Fraction(1, 3) if ring == RATIONALS else 4
+    alpha = {(0, 0): 1, (1, 0): 1, (1, 1): third, (2, 2): 2}  # any f0 is compatible
+    P = MahlerEquation(ring=ring, kind=kind, alpha=alpha, f0=1)
+    far = MahlerEquation(ring=ring, kind=kind, alpha={**alpha, (1, 10**12): 3, (2, 10**12): third},
+                         f0=1)
+    s = solve_series(P, N)
+    bad = [v.payload for v in s]
+    bad[N // 2] += 1
+    tracemalloc.start()
+    try:
+        got = solve_series(far, N), residual(far, bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (s, residual(P, bad))
+    assert not got[1].is_zero()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------

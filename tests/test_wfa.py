@@ -467,6 +467,41 @@ def test_sequence_prefix_rejects_digits_outside_the_alphabet():
             eval_sequence(A, kind, 2)
 
 
+def _length_starts(kind, top):
+    """start_L, the least n whose canonical word has L digits, for L = 1..top:
+    0 (the word 0 has one digit), then q^(L-1) in base q and F_{L-1} in
+    Zeckendorf."""
+    return [0] + [kind.q ** (L - 1) if isinstance(kind, Base) else fib(L - 1)
+                  for L in range(2, top + 1)]
+
+
+@pytest.mark.parametrize("spec", ["Z", "Q", "Fp:3", "Zmod:6"])
+@pytest.mark.parametrize("kind,top", [(BASE2, 12), (Base(3), 9), (ZECKENDORF, 12)],
+                         ids=["base2", "base3", "zeck"])
+def test_walk_exits_at_the_edges_of_each_word_length(spec, kind, top):
+    # the walk sums natively and sends each block of one word length
+    # through that length's exit once: N at either side of every block's
+    # start, so the last block is cut at every edge.  Base 3 stops at
+    # L = 9 (N = 6561): over Q each eval_sequence costs about 0.1 ms
+    ring = parse_ring(spec)
+    alphabet = word_alphabet(kind)
+    w = Fraction if spec == "Q" else (lambda a, b: a)  # Q: weights off the integers
+    arrows = {}
+    for b in alphabet:
+        arrows[0, b, 0] = w(1 + b, 2)
+        arrows[0, b, 1] = w(b + 2, 3)
+        arrows[1, b, 1] = w(2, 5) if b else -1
+    A = WeightedAutomaton(ring=ring, alphabet=alphabet, states=("a", "b"),
+                          initial=(1, w(1, 7)), final=(w(3, 2), 1), transitions=arrows)
+    points = sorted({x for s in _length_starts(kind, top) for x in (s - 1, s) if x >= 0})
+    expected = [eval_sequence(A, kind, n) for n in range(points[-1] + 1)]
+    assert len({len(canonical(n, kind)) for n in range(points[-1] + 1)}) == top
+    for N in points:
+        got = sequence_prefix(A, kind, N)
+        assert list(got) == expected[:N + 1]
+        assert all(type(x) is type(ring.zero.payload) for x in got.payloads)
+
+
 def test_base_prefix_walk_below_the_base():
     # the roots 1..q-1 of the base-q walk are cut at N
     A = WeightedAutomaton(
